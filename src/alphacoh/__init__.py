@@ -49,15 +49,13 @@ from .harness import (
     run_suite,
     search_violation,
 )
-from .linalg import DIVERGENT, matrix_power, spectral_decompose
+from .linalg import matrix_power, spectral_decompose
 from .states import (
     dephase,
     embed_diagonal,
     load_state,
-    make_rng,
     maximally_coherent,
     random_density,
-    random_incoherent,
     random_pure,
     save_state,
     substream,
@@ -67,7 +65,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DIVERGENT",
     "CoherenceResult",
     "KrausChannel",
     "SelectiveOutcome",
@@ -87,7 +84,6 @@ __all__ = [
     "l1_coherence",
     "load_channel",
     "load_state",
-    "make_rng",
     "matrix_power",
     "max_coherence",
     "maximally_coherent",
@@ -95,7 +91,6 @@ __all__ = [
     "optimal_incoherent_state",
     "random_channel",
     "random_density",
-    "random_incoherent",
     "random_incoherent_channel",
     "random_pure",
     "relative_entropy",

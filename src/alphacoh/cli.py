@@ -143,38 +143,28 @@ def _parse_alpha_range(text: str) -> list[float]:
     return grid
 
 
-def _measure_rows(rho, kinds, alphas, units, seed, emit_delta) -> tuple[list[dict], tuple]:
-    d = rho.shape[0]
+def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tuple]:
+    """One row per (kind, alpha) pair, in the given order; alpha is None for the plain kinds."""
     rows = []
-    for kind in kinds:
+    for kind, alpha in pairs:
+        delta = None
         if kind in ALPHA_KINDS:
-            for alpha in alphas:
-                result = coherence_alpha(rho, alpha) if kind == "alpha" else tsallis_coherence(rho, alpha)
-                value, unit_label = _convert_units(kind, result.value, units)
-                row = {
-                    "measure": kind,
-                    "dim": d,
-                    "alpha": float(alpha),
-                    "value": value,
-                    "units": unit_label,
-                    "seed": seed,
-                }
-                if emit_delta:
-                    row["delta"] = _delta_cell(result.optimal_delta)
-                rows.append(row)
+            result = coherence_alpha(rho, alpha) if kind == "alpha" else tsallis_coherence(rho, alpha)
+            value, delta, alpha = result.value, _delta_cell(result.optimal_delta), float(alpha)
         else:
-            value, unit_label = _convert_units(kind, measure_value(kind, rho), units)
-            row = {
-                "measure": kind,
-                "dim": d,
-                "alpha": None,
-                "value": value,
-                "units": unit_label,
-                "seed": seed,
-            }
-            if emit_delta:
-                row["delta"] = None
-            rows.append(row)
+            value = measure_value(kind, rho)
+        value, unit_label = _convert_units(kind, value, units)
+        row = {
+            "measure": kind,
+            "dim": rho.shape[0],
+            "alpha": alpha,
+            "value": value,
+            "units": unit_label,
+            "seed": seed,
+        }
+        if emit_delta:
+            row["delta"] = delta
+        rows.append(row)
     columns = COMPUTE_COLUMNS + ("delta",) if emit_delta else COMPUTE_COLUMNS
     return rows, columns
 
@@ -190,7 +180,8 @@ def cmd_compute(args) -> int:
     seed = _resolve_seed(args)
     kinds = args.kind or list(MEASURE_KINDS)
     alphas = args.alpha or [1.0]
-    rows, columns = _measure_rows(rho, kinds, alphas, args.units, seed, args.emit_delta)
+    pairs = [(kind, a) for kind in kinds for a in (alphas if kind in ALPHA_KINDS else [None])]
+    rows, columns = _measure_rows(rho, pairs, args.units, seed, args.emit_delta)
     _emit(rows, columns, args.format, args.out)
     return EXIT_OK
 
@@ -203,23 +194,9 @@ def cmd_sweep(args) -> int:
     for kind in kinds:
         if kind not in ALPHA_KINDS:
             raise UsageError(f"sweep covers the alpha families {ALPHA_KINDS}, got {kind!r}")
-    rows = []
-    for alpha in grid:  # ordered by alpha; alpha ~ 1 flows through the analytic limit
-        for kind in kinds:
-            result = coherence_alpha(rho, alpha) if kind == "alpha" else tsallis_coherence(rho, alpha)
-            value, unit_label = _convert_units(kind, result.value, args.units)
-            row = {
-                "measure": kind,
-                "dim": rho.shape[0],
-                "alpha": float(alpha),
-                "value": value,
-                "units": unit_label,
-                "seed": seed,
-            }
-            if args.emit_delta:
-                row["delta"] = _delta_cell(result.optimal_delta)
-            rows.append(row)
-    columns = COMPUTE_COLUMNS + ("delta",) if args.emit_delta else COMPUTE_COLUMNS
+    # ordered by alpha; alpha ~ 1 flows through the analytic limit
+    pairs = [(kind, alpha) for alpha in grid for kind in kinds]
+    rows, columns = _measure_rows(rho, pairs, args.units, seed, args.emit_delta)
     _emit(rows, columns, args.format, args.out)
     return EXIT_OK
 
@@ -269,23 +246,8 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     summary = run_suite(cfg, workers=args.workers)
     if args.out:
-        rows = [
-            {
-                "check_name": r.check_name,
-                "dim": r.dim,
-                "alpha": r.alpha,
-                "kind": r.kind,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-                "passed": r.passed,
-                "seed": r.seed,
-                "trial": r.trial,
-                "degenerate": r.degenerate,
-                "error": r.error,
-            }
-            for r in summary.records
-        ]
+        # the columns are the TrialRecord fields, in order
+        rows = [{c: getattr(r, c) for c in VERIFY_COLUMNS} for r in summary.records]
         _emit(rows, VERIFY_COLUMNS, args.format, args.out)
     name_width = max(len(name) for name in summary.stats)
     print(f"{'check':<{name_width}}  {'trials':>7} {'pass':>7} {'fail':>5} {'degen':>5}  worst_margin")

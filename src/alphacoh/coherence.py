@@ -12,6 +12,9 @@ power-mean S = sum_j a_j^(1/alpha):
   Tsallis relative alpha entropy to the incoherent set. Monotone and convex,
   but it fails strong monotonicity (the harness searches for witnesses).
 
+Both are evaluated by one kernel, ``closed_form``, on a single spectrum for
+the scalar API and on a stack of spectra for the batched search.
+
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
 two routes can be compared trial by trial.
@@ -25,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import near_one, validate_alpha, von_neumann_entropy
-from .linalg import matrix_power, powered_eigenvalues, spectral_decompose
+from .divergence import near_one, validate_alpha
+from .linalg import matrix_power, spectral_decompose
 from .states import dephase
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
@@ -42,6 +45,10 @@ class DegenerateDiagonalError(ValueError):
     """All diagonal weights of rho^alpha vanished; no optimal state exists."""
 
 
+class SkewFormsDisagreeError(ValueError):
+    """The two evaluations of the summed skew information differ beyond 1e-10."""
+
+
 @dataclass
 class CoherenceResult:
     """A coherence value plus, when the measure defines one, the nearest incoherent state."""
@@ -50,25 +57,69 @@ class CoherenceResult:
     optimal_delta: np.ndarray | None = field(default=None, repr=False)
 
 
+def _diagonal(lam: np.ndarray, vecs: np.ndarray, alpha: float) -> np.ndarray:
+    # a_j = sum_k |<j|v_k>|^2 lam_k^alpha with every summand nonnegative; lam
+    # comes clamped as spectral_decompose leaves it, with exact zeros under 1e-12
+    return (np.abs(vecs) ** 2 @ (np.maximum(lam, 0.0) ** alpha)[..., None])[..., 0]
+
+
+def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
+    """C_alpha (kind "alpha") or Ct_alpha (kind "tsallis") and the optimal delta.
+
+    Takes one spectrum (lam (d,), vecs (d, d)) or a stack ((..., d), (..., d, d))
+    and returns (value, delta) with matching leading shape. Eigenvalues within
+    1e-12 of zero must already be exact zeros, as spectral_decompose leaves
+    them.
+
+    Both families are the power mean S = sum_j a_j^(1/alpha):
+    C_alpha = (S - 1)/(alpha - 1), Ct_alpha = (S^alpha - 1)/(alpha - 1) and
+    delta_j = a_j^(1/alpha) / S. The a_j are divided by their largest entry
+    before the 1/alpha power, so S = peak^(1/alpha) sum_j (a_j/peak)^(1/alpha)
+    never loses the sum to underflow at small alpha. Inside the alpha = 1
+    window both kinds give the relative-entropy coherence S(diag rho) - S(rho),
+    with the dephased populations as delta.
+
+    One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state
+    can get there) raises DegenerateDiagonalError. In a stack such entries
+    come out NaN, for the caller to mask under np.errstate.
+    """
+    if near_one(alpha):
+        pops = _diagonal(lam, vecs, 1.0)
+        pops = pops / pops.sum(axis=-1, keepdims=True)
+        return _entropy(pops) - _entropy(np.maximum(lam, 0.0)), pops
+    diag = _diagonal(lam, vecs, alpha)
+    peak = diag.max(axis=-1, keepdims=True)
+    if diag.ndim == 1 and peak[0] < DEGENERATE_DIAGONAL_TOL:
+        raise DegenerateDiagonalError("diagonal of rho^alpha vanished entirely")
+    roots = (diag / peak) ** (1.0 / alpha)
+    total = roots.sum(axis=-1, keepdims=True)
+    delta = roots / total
+    peak, total = peak[..., 0], total[..., 0]
+    if kind == "tsallis":
+        return (peak * total**alpha - 1.0) / (alpha - 1.0), delta
+    return (peak ** (1.0 / alpha) * total - 1.0) / (alpha - 1.0), delta
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)  # 0 ln 0 = 0
+
+
 def alpha_diagonal(rho, alpha: float) -> np.ndarray:
-    """Diagonal of rho^alpha in the fixed basis, clamped to >= 0.
+    """Diagonal of rho^alpha in the fixed basis, each entry >= 0.
 
     Computed from the spectrum as sum_k |<j|v_k>|^2 lam_k^alpha, which keeps
     every summand nonnegative instead of forming the full matrix power.
     """
     a = validate_alpha(alpha)
     lam, vecs = spectral_decompose(rho)
-    lam = np.clip(lam, 0.0, None)
-    weights = np.abs(vecs) ** 2
-    return np.maximum(weights @ powered_eigenvalues(lam, a), 0.0)
+    return _diagonal(lam, vecs, a)
 
 
-def _power_mean_terms(rho, alpha: float) -> tuple[np.ndarray, float]:
-    roots = alpha_diagonal(rho, alpha) ** (1.0 / alpha)
-    total = float(roots.sum())
-    if total < DEGENERATE_DIAGONAL_TOL:
-        raise DegenerateDiagonalError("diagonal of rho^alpha vanished entirely")
-    return roots, total
+def _family(kind: str, rho, alpha: float) -> CoherenceResult:
+    a = validate_alpha(alpha)
+    lam, vecs = spectral_decompose(rho)
+    value, delta = closed_form(kind, lam, vecs, a)
+    return CoherenceResult(float(value), delta)
 
 
 def coherence_alpha(rho, alpha: float) -> CoherenceResult:
@@ -85,11 +136,7 @@ def coherence_alpha(rho, alpha: float) -> CoherenceResult:
     -------
     CoherenceResult with the value and the minimizing incoherent populations.
     """
-    a = validate_alpha(alpha)
-    if near_one(a):
-        return relative_entropy_coherence(rho)
-    roots, total = _power_mean_terms(rho, a)
-    return CoherenceResult((total - 1.0) / (a - 1.0), roots / total)
+    return _family("alpha", rho, alpha)
 
 
 def tsallis_coherence(rho, alpha: float) -> CoherenceResult:
@@ -98,28 +145,22 @@ def tsallis_coherence(rho, alpha: float) -> CoherenceResult:
     Shares the minimizer with coherence_alpha; only the outer function of the
     power mean differs, which is exactly why strong monotonicity is lost here.
     """
-    a = validate_alpha(alpha)
-    if near_one(a):
-        return relative_entropy_coherence(rho)
-    roots, total = _power_mean_terms(rho, a)
-    return CoherenceResult((total**a - 1.0) / (a - 1.0), roots / total)
+    return _family("tsallis", rho, alpha)
 
 
 def optimal_incoherent_state(rho, alpha: float) -> np.ndarray:
     """Populations of the incoherent state closest to rho in the alpha sense."""
-    a = validate_alpha(alpha)
-    if near_one(a):
-        return dephase(rho)
-    roots, total = _power_mean_terms(rho, a)
-    return roots / total
+    if near_one(validate_alpha(alpha)):
+        return dephase(rho)  # the limit's minimizer needs no spectrum
+    return _family("alpha", rho, alpha).optimal_delta
 
 
 def relative_entropy_coherence(rho) -> CoherenceResult:
-    """S(diag(rho)) - S(rho) in nats; the optimal incoherent state is the dephased one."""
-    probs = dephase(rho)
-    positive = probs[probs > 0.0]
-    diagonal_entropy = float(-np.sum(positive * np.log(positive)))
-    return CoherenceResult(diagonal_entropy - von_neumann_entropy(rho), probs)
+    """S(diag(rho)) - S(rho) in nats; the optimal incoherent state is the dephased one.
+
+    The alpha -> 1 limit of both families, evaluated by their kernel.
+    """
+    return _family("alpha", rho, 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -189,9 +230,10 @@ def skew_info_sum(rho) -> float:
         comm[i, :] -= root[i, :]
         commutator_total += float(np.einsum("ij,ji->", comm, comm).real)
     commutator_value = -0.5 * commutator_total
-    assert abs(value - commutator_value) <= 1e-10, (
-        f"skew information forms disagree: {value!r} vs {commutator_value!r}"
-    )
+    if not abs(value - commutator_value) <= 1e-10:
+        raise SkewFormsDisagreeError(
+            f"skew information forms disagree: {value!r} vs {commutator_value!r}"
+        )
     return value
 
 
@@ -228,10 +270,10 @@ ALPHA_KINDS = ("alpha", "tsallis")
 
 def measure_value(kind: str, rho, alpha: float | None = None) -> float:
     """Dispatch a measure by kind name; alpha is required only for the two families."""
-    if kind == "alpha":
-        return coherence_alpha(rho, _require_alpha(kind, alpha)).value
-    if kind == "tsallis":
-        return tsallis_coherence(rho, _require_alpha(kind, alpha)).value
+    if kind in ALPHA_KINDS:
+        if alpha is None:
+            raise ValueError(f"measure kind {kind!r} needs an alpha value")
+        return _family(kind, rho, alpha).value
     if kind == "relent":
         return relative_entropy_coherence(rho).value
     if kind == "l1":
@@ -241,9 +283,3 @@ def measure_value(kind: str, rho, alpha: float | None = None) -> float:
     if kind == "c2":
         return c2_direct(rho)
     raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")
-
-
-def _require_alpha(kind: str, alpha: float | None) -> float:
-    if alpha is None:
-        raise ValueError(f"measure kind {kind!r} needs an alpha value")
-    return alpha

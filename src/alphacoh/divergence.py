@@ -53,6 +53,29 @@ def sgn1(alpha: float) -> float:
     return -1.0 if a < 1.0 else 1.0
 
 
+def _pair_spectra(a_mat, b_mat, *, check_support: bool):
+    """Clipped spectra ((lam_a, vecs_a), (lam_b, vecs_b)) of two same-size PSD operands.
+
+    With `check_support`, returns None instead when a null direction of B
+    overlaps the support of A (squared projection > 1e-10): the divergent case.
+    """
+    sa = spectral_decompose(a_mat)
+    sb = spectral_decompose(b_mat)
+    if sa.eigenvalues.shape != sb.eigenvalues.shape:
+        raise DimMismatchError(
+            f"operands differ in dimension: {sa.eigenvalues.size} vs {sb.eigenvalues.size}"
+        )
+    lam_a = np.clip(sa.eigenvalues, 0.0, None)
+    lam_b = np.clip(sb.eigenvalues, 0.0, None)
+    if check_support and np.any(lam_b == 0.0):
+        support = sa.eigenvectors[:, lam_a > 0.0]
+        null_vecs = sb.eigenvectors[:, lam_b == 0.0]
+        overlap = np.sum(np.abs(support.conj().T @ null_vecs) ** 2, axis=0)
+        if np.any(overlap > SUPPORT_OVERLAP_TOL):
+            return None
+    return (lam_a, sa.eigenvectors), (lam_b, sb.eigenvectors)
+
+
 def trace_functional(a_mat, b_mat, alpha: float) -> float:
     """Tr A^alpha B^(1-alpha) for PSD A, B; may return math.inf (see module doc).
 
@@ -62,28 +85,16 @@ def trace_functional(a_mat, b_mat, alpha: float) -> float:
     a = validate_alpha(alpha)
     if near_one(a):
         raise ValueError("alpha within 1e-6 of 1: use the relative-entropy limit instead")
-    sa = spectral_decompose(a_mat)
-    sb = spectral_decompose(b_mat)
-    if sa.eigenvalues.shape != sb.eigenvalues.shape:
-        raise DimMismatchError(
-            f"operands differ in dimension: {sa.eigenvalues.size} vs {sb.eigenvalues.size}"
-        )
-    lam_a = np.clip(sa.eigenvalues, 0.0, None)
-    lam_b = np.clip(sb.eigenvalues, 0.0, None)
-    if a > 1.0 and np.any(lam_b == 0.0):
-        support = sa.eigenvectors[:, lam_a > 0.0]
-        null_vecs = sb.eigenvectors[:, lam_b == 0.0]
-        overlap = np.sum(np.abs(support.conj().T @ null_vecs) ** 2, axis=0)
-        if np.any(overlap > SUPPORT_OVERLAP_TOL):
-            return math.inf
-    a_pow = (sa.eigenvectors * powered_eigenvalues(lam_a, a)) @ sa.eigenvectors.conj().T
-    b_pow = (sb.eigenvectors * powered_eigenvalues(lam_b, 1.0 - a)) @ sb.eigenvectors.conj().T
+    pair = _pair_spectra(a_mat, b_mat, check_support=a > 1.0)
+    if pair is None:
+        return math.inf
+    (lam_a, vecs_a), (lam_b, vecs_b) = pair
+    a_pow = (vecs_a * powered_eigenvalues(lam_a, a)) @ vecs_a.conj().T
+    b_pow = (vecs_b * powered_eigenvalues(lam_b, 1.0 - a)) @ vecs_b.conj().T
     return float(np.einsum("ij,ji->", a_pow, b_pow).real)
 
 
-def f_alpha(rho, sigma, alpha: float) -> float:
-    """The trace functional on a pair of states (see trace_functional)."""
-    return trace_functional(rho, sigma, alpha)
+f_alpha = trace_functional  # its name for a pair of states
 
 
 def tsallis_divergence(rho, sigma, alpha: float) -> float:
@@ -114,25 +125,15 @@ def relative_entropy(rho, sigma) -> float:
     +inf when sigma has a null direction overlapping the support of rho,
     under the same 1e-10 overlap rule as the trace functional.
     """
-    sr = spectral_decompose(rho)
-    ss = spectral_decompose(sigma)
-    if sr.eigenvalues.shape != ss.eigenvalues.shape:
-        raise DimMismatchError(
-            f"operands differ in dimension: {sr.eigenvalues.size} vs {ss.eigenvalues.size}"
-        )
-    lam_r = np.clip(sr.eigenvalues, 0.0, None)
-    lam_s = np.clip(ss.eigenvalues, 0.0, None)
-    if np.any(lam_s == 0.0):
-        support = sr.eigenvectors[:, lam_r > 0.0]
-        null_vecs = ss.eigenvectors[:, lam_s == 0.0]
-        overlap = np.sum(np.abs(support.conj().T @ null_vecs) ** 2, axis=0)
-        if np.any(overlap > SUPPORT_OVERLAP_TOL):
-            return math.inf
+    pair = _pair_spectra(rho, sigma, check_support=True)
+    if pair is None:
+        return math.inf
+    (lam_r, _), (lam_s, vecs_s) = pair
     positive_r = lam_r[lam_r > 0.0]
     plain = float(np.sum(positive_r * np.log(positive_r)))
     rho_mat = np.asarray(rho, dtype=complex)
     keep = lam_s > 0.0
-    vecs = ss.eigenvectors[:, keep]
+    vecs = vecs_s[:, keep]
     # weights <v_i| rho |v_i> on sigma's support; null directions carry no rho weight
     weights = np.einsum("ij,jk,ki->i", vecs.conj().T, rho_mat, vecs).real
     cross = float(np.sum(weights * np.log(lam_s[keep])))

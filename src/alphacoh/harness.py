@@ -33,7 +33,13 @@ from .channels import (
     random_incoherent_channel,
     select,
 )
-from .coherence import MEASURE_KINDS, measure_value, optimal_incoherent_state
+from .coherence import (
+    ALPHA_KINDS,
+    MEASURE_KINDS,
+    closed_form,
+    measure_value,
+    optimal_incoherent_state,
+)
 from .divergence import f_alpha, near_one, sgn1, trace_functional, validate_alpha
 from .linalg import EIGENVALUE_CLAMP
 from .states import embed_diagonal, haar_unitary, random_density, substream
@@ -190,10 +196,14 @@ class ViolationReport:
     refined: bool = False
 
 
-def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial, degenerate=False):
+# the two sides of a record whose comparison a divergent value made unfalsifiable
+DIVERGED = (math.inf, math.inf)
+
+
+def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
     # builtin floats keep repr-based serialization downstream clean
     lhs, rhs = float(lhs), float(rhs)
-    if degenerate:
+    if math.isinf(lhs) or math.isinf(rhs):  # a divergent side: degenerate
         return TrialRecord(check, dim, alpha, kind, lhs, rhs, math.inf, True, seed, trial, True)
     margin = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -214,9 +224,7 @@ def check_strong_monotonicity(
     if not is_incoherent(ch):
         raise NotIncoherentChannelError("strong monotonicity is defined for incoherent channels")
     rho = np.asarray(rho, dtype=complex)
-    lhs = measure_value(kind, rho, alpha)
-    outcomes, _ = select(ch, rho)
-    rhs = sum(o.prob * measure_value(kind, o.post_state, alpha) for o in outcomes)
+    lhs, rhs, _ = _strong_mono_stats(kind, rho, ch, alpha)
     return _record(
         "strong_monotonicity", rho.shape[0], alpha, kind, lhs, rhs, tolerance, seed, trial
     )
@@ -271,12 +279,9 @@ def check_lemma1(
     terms = [
         trace_functional(k @ rho @ k.conj().T, k @ sigma @ k.conj().T, a) for k in ch.kraus
     ]
-    degenerate = not math.isfinite(lhs_val) or any(not math.isfinite(t) for t in terms)
     lhs = sign * lhs_val if math.isfinite(lhs_val) else math.inf
     rhs = sign * sum(terms) if all(math.isfinite(t) for t in terms) else math.inf
-    return _record(
-        "lemma1", rho.shape[0], a, "f_alpha", lhs, rhs, tolerance, seed, trial, degenerate
-    )
+    return _record("lemma1", rho.shape[0], a, "f_alpha", lhs, rhs, tolerance, seed, trial)
 
 
 def check_holder_step(
@@ -305,11 +310,9 @@ def check_holder_step(
     outcomes_delta, _ = select(ch, embed_diagonal(delta))
     sigma_by_index = {o.index: o for o in outcomes_delta}
     pairs = [(o, sigma_by_index[o.index]) for o in outcomes_rho if o.index in sigma_by_index]
-    if not pairs:
-        return _record("holder", d, a, "f_alpha", math.inf, math.inf, tolerance, seed, trial, True)
     f_vals = [f_alpha(r.post_state, s.post_state, a) for r, s in pairs]
-    if any(not math.isfinite(f) for f in f_vals):
-        return _record("holder", d, a, "f_alpha", math.inf, math.inf, tolerance, seed, trial, True)
+    if not pairs or any(not math.isfinite(f) for f in f_vals):
+        return _record("holder", d, a, "f_alpha", *DIVERGED, tolerance, seed, trial)
     p_side = sum(r.prob * f ** (1.0 / a) for (r, _), f in zip(pairs, f_vals))
     q_total = sum(s.prob for _, s in pairs)
     mixed = sum(
@@ -355,37 +358,23 @@ def check_observations(
     unitary = np.asarray(unitary, dtype=complex)
     base = f_alpha(rho, sigma, a)
     base_finite = math.isfinite(base)
-    records = []
 
-    def equality_record(name, other):
-        if base_finite and math.isfinite(other):
-            scale = max(1.0, abs(base), abs(other))
-            lhs, rhs = -abs(other - base) / scale, 0.0
-            return _record(name, d, a, "f_alpha", lhs, rhs, tolerance, seed, trial)
-        # both divergent is consistent; either way nothing numeric to compare
-        return _record(name, d, a, "f_alpha", math.inf, math.inf, tolerance, seed, trial, True)
+    def record(name, sides):
+        return _record(name, d, a, "f_alpha", *sides, tolerance, seed, trial)
 
-    if base_finite:
-        records.append(
-            _record("obs1_one_sided", d, a, "f_alpha", sign * base, sign * 1.0, tolerance, seed, trial)
-        )
-    else:
-        records.append(
-            _record("obs1_one_sided", d, a, "f_alpha", math.inf, sign * 1.0, tolerance, seed, trial, True)
-        )
+    def equality(other):
+        if not (base_finite and math.isfinite(other)):
+            return DIVERGED
+        return -abs(other - base) / max(1.0, abs(base), abs(other)), 0.0
+
+    records = [record("obs1_one_sided", (sign * base if base_finite else math.inf, sign * 1.0))]
 
     rotated = f_alpha(unitary @ rho @ unitary.conj().T, unitary @ sigma @ unitary.conj().T, a)
-    records.append(equality_record("obs2_isometry", rotated))
+    records.append(record("obs2_isometry", equality(rotated)))
 
     mapped = f_alpha(apply_channel(ch, rho), apply_channel(ch, sigma), a)
-    if base_finite and math.isfinite(mapped):
-        records.append(
-            _record("obs3_contraction", d, a, "f_alpha", sign * base, sign * mapped, tolerance, seed, trial)
-        )
-    else:
-        records.append(
-            _record("obs3_contraction", d, a, "f_alpha", math.inf, math.inf, tolerance, seed, trial, True)
-        )
+    finite = base_finite and math.isfinite(mapped)
+    records.append(record("obs3_contraction", (sign * base, sign * mapped) if finite else DIVERGED))
 
     if ensemble is None:
         ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)]
@@ -397,18 +386,14 @@ def check_observations(
     mix_sigma = sum(w * np.asarray(s, dtype=complex) for w, _, s in ensemble)
     mixed = f_alpha(mix_rho, mix_sigma, a)
     if all(math.isfinite(p) for p in parts) and math.isfinite(mixed):
-        lhs = sign * sum(w * p for w, p in zip(weights, parts))
-        records.append(
-            _record("obs4_joint_convexity", d, a, "f_alpha", lhs, sign * mixed, tolerance, seed, trial)
-        )
+        sides = (sign * sum(w * p for w, p in zip(weights, parts)), sign * mixed)
     else:
-        records.append(
-            _record("obs4_joint_convexity", d, a, "f_alpha", math.inf, math.inf, tolerance, seed, trial, True)
-        )
+        sides = DIVERGED
+    records.append(record("obs4_joint_convexity", sides))
 
     ancilla = embed_diagonal(delta_diag)
     tensored = f_alpha(np.kron(rho, ancilla), np.kron(sigma, ancilla), a)
-    records.append(equality_record("obs5_tensor_ancilla", tensored))
+    records.append(record("obs5_tensor_ancilla", equality(tensored)))
     return records
 
 
@@ -418,6 +403,13 @@ def check_observations(
 
 def _draw_rank(rank_policy: str, d: int, rng) -> int:
     return d if rank_policy == "full" else int(rng.integers(1, d + 1))
+
+
+def _draw_state_channel(cfg: TrialConfig, d: int, rng):
+    # the draw order rebuild_witness replays
+    lo, hi = cfg.n_kraus_range
+    rho = random_density(d, _draw_rank(cfg.rank_policy, d, rng), rng)
+    return rho, random_incoherent_channel(d, int(rng.integers(lo, hi + 1)), rng)
 
 
 def _ancilla_dim(d: int) -> int:
@@ -430,8 +422,7 @@ def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, rng, trial:
     seed = cfg.master_seed
     tol = cfg.tolerance
     if check == "strong_monotonicity" or check == "monotonicity":
-        rho = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
-        ch = random_incoherent_channel(dim, int(rng.integers(lo, hi + 1)), rng)
+        rho, ch = _draw_state_channel(cfg, dim, rng)
         fn = check_strong_monotonicity if check == "strong_monotonicity" else check_monotonicity
         return [fn(cfg.kind, rho, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "convexity":
@@ -447,8 +438,7 @@ def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, rng, trial:
         ch = random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
         return [check_lemma1(rho, sigma, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "holder":
-        rho = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
-        ch = random_incoherent_channel(dim, int(rng.integers(lo, hi + 1)), rng)
+        rho, ch = _draw_state_channel(cfg, dim, rng)
         return [check_holder_step(rho, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "observations":
         rho = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
@@ -535,11 +525,7 @@ def rebuild_witness(cfg: TrialConfig, record: TrialRecord):
     if record.check_name not in ("strong_monotonicity", "monotonicity"):
         raise ValueError(f"no state/channel witness for check {record.check_name!r}")
     cell_index = _grid(cfg).index((record.check_name, record.dim, record.alpha))
-    rng = substream(cfg.master_seed, cell_index, record.trial)
-    lo, hi = cfg.n_kraus_range
-    rho = random_density(record.dim, _draw_rank(cfg.rank_policy, record.dim, rng), rng)
-    ch = random_incoherent_channel(record.dim, int(rng.integers(lo, hi + 1)), rng)
-    return rho, ch
+    return _draw_state_channel(cfg, record.dim, substream(cfg.master_seed, cell_index, record.trial))
 
 
 # ---------------------------------------------------------------------------
@@ -561,26 +547,18 @@ def reverify_violation(report: ViolationReport) -> float:
     return gap
 
 
-def _entropy_terms(p: np.ndarray) -> np.ndarray:
-    return np.where(p > 0.0, -p * np.log(np.maximum(p, 1e-300)), 0.0)
-
-
 def _batch_coherence(kind: str, states: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized family/quantifier values over a stack of states."""
-    if kind not in ("tsallis", "alpha"):
+    """Family/quantifier values over a stack of states, through the scalar API's kernel.
+
+    Entries whose diagonal of rho^alpha vanishes (dropped branches) come out
+    NaN, silently; callers mask them.
+    """
+    if kind not in ALPHA_KINDS:
         raise ValueError(f"batched search supports kinds 'tsallis' and 'alpha', got {kind!r}")
     lam, vecs = np.linalg.eigh(states)
-    lam = np.clip(lam, 0.0, None)
-    lam[lam < EIGENVALUE_CLAMP] = 0.0
-    if near_one(alpha):
-        # both kinds hit the same relative-entropy limit inside the window
-        pops = np.einsum("bjk,bk->bj", np.abs(vecs) ** 2, lam)
-        return np.sum(_entropy_terms(pops), axis=-1) - np.sum(_entropy_terms(lam), axis=-1)
-    diag_a = np.einsum("bjk,bk->bj", np.abs(vecs) ** 2, lam**alpha)
-    total = np.sum(diag_a ** (1.0 / alpha), axis=-1)
-    if kind == "tsallis":
-        return (total**alpha - 1.0) / (alpha - 1.0)
-    return (total - 1.0) / (alpha - 1.0)
+    lam[np.abs(lam) < EIGENVALUE_CLAMP] = 0.0  # spectral_decompose's clamp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return closed_form(kind, lam, vecs, alpha)[0]
 
 
 def _batch_states(rng, count: int, d: int, rank: int):
@@ -661,18 +639,6 @@ class _SearchParams:
         ops[np.arange(n_kraus)[:, None], rows, np.arange(d)[None, :]] = amps
         return KrausChannel(tuple(ops))
 
-    def weight_indices(self):
-        """Raw-share entries that actually move the channel.
-
-        The pair operators' shares at the merged columns are dead (those
-        columns are governed by pair_s and the angles), so skip them.
-        """
-        n_ops, d = self.raw.shape
-        if self.pair_cols is None:
-            return list(np.ndindex(n_ops, d))
-        merged = {int(c) for c in self.pair_cols}
-        return [(n, c) for n in range(n_ops) for c in range(d) if not (c in merged and n < 2)]
-
 
 def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair: bool):
     """Draw `count` incoherent channels in one stream; returns (params, ops stack).
@@ -714,21 +680,11 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
     ops = np.zeros((count, n_kraus, d, d), dtype=complex)
     op_idx = np.arange(n_kraus)[:, None]
     col_idx = np.arange(d)[None, :]
+    per_channel = [raw, sing_rows, sing_phases]
+    if with_pair:
+        per_channel += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
     for b in range(count):
-        if with_pair:
-            p = _SearchParams(
-                raw[b],
-                sing_rows[b],
-                sing_phases[b],
-                pair_cols[b],
-                pair_rows[b],
-                pair_s[b],
-                angles[b],
-                comp_rows[b],
-                comp_phases[b],
-            )
-        else:
-            p = _SearchParams(raw[b], sing_rows[b], sing_phases[b])
+        p = _SearchParams(*(x[b] for x in per_channel))
         rows, amps = p.rows_amps()
         ops[b, op_idx, rows, col_idx] = amps
         params.append(p)
@@ -759,9 +715,11 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
 
     Perturbs the factor additively, weight shares multiplicatively, and the
     pair block's angles, shares, and phases in place; the discrete row
-    structure never moves (batch cycling covers that instead). Deterministic:
-    fixed sweep order, fixed step schedule, halve the step on a stalled sweep
-    and give up after four stalls in a row.
+    structure never moves (batch cycling covers that instead). Every knob
+    tries its candidate values in order, keeps the first that raises the gap
+    and otherwise gets its old value back. Deterministic: fixed sweep order,
+    fixed step schedule, halve the step on a stalled sweep and give up after
+    four stalls in a row.
     """
     g = g.copy()
     params = params.copy()
@@ -772,69 +730,51 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
     gap = evaluate()
     step = 0.05
     scale = max(float(np.max(np.abs(g))), 1.0)
-    weight_idx = params.weight_indices()
-    paired = params.pair_cols is not None
-    n_sing = params.sing_phases.shape[0]
-    comp_cols = []
-    if paired:
-        merged = {int(c) for c in params.pair_cols}
+
+    # candidate values for one entry, given its current value v and the step
+    def nudge(v, step):  # the complex factor entries, in four directions
+        return [v + step * t for t in (scale, -scale, 1j * scale, -1j * scale)]
+
+    def grow(v, step):
+        return [v * (1.0 + step), v * (1.0 / (1.0 + step))]
+
+    def capped(v, step):
+        return [min(w, 1.0) for w in grow(v, step)]
+
+    def shift(v, step):
+        return [v + step, v - step]
+
+    # (array, index, candidates) for every knob, in sweep order. The pair
+    # operators' raw shares at the merged columns are dead (pair_s and the
+    # angles govern those columns), so they get no knob.
+    merged = set() if params.pair_cols is None else {int(c) for c in params.pair_cols}
+    knobs = [(g, idx, nudge) for idx in np.ndindex(g.shape)]
+    knobs += [
+        (params.raw, (n, c), grow)
+        for n, c in np.ndindex(params.raw.shape)
+        if not (n < 2 and c in merged)
+    ]
+    if merged:
+        knobs += [(params.pair_angles, i, shift) for i in range(3)]
+        if params.sing_phases.shape[0]:
+            knobs += [(params.pair_s, i, capped) for i in range(2)]
         comp_cols = [c for c in range(params.raw.shape[1]) if c not in merged]
+        knobs += [(params.comp_phases, (t, c), shift) for t in range(2) for c in comp_cols]
     stalls = 0
     for _ in range(max_sweeps):
         improved = False
-        for idx in np.ndindex(g.shape):
-            for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
-                g[idx] += delta
+        for values, idx, candidates in knobs:
+            old = values[idx]
+            for new in candidates(old, step):
+                if new == old:
+                    continue
+                values[idx] = new
                 trial_gap = evaluate()
                 if trial_gap > gap:
                     gap = trial_gap
                     improved = True
                     break
-                g[idx] -= delta
-        for idx in weight_idx:
-            for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                old = params.raw[idx]
-                params.raw[idx] = old * factor
-                trial_gap = evaluate()
-                if trial_gap > gap:
-                    gap = trial_gap
-                    improved = True
-                    break
-                params.raw[idx] = old
-        if paired:
-            for idx in range(3):
-                for delta in (step, -step):
-                    params.pair_angles[idx] += delta
-                    trial_gap = evaluate()
-                    if trial_gap > gap:
-                        gap = trial_gap
-                        improved = True
-                        break
-                    params.pair_angles[idx] -= delta
-            if n_sing:
-                for idx in range(2):
-                    for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                        old = params.pair_s[idx]
-                        new = min(old * factor, 1.0)
-                        if new == old:
-                            continue
-                        params.pair_s[idx] = new
-                        trial_gap = evaluate()
-                        if trial_gap > gap:
-                            gap = trial_gap
-                            improved = True
-                            break
-                        params.pair_s[idx] = old
-            for t in range(2):
-                for c in comp_cols:
-                    for delta in (step, -step):
-                        params.comp_phases[t, c] += delta
-                        trial_gap = evaluate()
-                        if trial_gap > gap:
-                            gap = trial_gap
-                            improved = True
-                            break
-                        params.comp_phases[t, c] -= delta
+                values[idx] = old
         if gap >= target:
             break
         if improved:

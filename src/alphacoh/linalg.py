@@ -3,15 +3,12 @@
 Everything here works on plain complex ndarrays and is sized for the small
 dense matrices this package cares about (dimension <= 16 or so). Fractional
 powers follow the conventions needed by the divergence layer: eigenvalues
-within the clamp window are treated as exact zeros, 0**p = 0 for p >= 0, and
-a negative power of a singular matrix is reported through the `DIVERGENT`
-sentinel rather than an exception, so minimizers can treat it as a valid
-worst-case candidate.
+within the clamp window are treated as exact zeros, and 0**p = 0 for p >= 0.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,28 +26,6 @@ class NotHermitianError(ValueError):
 
 class NegativeEigenvalueError(ValueError):
     """Matrix has an eigenvalue below the negativity clamp."""
-
-
-class _DivergentType:
-    """Singleton marker for a divergent matrix power (negative power of a singular matrix)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Divergent"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-DIVERGENT = _DivergentType()
-
-MatrixPower = Union[np.ndarray, _DivergentType]
 
 
 class Spectrum(NamedTuple):
@@ -97,19 +72,6 @@ def spectral_decompose(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
     return Spectrum(eigenvalues, eigenvectors)
 
 
-def clamped_eigenvalues(h, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending eigenvalues with the same zero clamp as spectral_decompose."""
-    mat = as_square_matrix(h)
-    asym = max_asymmetry(mat)
-    if asym > hermiticity_tol:
-        raise NotHermitianError(
-            f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {hermiticity_tol:.1e}"
-        )
-    eigenvalues = np.linalg.eigvalsh(mat)
-    eigenvalues[np.abs(eigenvalues) < EIGENVALUE_CLAMP] = 0.0
-    return eigenvalues
-
-
 def powered_eigenvalues(eigenvalues: np.ndarray, p: float) -> np.ndarray:
     """Elementwise lam**p with the 0**p = 0 convention (also at p = 0, keeping rank)."""
     out = np.zeros_like(eigenvalues)
@@ -118,35 +80,22 @@ def powered_eigenvalues(eigenvalues: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def matrix_power(h, p: float) -> MatrixPower:
-    """Fractional power of a positive semidefinite Hermitian matrix.
+def matrix_power(h, p: float) -> np.ndarray:
+    """Nonnegative fractional power of a positive semidefinite Hermitian matrix.
 
     Parameters
     ----------
     h : array_like
         Hermitian PSD matrix (eigenvalues >= -1e-12; small negatives are clamped to 0).
     p : float
-        Exponent. 0**p = 0 for p >= 0, so H**0 is the support projector.
-
-    Returns
-    -------
-    ndarray, or DIVERGENT when p < 0 and a clamped-zero eigenvalue is present.
+        Exponent >= 0. 0**p = 0, so H**0 is the support projector.
     """
+    if p < 0:
+        raise ValueError(f"matrix_power takes exponents p >= 0, got {p}")
     eigenvalues, eigenvectors = spectral_decompose(h)
     if eigenvalues[0] < 0.0:
         raise NegativeEigenvalueError(
             f"eigenvalue {eigenvalues[0]:.3e} below -{EIGENVALUE_CLAMP:.0e}; matrix is not PSD"
         )
-    if p < 0 and np.any(eigenvalues == 0.0):
-        return DIVERGENT
     powered = powered_eigenvalues(eigenvalues, p)
     return (eigenvectors * powered) @ eigenvectors.conj().T
-
-
-def trace_product(a, b) -> complex:
-    """Tr(A B) without forming the product matrix: sum_ij A_ij B_ji."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimMismatchError(f"trace_product: incompatible shapes {a.shape} and {b.shape}")
-    return complex(np.einsum("ij,ji->", a, b))

@@ -15,12 +15,7 @@ import os
 
 import numpy as np
 
-from .linalg import (
-    HERMITICITY_TOL,
-    as_square_matrix,
-    clamped_eigenvalues,
-    max_asymmetry,
-)
+from .linalg import HERMITICITY_TOL, as_square_matrix, max_asymmetry
 
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
@@ -104,11 +99,6 @@ def maximally_coherent(d: int, phases=None) -> np.ndarray:
     return np.outer(amplitudes, amplitudes.conj())
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit master seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent child stream for (master seed, key...).
 
@@ -137,11 +127,6 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     amps /= np.linalg.norm(amps)
     return np.outer(amps, amps.conj())
-
-
-def random_incoherent(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random diagonal state with flat-Dirichlet populations."""
-    return np.diag(rng.dirichlet(np.ones(d))).astype(complex)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,0 +1,56 @@
+"""Every package name the benchmark in perfbench/ patches or imports still resolves.
+
+The benchmark traces package functions by (module, attribute) and imports a
+few names directly; a rename under src/ would otherwise break it silently
+until the next benchmark run. The benchmark's own files are only read here.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+if not BENCH_DIR.is_dir():
+    pytest.skip("perfbench/ is not part of this checkout", allow_module_level=True)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", BENCH_DIR / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolves(module_name: str, attr: str) -> bool:
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_trace_targets_resolve():
+    tracing = load_tracing()
+    targets = [t for group in tracing.SPAN_TARGETS.values() for t in group]
+    targets += list(tracing.COUNT_TARGETS.values())
+    assert targets
+    missing = [f"{m}.{a}" for m, a in targets if not resolves(m, a)]
+    assert missing == []
+
+
+def test_workload_imports_resolve():
+    tree = ast.parse((BENCH_DIR / "workloads.py").read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "alphacoh"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [f"{m}.{n}" for m, n in imports if not resolves(m, n)]
+    assert missing == []

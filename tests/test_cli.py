@@ -52,6 +52,12 @@ def clean_env(monkeypatch):
 
 
 class TestCompute:
+    def test_small_alpha_value(self, qubit_state, capsys):
+        # S = 2 * (1/2)^(1/alpha) = 2^-49 sits far below any absolute cut
+        assert main(["compute", qubit_state, "--kind", "alpha", "--alpha", "0.02"]) == EXIT_OK
+        rows = parse_csv(capsys.readouterr().out)
+        assert float(rows[0]["value"]) == pytest.approx((2.0**-49 - 1.0) / (0.02 - 1.0), rel=1e-15)
+
     def test_known_value_csv(self, qubit_state, capsys):
         assert main(["compute", qubit_state, "--kind", "alpha", "--alpha", "2.0"]) == EXIT_OK
         rows = parse_csv(capsys.readouterr().out)

@@ -1,4 +1,4 @@
-"""Spectral helpers: decomposition, fractional powers, the divergence sentinel."""
+"""Spectral helpers: decomposition and fractional powers."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphacoh.linalg import (
-    DIVERGENT,
     EIGENVALUE_CLAMP,
-    DimMismatchError,
     NegativeEigenvalueError,
     NotHermitianError,
-    clamped_eigenvalues,
     matrix_power,
     max_asymmetry,
     powered_eigenvalues,
     spectral_decompose,
-    trace_product,
 )
 from conftest import random_hermitian
 
@@ -46,14 +42,6 @@ def test_spectral_decompose_rejects_non_hermitian():
     spectral_decompose(bad, hermiticity_tol=2.0)
 
 
-def test_clamped_eigenvalues_matches_decomposition(rng):
-    # eigvalsh and eigh run different LAPACK drivers; agreement is only to
-    # round-off, the shared part of the contract is the zero clamp
-    h = random_hermitian(5, rng(1))
-    np.testing.assert_allclose(clamped_eigenvalues(h), spectral_decompose(h).eigenvalues, atol=1e-12)
-    assert clamped_eigenvalues(np.diag([1e-13, 1.0]))[0] == 0.0
-
-
 def test_max_asymmetry_hand_value():
     mat = np.array([[1.0, 2.0], [2.5, 3.0]])
     assert max_asymmetry(mat) == pytest.approx(0.5)
@@ -74,13 +62,9 @@ class TestMatrixPower:
         out = matrix_power(np.diag([0.0, 0.5]), 0.0)
         np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-15)
 
-    def test_negative_power_of_singular_is_divergent(self):
-        assert matrix_power(np.diag([0.0, 1.0]), -0.5) is DIVERGENT
-        assert not DIVERGENT
-        assert repr(DIVERGENT) == "Divergent"
-
-    def test_negative_power_of_full_rank(self):
-        np.testing.assert_allclose(matrix_power(np.diag([4.0, 1.0]), -0.5), np.diag([0.5, 1.0]), atol=1e-15)
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="p >= 0"):
+            matrix_power(np.diag([4.0, 1.0]), -0.5)
 
     def test_rejects_genuinely_negative_eigenvalue(self):
         with pytest.raises(NegativeEigenvalueError):
@@ -97,20 +81,6 @@ def test_powered_eigenvalues_zero_convention():
     np.testing.assert_array_equal(powered_eigenvalues(lam, 0.5), [0.0, 0.5, 1.0])
     # negative exponents never see the zeros (callers guard divergence)
     np.testing.assert_array_equal(powered_eigenvalues(lam, -1.0), [0.0, 4.0, 1.0])
-
-
-def test_trace_product_matches_full_product(rng):
-    gen = rng(2)
-    a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    b = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    assert trace_product(a, b) == pytest.approx(np.trace(a @ b))
-
-
-def test_trace_product_shape_mismatch():
-    with pytest.raises(DimMismatchError):
-        trace_product(np.eye(2), np.eye(3))
-    with pytest.raises(DimMismatchError):
-        trace_product(np.ones((2, 3)), np.ones((3, 2)))
 
 
 @settings(max_examples=30, deadline=None)

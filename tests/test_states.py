@@ -11,10 +11,8 @@ from alphacoh.states import (
     embed_diagonal,
     haar_unitary,
     load_state,
-    make_rng,
     maximally_coherent,
     random_density,
-    random_incoherent,
     random_pure,
     rank_of,
     save_state,
@@ -113,9 +111,6 @@ def test_random_pure_and_incoherent(rng):
     pure = random_pure(4, rng(10))
     validate_density(pure)
     assert rank_of(pure) == 1
-    inc = random_incoherent(4, rng(11))
-    validate_density(inc)
-    assert np.max(np.abs(inc - np.diag(np.diag(inc)))) == 0.0
 
 
 def test_haar_unitary_is_unitary(rng):
@@ -140,9 +135,6 @@ class TestStreams:
         a = substream(7, 1).standard_normal(4)
         b = substream(7, 2).standard_normal(4)
         assert np.any(a != b)
-
-    def test_make_rng_master(self):
-        np.testing.assert_array_equal(make_rng(3).standard_normal(4), make_rng(3).standard_normal(4))
 
 
 def test_state_file_round_trip_exact(tmp_path, rng):
