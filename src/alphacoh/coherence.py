@@ -33,6 +33,9 @@ from .linalg import matrix_power, spectral_decompose
 from .states import dephase
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
+# the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,
+# so values lose all meaning far below here and soon overflow the double range
+ALPHA_FLOOR = 1e-10
 ORACLE_RESOLUTION = {2: 1e-4, 3: 2e-3}
 _MAX_GRID_POINTS = 5_000_000
 
@@ -43,6 +46,10 @@ class DimTooLargeError(ValueError):
 
 class DegenerateDiagonalError(ValueError):
     """All diagonal weights of rho^alpha vanished; no optimal state exists."""
+
+
+class AlphaBelowFloorError(ValueError):
+    """alpha below ALPHA_FLOOR, where double precision cannot resolve the 1/alpha power."""
 
 
 class SkewFormsDisagreeError(ValueError):
@@ -81,8 +88,11 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
 
     One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state
     can get there) raises DegenerateDiagonalError. In a stack such entries
-    come out NaN, for the caller to mask under np.errstate.
+    come out NaN, for the caller to mask under np.errstate. One spectrum at an
+    alpha below ALPHA_FLOOR raises AlphaBelowFloorError.
     """
+    if lam.ndim == 1:
+        check_alpha_floor(alpha)
     if near_one(alpha):
         pops = _diagonal(lam, vecs, 1.0)
         pops = pops / pops.sum(axis=-1, keepdims=True)
@@ -98,6 +108,16 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
     if kind == "tsallis":
         return (peak * total**alpha - 1.0) / (alpha - 1.0), delta
     return (peak ** (1.0 / alpha) * total - 1.0) / (alpha - 1.0), delta
+
+
+def check_alpha_floor(alpha: float) -> float:
+    """Return alpha, or raise AlphaBelowFloorError if it is below ALPHA_FLOOR."""
+    if alpha < ALPHA_FLOOR:
+        raise AlphaBelowFloorError(
+            f"alpha {alpha!r} is below {ALPHA_FLOOR}, where the 1/alpha power "
+            "cannot be resolved in double precision"
+        )
+    return alpha
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:

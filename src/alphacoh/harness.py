@@ -36,6 +36,7 @@ from .channels import (
 from .coherence import (
     ALPHA_KINDS,
     MEASURE_KINDS,
+    check_alpha_floor,
     closed_form,
     measure_value,
     optimal_incoherent_state,
@@ -581,7 +582,9 @@ class _SearchParams:
     cross term the merge puts into K^dag K, and on the remaining columns both
     operators stay injective away from their merge row. Row arrays are the
     discrete skeleton; everything else is a continuous knob the refiner may
-    turn without ever leaving the trace-preserving incoherent family.
+    turn without ever leaving the trace-preserving incoherent family. The
+    same arrays with a leading batch axis describe a whole batch, and
+    ``_rows_amps`` assembles either.
     """
 
     raw: np.ndarray  # (n_kraus, d) positive column weight shares
@@ -595,57 +598,76 @@ class _SearchParams:
     comp_phases: np.ndarray | None = None  # (2, d)
 
     def copy(self) -> "_SearchParams":
-        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        return _SearchParams(**{k: None if v is None else v.copy() for k, v in fields.items()})
+        return _SearchParams(**{k: None if v is None else v.copy() for k, v in vars(self).items()})
 
     def rows_amps(self):
-        n_sing, d = self.sing_phases.shape
-        weights = self.raw / self.raw.sum(axis=0, keepdims=True)
-        if self.pair_cols is None:
-            return self.sing_rows, np.sqrt(weights) * np.exp(1j * self.sing_phases)
-        i, j = (int(c) for c in self.pair_cols)
-        comp = np.ones(d, dtype=bool)
-        comp[[i, j]] = False
-        s = np.ones(2) if n_sing == 0 else np.clip(self.pair_s, 0.0, 1.0)
-        root_s = np.sqrt(s)
-        theta, phi1, phi2 = self.pair_angles
-        # columns of this matrix are orthonormal, so the (i, j) cross term in
-        # K^dag K cancels between the two merge operators at any angle values
-        unit = np.array(
-            [
-                [np.cos(theta) * np.exp(1j * phi1), -np.sin(theta) * np.exp(1j * phi2)],
-                [np.sin(theta) * np.exp(-1j * phi2), np.cos(theta) * np.exp(-1j * phi1)],
-            ]
-        )
-        rows = np.empty((n_sing + 2, d), dtype=np.intp)
-        amps = np.zeros((n_sing + 2, d), dtype=complex)
-        for t in range(2):
-            rows[t] = np.where(comp, self.comp_rows[t], self.pair_rows[t])
-            amps[t, comp] = np.sqrt(weights[t, comp]) * np.exp(1j * self.comp_phases[t, comp])
-            amps[t, i] = unit[t, 0] * root_s[0]
-            amps[t, j] = unit[t, 1] * root_s[1]
-        if n_sing:
-            rows[2:] = self.sing_rows
-            sing_w = weights[2:].copy()
-            share = self.raw[2:, [i, j]]
-            sing_w[:, [i, j]] = (1.0 - s) * share / share.sum(axis=0, keepdims=True)
-            amps[2:] = np.sqrt(sing_w) * np.exp(1j * self.sing_phases)
-        return rows, amps
+        return _rows_amps(**vars(self))
 
     def build(self) -> KrausChannel:
-        rows, amps = self.rows_amps()
-        n_kraus, d = rows.shape
-        ops = np.zeros((n_kraus, d, d), dtype=complex)
-        ops[np.arange(n_kraus)[:, None], rows, np.arange(d)[None, :]] = amps
-        return KrausChannel(tuple(ops))
+        return KrausChannel(tuple(_kraus_stack(*self.rows_amps())))
+
+
+def _rows_amps(raw, sing_rows, sing_phases, pair_cols=None, pair_rows=None, pair_s=None,
+               pair_angles=None, comp_rows=None, comp_phases=None):
+    """Row maps and amplitudes, both (..., n_kraus, d), from _SearchParams arrays.
+
+    Every array may carry the same leading batch shape, none for one channel.
+    Operator n puts amplitude amps[..., n, c] of column c into row rows[..., n, c].
+    """
+    weights = raw / raw.sum(axis=-2, keepdims=True)
+    if pair_cols is None:
+        return sing_rows, np.sqrt(weights) * np.exp(1j * sing_phases)
+    cols = np.arange(raw.shape[-1])
+    is_i = cols == pair_cols[..., :1, None]  # (..., 1, d)
+    merged = is_i | (cols == pair_cols[..., 1:, None])
+    # at the merged columns (i, j), operators 0 and 1 carry the rows of
+    # [[cos e^(i phi1), -sin e^(i phi2)], [sin e^(-i phi2), cos e^(-i phi1)]]: orthonormal
+    # columns, so the (i, j) cross term in K^dag K cancels at any angle values
+    theta, signs = pair_angles[..., :1], np.array([1j, -1j])
+    cos, sin = np.cos(theta), np.sin(theta)
+    at_i = np.concatenate([cos, sin], -1) * np.exp(signs * pair_angles[..., 1:])
+    at_j = np.concatenate([-sin, cos], -1) * np.exp(signs * pair_angles[..., :0:-1])
+    comp_amps = np.sqrt(weights[..., :2, :]) * np.exp(1j * comp_phases)
+    amps = np.where(merged, np.where(is_i, at_i[..., None], at_j[..., None]), comp_amps)
+    rows = np.where(merged, pair_rows[..., None], comp_rows)
+    # the pair keeps the share s of each merged column, all of it when no plain
+    # operator is there to split the rest in proportion to its raw shares
+    if sing_phases.shape[-2] == 0:
+        return rows, amps
+    s = np.clip(pair_s, 0.0, 1.0)
+    kept = np.where(is_i, s[..., :1, None], s[..., 1:, None])
+    amps = np.where(merged, amps * np.sqrt(kept), amps)
+    share = raw[..., 2:, :]
+    sing_w = np.where(merged, (1.0 - kept) * share / share.sum(axis=-2, keepdims=True), weights[..., 2:, :])
+    sing_amps = np.sqrt(sing_w) * np.exp(1j * sing_phases)
+    return np.concatenate([rows, sing_rows], axis=-2), np.concatenate([amps, sing_amps], axis=-2)
+
+
+def _kraus_stack(rows, amps) -> np.ndarray:
+    """Kraus operators (..., n_kraus, d, d) holding amps[..., n, c] at (rows[..., n, c], c)."""
+    ops = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
+    np.put_along_axis(ops, rows[..., None, :], amps[..., None, :], axis=-2)
+    return ops
+
+
+class _ParamsBatch:
+    """A batch's stacked _SearchParams arrays; indexing copies one draw out."""
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def __len__(self) -> int:
+        return len(self.arrays[0])
+
+    def __getitem__(self, b: int) -> _SearchParams:
+        return _SearchParams(*(x[b].copy() for x in self.arrays))
 
 
 def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair: bool):
     """Draw `count` incoherent channels in one stream; returns (params, ops stack).
 
-    Parameter arrays come out of the generator vectorized, but assembly runs
-    through ``_SearchParams.rows_amps`` one channel at a time so the batch and
-    every later rebuild share a single construction path.
+    The whole batch is assembled by one ``_rows_amps`` call on the stacked
+    parameter arrays, the same function every later rebuild goes through.
     """
     if with_pair and n_kraus < 2:
         raise ValueError("a merge pair needs at least two operators")
@@ -654,6 +676,7 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
     sing_phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, n_sing, d))
     # argsort of uniforms: one uniform permutation per (trial, operator)
     sing_rows = np.argsort(rng.random((count, n_sing, d)), axis=-1)
+    arrays = [raw, sing_rows, sing_phases]
     if with_pair:
         pair_cols = np.sort(np.argsort(rng.random((count, d)), axis=-1)[:, :2], axis=-1)
         pair_rows = rng.integers(0, d, size=(count, 2))
@@ -676,19 +699,8 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
             slot_perm, np.broadcast_to(rank[:, None, :], (count, 2, d)), axis=2
         )
         comp_rows = slots + (slots >= pair_rows[:, :, None])
-    params = []
-    ops = np.zeros((count, n_kraus, d, d), dtype=complex)
-    op_idx = np.arange(n_kraus)[:, None]
-    col_idx = np.arange(d)[None, :]
-    per_channel = [raw, sing_rows, sing_phases]
-    if with_pair:
-        per_channel += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
-    for b in range(count):
-        p = _SearchParams(*(x[b] for x in per_channel))
-        rows, amps = p.rows_amps()
-        ops[b, op_idx, rows, col_idx] = amps
-        params.append(p)
-    return params, ops
+        arrays += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
+    return _ParamsBatch(arrays), _kraus_stack(*_rows_amps(*arrays))
 
 
 def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
@@ -820,9 +832,7 @@ def search_violation(
     # alpha values inside the near-one window are legal: both kinds collapse
     # to relative-entropy coherence there, which is strongly monotone, so a
     # search restricted to them just exhausts its budget
-    alphas = tuple(float(a) for a in alphas)
-    for a in alphas:
-        validate_alpha(a)
+    alphas = tuple(check_alpha_floor(validate_alpha(a)) for a in alphas)
     lo, hi = n_kraus_range
     ranks = sorted({1, max(1, d // 2), d})
     combos = [
@@ -852,15 +862,15 @@ def search_violation(
         if n_kraus > 1 and batch_best > -ASCEND_WINDOW and top not in candidates:
             candidates.append(top)
         for offset in candidates:
-            start = params[offset]
-            rho = rhos[offset]
-            _, _, scalar_gap = _strong_mono_stats(kind, rho, start.build(), alpha)
+            start, rho = params[offset], rhos[offset]
+            start_ch = start.build()
+            _, _, scalar_gap = _strong_mono_stats(kind, rho, start_ch, alpha)
             refined_gap, refined_rho, refined_ch = _refine_witness(
                 kind, factors[offset], start, alpha
             )
             refined = refined_gap > scalar_gap
             if not refined:
-                refined_rho, refined_ch = rho, start.build()
+                refined_rho, refined_ch = rho, start_ch
             before, after, gap = _strong_mono_stats(kind, refined_rho, refined_ch, alpha)
             if gap > best_gap:
                 best_gap = gap

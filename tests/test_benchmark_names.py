@@ -54,3 +54,15 @@ def test_workload_imports_resolve():
     assert imports
     missing = [f"{m}.{n}" for m, n in imports if not resolves(m, n)]
     assert missing == []
+
+
+def test_batch_sampler_return_shape():
+    # the tracer's draw counter calls len() on the first value returned by
+    # _batch_incoherent_channels, which the name check above cannot see
+    from alphacoh.harness import _batch_incoherent_channels, _SearchParams
+    from alphacoh.states import substream
+
+    params, ops = _batch_incoherent_channels(substream(1, 2), 5, 3, 4, True)
+    assert len(params) == 5
+    assert isinstance(params[4], _SearchParams)
+    assert ops.shape == (5, 4, 3, 3)

@@ -17,6 +17,8 @@ from numpy.testing import assert_allclose
 import alphacoh.coherence
 from alphacoh.cli import EXIT_USAGE, main
 from alphacoh.coherence import (
+    ALPHA_FLOOR,
+    AlphaBelowFloorError,
     SkewFormsDisagreeError,
     coherence_alpha,
     max_coherence,
@@ -124,6 +126,37 @@ def test_batched_path_is_silent_on_vanished_entries():
         warnings.simplefilter("error")
         values = _batch_coherence("tsallis", stack, 0.5)
     assert np.isnan(values[0]) and values[1] == pytest.approx(0.0, abs=1e-15)
+
+
+class TestAlphaFloor:
+    # a full-rank qubit whose largest a_j rounds above 1: below the floor its
+    # peak^(1/alpha) overflowed to C_alpha = -inf (alpha 4e-186, 1e-20) or to
+    # -2.7e96 (alpha 1e-18), with only numpy's overflow warning
+    RHO = random_density(2, 2, substream(7101, 1))
+
+    @pytest.mark.parametrize("kind", ["alpha", "tsallis"])
+    @pytest.mark.parametrize("alpha", [4e-186, 1e-20, 1e-18])
+    def test_raises_below_floor_without_warning(self, kind, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlphaBelowFloorError, match="below"):
+                measure_value(kind, self.RHO, alpha)
+
+    def test_floor_itself_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [measure_value(kind, self.RHO, ALPHA_FLOOR) for kind in ("alpha", "tsallis")]
+        assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("alpha", ["4e-186", "1e-20", "1e-18"])
+    def test_cli_exits_with_usage_code(self, alpha, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        save_state(path, self.RHO)
+        assert main(["compute", str(path), "--kind", "alpha", "--alpha", alpha]) == EXIT_USAGE
+        assert "below" in capsys.readouterr().err
+        args = ["search-violation", "--dim", "3", "--trials", "10", "--alpha", alpha]
+        assert main(args + ["--out-dir", str(tmp_path / "witness")]) == EXIT_USAGE
+        assert "below" in capsys.readouterr().err
 
 
 class TestSkewCheck:

@@ -5,6 +5,7 @@ search tests keep budgets small enough for the default batch schedule to hit
 the structured channels quickly.
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -19,13 +20,14 @@ from alphacoh.channels import (
     is_incoherent,
     load_channel,
 )
-from alphacoh.coherence import coherence_alpha
+from alphacoh.coherence import AlphaBelowFloorError, coherence_alpha
 from alphacoh.harness import (
     ALL_CHECKS,
     BadWeightsError,
     CheckStats,
     TrialConfig,
     TrialRecord,
+    _batch_incoherent_channels,
     check_convexity,
     check_holder_step,
     check_lemma1,
@@ -390,6 +392,7 @@ class TestSearchViolation:
     def test_finds_qutrit_witness(self):
         report = search_violation(3, 60_000, kind="tsallis", seed=0)
         assert report.found
+        assert report.trial_index == 17100
         assert report.gap > 1e-6
         assert report.trials_used <= 60_000
         validate_density(report.state)
@@ -398,6 +401,18 @@ class TestSearchViolation:
         # the strongly monotone family must pass on the same witness
         family = check_strong_monotonicity("alpha", report.state, report.channel, report.alpha)
         assert family.passed
+
+    def test_criterion_8_witness_fingerprint(self):
+        # the d = 3 hunt of criterion 8: any change to the draw stream, the
+        # sampler's arithmetic or the refinement moves these
+        report = search_violation(3, 1_000_000, kind="tsallis", seed=1001)
+        assert report.found
+        assert report.trial_index == 17531
+        assert repr(report.gap) == "0.002124952079355258"
+
+    def test_rejects_alpha_below_floor_up_front(self):
+        with pytest.raises(AlphaBelowFloorError, match="below"):
+            search_violation(3, 10, alphas=(0.5, 1e-20))
 
     def test_negative_control_family_never_violates(self):
         report = search_violation(3, 20_000, kind="alpha", seed=0)
@@ -427,6 +442,43 @@ class TestSearchViolation:
             search_violation(2, 0)
         with pytest.raises(ValueError, match="alpha must lie"):
             search_violation(2, 10, alphas=(2.5,))
+
+
+class TestSearchSampler:
+    """The batch sampler's bytes, pinned per (d, n_kraus, merge pair) cell.
+
+    The digests in tests/data/search_sampler_sha256.json are sha256 sums of
+    the ops stack and of each parameter array stacked over the batch, drawn
+    from substream(7, d, n_kraus). They only change when the draw stream or
+    the assembly arithmetic does, and then every search result moves too.
+    """
+
+    DIGESTS = json.loads((DATA / "search_sampler_sha256.json").read_text())
+    CELLS = [
+        (d, n_kraus, pair)
+        for d in (2, 3, 4)
+        for n_kraus in range(1, 5)
+        for pair in ((False, True) if n_kraus >= 2 else (False,))
+    ]
+
+    @pytest.mark.parametrize("d, n_kraus, pair", CELLS)
+    def test_bytes_and_single_construction_path(self, d, n_kraus, pair):
+        params, ops = _batch_incoherent_channels(substream(7, d, n_kraus), 64, d, n_kraus, pair)
+        draws = [params[b] for b in range(len(params))]
+        seen = {"ops": hashlib.sha256(ops.tobytes()).hexdigest()}
+        for name, value in vars(draws[0]).items():
+            if value is not None:
+                stacked = np.stack([getattr(p, name) for p in draws])
+                seen[name] = hashlib.sha256(stacked.tobytes()).hexdigest()
+        assert seen == self.DIGESTS[f"d={d} n_kraus={n_kraus} pair={pair}"]
+        for b, p in enumerate(draws):
+            assert np.array_equal(np.stack(p.build().kraus), ops[b])
+
+    def test_indexing_copies(self):
+        params, ops = _batch_incoherent_channels(substream(7, 3, 4), 8, 3, 4, True)
+        params[2].raw[:] = 1.0
+        params[2].pair_angles[:] = 0.0
+        assert np.array_equal(np.stack(params[2].build().kraus), ops[2])
 
 
 class TestFrozenWitness:
