@@ -64,13 +64,30 @@ class SelectiveOutcome:
     post_state: np.ndarray = field(repr=False)
 
 
+def branches(kraus, rho, p_min: float = P_MIN):
+    """Unnormalized selective branches K_n rho K_n†, their probabilities, and which to keep.
+
+    Kraus operators (..., n, d, d) and states (..., d, d) give probs (..., n),
+    branches (..., n, d, d) and the mask probs >= p_min. A stack gets the bits
+    of one operator at a time from the plain matmul and trace; an einsum would not.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
+    products = kraus @ mat[..., None, :, :] @ kraus.conj().swapaxes(-1, -2)
+    probs = products.trace(axis1=-2, axis2=-1).real
+    return probs, products, probs >= p_min
+
+
+def kraus_stack(rows, amps) -> np.ndarray:
+    """Kraus operators (..., n_kraus, d, d) holding amps[..., n, c] at (rows[..., n, c], c)."""
+    ops = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
+    np.put_along_axis(ops, rows[..., None, :], amps[..., None, :], axis=-2)
+    return ops
+
+
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     """Deterministic (non-selective) action sum_n K_n rho K_n†."""
-    mat = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(mat)
-    for k in ch.kraus:
-        out += k @ mat @ k.conj().T
-    return out
+    return sum(branches(ch.kraus, rho)[1])  # in operator order
 
 
 def select(
@@ -82,17 +99,12 @@ def select(
     (dividing by a vanishing probability only amplifies noise); their total
     probability is returned so callers can account for it.
     """
-    mat = np.asarray(rho, dtype=complex)
-    outcomes: list[SelectiveOutcome] = []
-    dropped = 0.0
-    for index, k in enumerate(ch.kraus):
-        unnormalized = k @ mat @ k.conj().T
-        prob = float(unnormalized.trace().real)
-        if prob < p_min:
-            dropped += max(prob, 0.0)
-            continue
-        outcomes.append(SelectiveOutcome(index, prob, unnormalized / prob))
-    return outcomes, dropped
+    probs, products, kept = branches(ch.kraus, rho, p_min)
+    outcomes = [
+        SelectiveOutcome(int(n), float(probs[n]), products[n] / probs[n])
+        for n in np.flatnonzero(kept)
+    ]
+    return outcomes, float(np.maximum(probs[~kept], 0.0).sum())
 
 
 def is_incoherent(ch: KrausChannel, tol: float = INCOHERENCE_TOL) -> bool:
@@ -139,10 +151,7 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
         columns = _cancel_merge_terms(rows, amplitudes)
         if columns is None:
             continue
-        ops = np.zeros((n_kraus, d, d), dtype=complex)
-        for j in range(d):
-            ops[np.arange(n_kraus), rows[:, j], j] = columns[j]
-        return KrausChannel(tuple(ops))
+        return KrausChannel(tuple(kraus_stack(rows, np.array(columns).T)))
     raise ValueError(
         f"no complete incoherent channel found for d={d}, n_kraus={n_kraus} after 128 draws"
     )

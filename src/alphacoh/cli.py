@@ -17,9 +17,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .channels import apply_channel, is_incoherent, load_channel, save_channel
+from .channels import is_incoherent, load_channel, save_channel
 from .coherence import (
     ALPHA_KINDS,
     MEASURE_KINDS,
@@ -33,6 +31,8 @@ from .divergence import near_one
 from .harness import (
     ALL_CHECKS,
     TrialConfig,
+    check_monotonicity,
+    check_strong_monotonicity,
     rebuild_witness,
     run_suite,
     search_violation,
@@ -134,9 +134,7 @@ def _parse_alpha_range(text: str) -> list[float]:
     if hi < lo:
         raise UsageError(f"--alpha-range is empty: lo {lo} > hi {hi}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = [lo + i * step for i in range(count)]
-    if not grid:
-        raise UsageError("--alpha-range produced an empty grid")
+    grid = [lo + i * step for i in range(count)]  # count >= 1 as hi >= lo
     for a in grid:
         if a <= 0.0 or a > 2.0:
             raise UsageError(f"alpha {a} outside (0, 2]")
@@ -275,19 +273,16 @@ def cmd_verify(args) -> int:
 def _print_violation_report(cfg, record) -> None:
     """Replay the failing trial's draws and render the witness numbers."""
     rho, ch = rebuild_witness(cfg, record)
-    if record.check_name == "strong_monotonicity":
-        before, after, gap = _strong_mono_stats(record.kind, rho, ch, record.alpha)
-        after_label = "selective average"
-    else:
-        before = measure_value(record.kind, rho, record.alpha)
-        after = measure_value(record.kind, apply_channel(ch, rho), record.alpha)
-        gap = after - before
-        after_label = "channel output"
+    strong = record.check_name == "strong_monotonicity"
+    check = check_strong_monotonicity if strong else check_monotonicity
+    replay = check(record.kind, rho, ch, record.alpha)
+    before, after = replay.lhs, replay.rhs
+    after_label = "selective average" if strong else "channel output"
     print("violation witness (replayed from the record's substream):")
     print(f"  kind={record.kind} dim={record.dim} alpha={record.alpha} trial={record.trial}")
     print(f"  coherence before   : {before!r}")
     print(f"  {after_label:19s}: {after!r}")
-    print(f"  gap (after - before): {gap!r}")
+    print(f"  gap (after - before): {after - before!r}")
 
 
 def cmd_search_violation(args) -> int:
@@ -341,7 +336,7 @@ def cmd_replay(args) -> int:
     rho = load_state(args.state)
     ch = load_channel(args.channel)
     incoherent = is_incoherent(ch)
-    before, after, gap = _strong_mono_stats(args.kind, rho, ch, args.alpha)
+    before, after, gap = _strong_mono_stats(args.kind, rho, ch.kraus, args.alpha)
     row = {
         "kind": args.kind,
         "dim": rho.shape[0],

@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    P_MIN,
     KrausChannel,
     NotIncoherentChannelError,
     apply_channel,
+    branches,
     is_incoherent,
+    kraus_stack,
     random_channel,
     random_incoherent_channel,
-    select,
+    select,  # unused here; the benchmark reads and patches it under this module too
 )
 from .coherence import (
     ALPHA_KINDS,
@@ -42,8 +43,8 @@ from .coherence import (
     optimal_incoherent_state,
 )
 from .divergence import f_alpha, near_one, sgn1, trace_functional, validate_alpha
-from .linalg import EIGENVALUE_CLAMP
-from .states import embed_diagonal, haar_unitary, random_density, substream
+from .linalg import eigh_clamped
+from .states import embed_diagonal, haar_unitary, random_density, state_from_factor, substream
 
 DEFAULT_TOLERANCE = 1e-9
 VIOLATION_GAP = 1e-6
@@ -91,7 +92,7 @@ class TrialConfig:
         if not self.dims or any(d < 2 for d in self.dims):
             raise ValueError(f"dims must be a nonempty list of integers >= 2, got {self.dims}")
         for a in self.alphas:
-            validate_alpha(a)
+            check_alpha_floor(validate_alpha(a))
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         if self.trials_per_cell < 1:
@@ -218,14 +219,14 @@ def check_strong_monotonicity(
 ) -> TrialRecord:
     """C(rho) >= sum_n p_n C(rho_n) over the selective branches of an incoherent channel.
 
-    Dropped branches (probability under P_MIN) contribute 0 to the average,
-    biasing the right side down, i.e. toward pass; their mass is negligible
-    by construction of the drop threshold.
+    Dropped branches (probability under P_MIN, see channels.branches)
+    contribute 0 to the average, biasing the right side down, i.e. toward
+    pass; their mass is negligible by construction of the drop threshold.
     """
     if not is_incoherent(ch):
         raise NotIncoherentChannelError("strong monotonicity is defined for incoherent channels")
     rho = np.asarray(rho, dtype=complex)
-    lhs, rhs, _ = _strong_mono_stats(kind, rho, ch, alpha)
+    lhs, rhs, _ = _strong_mono_stats(kind, rho, ch.kraus, alpha)
     return _record(
         "strong_monotonicity", rho.shape[0], alpha, kind, lhs, rhs, tolerance, seed, trial
     )
@@ -277,9 +278,8 @@ def check_lemma1(
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     lhs_val = f_alpha(rho, sigma, a)
-    terms = [
-        trace_functional(k @ rho @ k.conj().T, k @ sigma @ k.conj().T, a) for k in ch.kraus
-    ]
+    _, products, _ = branches(ch.kraus, np.stack([rho, sigma]))
+    terms = [trace_functional(r, s, a) for r, s in zip(*products)]
     lhs = sign * lhs_val if math.isfinite(lhs_val) else math.inf
     rhs = sign * sum(terms) if all(math.isfinite(t) for t in terms) else math.inf
     return _record("lemma1", rho.shape[0], a, "f_alpha", lhs, rhs, tolerance, seed, trial)
@@ -307,18 +307,16 @@ def check_holder_step(
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     delta = optimal_incoherent_state(rho, a)
-    outcomes_rho, _ = select(ch, rho)
-    outcomes_delta, _ = select(ch, embed_diagonal(delta))
-    sigma_by_index = {o.index: o for o in outcomes_delta}
-    pairs = [(o, sigma_by_index[o.index]) for o in outcomes_rho if o.index in sigma_by_index]
-    f_vals = [f_alpha(r.post_state, s.post_state, a) for r, s in pairs]
-    if not pairs or any(not math.isfinite(f) for f in f_vals):
+    # one call for the pair (rho, delta); a branch counts when both sides keep it
+    probs, products, kept = branches(ch.kraus, np.stack([rho, embed_diagonal(delta)]))
+    pairs = np.flatnonzero(kept[0] & kept[1])
+    p, q = probs[:, pairs].tolist()
+    f_vals = [f_alpha(products[0, n] / probs[0, n], products[1, n] / probs[1, n], a) for n in pairs]
+    if not f_vals or any(not math.isfinite(f) for f in f_vals):
         return _record("holder", d, a, "f_alpha", *DIVERGED, tolerance, seed, trial)
-    p_side = sum(r.prob * f ** (1.0 / a) for (r, _), f in zip(pairs, f_vals))
-    q_total = sum(s.prob for _, s in pairs)
-    mixed = sum(
-        r.prob**a * s.prob ** (1.0 - a) * f for (r, s), f in zip(pairs, f_vals)
-    )
+    p_side = sum(pn * f ** (1.0 / a) for pn, f in zip(p, f_vals))
+    q_total = sum(q)
+    mixed = sum(pn**a * qn ** (1.0 - a) * f for pn, qn, f in zip(p, q, f_vals))
     bound = q_total ** (1.0 - a) * p_side**a
     lhs, rhs = (bound, mixed) if a < 1.0 else (mixed, bound)
     return _record("holder", d, a, "f_alpha", lhs, rhs, tolerance, seed, trial)
@@ -402,14 +400,15 @@ def check_observations(
 # suite runner
 
 
-def _draw_rank(rank_policy: str, d: int, rng) -> int:
-    return d if rank_policy == "full" else int(rng.integers(1, d + 1))
+def _draw_state(cfg: TrialConfig, d: int, rng) -> np.ndarray:
+    rank = d if cfg.rank_policy == "full" else int(rng.integers(1, d + 1))
+    return random_density(d, rank, rng)
 
 
 def _draw_state_channel(cfg: TrialConfig, d: int, rng):
     # the draw order rebuild_witness replays
     lo, hi = cfg.n_kraus_range
-    rho = random_density(d, _draw_rank(cfg.rank_policy, d, rng), rng)
+    rho = _draw_state(cfg, d, rng)
     return rho, random_incoherent_channel(d, int(rng.integers(lo, hi + 1)), rng)
 
 
@@ -429,34 +428,23 @@ def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, rng, trial:
     if check == "convexity":
         size = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(size))
-        states = [
-            random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng) for _ in range(size)
-        ]
+        states = [_draw_state(cfg, dim, rng) for _ in range(size)]
         return [check_convexity(cfg.kind, weights, states, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "lemma1":
-        rho = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
-        sigma = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
+        rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
         ch = random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
         return [check_lemma1(rho, sigma, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "holder":
         rho, ch = _draw_state_channel(cfg, dim, rng)
         return [check_holder_step(rho, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "observations":
-        rho = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
-        sigma = random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng)
+        rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
         ch = random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
         unitary = haar_unitary(dim, rng)
         delta_diag = rng.dirichlet(np.ones(_ancilla_dim(dim)))
         size = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(size))
-        ensemble = [
-            (
-                float(w),
-                random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng),
-                random_density(dim, _draw_rank(cfg.rank_policy, dim, rng), rng),
-            )
-            for w in weights
-        ]
+        ensemble = [(float(w), _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)) for w in weights]
         return check_observations(
             rho, sigma, ch, unitary, delta_diag, alpha,
             ensemble=ensemble, tolerance=tol, seed=seed, trial=trial,
@@ -533,10 +521,10 @@ def rebuild_witness(cfg: TrialConfig, record: TrialRecord):
 # violation search
 
 
-def _strong_mono_stats(kind: str, rho, ch: KrausChannel, alpha: float):
+def _strong_mono_stats(kind: str, rho, kraus, alpha: float):
+    """(C(rho), sum_n p_n C(rho_n), gap) for one state and Kraus stack, as _batch_gaps computes it."""
     before = float(measure_value(kind, rho, alpha))
-    outcomes, _ = select(ch, rho)
-    after = float(sum(o.prob * measure_value(kind, o.post_state, alpha) for o in outcomes))
+    after = float(_branch_average(kind, kraus, rho, alpha))
     return before, after, after - before
 
 
@@ -544,29 +532,45 @@ def reverify_violation(report: ViolationReport) -> float:
     """Recompute the witness gap from the stored state and channel."""
     if report.state is None or report.channel is None:
         raise ValueError("report carries no witness")
-    _, _, gap = _strong_mono_stats(report.kind, report.state, report.channel, report.alpha)
+    _, _, gap = _strong_mono_stats(report.kind, report.state, report.channel.kraus, report.alpha)
     return gap
 
 
-def _batch_coherence(kind: str, states: np.ndarray, alpha: float) -> np.ndarray:
-    """Family/quantifier values over a stack of states, through the scalar API's kernel.
+def _branch_average(kind: str, kraus, rho, alpha: float):
+    """sum_n p_n C(K_n rho K_n† / p_n) over the kept branches, for one state or a stack.
 
-    Entries whose diagonal of rho^alpha vanishes (dropped branches) come out
-    NaN, silently; callers mask them.
+    Only kept branches are normalized and measured. The sum runs over the
+    operators in order, as a Python sum of floats does, so one state and a
+    stack give the same bits.
+    """
+    probs, products, kept = branches(kraus, rho)
+    posts = products[kept] / probs[kept][:, None, None]
+    if kind in ALPHA_KINDS:
+        values = _batch_coherence(kind, posts, alpha)
+    else:  # the suite's other kinds, one scalar call per branch
+        values = [measure_value(kind, post, alpha) for post in posts]
+    terms = np.zeros(probs.shape)
+    terms[kept] = probs[kept] * values
+    return sum(np.moveaxis(terms, -1, 0))
+
+
+def _batch_coherence(kind: str, states: np.ndarray, alpha: float) -> np.ndarray:
+    """C_alpha or Ct_alpha over a stack of states, through the scalar API's kernel.
+
+    Each entry has the bits measure_value gives that state; no input is
+    validated. An entry whose diagonal of rho^alpha vanishes (not a state)
+    comes out NaN without a warning.
     """
     if kind not in ALPHA_KINDS:
         raise ValueError(f"batched search supports kinds 'tsallis' and 'alpha', got {kind!r}")
-    lam, vecs = np.linalg.eigh(states)
-    lam[np.abs(lam) < EIGENVALUE_CLAMP] = 0.0  # spectral_decompose's clamp
+    lam, vecs = eigh_clamped(states)
     with np.errstate(divide="ignore", invalid="ignore"):
         return closed_form(kind, lam, vecs, alpha)[0]
 
 
 def _batch_states(rng, count: int, d: int, rank: int):
     g = rng.standard_normal((count, d, rank)) + 1j * rng.standard_normal((count, d, rank))
-    mats = g @ g.conj().transpose(0, 2, 1)
-    traces = np.einsum("bii->b", mats).real
-    return g, mats / traces[:, None, None]
+    return g, state_from_factor(g)
 
 
 @dataclass
@@ -604,7 +608,7 @@ class _SearchParams:
         return _rows_amps(**vars(self))
 
     def build(self) -> KrausChannel:
-        return KrausChannel(tuple(_kraus_stack(*self.rows_amps())))
+        return KrausChannel(tuple(kraus_stack(*self.rows_amps())))
 
 
 def _rows_amps(raw, sing_rows, sing_phases, pair_cols=None, pair_rows=None, pair_s=None,
@@ -641,13 +645,6 @@ def _rows_amps(raw, sing_rows, sing_phases, pair_cols=None, pair_rows=None, pair
     sing_w = np.where(merged, (1.0 - kept) * share / share.sum(axis=-2, keepdims=True), weights[..., 2:, :])
     sing_amps = np.sqrt(sing_w) * np.exp(1j * sing_phases)
     return np.concatenate([rows, sing_rows], axis=-2), np.concatenate([amps, sing_amps], axis=-2)
-
-
-def _kraus_stack(rows, amps) -> np.ndarray:
-    """Kraus operators (..., n_kraus, d, d) holding amps[..., n, c] at (rows[..., n, c], c)."""
-    ops = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
-    np.put_along_axis(ops, rows[..., None, :], amps[..., None, :], axis=-2)
-    return ops
 
 
 class _ParamsBatch:
@@ -700,26 +697,16 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
         )
         comp_rows = slots + (slots >= pair_rows[:, :, None])
         arrays += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
-    return _ParamsBatch(arrays), _kraus_stack(*_rows_amps(*arrays))
+    return _ParamsBatch(arrays), kraus_stack(*_rows_amps(*arrays))
 
 
 def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
-    """Strong-monotonicity gaps (average after minus before); positive = violation."""
-    before = _batch_coherence(kind, rhos, alpha)
-    branches = np.einsum("bnij,bjk,bnlk->bnil", kraus, rhos, kraus.conj())
-    probs = np.einsum("bnii->bn", branches).real
-    safe = np.maximum(probs, P_MIN)
-    posts = branches / safe[:, :, None, None]
-    count, n_kraus, d, _ = branches.shape
-    values = _batch_coherence(kind, posts.reshape(count * n_kraus, d, d), alpha)
-    values = values.reshape(count, n_kraus)
-    after = np.sum(np.where(probs > P_MIN, probs * values, 0.0), axis=1)
-    return after - before
+    """Strong-monotonicity gaps (average after minus before); positive = violation.
 
-
-def _state_from_factor(g: np.ndarray) -> np.ndarray:
-    mat = g @ g.conj().T
-    return mat / mat.trace().real
+    Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2].
+    """
+    before = _batch_coherence(kind, rhos, alpha)  # rejects a kind outside ALPHA_KINDS first
+    return _branch_average(kind, kraus, rhos, alpha) - before
 
 
 def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, target=1e-4):
@@ -736,8 +723,10 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
     g = g.copy()
     params = params.copy()
 
+    # the trial channels are complete by construction, so only the returned
+    # witness is built (and validated) as a KrausChannel
     def evaluate():
-        return _strong_mono_stats(kind, _state_from_factor(g), params.build(), alpha)[2]
+        return _strong_mono_stats(kind, state_from_factor(g), kraus_stack(*params.rows_amps()), alpha)[2]
 
     gap = evaluate()
     step = 0.05
@@ -796,7 +785,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
             if stalls >= 4:
                 break
             step *= 0.5
-    return gap, _state_from_factor(g), params.build()
+    return gap, state_from_factor(g), params.build()
 
 
 def search_violation(
@@ -820,9 +809,10 @@ def search_violation(
     above REFINE_TRIGGER are refined directly; otherwise the best draw of a
     batch seeds coordinate ascent whenever it comes within ASCEND_WINDOW of
     zero, because the violating set is thin enough that raw sampling alone
-    essentially never crosses it. A witness only counts as found after a fresh
-    scalar recomputation confirms gap > `gap_threshold`, and the reported
-    numbers come from that scalar path, so serialized witnesses replay
+    essentially never crosses it. Refinement returns its witness as a
+    validated KrausChannel, and it only counts as found once _strong_mono_stats
+    on that channel confirms gap > `gap_threshold`. The report carries those
+    numbers, so reverify_violation and a serialized witness replay them
     exactly.
     """
     if d < 2:
@@ -862,16 +852,11 @@ def search_violation(
         if n_kraus > 1 and batch_best > -ASCEND_WINDOW and top not in candidates:
             candidates.append(top)
         for offset in candidates:
-            start, rho = params[offset], rhos[offset]
-            start_ch = start.build()
-            _, _, scalar_gap = _strong_mono_stats(kind, rho, start_ch, alpha)
-            refined_gap, refined_rho, refined_ch = _refine_witness(
-                kind, factors[offset], start, alpha
-            )
-            refined = refined_gap > scalar_gap
-            if not refined:
-                refined_rho, refined_ch = rho, start_ch
-            before, after, gap = _strong_mono_stats(kind, refined_rho, refined_ch, alpha)
+            # refinement starts from the batch's exact state and channel, and its
+            # first evaluation gives gaps[offset] again; it returns them unchanged
+            # when no move helps
+            refined_gap, rho, ch = _refine_witness(kind, factors[offset], params[offset], alpha)
+            before, after, gap = _strong_mono_stats(kind, rho, ch.kraus, alpha)
             if gap > best_gap:
                 best_gap = gap
             if gap > gap_threshold:
@@ -883,13 +868,13 @@ def search_violation(
                     trials_used=trials_done + offset + 1,
                     best_gap=best_gap,
                     alpha=alpha,
-                    state=refined_rho,
-                    channel=refined_ch,
+                    state=rho,
+                    channel=ch,
                     coherence_before=before,
                     average_after=after,
                     gap=gap,
                     trial_index=trials_done + offset,
-                    refined=refined,
+                    refined=bool(refined_gap > gaps[offset]),
                 )
         trials_done += size
         batch_index += 1

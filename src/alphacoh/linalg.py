@@ -66,8 +66,12 @@ def spectral_decompose(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
         raise NotHermitianError(
             f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {hermiticity_tol:.1e}"
         )
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    eigenvalues = eigenvalues.copy()
+    return eigh_clamped(mat)
+
+
+def eigh_clamped(mats) -> Spectrum:
+    """Unvalidated np.linalg.eigh of one matrix or a stack, |lam| < 1e-12 set to exactly 0."""
+    eigenvalues, eigenvectors = np.linalg.eigh(mats)
     eigenvalues[np.abs(eigenvalues) < EIGENVALUE_CLAMP] = 0.0
     return Spectrum(eigenvalues, eigenvectors)
 

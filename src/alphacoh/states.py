@@ -118,8 +118,13 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     if not 1 <= rank <= d:
         raise BadRankError(f"rank must lie in 1..{d}, got {rank}")
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = g @ g.conj().T
-    return mat / mat.trace().real
+    return state_from_factor(g)
+
+
+def state_from_factor(g: np.ndarray) -> np.ndarray:
+    """G G† / Tr G G† for one factor (d, r) or a stack (..., d, r), the same bits either way."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return mat / mat.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

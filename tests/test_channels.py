@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from alphacoh.channels import (
     KrausChannel,
     apply_channel,
+    branches,
     dephasing_channel,
     is_incoherent,
     load_channel,
@@ -115,6 +116,21 @@ class TestApplyAndSelect:
         outcomes, dropped = select(ch, rho)
         assert [o.index for o in outcomes] == [0]
         assert dropped == pytest.approx(0.0, abs=1e-15)
+
+
+    def test_branches_match_the_per_operator_loop_bit_for_bit(self, rng):
+        # the stacked kernel must not reorder the arithmetic, for one state or a stack
+        gen = rng(55)
+        for d, n_kraus in [(2, 1), (3, 4), (4, 3)]:
+            ch = random_channel(d, n_kraus, gen)
+            rhos = np.array([random_density(d, 1 + i % d, gen) for i in range(5)])
+            probs, products, kept = branches(ch.kraus, rhos)
+            for b, rho in enumerate(rhos):
+                loop = [k @ rho @ k.conj().T for k in ch.kraus]
+                assert_array_equal(products[b], loop)
+                assert_array_equal(probs[b], [m.trace().real for m in loop])
+                assert_array_equal(branches(ch.kraus, rho)[1], products[b])
+            assert_array_equal(kept, probs >= 1e-12)
 
 
 class TestIncoherence:

@@ -198,6 +198,14 @@ class TestVerify:
     def test_bad_alpha_is_usage_error(self, capsys):
         assert main(["verify", "--alpha", "2.5", "--trials", "1"]) == EXIT_USAGE
 
+    def test_alpha_below_floor_is_usage_error(self, capsys):
+        args = [
+            "verify", "--dim", "2", "--alpha", "1e-12", "--trials", "2",
+            "--check", "strong_monotonicity",
+        ]
+        assert main(args) == EXIT_USAGE
+        assert "below" in capsys.readouterr().err
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials_per_cell": 2}))

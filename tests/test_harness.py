@@ -16,9 +16,12 @@ import pytest
 from alphacoh.channels import (
     KrausChannel,
     NotIncoherentChannelError,
+    branches,
     dephasing_channel,
     is_incoherent,
     load_channel,
+    random_incoherent_channel,
+    select,
 )
 from alphacoh.coherence import AlphaBelowFloorError, coherence_alpha
 from alphacoh.harness import (
@@ -27,7 +30,10 @@ from alphacoh.harness import (
     CheckStats,
     TrialConfig,
     TrialRecord,
+    _batch_gaps,
     _batch_incoherent_channels,
+    _batch_states,
+    _strong_mono_stats,
     check_convexity,
     check_holder_step,
     check_lemma1,
@@ -44,6 +50,7 @@ from alphacoh.states import (
     load_state,
     maximally_coherent,
     random_density,
+    state_from_factor,
     substream,
     validate_density,
 )
@@ -83,6 +90,12 @@ class TestTrialConfigValidation:
     def test_rejects(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrialConfig(**kwargs)
+
+    @pytest.mark.parametrize("checks", [("strong_monotonicity",), ("holder",)])
+    def test_rejects_alpha_below_floor(self, checks):
+        # the floor search_violation applies; each trial would otherwise fail alone
+        with pytest.raises(AlphaBelowFloorError, match="below"):
+            TrialConfig(alphas=(0.5, 1e-12), checks=checks)
 
     def test_near_one_alpha_blocked_for_divergence_checks(self):
         with pytest.raises(ValueError, match="within 1e-6 of 1"):
@@ -473,6 +486,30 @@ class TestSearchSampler:
         assert seen == self.DIGESTS[f"d={d} n_kraus={n_kraus} pair={pair}"]
         for b, p in enumerate(draws):
             assert np.array_equal(np.stack(p.build().kraus), ops[b])
+
+    @pytest.mark.parametrize("d, n_kraus, pair", CELLS)
+    def test_batch_gaps_are_the_scalar_gaps(self, d, n_kraus, pair):
+        # one branch kernel: every batched gap has the bits of the scalar replay
+        rng = substream(7, d, n_kraus)
+        factors, rhos = _batch_states(rng, 64, d, max(1, d - 1))
+        _, ops = _batch_incoherent_channels(rng, 64, d, n_kraus, pair)
+        for b in range(64):
+            assert np.array_equal(state_from_factor(factors[b]), rhos[b])
+        for kind in ("tsallis", "alpha"):
+            for alpha in (0.3, 1.5):
+                gaps = _batch_gaps(kind, rhos, ops, alpha)
+                scalar = [_strong_mono_stats(kind, rhos[b], ops[b], alpha)[2] for b in range(64)]
+                assert scalar == gaps.tolist()
+
+    def test_branch_at_exactly_p_min_is_kept(self):
+        rho = random_density(3, 2, substream(7, 99))
+        ch = random_incoherent_channel(3, 3, substream(7, 100))
+        probs = branches(ch.kraus, rho)[0]
+        n = int(np.argmin(probs))
+        outcomes, dropped = select(ch, rho, p_min=probs[n])
+        assert n in [o.index for o in outcomes] and dropped == 0.0
+        assert branches(ch.kraus, rho, p_min=probs[n])[2][n]
+        assert not branches(ch.kraus, rho, p_min=np.nextafter(probs[n], 1.0))[2][n]
 
     def test_indexing_copies(self):
         params, ops = _batch_incoherent_channels(substream(7, 3, 4), 8, 3, 4, True)
