@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .states import haar_unitary, load_entries
+
 COMPLETENESS_TOL = 1e-9
 INCOHERENCE_TOL = 1e-10
 P_MIN = 1e-12
@@ -21,34 +23,34 @@ class NotIncoherentChannelError(ValueError):
 class KrausChannel:
     """Trace-preserving channel given by square Kraus operators on one dimension.
 
-    The completeness sum of the operators must be the identity within 1e-9;
-    construction fails otherwise. Operators are stored read-only.
+    Equal square operators or a ready stack become one read-only complex
+    (n, d, d) array, which `branches` reads without a copy. The completeness
+    sum must be the identity within 1e-9; construction fails otherwise.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        try:
+            ops = np.array(self.kraus, dtype=complex)
+        except ValueError as exc:  # operators of different shapes do not stack
+            raise ValueError(f"Kraus operators must share one square shape: {exc}") from None
+        if ops.ndim and not len(ops):
             raise ValueError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0] if ops[0].ndim == 2 else -1
-        for k in ops:
-            if k.ndim != 2 or k.shape != (d, d):
-                raise ValueError(f"Kraus operators must share one square shape, got {k.shape}")
-            if not np.all(np.isfinite(k.view(float))):
-                raise ValueError("Kraus entries must be finite")
-            k.setflags(write=False)
-        complete = sum(k.conj().T @ k for k in ops)
-        deviation = float(np.max(np.abs(complete - np.eye(d))))
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"Kraus operators must share one square shape, got {ops.shape[1:]}")
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("Kraus entries must be finite")
+        complete = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+        deviation = float(np.max(np.abs(complete - np.eye(ops.shape[1]))))
         if deviation > COMPLETENESS_TOL:
-            raise ValueError(
-                f"completeness violated: max |sum K^dag K - I| = {deviation:.3e}"
-            )
+            raise ValueError(f"completeness violated: max |sum K^dag K - I| = {deviation:.3e}")
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-1]
 
     @property
     def n_kraus(self) -> int:
@@ -113,16 +115,13 @@ def is_incoherent(ch: KrausChannel, tol: float = INCOHERENCE_TOL) -> bool:
     That column structure maps diagonal states to diagonal states branch by
     branch, which is the defining property of an incoherent operation.
     """
-    for k in ch.kraus:
-        if np.any((np.abs(k) > tol).sum(axis=0) > 1):
-            return False
-    return True
+    return not np.any((np.abs(ch.kraus) > tol).sum(axis=-2) > 1)
 
 
 def dephasing_channel(d: int) -> KrausChannel:
     """Projective measurement in the fixed basis: K_i = |i><i|."""
     eye = np.eye(d, dtype=complex)
-    return KrausChannel(tuple(np.outer(eye[i], eye[i]) for i in range(d)))
+    return KrausChannel(eye[:, :, None] * eye[:, None, :])
 
 
 def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:
@@ -151,7 +150,7 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
         columns = _cancel_merge_terms(rows, amplitudes)
         if columns is None:
             continue
-        return KrausChannel(tuple(kraus_stack(rows, np.array(columns).T)))
+        return KrausChannel(kraus_stack(rows, np.array(columns).T))
     raise ValueError(
         f"no complete incoherent channel found for d={d}, n_kraus={n_kraus} after 128 draws"
     )
@@ -192,11 +191,8 @@ def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChann
     """
     if d < 1 or n_kraus < 1:
         raise ValueError(f"need d >= 1 and n_kraus >= 1, got d={d}, n_kraus={n_kraus}")
-    from .states import haar_unitary
-
     big = haar_unitary(d * n_kraus, rng)
-    isometry = big[:, :d]
-    return KrausChannel(tuple(isometry[i * d : (i + 1) * d, :] for i in range(n_kraus)))
+    return KrausChannel(big[:, :d].reshape(n_kraus, d, d))
 
 
 def save_channel(path: str | os.PathLike, ch: KrausChannel) -> None:
@@ -214,19 +210,10 @@ def save_channel(path: str | os.PathLike, ch: KrausChannel) -> None:
 
 def load_channel(path: str | os.PathLike) -> KrausChannel:
     """Read a channel file; completeness is enforced by the KrausChannel constructor."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "d" not in payload or "kraus" not in payload:
-        raise ValueError(f"{path}: channel file needs 'd' and 'kraus' keys")
-    d = int(payload["d"])
-    ops = []
-    for i, flat in enumerate(payload["kraus"]):
-        if len(flat) != d * d:
-            raise ValueError(
-                f"{path}: operator {i} has {len(flat)} entries, expected {d * d}"
-            )
-        ops.append(np.array([complex(re, im) for re, im in flat]).reshape(d, d))
+    d, entries = load_entries(path, "channel", "d", "kraus")
+    if entries.ndim != 2 or entries.shape[1] != d * d:
+        raise ValueError(f"{path}: 'kraus' has shape {entries.shape}, expected {d * d} entries per operator")
     try:
-        return KrausChannel(tuple(ops))
+        return KrausChannel(entries.reshape(-1, d, d))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -30,6 +30,9 @@ from .coherence import (
 from .divergence import near_one
 from .harness import (
     ALL_CHECKS,
+    DEFAULT_TOLERANCE,
+    SEARCH_ALPHAS,
+    VIOLATION_GAP,
     TrialConfig,
     check_monotonicity,
     check_strong_monotonicity,
@@ -201,8 +204,8 @@ def cmd_sweep(args) -> int:
 
 def _config_from_args(args) -> TrialConfig:
     fields = {
-        "dims": args.dim or (2, 3, 4),
-        "alphas": args.alpha or (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0),
+        "dims": args.dim or TrialConfig.dims,
+        "alphas": args.alpha or TrialConfig.alphas,
         "trials_per_cell": args.trials,
         "n_kraus_range": _parse_kraus_range(args.n_kraus),
         "master_seed": _resolve_seed(args),
@@ -291,7 +294,7 @@ def cmd_search_violation(args) -> int:
         args.dim,
         args.trials,
         kind=args.kind,
-        alphas=args.alpha or (0.3, 0.5, 1.5, 2.0),
+        alphas=args.alpha or SEARCH_ALPHAS,
         seed=seed,
     )
     if not report.found:
@@ -337,6 +340,7 @@ def cmd_replay(args) -> int:
     ch = load_channel(args.channel)
     incoherent = is_incoherent(ch)
     before, after, gap = _strong_mono_stats(args.kind, rho, ch.kraus, args.alpha)
+    violation = gap > VIOLATION_GAP
     row = {
         "kind": args.kind,
         "dim": rho.shape[0],
@@ -344,11 +348,11 @@ def cmd_replay(args) -> int:
         "coherence_before": before,
         "average_after": after,
         "gap": gap,
-        "violation": gap > 1e-6,
+        "violation": violation,
         "channel_incoherent": incoherent,
     }
     _emit([row], REPLAY_COLUMNS, args.format, args.out)
-    return EXIT_OK if gap > 1e-6 else EXIT_FAILURE
+    return EXIT_OK if violation else EXIT_FAILURE
 
 
 def cmd_oracle_compare(args) -> int:
@@ -436,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", action="append", type=int)
     p_verify.add_argument("--alpha", action="append", type=float)
     p_verify.add_argument("--trials", type=int, default=100, help="trials per (check, dim, alpha) cell")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p_verify.add_argument("--rank-policy", choices=("full", "mixed-ranks"), default="mixed-ranks")
     p_verify.add_argument("--n-kraus", default="1:4", metavar="LO:HI")
     p_verify.add_argument("--check", action="append", choices=ALL_CHECKS)
@@ -450,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search-violation", help="hunt for a strong-monotonicity violation")
     p_search.add_argument("--dim", type=int, default=2)
     p_search.add_argument("--alpha", action="append", type=float,
-                          help="candidate alphas (default: 0.3 0.5 1.5 2.0)")
+                          help=f"candidate alphas (default: {' '.join(map(str, SEARCH_ALPHAS))})")
     p_search.add_argument("--trials", type=int, default=1_000_000)
     p_search.add_argument("--kind", default="tsallis", choices=("tsallis", "alpha"))
     p_search.add_argument("--out-dir", default=".", help="where witness files go")

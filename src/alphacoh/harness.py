@@ -48,6 +48,7 @@ from .states import embed_diagonal, haar_unitary, random_density, state_from_fac
 
 DEFAULT_TOLERANCE = 1e-9
 VIOLATION_GAP = 1e-6
+SEARCH_ALPHAS = (0.3, 0.5, 1.5, 2.0)
 REFINE_TRIGGER = 1e-8
 # a batch's best gap within this of zero seeds coordinate ascent; raw draws
 # alone essentially never cross into the (thin) violating set
@@ -601,14 +602,18 @@ class _SearchParams:
     comp_rows: np.ndarray | None = None  # (2, d) rows for the pair's other columns
     comp_phases: np.ndarray | None = None  # (2, d)
 
-    def copy(self) -> "_SearchParams":
-        return _SearchParams(**{k: None if v is None else v.copy() for k, v in vars(self).items()})
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, index) -> "_SearchParams":
+        """Draw `index` of a batch as a copy; ``params[...]`` copies the whole struct."""
+        return _SearchParams(**{k: None if v is None else v[index].copy() for k, v in vars(self).items()})
 
     def rows_amps(self):
         return _rows_amps(**vars(self))
 
     def build(self) -> KrausChannel:
-        return KrausChannel(tuple(kraus_stack(*self.rows_amps())))
+        return KrausChannel(kraus_stack(*self.rows_amps()))
 
 
 def _rows_amps(raw, sing_rows, sing_phases, pair_cols=None, pair_rows=None, pair_s=None,
@@ -647,24 +652,11 @@ def _rows_amps(raw, sing_rows, sing_phases, pair_cols=None, pair_rows=None, pair
     return np.concatenate([rows, sing_rows], axis=-2), np.concatenate([amps, sing_amps], axis=-2)
 
 
-class _ParamsBatch:
-    """A batch's stacked _SearchParams arrays; indexing copies one draw out."""
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-    def __len__(self) -> int:
-        return len(self.arrays[0])
-
-    def __getitem__(self, b: int) -> _SearchParams:
-        return _SearchParams(*(x[b].copy() for x in self.arrays))
-
-
 def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair: bool):
     """Draw `count` incoherent channels in one stream; returns (params, ops stack).
 
-    The whole batch is assembled by one ``_rows_amps`` call on the stacked
-    parameter arrays, the same function every later rebuild goes through.
+    The params are one _SearchParams with a leading batch axis, assembled by
+    one ``_rows_amps`` call, the same function every later rebuild goes through.
     """
     if with_pair and n_kraus < 2:
         raise ValueError("a merge pair needs at least two operators")
@@ -697,7 +689,7 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
         )
         comp_rows = slots + (slots >= pair_rows[:, :, None])
         arrays += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
-    return _ParamsBatch(arrays), kraus_stack(*_rows_amps(*arrays))
+    return _SearchParams(*arrays), kraus_stack(*_rows_amps(*arrays))
 
 
 def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
@@ -721,7 +713,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
     four stalls in a row.
     """
     g = g.copy()
-    params = params.copy()
+    params = params[...]
 
     # the trial channels are complete by construction, so only the returned
     # witness is built (and validated) as a KrausChannel
@@ -793,7 +785,7 @@ def search_violation(
     max_trials: int,
     *,
     kind: str = "tsallis",
-    alphas=(0.3, 0.5, 1.5, 2.0),
+    alphas=SEARCH_ALPHAS,
     seed: int = 0,
     n_kraus_range: tuple[int, int] = (1, 4),
     gap_threshold: float = VIOLATION_GAP,

@@ -161,15 +161,29 @@ def save_state(path: str | os.PathLike, rho) -> None:
         fh.write("\n")
 
 
-def load_state(path: str | os.PathLike) -> np.ndarray:
-    """Read and validate a state file written by save_state."""
+def load_entries(path: str | os.PathLike, kind: str, dim_key: str, entries_key: str):
+    """(d, complex entries) from a JSON {dim_key: d, entries_key: [..., [re, im]]} file.
+
+    Malformed content raises a ValueError that names the file. The entries are
+    the float pairs viewed as complex, so they keep their exact bits.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
-        raise ValueError(f"{path}: state file needs 'dim' and 'entries' keys")
-    d = int(payload["dim"])
-    entries = payload["entries"]
-    if d < 1 or len(entries) != d * d:
-        raise ValueError(f"{path}: expected {d * d} entries for dim {d}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return validate_density(flat.reshape(d, d), name=str(path))
+    if not isinstance(payload, dict) or dim_key not in payload or entries_key not in payload:
+        raise ValueError(f"{path}: {kind} file needs '{dim_key}' and '{entries_key}' keys")
+    try:
+        d = int(payload[dim_key])
+        pairs = np.array(payload[entries_key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {kind} file: {exc}") from None
+    if d < 1 or pairs.shape[-1:] != (2,):
+        raise ValueError(f"{path}: need {dim_key} >= 1 and [re, im] entries, got {d}, shape {pairs.shape}")
+    return d, pairs.view(complex)[..., 0]
+
+
+def load_state(path: str | os.PathLike) -> np.ndarray:
+    """Read and validate a state file written by save_state."""
+    d, entries = load_entries(path, "state", "dim", "entries")
+    if entries.shape != (d * d,):
+        raise ValueError(f"{path}: expected {d * d} entries for dim {d}, got shape {entries.shape}")
+    return validate_density(entries.reshape(d, d), name=str(path))

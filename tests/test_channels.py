@@ -72,6 +72,43 @@ class TestKrausChannelConstruction:
             KrausChannel((bad,))
 
 
+class TestStackedKraus:
+    """Every constructor leaves one read-only complex (n, d, d) array on the channel."""
+
+    @staticmethod
+    def assert_stacked(ch, n, d):
+        assert type(ch.kraus) is np.ndarray
+        assert ch.kraus.dtype == complex and ch.kraus.shape == (n, d, d)
+        assert not ch.kraus.flags.writeable
+        # branches reads the stack as is, without a copy
+        assert np.asarray(ch.kraus, dtype=complex) is ch.kraus
+
+    def test_from_tuple(self):
+        self.assert_stacked(KrausChannel((HADAMARD,)), 1, 2)
+
+    def test_from_real_stack_without_aliasing_it(self):
+        ops = np.stack([np.eye(3)])
+        ch = KrausChannel(ops)
+        self.assert_stacked(ch, 1, 3)
+        assert ops.flags.writeable and ch.kraus is not ops
+
+    def test_from_samplers(self, rng):
+        self.assert_stacked(random_channel(3, 2, rng(70)), 2, 3)
+        self.assert_stacked(random_incoherent_channel(4, 3, rng(71)), 3, 4)
+        self.assert_stacked(dephasing_channel(3), 3, 3)
+
+    def test_from_file(self, tmp_path, rng):
+        path = tmp_path / "ch.json"
+        save_channel(path, random_channel(2, 4, rng(72)))
+        self.assert_stacked(load_channel(path), 4, 2)
+
+    def test_is_incoherent_looks_at_every_operator(self):
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / math.sqrt(2.0)
+        assert is_incoherent(KrausChannel((np.eye(2) / math.sqrt(2.0), flip)))
+        assert not is_incoherent(KrausChannel((np.eye(2) / math.sqrt(2.0), HADAMARD / math.sqrt(2.0))))
+        assert type(is_incoherent(dephasing_channel(2))) is bool
+
+
 class TestApplyAndSelect:
     def test_identity_channel_is_identity_map(self, rng):
         rho = random_density(3, 3, rng(50))
@@ -224,6 +261,25 @@ class TestRoundTrip:
         path.write_text('{"d": 2, "kraus": [[[1.0, 0.0]]]}\n')
         with pytest.raises(ValueError, match="expected 4"):
             load_channel(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"d": 2, "kraus": [[1, 0, 0, 1]]}', "shape"),
+            ('{"d": 2, "kraus": 5}', "shape"),
+            ('{"d": 1, "kraus": [[["x", 0]]]}', "malformed channel file"),
+            ('{"d": 2, "kraus": [[[1, 0], [0, 0]], [[1, 0]]]}', "malformed channel file"),
+            ('{"d": [2], "kraus": [[[1, 0]]]}', "malformed channel file"),
+            ('{"d": -2, "kraus": [[[1, 0]]]}', "d >= 1"),
+            ('{"d": 0, "kraus": []}', "d >= 1"),
+        ],
+    )
+    def test_load_rejects_malformed_with_file_name(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text + "\n")
+        with pytest.raises(ValueError, match=match) as info:
+            load_channel(path)
+        assert str(path) in str(info.value)
 
     def test_load_rejects_incomplete(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """CLI behavior: flags, formats, exit codes, and byte-level reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -20,10 +21,12 @@ from alphacoh.cli import (
     VERIFY_COLUMNS,
     main,
 )
+from alphacoh.coherence import MEASURE_KINDS
 from alphacoh.states import maximally_coherent, random_density, save_state, substream
 
 LN2 = math.log(2.0)
 REPO_ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -226,6 +229,68 @@ class TestVerify:
         assert main(args + ["--n-kraus", "2"]) == EXIT_OK
         assert main(args + ["--n-kraus", "1:3"]) == EXIT_OK
         assert main(args + ["--n-kraus", "1:2:3"]) == EXIT_USAGE
+
+
+class TestVerifyRecordBytes:
+    """The verify record stream of every kind is pinned by sha256.
+
+    tests/data/verify_sha256.json holds the digests of `verify --out` on dims
+    2-4, alphas 0.25/1.5/2.0, 4 trials, seed 5 and all checks. They move only
+    when a draw, a check or a measure changes bits, which also moves every
+    record a user has written before.
+    """
+
+    DIGESTS = json.loads((DATA / "verify_sha256.json").read_text())
+    GRID = [
+        "verify", "--dim", "2", "--dim", "3", "--dim", "4",
+        "--alpha", "0.25", "--alpha", "1.5", "--alpha", "2.0",
+        "--trials", "4", "--seed", "5",
+    ]
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_digest(self, kind, tmp_path, capsys):
+        out = tmp_path / f"{kind}.csv"
+        assert main(self.GRID + ["--kind", kind, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[kind]
+
+    def test_every_kind_is_pinned(self):
+        assert sorted(self.DIGESTS) == sorted(MEASURE_KINDS)
+
+
+class TestMalformedInput:
+    """Valid JSON with the wrong content is an input error (exit 2) naming the file."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 2, "entries": [1, 0, 0, 0]},
+            {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], ["x", 0]]},
+            {"dim": -2, "entries": [[1, 0]]},
+            {"dim": None, "entries": [[1, 0]]},
+        ],
+    )
+    def test_compute_state(self, payload, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        assert main(["compute", str(path)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"d": 2, "kraus": [[1, 0, 0, 1]]},
+            {"d": 2, "kraus": 5},
+            {"d": 2, "kraus": [[[1, 0], [0, 0], [0, 0], ["x", 0]]]},
+            {"d": -2, "kraus": [[[1, 0]]]},
+            {"d": 2, "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[1, 0]]]},
+        ],
+    )
+    def test_replay_channel(self, payload, qubit_state, tmp_path, capsys):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(payload))
+        args = ["replay", "--state", qubit_state, "--channel", str(path), "--alpha", "0.5"]
+        assert main(args) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
 
 
 class TestSearchAndReplay:

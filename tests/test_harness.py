@@ -33,6 +33,7 @@ from alphacoh.harness import (
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
+    _SearchParams,
     _strong_mono_stats,
     check_convexity,
     check_holder_step,
@@ -510,6 +511,19 @@ class TestSearchSampler:
         assert n in [o.index for o in outcomes] and dropped == 0.0
         assert branches(ch.kraus, rho, p_min=probs[n])[2][n]
         assert not branches(ch.kraus, rho, p_min=np.nextafter(probs[n], 1.0))[2][n]
+
+    def test_a_batch_is_search_params_with_a_leading_axis(self):
+        params, ops = _batch_incoherent_channels(substream(7, 3, 3), 6, 3, 3, True)
+        assert type(params) is _SearchParams and len(params) == 6
+        draw = params[4]
+        assert len(draw) == 3  # one draw's leading axis holds its operators
+        for name, value in vars(draw).items():
+            assert np.array_equal(value, getattr(params, name)[4])
+            assert not np.shares_memory(value, getattr(params, name))
+        ch = draw.build()
+        assert type(ch.kraus) is np.ndarray and ch.kraus.shape == (3, 3, 3)
+        assert not ch.kraus.flags.writeable
+        assert np.array_equal(ch.kraus, ops[4])
 
     def test_indexing_copies(self):
         params, ops = _batch_incoherent_channels(substream(7, 3, 4), 8, 3, 4, True)

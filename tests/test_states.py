@@ -158,6 +158,24 @@ def test_load_state_validates(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('{"dim": 2, "entries": [1, 0, 0, 0]}', "shape \\(4,\\)"),
+        ('{"dim": 2, "entries": 5}', "shape \\(\\)"),
+        ('{"dim": 1, "entries": [["x", 0]]}', "malformed state file"),
+        ('{"dim": "two", "entries": [[1, 0]]}', "malformed state file"),
+        ('{"dim": -2, "entries": [[1, 0]]}', "dim >= 1"),
+    ],
+)
+def test_load_state_rejects_malformed_with_file_name(tmp_path, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=match) as info:
+        load_state(path)
+    assert str(path) in str(info.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
