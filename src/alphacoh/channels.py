@@ -19,7 +19,7 @@ class NotIncoherentChannelError(ValueError):
     """Channel fails the incoherent-operation structure test."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving channel given by square Kraus operators on one dimension.
 
@@ -57,7 +57,7 @@ class KrausChannel:
         return len(self.kraus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectiveOutcome:
     """One post-selected measurement branch: index, probability, normalized state."""
 

@@ -27,7 +27,6 @@ from .coherence import (
     measure_value,
     tsallis_coherence,
 )
-from .divergence import near_one
 from .harness import (
     ALL_CHECKS,
     DEFAULT_TOLERANCE,
@@ -41,7 +40,7 @@ from .harness import (
     search_violation,
     _strong_mono_stats,
 )
-from .states import load_state, random_density, save_state, substream
+from .states import load_state, random_density, read_json, save_state, substream
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
@@ -64,12 +63,14 @@ REPLAY_COLUMNS = (
     "gap", "violation", "channel_incoherent",
 )
 
+# witness_meta.json carries these ViolationReport fields, in this order, after "schema"
+WITNESS_FIELDS = (
+    "kind", "dim", "alpha", "coherence_before", "average_after", "gap",
+    "seed", "trial_index", "trials_used", "refined",
+)
+
 # |closed form - grid oracle| must stay under factor * resolution
 ORACLE_BOUND_FACTOR = {2: 20.0, 3: 10.0}
-
-
-class UsageError(Exception):
-    """Input or configuration rejected; maps to exit code 2."""
 
 
 def _cell(value) -> str:
@@ -102,14 +103,14 @@ def _emit(records: list[dict], columns, fmt: str, out_path: str | None) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("COHERENCE_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"COHERENCE_SEED must be an integer, got {env!r}")
+            raise ValueError(f"COHERENCE_SEED must be an integer, got {env!r}")
     return 0
 
 
@@ -127,21 +128,18 @@ def _convert_units(kind: str, value: float, units: str) -> tuple[float, str]:
 def _parse_alpha_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"--alpha-range expects lo:hi:step, got {text!r}")
+        raise ValueError(f"--alpha-range expects lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"--alpha-range expects numbers, got {text!r}")
+        raise ValueError(f"--alpha-range expects numbers, got {text!r}")
     if step <= 0.0:
-        raise UsageError(f"--alpha-range step must be positive, got {step}")
+        raise ValueError(f"--alpha-range step must be positive, got {step}")
     if hi < lo:
-        raise UsageError(f"--alpha-range is empty: lo {lo} > hi {hi}")
+        raise ValueError(f"--alpha-range is empty: lo {lo} > hi {hi}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = [lo + i * step for i in range(count)]  # count >= 1 as hi >= lo
-    for a in grid:
-        if a <= 0.0 or a > 2.0:
-            raise UsageError(f"alpha {a} outside (0, 2]")
-    return grid
+    # count >= 1 as hi >= lo; the measures reject a point outside (0, 2] before any row is emitted
+    return [lo + i * step for i in range(count)]
 
 
 def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tuple]:
@@ -151,7 +149,8 @@ def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tupl
         delta = None
         if kind in ALPHA_KINDS:
             result = coherence_alpha(rho, alpha) if kind == "alpha" else tsallis_coherence(rho, alpha)
-            value, delta, alpha = result.value, _delta_cell(result.optimal_delta), float(alpha)
+            value, alpha = result.value, float(alpha)
+            delta = ";".join(repr(float(x)) for x in result.optimal_delta)
         else:
             value = measure_value(kind, rho)
         value, unit_label = _convert_units(kind, value, units)
@@ -170,12 +169,6 @@ def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tupl
     return rows, columns
 
 
-def _delta_cell(delta) -> str | None:
-    if delta is None:
-        return None
-    return ";".join(repr(float(x)) for x in delta)
-
-
 def cmd_compute(args) -> int:
     rho = load_state(args.state)
     seed = _resolve_seed(args)
@@ -192,9 +185,6 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     grid = _parse_alpha_range(args.alpha_range)
     kinds = args.kind or list(ALPHA_KINDS)
-    for kind in kinds:
-        if kind not in ALPHA_KINDS:
-            raise UsageError(f"sweep covers the alpha families {ALPHA_KINDS}, got {kind!r}")
     # ordered by alpha; alpha ~ 1 flows through the analytic limit
     pairs = [(kind, alpha) for alpha in grid for kind in kinds]
     rows, columns = _measure_rows(rho, pairs, args.units, seed, args.emit_delta)
@@ -215,18 +205,17 @@ def _config_from_args(args) -> TrialConfig:
         "kind": args.kind,
     }
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = read_json(args.config)
         if not isinstance(overrides, dict):
-            raise UsageError(f"{args.config}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(overrides) - set(fields)
         if unknown:
-            raise UsageError(f"{args.config}: unknown config keys {sorted(unknown)}")
+            raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         fields.update(overrides)  # config file wins over flags
     try:
         return TrialConfig(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except TypeError as exc:  # the parser types every flag, so only a config value can be mistyped
+        raise ValueError(f"{args.config}: a config value has the wrong type: {exc}") from None
 
 
 def _parse_kraus_range(text: str) -> tuple[int, int]:
@@ -239,7 +228,7 @@ def _parse_kraus_range(text: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise UsageError(f"--n-kraus expects N or LO:HI, got {text!r}")
+        raise ValueError(f"--n-kraus expects N or LO:HI, got {text!r}")
     return lo, hi
 
 
@@ -311,16 +300,7 @@ def cmd_search_violation(args) -> int:
     save_channel(channel_path, report.channel)
     meta = {
         "schema": SCHEMA_VERSION,
-        "kind": report.kind,
-        "dim": report.dim,
-        "alpha": report.alpha,
-        "coherence_before": report.coherence_before,
-        "average_after": report.average_after,
-        "gap": report.gap,
-        "seed": report.seed,
-        "trial_index": report.trial_index,
-        "trials_used": report.trials_used,
-        "refined": report.refined,
+        **{name: getattr(report, name) for name in WITNESS_FIELDS},
         "state_file": state_path,
         "channel_file": channel_path,
     }
@@ -357,13 +337,11 @@ def cmd_replay(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     if args.dim not in (2, 3):
-        raise UsageError(f"oracle comparison supports dim 2 or 3, got {args.dim}")
+        raise ValueError(f"oracle comparison supports dim 2 or 3, got {args.dim}")
     seed = _resolve_seed(args)
     resolution = args.resolution if args.resolution is not None else ORACLE_RESOLUTION[args.dim]
+    # brute_force_min rejects an alpha within 1e-6 of 1 before any row is emitted
     alphas = args.alpha or (0.3, 0.5, 0.7, 1.3, 1.5, 2.0)
-    for a in alphas:
-        if near_one(a):
-            raise UsageError("alpha values within 1e-6 of 1 have no grid oracle")
     bound = ORACLE_BOUND_FACTOR[args.dim] * resolution
     rows = []
     worst = 0.0
@@ -408,13 +386,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", metavar="PATH", help="write records here instead of stdout")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed (falls back to COHERENCE_SEED, then 0)")
+    records = argparse.ArgumentParser(add_help=False)  # for the subcommands that emit records
+    records.add_argument("--format", choices=("csv", "json"), default="csv")
+    records.add_argument("--out", metavar="PATH", help="write records here instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False)  # for the subcommands that draw or label a seed
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="seed (falls back to COHERENCE_SEED, then 0)")
+    shared = [records, seeded]
 
-    p_compute = sub.add_parser("compute", help="evaluate measures on a state file")
+    p_compute = sub.add_parser("compute", parents=shared, help="evaluate measures on a state file")
     p_compute.add_argument("state", help="state file (JSON: dim + row-major entries)")
     p_compute.add_argument("--kind", action="append", choices=MEASURE_KINDS,
                            help="measure kind, repeatable (default: all)")
@@ -423,20 +403,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--units", choices=("nats", "bits"), default="nats")
     p_compute.add_argument("--emit-delta", action="store_true",
                            help="include the optimal incoherent populations")
-    add_output_flags(p_compute)
     p_compute.set_defaults(func=cmd_compute)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate the families over an alpha grid")
+    p_sweep = sub.add_parser("sweep", parents=shared, help="evaluate the families over an alpha grid")
     p_sweep.add_argument("state")
     p_sweep.add_argument("--alpha-range", required=True, metavar="LO:HI:STEP")
     p_sweep.add_argument("--kind", action="append", choices=ALPHA_KINDS,
                          help="family kind, repeatable (default: both)")
     p_sweep.add_argument("--units", choices=("nats", "bits"), default="nats")
     p_sweep.add_argument("--emit-delta", action="store_true")
-    add_output_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="run the randomized inequality suite")
+    p_verify = sub.add_parser("verify", parents=shared, help="run the randomized inequality suite")
     p_verify.add_argument("--dim", action="append", type=int)
     p_verify.add_argument("--alpha", action="append", type=float)
     p_verify.add_argument("--trials", type=int, default=100, help="trials per (check, dim, alpha) cell")
@@ -448,35 +426,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--config", metavar="PATH",
                           help="JSON TrialConfig; its keys override the flags")
-    add_output_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_search = sub.add_parser("search-violation", help="hunt for a strong-monotonicity violation")
+    # no abbreviations here, or "--out" would pass for "--out-dir"
+    p_search = sub.add_parser("search-violation", parents=[seeded], allow_abbrev=False,
+                              help="hunt for a strong-monotonicity violation")
     p_search.add_argument("--dim", type=int, default=2)
     p_search.add_argument("--alpha", action="append", type=float,
                           help=f"candidate alphas (default: {' '.join(map(str, SEARCH_ALPHAS))})")
     p_search.add_argument("--trials", type=int, default=1_000_000)
     p_search.add_argument("--kind", default="tsallis", choices=("tsallis", "alpha"))
     p_search.add_argument("--out-dir", default=".", help="where witness files go")
-    add_output_flags(p_search)
     p_search.set_defaults(func=cmd_search_violation)
 
-    p_replay = sub.add_parser("replay", help="recompute a witness gap from its files")
+    p_replay = sub.add_parser("replay", parents=[records], help="recompute a witness gap from its files")
     p_replay.add_argument("--state", required=True)
     p_replay.add_argument("--channel", required=True)
     p_replay.add_argument("--alpha", type=float, required=True)
     p_replay.add_argument("--kind", default="tsallis", choices=("tsallis", "alpha"))
-    add_output_flags(p_replay)
     p_replay.set_defaults(func=cmd_replay)
 
-    p_oracle = sub.add_parser("oracle-compare", help="closed form vs simplex grid oracle")
+    p_oracle = sub.add_parser("oracle-compare", parents=shared, help="closed form vs simplex grid oracle")
     p_oracle.add_argument("--dim", type=int, default=2)
     p_oracle.add_argument("--alpha", action="append", type=float,
                           help="default: 0.3 0.5 0.7 1.3 1.5 2.0")
     p_oracle.add_argument("--states", type=int, default=200)
     p_oracle.add_argument("--resolution", type=float, default=None,
                           help="grid resolution (default: 1e-4 for d=2, 2e-3 for d=3)")
-    add_output_flags(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle_compare)
 
     return parser
@@ -487,10 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # bad input from outside; a ValueError names its file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -56,7 +56,7 @@ class SkewFormsDisagreeError(ValueError):
     """The two evaluations of the summed skew information differ beyond 1e-10."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CoherenceResult:
     """A coherence value plus, when the measure defines one, the nearest incoherent state."""
 

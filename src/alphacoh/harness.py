@@ -18,6 +18,7 @@ bookkeeping.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -86,10 +87,13 @@ class TrialConfig:
     kind: str = "alpha"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        # an integer field given a float or a string raises TypeError instead of truncating it
+        object.__setattr__(self, "dims", tuple(operator.index(d) for d in self.dims))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "n_kraus_range", tuple(int(n) for n in self.n_kraus_range))
+        object.__setattr__(self, "n_kraus_range", tuple(operator.index(n) for n in self.n_kraus_range))
         object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
+        for name in ("trials_per_cell", "master_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not self.dims or any(d < 2 for d in self.dims):
             raise ValueError(f"dims must be a nonempty list of integers >= 2, got {self.dims}")
         for a in self.alphas:
@@ -179,7 +183,7 @@ class SuiteSummary:
     runtime_s: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ViolationReport:
     """Outcome of a strong-monotonicity violation search."""
 
@@ -559,11 +563,9 @@ def _batch_coherence(kind: str, states: np.ndarray, alpha: float) -> np.ndarray:
     """C_alpha or Ct_alpha over a stack of states, through the scalar API's kernel.
 
     Each entry has the bits measure_value gives that state; no input is
-    validated. An entry whose diagonal of rho^alpha vanishes (not a state)
-    comes out NaN without a warning.
+    validated, and the kind must be one of ALPHA_KINDS. An entry whose
+    diagonal of rho^alpha vanishes (not a state) comes out NaN without a warning.
     """
-    if kind not in ALPHA_KINDS:
-        raise ValueError(f"batched search supports kinds 'tsallis' and 'alpha', got {kind!r}")
     lam, vecs = eigh_clamped(states)
     with np.errstate(divide="ignore", invalid="ignore"):
         return closed_form(kind, lam, vecs, alpha)[0]
@@ -574,7 +576,7 @@ def _batch_states(rng, count: int, d: int, rank: int):
     return g, state_from_factor(g)
 
 
-@dataclass
+@dataclass(eq=False)
 class _SearchParams:
     """Free parameters behind one searched channel; rebuilding from them is exact.
 
@@ -697,7 +699,7 @@ def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) ->
 
     Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2].
     """
-    before = _batch_coherence(kind, rhos, alpha)  # rejects a kind outside ALPHA_KINDS first
+    before = _batch_coherence(kind, rhos, alpha)
     return _branch_average(kind, kraus, rhos, alpha) - before
 
 
@@ -811,6 +813,8 @@ def search_violation(
         raise ValueError(f"need dimension >= 2, got {d}")
     if max_trials < 1:
         raise ValueError(f"need a positive trial budget, got {max_trials}")
+    if kind not in ALPHA_KINDS:
+        raise ValueError(f"batched search supports kinds 'tsallis' and 'alpha', got {kind!r}")
     # alpha values inside the near-one window are legal: both kinds collapse
     # to relative-entropy coherence there, which is strongly monotone, so a
     # search restricted to them just exhausts its budget

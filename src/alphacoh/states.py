@@ -161,14 +161,22 @@ def save_state(path: str | os.PathLike, rho) -> None:
         fh.write("\n")
 
 
+def read_json(path: str | os.PathLike):
+    """Parsed JSON of a file; text that does not parse raises a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_entries(path: str | os.PathLike, kind: str, dim_key: str, entries_key: str):
     """(d, complex entries) from a JSON {dim_key: d, entries_key: [..., [re, im]]} file.
 
     Malformed content raises a ValueError that names the file. The entries are
     the float pairs viewed as complex, so they keep their exact bits.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict) or dim_key not in payload or entries_key not in payload:
         raise ValueError(f"{path}: {kind} file needs '{dim_key}' and '{entries_key}' keys")
     try:

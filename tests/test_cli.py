@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,16 +14,18 @@ from pathlib import Path
 import pytest
 
 import alphacoh
+import alphacoh.cli as cli
 from alphacoh.cli import (
     COMPUTE_COLUMNS,
     EXIT_EXHAUSTED,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    ORACLE_COLUMNS,
     VERIFY_COLUMNS,
     main,
 )
-from alphacoh.coherence import MEASURE_KINDS
+from alphacoh.coherence import MEASURE_KINDS, coherence_alpha
 from alphacoh.states import maximally_coherent, random_density, save_state, substream
 
 LN2 = math.log(2.0)
@@ -415,3 +419,98 @@ class TestParserLevel:
             result = subprocess.run(command, capture_output=True, text=True, env=env)
             assert result.returncode == 0, result.stderr
             assert "compute" in result.stdout and "verify" in result.stdout
+
+
+class TestInputBoundary:
+    """Bad input from outside exits 2 with the file named, never 1 (a failed property)."""
+
+    TRUNCATED = '{"dim": 2,'
+    VERIFY = ["verify", "--dim", "2", "--alpha", "0.5", "--trials", "2", "--check", "convexity", "--seed", "3"]
+
+    def _write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_truncated_state(self, tmp_path, capsys):
+        path = self._write(tmp_path, "state.json", self.TRUNCATED)
+        assert main(["compute", path]) == EXIT_USAGE
+        assert path in capsys.readouterr().err
+
+    def test_truncated_channel(self, qubit_state, tmp_path, capsys):
+        path = self._write(tmp_path, "channel.json", self.TRUNCATED)
+        args = ["replay", "--state", qubit_state, "--channel", path, "--alpha", "0.5"]
+        assert main(args) == EXIT_USAGE
+        assert path in capsys.readouterr().err
+
+    def test_truncated_config(self, tmp_path, capsys):
+        path = self._write(tmp_path, "cfg.json", self.TRUNCATED)
+        assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
+        assert path in capsys.readouterr().err
+
+    def test_undecodable_state(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["compute", str(path)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dims": 3},
+            {"dims": ["a"]},
+            {"trials_per_cell": "a"},
+            {"trials_per_cell": 2.5},
+            {"checks": 5},
+            {"tolerance": "x"},
+            {"master_seed": None},
+            {"n_kraus_range": 3},
+        ],
+    )
+    def test_mistyped_config_value(self, payload, tmp_path, capsys):
+        path = self._write(tmp_path, "cfg.json", json.dumps(payload))
+        assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search-violation", "--out", "rows.csv"],
+            ["search-violation", "--format", "json"],
+            ["replay", "--state", "s.json", "--channel", "c.json", "--alpha", "0.5", "--seed", "1"],
+        ],
+    )
+    def test_flag_the_handler_never_reads(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+
+
+class TestOracleDisagreement:
+    """A grid oracle that disagrees with the closed form fails the run but keeps its rows."""
+
+    @pytest.mark.parametrize("shift", [-0.5, 1.0], ids=["below_closed_form", "far_above"])
+    def test_exit_failure(self, shift, monkeypatch, capsys):
+        def oracle(rho, alpha, resolution):
+            return coherence_alpha(rho, alpha).value + shift, None
+
+        monkeypatch.setattr(cli, "brute_force_min", oracle)
+        argv = ["oracle-compare", "--dim", "2", "--states", "2", "--alpha", "1.5", "--seed", "0"]
+        assert main(argv) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "oracle disagreement" in captured.err
+        assert captured.out.split("\n")[0] == ",".join(ORACLE_COLUMNS)
+        rows = parse_csv(captured.out)
+        assert [r["state_index"] for r in rows] == ["0", "1"]
+        assert all(float(r["abs_diff"]) == pytest.approx(abs(shift)) for r in rows)
+
+
+def test_readme_cli_examples_parse():
+    section = (REPO_ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("alphacoh ")]
+    parser = cli._build_parser()
+    for argv in examples:
+        parser.parse_args(argv)  # exits 2 on an option the parser does not take
+    subcommands = {"compute", "sweep", "verify", "search-violation", "replay", "oracle-compare"}
+    assert {argv[0] for argv in examples} == subcommands

@@ -16,20 +16,23 @@ import pytest
 from alphacoh.channels import (
     KrausChannel,
     NotIncoherentChannelError,
+    SelectiveOutcome,
     branches,
     dephasing_channel,
     is_incoherent,
     load_channel,
+    random_channel,
     random_incoherent_channel,
     select,
 )
-from alphacoh.coherence import AlphaBelowFloorError, coherence_alpha
+from alphacoh.coherence import AlphaBelowFloorError, CoherenceResult, coherence_alpha
 from alphacoh.harness import (
     ALL_CHECKS,
     BadWeightsError,
     CheckStats,
     TrialConfig,
     TrialRecord,
+    ViolationReport,
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
@@ -551,3 +554,63 @@ class TestFrozenWitness:
         ch = load_channel(DATA / "qutrit_witness_channel.json")
         rec = check_strong_monotonicity("alpha", rho, ch, meta["alpha"])
         assert rec.passed
+
+
+class TestInputGates:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"trials_per_cell": 2.5}, {"master_seed": None}, {"dims": (2.5,)}, {"n_kraus_range": (1, "4")}],
+    )
+    def test_integer_config_fields_refuse_other_types(self, kwargs):
+        with pytest.raises(TypeError):
+            TrialConfig(**kwargs)
+
+    def test_search_rejects_kind_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a batch for an unsupported kind")
+
+        monkeypatch.setattr("alphacoh.harness._batch_states", no_draws)
+        with pytest.raises(ValueError, match="'l1'"):
+            search_violation(3, 10, kind="l1")
+
+
+def _channel():
+    return random_channel(2, 2, substream(1))
+
+
+def _outcome():
+    return select(_channel(), random_density(2, 2, substream(2)))[0][0]
+
+
+def _result():
+    return coherence_alpha(random_density(3, 3, substream(3)), 0.5)
+
+
+def _report():
+    return ViolationReport(
+        found=True, kind="tsallis", dim=2, seed=0, trials_used=1, best_gap=0.0, alpha=0.5,
+        state=random_density(2, 2, substream(4)), channel=_channel(),
+    )
+
+
+def _params():
+    return _batch_incoherent_channels(substream(1, 2), 5, 3, 3, True)[0]
+
+
+@pytest.mark.parametrize(
+    "build, cls",
+    [
+        (_channel, KrausChannel),
+        (_outcome, SelectiveOutcome),
+        (_result, CoherenceResult),
+        (_report, ViolationReport),
+        (_params, _SearchParams),
+    ],
+    ids=lambda x: getattr(x, "__name__", ""),
+)
+def test_array_holders_compare_and_hash_by_identity(build, cls):
+    a, b = build(), build()  # equal content in separate arrays
+    assert type(a) is cls
+    assert a == a and not (a == b) and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
