@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import haar_unitary, load_entries
+from .states import haar_unitary, load_entries, save_entries
 
 COMPLETENESS_TOL = 1e-9
 INCOHERENCE_TOL = 1e-10
@@ -137,23 +136,19 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
 
     A projection can annihilate a column (the constraints admit no solution
     for that row draw, certain with one operator and a merge); such draws
-    are rejected and redrawn. One operator therefore always comes out as a
-    permutation with phases.
+    are rejected and redrawn until one is feasible. One operator therefore
+    always comes out as a permutation with phases, after about d^d/d! draws.
     """
     if d < 1 or n_kraus < 1:
         raise ValueError(f"need d >= 1 and n_kraus >= 1, got d={d}, n_kraus={n_kraus}")
-    for _ in range(128):
+    while True:  # ends: a draw with injective rows in every operator needs no projection
         rows = rng.integers(0, d, size=(n_kraus, d))
         weights = rng.dirichlet(np.ones(n_kraus), size=d).T  # (n_kraus, d), columns sum to 1
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_kraus, d))
         amplitudes = np.sqrt(weights) * np.exp(1j * phases)
         columns = _cancel_merge_terms(rows, amplitudes)
-        if columns is None:
-            continue
-        return KrausChannel(kraus_stack(rows, np.array(columns).T))
-    raise ValueError(
-        f"no complete incoherent channel found for d={d}, n_kraus={n_kraus} after 128 draws"
-    )
+        if columns is not None:
+            return KrausChannel(kraus_stack(rows, np.array(columns).T))
 
 
 def _cancel_merge_terms(rows: np.ndarray, amplitudes: np.ndarray):
@@ -197,15 +192,7 @@ def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChann
 
 def save_channel(path: str | os.PathLike, ch: KrausChannel) -> None:
     """Write a channel file: {"d": d, "kraus": [[[re, im], ...], ...]} row-major."""
-    payload = {
-        "d": ch.dim,
-        "kraus": [
-            [[float(z.real), float(z.imag)] for z in k.reshape(-1)] for k in ch.kraus
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    save_entries(path, "d", ch.dim, "kraus", ch.kraus.reshape(ch.n_kraus, -1))
 
 
 def load_channel(path: str | os.PathLike) -> KrausChannel:

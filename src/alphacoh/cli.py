@@ -12,6 +12,7 @@ failure or violation not confirmed, 2 bad usage or input validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from .coherence import (
 )
 from .harness import (
     ALL_CHECKS,
-    DEFAULT_TOLERANCE,
     SEARCH_ALPHAS,
     VIOLATION_GAP,
     TrialConfig,
@@ -193,29 +193,19 @@ def cmd_sweep(args) -> int:
 
 
 def _config_from_args(args) -> TrialConfig:
-    fields = {
-        "dims": args.dim or TrialConfig.dims,
-        "alphas": args.alpha or TrialConfig.alphas,
-        "trials_per_cell": args.trials,
-        "n_kraus_range": _parse_kraus_range(args.n_kraus),
-        "master_seed": _resolve_seed(args),
-        "tolerance": args.tol,
-        "rank_policy": args.rank_policy,
-        "checks": args.check or ALL_CHECKS,
-        "kind": args.kind,
-    }
-    if args.config:
-        overrides = read_json(args.config)
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = set(overrides) - set(fields)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        fields.update(overrides)  # config file wins over flags
+    """TrialConfig from the verify flags that were set, then the --config keys on top of it."""
+    fields = {f.name for f in dataclasses.fields(TrialConfig)}
+    flags = {name: value for name, value in vars(args).items() if name in fields and value is not None}
+    if "n_kraus_range" in flags:
+        flags["n_kraus_range"] = _parse_kraus_range(flags["n_kraus_range"])
+    cfg = TrialConfig(master_seed=_resolve_seed(args), **flags)
+    overrides = read_json(args.config) if args.config else {}
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
     try:
-        return TrialConfig(**fields)
-    except TypeError as exc:  # the parser types every flag, so only a config value can be mistyped
-        raise ValueError(f"{args.config}: a config value has the wrong type: {exc}") from None
+        return dataclasses.replace(cfg, **overrides)  # config file wins over flags
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
 
 
 def _parse_kraus_range(text: str) -> tuple[int, int]:
@@ -415,14 +405,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", parents=shared, help="run the randomized inequality suite")
-    p_verify.add_argument("--dim", action="append", type=int)
-    p_verify.add_argument("--alpha", action="append", type=float)
-    p_verify.add_argument("--trials", type=int, default=100, help="trials per (check, dim, alpha) cell")
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p_verify.add_argument("--rank-policy", choices=("full", "mixed-ranks"), default="mixed-ranks")
-    p_verify.add_argument("--n-kraus", default="1:4", metavar="LO:HI")
-    p_verify.add_argument("--check", action="append", choices=ALL_CHECKS)
-    p_verify.add_argument("--kind", default="alpha", choices=MEASURE_KINDS)
+    # each dest is a TrialConfig field; a flag left unset keeps that field's default
+    p_verify.add_argument("--dim", action="append", type=int, dest="dims", metavar="DIM")
+    p_verify.add_argument("--alpha", action="append", type=float, dest="alphas", metavar="ALPHA")
+    p_verify.add_argument("--trials", type=int, dest="trials_per_cell", metavar="TRIALS",
+                          help="trials per (check, dim, alpha) cell")
+    p_verify.add_argument("--tol", type=float, dest="tolerance", metavar="TOL")
+    p_verify.add_argument("--rank-policy", choices=("full", "mixed-ranks"))
+    p_verify.add_argument("--n-kraus", dest="n_kraus_range", metavar="LO:HI")
+    p_verify.add_argument("--check", action="append", choices=ALL_CHECKS, dest="checks")
+    p_verify.add_argument("--kind", choices=MEASURE_KINDS)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--config", metavar="PATH",
                           help="JSON TrialConfig; its keys override the flags")
@@ -435,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--alpha", action="append", type=float,
                           help=f"candidate alphas (default: {' '.join(map(str, SEARCH_ALPHAS))})")
     p_search.add_argument("--trials", type=int, default=1_000_000)
-    p_search.add_argument("--kind", default="tsallis", choices=("tsallis", "alpha"))
+    p_search.add_argument("--kind", default="tsallis", choices=ALPHA_KINDS)
     p_search.add_argument("--out-dir", default=".", help="where witness files go")
     p_search.set_defaults(func=cmd_search_violation)
 
@@ -443,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--state", required=True)
     p_replay.add_argument("--channel", required=True)
     p_replay.add_argument("--alpha", type=float, required=True)
-    p_replay.add_argument("--kind", default="tsallis", choices=("tsallis", "alpha"))
+    p_replay.add_argument("--kind", default="tsallis", choices=ALPHA_KINDS)
     p_replay.set_defaults(func=cmd_replay)
 
     p_oracle = sub.add_parser("oracle-compare", parents=shared, help="closed form vs simplex grid oracle")

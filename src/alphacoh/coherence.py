@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import near_one, validate_alpha
+from .divergence import near_one, shannon_entropy, validate_alpha
 from .linalg import matrix_power, spectral_decompose
 from .states import dephase
 
@@ -96,7 +96,7 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
     if near_one(alpha):
         pops = _diagonal(lam, vecs, 1.0)
         pops = pops / pops.sum(axis=-1, keepdims=True)
-        return _entropy(pops) - _entropy(np.maximum(lam, 0.0)), pops
+        return shannon_entropy(pops) - shannon_entropy(np.maximum(lam, 0.0)), pops
     diag = _diagonal(lam, vecs, alpha)
     peak = diag.max(axis=-1, keepdims=True)
     if diag.ndim == 1 and peak[0] < DEGENERATE_DIAGONAL_TOL:
@@ -118,10 +118,6 @@ def check_alpha_floor(alpha: float) -> float:
             "cannot be resolved in double precision"
         )
     return alpha
-
-
-def _entropy(p: np.ndarray) -> np.ndarray:
-    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)  # 0 ln 0 = 0
 
 
 def alpha_diagonal(rho, alpha: float) -> np.ndarray:

@@ -112,11 +112,14 @@ def tsallis_divergence(rho, sigma, alpha: float) -> float:
     return (value - 1.0) / (a - 1.0)
 
 
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum_j p_j ln p_j in nats over the last axis, with 0 ln 0 = 0; one vector or a stack."""
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+
+
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho in nats, with 0 ln 0 = 0."""
-    lam = np.clip(spectral_decompose(rho).eigenvalues, 0.0, None)
-    positive = lam[lam > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+    return float(shannon_entropy(np.clip(spectral_decompose(rho).eigenvalues, 0.0, None)))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -129,8 +132,7 @@ def relative_entropy(rho, sigma) -> float:
     if pair is None:
         return math.inf
     (lam_r, _), (lam_s, vecs_s) = pair
-    positive_r = lam_r[lam_r > 0.0]
-    plain = float(np.sum(positive_r * np.log(positive_r)))
+    plain = -float(shannon_entropy(lam_r))
     rho_mat = np.asarray(rho, dtype=complex)
     keep = lam_s > 0.0
     vecs = vecs_s[:, keep]

@@ -18,6 +18,7 @@ bookkeeping.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +46,8 @@ from .coherence import (
 )
 from .divergence import f_alpha, near_one, sgn1, trace_functional, validate_alpha
 from .linalg import eigh_clamped
-from .states import embed_diagonal, haar_unitary, random_density, state_from_factor, substream
+from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
+from .states import substream, validate_probability_vector
 
 DEFAULT_TOLERANCE = 1e-9
 VIOLATION_GAP = 1e-6
@@ -68,10 +70,6 @@ ALL_CHECKS = (
 DIVERGENCE_CHECKS = frozenset({"lemma1", "holder", "observations"})
 
 
-class BadWeightsError(ValueError):
-    """Ensemble weights do not form a probability vector."""
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Grid and policies for one suite run; identity of this object fixes every draw."""
@@ -88,7 +86,10 @@ class TrialConfig:
 
     def __post_init__(self):
         # an integer field given a float or a string raises TypeError instead of truncating it
+        # and so does an alpha that is not a real number, which float() would parse
         object.__setattr__(self, "dims", tuple(operator.index(d) for d in self.dims))
+        if not all(isinstance(a, numbers.Real) for a in self.alphas):
+            raise TypeError(f"alphas must be real numbers, got {self.alphas!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "n_kraus_range", tuple(operator.index(n) for n in self.n_kraus_range))
         object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
@@ -105,7 +106,7 @@ class TrialConfig:
         lo, hi = self.n_kraus_range
         if not 1 <= lo <= hi:
             raise ValueError(f"n_kraus_range must satisfy 1 <= lo <= hi, got {self.n_kraus_range}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too, under which every trial would fail
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.rank_policy not in ("full", "mixed-ranks"):
             raise ValueError(f"rank_policy must be 'full' or 'mixed-ranks', got {self.rank_policy!r}")
@@ -253,11 +254,9 @@ def check_convexity(
     kind, weights, states, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
 ) -> TrialRecord:
     """sum_i w_i C(rho_i) >= C(sum_i w_i rho_i)."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or len(states) != w.size or w.size == 0:
+    w = validate_probability_vector(weights, "weights")
+    if len(states) != w.size:
         raise BadWeightsError(f"need one weight per state, got {w.size} weights, {len(states)} states")
-    if w.min() < 0.0 or abs(w.sum() - 1.0) > 1e-12:
-        raise BadWeightsError(f"weights must be a probability vector, got sum {w.sum()!r}")
     mats = [np.asarray(s, dtype=complex) for s in states]
     lhs = sum(wi * measure_value(kind, s, alpha) for wi, s in zip(w, mats))
     mixture = sum(wi * s for wi, s in zip(w, mats))
@@ -382,9 +381,7 @@ def check_observations(
 
     if ensemble is None:
         ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)]
-    weights = np.array([w for w, _, _ in ensemble], dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-12 or weights.min() < 0.0:
-        raise BadWeightsError(f"ensemble weights must form a probability vector, got sum {weights.sum()!r}")
+    weights = validate_probability_vector([w for w, _, _ in ensemble], "ensemble weights")
     parts = [f_alpha(r, s, a) for _, r, s in ensemble]
     mix_rho = sum(w * np.asarray(r, dtype=complex) for w, r, _ in ensemble)
     mix_sigma = sum(w * np.asarray(s, dtype=complex) for w, _, s in ensemble)

@@ -27,6 +27,10 @@ class BadRankError(ValueError):
     """Requested rank outside 1..dim."""
 
 
+class BadWeightsError(ValueError):
+    """Weights do not form a probability vector."""
+
+
 def validate_density(rho, name: str = "state") -> np.ndarray:
     """Check the density-matrix invariants and return the coerced array.
 
@@ -47,17 +51,17 @@ def validate_density(rho, name: str = "state") -> np.ndarray:
 
 
 def validate_probability_vector(p, name: str = "distribution") -> np.ndarray:
-    """Check nonnegativity and unit sum (within 1e-12); returns the coerced array."""
+    """Check finiteness, nonnegativity and unit sum (within 1e-12), else raise BadWeightsError."""
     vec = np.asarray(p, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
-        raise ValueError(f"{name}: expected a nonempty 1-D vector, got shape {vec.shape}")
+        raise BadWeightsError(f"{name}: expected a nonempty 1-D vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name}: entries must be finite")
+        raise BadWeightsError(f"{name}: entries must be finite")
     if vec.min() < 0.0:
-        raise ValueError(f"{name}: nonnegativity violated, min entry {vec.min():.3e}")
+        raise BadWeightsError(f"{name}: nonnegativity violated, min entry {vec.min():.3e}")
     total = vec.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"{name}: normalization violated, sum = {total:.15g}")
+        raise BadWeightsError(f"{name}: normalization violated, sum = {total:.15g}")
     return vec
 
 
@@ -128,10 +132,8 @@ def state_from_factor(g: np.ndarray) -> np.ndarray:
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state (normalized complex Gaussian amplitudes)."""
-    amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    amps /= np.linalg.norm(amps)
-    return np.outer(amps, amps.conj())
+    """Haar-random pure state: the rank-one random_density."""
+    return random_density(d, 1, rng)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,10 +156,14 @@ def rank_of(rho, tol: float = RANK_TOL) -> int:
 def save_state(path: str | os.PathLike, rho) -> None:
     """Write a state file: {"dim": d, "entries": [[re, im], ...]} in row-major order."""
     mat = np.asarray(rho, dtype=complex)
-    d = mat.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+    save_entries(path, "dim", mat.shape[0], "entries", mat.reshape(-1))
+
+
+def save_entries(path: str | os.PathLike, dim_key: str, d: int, entries_key: str, entries) -> None:
+    """Write {dim_key: d, entries_key: [..., [re, im]]}, the file load_entries reads back bit for bit."""
+    z = np.asarray(entries, dtype=complex)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": d, "entries": entries}, fh)
+        json.dump({dim_key: d, entries_key: np.stack([z.real, z.imag], axis=-1).tolist()}, fh)
         fh.write("\n")
 
 

@@ -199,6 +199,12 @@ class TestIncoherence:
             k = ch.kraus[0]
             assert_allclose(np.abs(k @ k.conj().T), np.eye(4), atol=1e-10)
 
+    def test_single_operator_draws_until_feasible(self):
+        # this stream needs more than 128 draws for its permutation at d = 5
+        ch = random_incoherent_channel(5, 1, substream(11, 5, 45))
+        assert is_incoherent(ch)
+        assert_allclose(np.abs(ch.kraus[0] @ ch.kraus[0].conj().T), np.eye(5), atol=1e-10)
+
     def test_merges_do_occur(self, rng):
         # some operator mapping two columns to one row should appear quickly
         gen = rng(57)

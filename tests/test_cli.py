@@ -1,5 +1,6 @@
 """CLI behavior: flags, formats, exit codes, and byte-level reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,6 +27,7 @@ from alphacoh.cli import (
     main,
 )
 from alphacoh.coherence import MEASURE_KINDS, coherence_alpha
+from alphacoh.harness import TrialConfig
 from alphacoh.states import maximally_coherent, random_density, save_state, substream
 
 LN2 = math.log(2.0)
@@ -224,6 +226,15 @@ class TestVerify:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trails_per_cell": 2}))
         assert main(self.PASSING + ["--config", str(cfg)]) == EXIT_USAGE
+
+    def test_defaults_are_trial_config_defaults(self):
+        args = cli._build_parser().parse_args(["verify"])
+        assert dataclasses.asdict(cli._config_from_args(args)) == dataclasses.asdict(TrialConfig())
+
+    def test_single_operator_channels_at_d6(self, capsys):
+        # one operator is a permutation, about 1 in 65 row draws at d = 6
+        args = ["verify", "--dim", "6", "--alpha", "0.5", "--trials", "40", "--check", "monotonicity"]
+        assert main(args + ["--seed", "3"]) == EXIT_OK
 
     def test_n_kraus_forms(self, capsys):
         args = [
@@ -465,12 +476,34 @@ class TestInputBoundary:
             {"tolerance": "x"},
             {"master_seed": None},
             {"n_kraus_range": 3},
+            {"alphas": ["0.5"]},
+            {"alphas": ["a"]},
         ],
     )
     def test_mistyped_config_value(self, payload, tmp_path, capsys):
         path = self._write(tmp_path, "cfg.json", json.dumps(payload))
         assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", [{"trials_per_cell": 0}, {"alphas": [2.5]}, {"rank_policy": "low"}, {"trails_per_cell": 2}]
+    )
+    def test_invalid_config_value(self, payload, tmp_path, capsys):
+        path = self._write(tmp_path, "cfg.json", json.dumps(payload))
+        assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
+        assert path in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = self._write(tmp_path, "cfg.json", "[2, 3]")
+        assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
+        assert f"{path}: config must be a JSON object" in capsys.readouterr().err
+
+    def test_bad_flag_is_reported_under_a_config(self, tmp_path, capsys):
+        # the flags make a TrialConfig of their own before the config applies
+        path = self._write(tmp_path, "cfg.json", json.dumps({"trials_per_cell": 2}))
+        assert main(self.VERIFY + ["--trials", "0", "--config", path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "trials_per_cell must be >= 1" in err and path not in err
 
     @pytest.mark.parametrize(
         "argv",

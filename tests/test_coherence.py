@@ -197,6 +197,11 @@ class TestOracleAgreement:
         with pytest.raises(ValueError, match="oracle undefined"):
             brute_force_min(qubit, 1.0 + 1e-9, 1e-4)
 
+    def test_qutrit_grid_size_gate(self, rng):
+        # 1e-4 is a legal resolution, but its d = 3 grid holds about 5e7 points
+        with pytest.raises(ValueError, match="too fine for d = 3"):
+            brute_force_min(random_density(3, 3, rng(78, 2)), 1.5, 1e-4)
+
 
 class TestNearOneRouting:
     def test_window_routes_to_relative_entropy(self, rng):

@@ -16,6 +16,7 @@ from alphacoh.divergence import (
     near_one,
     relative_entropy,
     sgn1,
+    shannon_entropy,
     trace_functional,
     tsallis_divergence,
     validate_alpha,
@@ -199,6 +200,15 @@ class TestEntropy:
     def test_diagonal_hand_value(self):
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
         assert von_neumann_entropy(RHO_DIAG) == pytest.approx(expected, abs=1e-12)
+
+    def test_shannon_entropy_of_a_stack_is_row_by_row(self):
+        # zero entries add 0 ln 0 = 0 without a warning
+        stack = np.array([[0.75, 0.25, 0.0], [1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
+        values = shannon_entropy(stack)
+        assert values.shape == (3,)
+        assert values.tolist() == [shannon_entropy(row) for row in stack]
+        assert values[0] == pytest.approx(-(0.75 * math.log(0.75) + 0.25 * math.log(0.25)), abs=1e-15)
+        assert values[1] == 0.0
 
 
 class TestDimMismatch:

@@ -89,6 +89,7 @@ class TestTrialConfigValidation:
             ({"checks": ("strong_monotonicity", "nope")}, "unknown check"),
             ({"checks": ()}, "checks"),
             ({"kind": "l2"}, "unknown kind"),
+            ({"tolerance": math.nan}, "tolerance"),
         ],
     )
     def test_rejects(self, kwargs, match):
@@ -185,6 +186,13 @@ class TestConvexity:
         with pytest.raises(BadWeightsError):
             check_convexity("alpha", weights, states, 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight(self, bad, rng):
+        gen = rng(99)
+        states = [random_density(2, 2, gen) for _ in range(2)]
+        with pytest.raises(BadWeightsError, match="finite"):
+            check_convexity("alpha", [bad, 0.5], states, 1.5)
+
 
 class TestLemma1:
     def test_identity_channel_margin_zero(self, rng):
@@ -226,6 +234,21 @@ class TestHolderStep:
         rho = random_density(3, 3, gen)
         rec = check_holder_step(rho, random_incoherent_channel(3, 3, gen), 1.5)
         assert rec.passed
+
+    def test_divergent_branch_is_degenerate(self):
+        # K0 sends |-> to |0> and c|2> to |1>. rho carries weights t and s there, so
+        # branch 0 keeps p0 = t + c^2 s >= P_MIN with weight on |1>, while the
+        # optimal delta puts only ~c^2 s / q0 < 1e-12 there: sigma_0 is null on
+        # |1>, and at alpha = 2 its branch functional diverges
+        e0, e1, e2 = np.eye(3)
+        plus, minus = (e0 + e1) / math.sqrt(2.0), (e0 - e1) / math.sqrt(2.0)
+        c, t, s = 0.1, 2e-12, 1e-11
+        k0 = np.outer(e0, minus) + c * np.outer(e1, e2)
+        ch = KrausChannel((k0, np.outer(e0, plus), math.sqrt(1.0 - c * c) * np.outer(e2, e2)))
+        rho = (1.0 - t - s) * np.outer(plus, plus) + t * np.outer(minus, minus) + s * np.outer(e2, e2)
+        rec = check_holder_step(rho, ch, 2.0)
+        assert rec.degenerate and rec.passed
+        assert math.isinf(rec.lhs) and math.isinf(rec.rhs)
 
     def test_rejects_near_one(self, rng):
         with pytest.raises(ValueError, match="within 1e-6"):
@@ -286,6 +309,12 @@ class TestObservations:
         args = self.make_args(rng(108))
         bad = [(0.9, args["rho"], args["sigma"])]
         with pytest.raises(BadWeightsError):
+            check_observations(**args, alpha=1.5, ensemble=bad)
+
+    def test_nan_ensemble_weight(self, rng):
+        args = self.make_args(rng(108))
+        bad = [(math.nan, args["rho"], args["sigma"]), (0.5, args["sigma"], args["rho"])]
+        with pytest.raises(BadWeightsError, match="finite"):
             check_observations(**args, alpha=1.5, ensemble=bad)
 
 
@@ -452,6 +481,11 @@ class TestSearchViolation:
         assert not report.found
         assert report.best_gap > 1e-6  # it did see violations, none that large
 
+    def test_reverify_needs_a_witness(self):
+        report = ViolationReport(found=False, kind="tsallis", dim=3, seed=0, trials_used=10, best_gap=-1.0)
+        with pytest.raises(ValueError, match="no witness"):
+            reverify_violation(report)
+
     def test_argument_gates(self):
         with pytest.raises(ValueError, match="dimension"):
             search_violation(1, 10)
@@ -564,6 +598,12 @@ class TestInputGates:
     def test_integer_config_fields_refuse_other_types(self, kwargs):
         with pytest.raises(TypeError):
             TrialConfig(**kwargs)
+
+    @pytest.mark.parametrize("alphas", [("0.5",), ("a",), (0.5, None), "0.5"])
+    def test_alphas_refuse_non_numbers(self, alphas):
+        # float() would parse "0.5" and turn "a" into a message without the field
+        with pytest.raises(TypeError):
+            TrialConfig(alphas=alphas)
 
     def test_search_rejects_kind_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):

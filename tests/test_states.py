@@ -1,5 +1,7 @@
 """State constructors, validation gates, and the seeded stream contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from alphacoh.states import (
     BadRankError,
+    BadWeightsError,
     dephase,
     embed_diagonal,
     haar_unitary,
@@ -111,6 +114,16 @@ def test_random_pure_and_incoherent(rng):
     pure = random_pure(4, rng(10))
     validate_density(pure)
     assert rank_of(pure) == 1
+
+
+def test_random_pure_is_the_rank_one_random_density():
+    np.testing.assert_array_equal(random_pure(5, substream(4, 1)), random_density(5, 1, substream(4, 1)))
+
+
+def test_validate_probability_vector_raises_bad_weights():
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, 0.6], [], [1.1, -0.1]):
+        with pytest.raises(BadWeightsError):
+            validate_probability_vector(bad)
 
 
 def test_haar_unitary_is_unitary(rng):
