@@ -28,14 +28,13 @@ from .coherence import (
     measure_value,
     tsallis_coherence,
 )
+from .divergence import validate_alpha
 from .harness import (
     ALL_CHECKS,
     SEARCH_ALPHAS,
     VIOLATION_GAP,
     TrialConfig,
-    check_monotonicity,
-    check_strong_monotonicity,
-    rebuild_witness,
+    TrialRecord,
     run_suite,
     search_violation,
     _strong_mono_stats,
@@ -49,10 +48,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
-VERIFY_COLUMNS = (
-    "check_name", "dim", "alpha", "kind", "lhs", "rhs",
-    "margin", "passed", "seed", "trial", "degenerate", "error",
-)
+VERIFY_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 COMPUTE_COLUMNS = ("measure", "dim", "alpha", "value", "units", "seed")
 ORACLE_COLUMNS = (
     "dim", "alpha", "state_index", "closed_form", "oracle_value",
@@ -71,6 +67,9 @@ WITNESS_FIELDS = (
 
 # |closed form - grid oracle| must stay under factor * resolution
 ORACLE_BOUND_FACTOR = {2: 20.0, 3: 10.0}
+ORACLE_ALPHAS = (0.3, 0.5, 0.7, 1.3, 1.5, 2.0)
+# a sweep grid past this many points is a typo in --alpha-range, not a request
+MAX_SWEEP_POINTS = 100_000
 
 
 def _cell(value) -> str:
@@ -131,19 +130,24 @@ def _parse_alpha_range(text: str) -> list[float]:
         raise ValueError(f"--alpha-range expects lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"--alpha-range expects numbers, got {text!r}")
-    if step <= 0.0:
-        raise ValueError(f"--alpha-range step must be positive, got {step}")
+        validate_alpha(lo), validate_alpha(hi)
+    except ValueError as exc:
+        raise ValueError(f"--alpha-range expects lo:hi:step with lo, hi in (0, 2], got {text!r}: {exc}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"--alpha-range step must be positive and finite, got {step}")
     if hi < lo:
         raise ValueError(f"--alpha-range is empty: lo {lo} > hi {hi}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    # count >= 1 as hi >= lo; the measures reject a point outside (0, 2] before any row is emitted
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 1e-9  # inf for a subnormal step
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValueError(f"--alpha-range {text!r} holds more than {MAX_SWEEP_POINTS} points")
+    # count >= 1 as hi >= lo; the measures reject a point under the alpha floor before any row is emitted
+    return [lo + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
-def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tuple]:
-    """One row per (kind, alpha) pair, in the given order; alpha is None for the plain kinds."""
+def _emit_measures(args, pairs) -> int:
+    """compute and sweep: one row per (kind, alpha) pair, in order; alpha is None for the plain kinds."""
+    rho = load_state(args.state)
+    seed = _resolve_seed(args)
     rows = []
     for kind, alpha in pairs:
         delta = None
@@ -153,7 +157,7 @@ def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tupl
             delta = ";".join(repr(float(x)) for x in result.optimal_delta)
         else:
             value = measure_value(kind, rho)
-        value, unit_label = _convert_units(kind, value, units)
+        value, unit_label = _convert_units(kind, value, args.units)
         row = {
             "measure": kind,
             "dim": rho.shape[0],
@@ -162,34 +166,23 @@ def _measure_rows(rho, pairs, units, seed, emit_delta) -> tuple[list[dict], tupl
             "units": unit_label,
             "seed": seed,
         }
-        if emit_delta:
+        if args.emit_delta:
             row["delta"] = delta
         rows.append(row)
-    columns = COMPUTE_COLUMNS + ("delta",) if emit_delta else COMPUTE_COLUMNS
-    return rows, columns
+    _emit(rows, COMPUTE_COLUMNS + ("delta",) if args.emit_delta else COMPUTE_COLUMNS, args.format, args.out)
+    return EXIT_OK
 
 
 def cmd_compute(args) -> int:
-    rho = load_state(args.state)
-    seed = _resolve_seed(args)
-    kinds = args.kind or list(MEASURE_KINDS)
     alphas = args.alpha or [1.0]
-    pairs = [(kind, a) for kind in kinds for a in (alphas if kind in ALPHA_KINDS else [None])]
-    rows, columns = _measure_rows(rho, pairs, args.units, seed, args.emit_delta)
-    _emit(rows, columns, args.format, args.out)
-    return EXIT_OK
+    kinds = args.kind or MEASURE_KINDS
+    return _emit_measures(args, [(k, a) for k in kinds for a in (alphas if k in ALPHA_KINDS else [None])])
 
 
 def cmd_sweep(args) -> int:
-    rho = load_state(args.state)
-    seed = _resolve_seed(args)
-    grid = _parse_alpha_range(args.alpha_range)
-    kinds = args.kind or list(ALPHA_KINDS)
     # ordered by alpha; alpha ~ 1 flows through the analytic limit
-    pairs = [(kind, alpha) for alpha in grid for kind in kinds]
-    rows, columns = _measure_rows(rho, pairs, args.units, seed, args.emit_delta)
-    _emit(rows, columns, args.format, args.out)
-    return EXIT_OK
+    grid = _parse_alpha_range(args.alpha_range)
+    return _emit_measures(args, [(kind, alpha) for alpha in grid for kind in args.kind or ALPHA_KINDS])
 
 
 def _config_from_args(args) -> TrialConfig:
@@ -226,9 +219,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     summary = run_suite(cfg, workers=args.workers)
     if args.out:
-        # the columns are the TrialRecord fields, in order
-        rows = [{c: getattr(r, c) for c in VERIFY_COLUMNS} for r in summary.records]
-        _emit(rows, VERIFY_COLUMNS, args.format, args.out)
+        _emit([vars(r) for r in summary.records], VERIFY_COLUMNS, args.format, args.out)
     name_width = max(len(name) for name in summary.stats)
     print(f"{'check':<{name_width}}  {'trials':>7} {'pass':>7} {'fail':>5} {'degen':>5}  worst_margin")
     for name, stats in summary.stats.items():
@@ -248,23 +239,14 @@ def cmd_verify(args) -> int:
             f"kind={worst.kind} margin={worst.margin!r} trial={worst.trial}"
         )
         if worst.check_name in ("strong_monotonicity", "monotonicity") and not worst.error:
-            _print_violation_report(cfg, worst)
+            # the record's own sides; a replay of its state and channel gives the same bits
+            strong = worst.check_name == "strong_monotonicity"
+            after_label = "selective average" if strong else "channel output"
+            print("violation witness (harness.rebuild_witness recreates its state and channel):")
+            print(f"  coherence before   : {worst.lhs!r}")
+            print(f"  {after_label:19s}: {worst.rhs!r}")
+            print(f"  gap (after - before): {worst.rhs - worst.lhs!r}")
     return EXIT_OK if summary.all_passed else EXIT_FAILURE
-
-
-def _print_violation_report(cfg, record) -> None:
-    """Replay the failing trial's draws and render the witness numbers."""
-    rho, ch = rebuild_witness(cfg, record)
-    strong = record.check_name == "strong_monotonicity"
-    check = check_strong_monotonicity if strong else check_monotonicity
-    replay = check(record.kind, rho, ch, record.alpha)
-    before, after = replay.lhs, replay.rhs
-    after_label = "selective average" if strong else "channel output"
-    print("violation witness (replayed from the record's substream):")
-    print(f"  kind={record.kind} dim={record.dim} alpha={record.alpha} trial={record.trial}")
-    print(f"  coherence before   : {before!r}")
-    print(f"  {after_label:19s}: {after!r}")
-    print(f"  gap (after - before): {after - before!r}")
 
 
 def cmd_search_violation(args) -> int:
@@ -308,6 +290,8 @@ def cmd_search_violation(args) -> int:
 def cmd_replay(args) -> int:
     rho = load_state(args.state)
     ch = load_channel(args.channel)
+    if ch.dim != rho.shape[0]:
+        raise ValueError(f"{args.channel}: dim {ch.dim} does not match dim {rho.shape[0]} of {args.state}")
     incoherent = is_incoherent(ch)
     before, after, gap = _strong_mono_stats(args.kind, rho, ch.kraus, args.alpha)
     violation = gap > VIOLATION_GAP
@@ -331,7 +315,7 @@ def cmd_oracle_compare(args) -> int:
     seed = _resolve_seed(args)
     resolution = args.resolution if args.resolution is not None else ORACLE_RESOLUTION[args.dim]
     # brute_force_min rejects an alpha within 1e-6 of 1 before any row is emitted
-    alphas = args.alpha or (0.3, 0.5, 0.7, 1.3, 1.5, 2.0)
+    alphas = args.alpha or ORACLE_ALPHAS
     bound = ORACLE_BOUND_FACTOR[args.dim] * resolution
     rows = []
     worst = 0.0
@@ -441,10 +425,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-compare", parents=shared, help="closed form vs simplex grid oracle")
     p_oracle.add_argument("--dim", type=int, default=2)
     p_oracle.add_argument("--alpha", action="append", type=float,
-                          help="default: 0.3 0.5 0.7 1.3 1.5 2.0")
+                          help=f"default: {' '.join(map(str, ORACLE_ALPHAS))}")
     p_oracle.add_argument("--states", type=int, default=200)
     p_oracle.add_argument("--resolution", type=float, default=None,
-                          help="grid resolution (default: 1e-4 for d=2, 2e-3 for d=3)")
+                          help="grid resolution (default: "
+                          + ", ".join(f"{r} for d={d}" for d, r in ORACLE_RESOLUTION.items()) + ")")
     p_oracle.set_defaults(func=cmd_oracle_compare)
 
     return parser

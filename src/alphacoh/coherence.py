@@ -88,11 +88,9 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
 
     One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state
     can get there) raises DegenerateDiagonalError. In a stack such entries
-    come out NaN, for the caller to mask under np.errstate. One spectrum at an
-    alpha below ALPHA_FLOOR raises AlphaBelowFloorError.
+    come out NaN, for the caller to mask under np.errstate. No alpha is
+    checked here: the scalar API and the search gate it first.
     """
-    if lam.ndim == 1:
-        check_alpha_floor(alpha)
     if near_one(alpha):
         pops = _diagonal(lam, vecs, 1.0)
         pops = pops / pops.sum(axis=-1, keepdims=True)
@@ -134,7 +132,7 @@ def alpha_diagonal(rho, alpha: float) -> np.ndarray:
 def _family(kind: str, rho, alpha: float) -> CoherenceResult:
     a = validate_alpha(alpha)
     lam, vecs = spectral_decompose(rho)
-    value, delta = closed_form(kind, lam, vecs, a)
+    value, delta = closed_form(kind, lam, vecs, check_alpha_floor(a))
     return CoherenceResult(float(value), delta)
 
 

@@ -44,7 +44,7 @@ from .coherence import (
     measure_value,
     optimal_incoherent_state,
 )
-from .divergence import f_alpha, near_one, sgn1, trace_functional, validate_alpha
+from .divergence import f_alpha, near_one, sgn1, validate_alpha
 from .linalg import eigh_clamped
 from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
@@ -283,7 +283,7 @@ def check_lemma1(
     sigma = np.asarray(sigma, dtype=complex)
     lhs_val = f_alpha(rho, sigma, a)
     _, products, _ = branches(ch.kraus, np.stack([rho, sigma]))
-    terms = [trace_functional(r, s, a) for r, s in zip(*products)]
+    terms = [f_alpha(r, s, a) for r, s in zip(*products)]
     lhs = sign * lhs_val if math.isfinite(lhs_val) else math.inf
     rhs = sign * sum(terms) if all(math.isfinite(t) for t in terms) else math.inf
     return _record("lemma1", rho.shape[0], a, "f_alpha", lhs, rhs, tolerance, seed, trial)
@@ -588,7 +588,7 @@ class _SearchParams:
     discrete skeleton; everything else is a continuous knob the refiner may
     turn without ever leaving the trace-preserving incoherent family. The
     same arrays with a leading batch axis describe a whole batch, and
-    ``_rows_amps`` assembles either.
+    ``ops`` assembles either.
     """
 
     raw: np.ndarray  # (n_kraus, d) positive column weight shares
@@ -608,54 +608,49 @@ class _SearchParams:
         """Draw `index` of a batch as a copy; ``params[...]`` copies the whole struct."""
         return _SearchParams(**{k: None if v is None else v[index].copy() for k, v in vars(self).items()})
 
-    def rows_amps(self):
-        return _rows_amps(**vars(self))
-
     def build(self) -> KrausChannel:
-        return KrausChannel(kraus_stack(*self.rows_amps()))
+        return KrausChannel(self.ops())
 
+    def ops(self) -> np.ndarray:
+        """The Kraus stack (..., n_kraus, d, d) of one draw, or of every draw of a batch.
 
-def _rows_amps(raw, sing_rows, sing_phases, pair_cols=None, pair_rows=None, pair_s=None,
-               pair_angles=None, comp_rows=None, comp_phases=None):
-    """Row maps and amplitudes, both (..., n_kraus, d), from _SearchParams arrays.
-
-    Every array may carry the same leading batch shape, none for one channel.
-    Operator n puts amplitude amps[..., n, c] of column c into row rows[..., n, c].
-    """
-    weights = raw / raw.sum(axis=-2, keepdims=True)
-    if pair_cols is None:
-        return sing_rows, np.sqrt(weights) * np.exp(1j * sing_phases)
-    cols = np.arange(raw.shape[-1])
-    is_i = cols == pair_cols[..., :1, None]  # (..., 1, d)
-    merged = is_i | (cols == pair_cols[..., 1:, None])
-    # at the merged columns (i, j), operators 0 and 1 carry the rows of
-    # [[cos e^(i phi1), -sin e^(i phi2)], [sin e^(-i phi2), cos e^(-i phi1)]]: orthonormal
-    # columns, so the (i, j) cross term in K^dag K cancels at any angle values
-    theta, signs = pair_angles[..., :1], np.array([1j, -1j])
-    cos, sin = np.cos(theta), np.sin(theta)
-    at_i = np.concatenate([cos, sin], -1) * np.exp(signs * pair_angles[..., 1:])
-    at_j = np.concatenate([-sin, cos], -1) * np.exp(signs * pair_angles[..., :0:-1])
-    comp_amps = np.sqrt(weights[..., :2, :]) * np.exp(1j * comp_phases)
-    amps = np.where(merged, np.where(is_i, at_i[..., None], at_j[..., None]), comp_amps)
-    rows = np.where(merged, pair_rows[..., None], comp_rows)
-    # the pair keeps the share s of each merged column, all of it when no plain
-    # operator is there to split the rest in proportion to its raw shares
-    if sing_phases.shape[-2] == 0:
-        return rows, amps
-    s = np.clip(pair_s, 0.0, 1.0)
-    kept = np.where(is_i, s[..., :1, None], s[..., 1:, None])
-    amps = np.where(merged, amps * np.sqrt(kept), amps)
-    share = raw[..., 2:, :]
-    sing_w = np.where(merged, (1.0 - kept) * share / share.sum(axis=-2, keepdims=True), weights[..., 2:, :])
-    sing_amps = np.sqrt(sing_w) * np.exp(1j * sing_phases)
-    return np.concatenate([rows, sing_rows], axis=-2), np.concatenate([amps, sing_amps], axis=-2)
+        Operator n puts the amplitude amps[..., n, c] of column c into row rows[..., n, c].
+        """
+        raw, pair_angles, sing_phases = self.raw, self.pair_angles, self.sing_phases
+        weights = raw / raw.sum(axis=-2, keepdims=True)
+        if self.pair_cols is None:
+            return kraus_stack(self.sing_rows, np.sqrt(weights) * np.exp(1j * sing_phases))
+        cols = np.arange(raw.shape[-1])
+        is_i = cols == self.pair_cols[..., :1, None]  # (..., 1, d)
+        merged = is_i | (cols == self.pair_cols[..., 1:, None])
+        # at the merged columns (i, j), operators 0 and 1 carry the rows of
+        # [[cos e^(i phi1), -sin e^(i phi2)], [sin e^(-i phi2), cos e^(-i phi1)]]: orthonormal
+        # columns, so the (i, j) cross term in K^dag K cancels at any angle values
+        theta, signs = pair_angles[..., :1], np.array([1j, -1j])
+        cos, sin = np.cos(theta), np.sin(theta)
+        at_i = np.concatenate([cos, sin], -1) * np.exp(signs * pair_angles[..., 1:])
+        at_j = np.concatenate([-sin, cos], -1) * np.exp(signs * pair_angles[..., :0:-1])
+        comp_amps = np.sqrt(weights[..., :2, :]) * np.exp(1j * self.comp_phases)
+        amps = np.where(merged, np.where(is_i, at_i[..., None], at_j[..., None]), comp_amps)
+        rows = np.where(merged, self.pair_rows[..., None], self.comp_rows)
+        # the pair keeps the share s of each merged column, all of it when no plain
+        # operator is there to split the rest in proportion to its raw shares
+        if sing_phases.shape[-2] == 0:
+            return kraus_stack(rows, amps)
+        s = np.clip(self.pair_s, 0.0, 1.0)
+        kept = np.where(is_i, s[..., :1, None], s[..., 1:, None])
+        amps = np.where(merged, amps * np.sqrt(kept), amps)
+        share = raw[..., 2:, :]
+        sing_w = np.where(merged, (1.0 - kept) * share / share.sum(axis=-2, keepdims=True), weights[..., 2:, :])
+        sing_amps = np.sqrt(sing_w) * np.exp(1j * sing_phases)
+        return kraus_stack(np.concatenate([rows, self.sing_rows], -2), np.concatenate([amps, sing_amps], -2))
 
 
 def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair: bool):
     """Draw `count` incoherent channels in one stream; returns (params, ops stack).
 
     The params are one _SearchParams with a leading batch axis, assembled by
-    one ``_rows_amps`` call, the same function every later rebuild goes through.
+    its ``ops``, the same method every later rebuild goes through.
     """
     if with_pair and n_kraus < 2:
         raise ValueError("a merge pair needs at least two operators")
@@ -688,7 +683,8 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
         )
         comp_rows = slots + (slots >= pair_rows[:, :, None])
         arrays += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
-    return _SearchParams(*arrays), kraus_stack(*_rows_amps(*arrays))
+    params = _SearchParams(*arrays)
+    return params, params.ops()
 
 
 def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
@@ -717,7 +713,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
     # the trial channels are complete by construction, so only the returned
     # witness is built (and validated) as a KrausChannel
     def evaluate():
-        return _strong_mono_stats(kind, state_from_factor(g), kraus_stack(*params.rows_amps()), alpha)[2]
+        return _strong_mono_stats(kind, state_from_factor(g), params.ops(), alpha)[2]
 
     gap = evaluate()
     step = 0.05
@@ -823,7 +819,8 @@ def search_violation(
         for a in alphas
         for nk in range(lo, hi + 1)
         for r in ranks
-        for pair in ((False, True) if nk >= 2 else (False,))
+        # at d = 2 a merge pair leaves operators 0 and 1 rank one, so it adds nothing
+        for pair in ((False, True) if nk >= 2 and d > 2 else (False,))
     ]
     best_gap = -math.inf
     trials_done = 0

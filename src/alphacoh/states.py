@@ -185,8 +185,10 @@ def load_entries(path: str | os.PathLike, kind: str, dim_key: str, entries_key: 
     payload = read_json(path)
     if not isinstance(payload, dict) or dim_key not in payload or entries_key not in payload:
         raise ValueError(f"{path}: {kind} file needs '{dim_key}' and '{entries_key}' keys")
+    d = payload[dim_key]
     try:
-        d = int(payload[dim_key])
+        if type(d) is not int:  # int() would take 2.7, true and "2"
+            raise TypeError(f"{dim_key} must be a JSON integer, got {d!r}")
         pairs = np.array(payload[entries_key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {kind} file: {exc}") from None

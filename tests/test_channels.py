@@ -278,6 +278,9 @@ class TestRoundTrip:
             ('{"d": [2], "kraus": [[[1, 0]]]}', "malformed channel file"),
             ('{"d": -2, "kraus": [[[1, 0]]]}', "d >= 1"),
             ('{"d": 0, "kraus": []}', "d >= 1"),
+            ('{"d": 2.5, "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}', "malformed channel file"),
+            ('{"d": true, "kraus": [[[1, 0]]]}', "malformed channel file"),
+            ('{"d": "2", "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}', "malformed channel file"),
         ],
     )
     def test_load_rejects_malformed_with_file_name(self, tmp_path, text, match):

@@ -26,8 +26,9 @@ from alphacoh.cli import (
     VERIFY_COLUMNS,
     main,
 )
+from alphacoh.channels import dephasing_channel, save_channel
 from alphacoh.coherence import MEASURE_KINDS, coherence_alpha
-from alphacoh.harness import TrialConfig
+from alphacoh.harness import TrialConfig, TrialRecord, check_strong_monotonicity, rebuild_witness, run_suite
 from alphacoh.states import maximally_coherent, random_density, save_state, substream
 
 LN2 = math.log(2.0)
@@ -140,6 +141,11 @@ class TestCompute:
         assert main(["compute", qubit_state, "--kind", "l1"]) == EXIT_USAGE
 
 
+# 0.5 + k * 2^-17 is exact, so these grids hold exactly 100,000 and 100,001 points
+AT_CAP = "0.5:1.26293182373046875:7.62939453125e-06"
+OVER_CAP = "0.5:1.262939453125:7.62939453125e-06"
+
+
 class TestSweep:
     def test_grid_and_families(self, qutrit_state, capsys):
         assert main(["sweep", qutrit_state, "--alpha-range", "0.5:1.5:0.5"]) == EXIT_OK
@@ -153,10 +159,25 @@ class TestSweep:
         assert float(rows[0]["value"]) == float(rows[1]["value"])
 
     @pytest.mark.parametrize(
-        "bad", ["0.5:1.5", "a:b:c", "0.5:1.5:0", "1.5:0.5:0.1", "0.0:1.0:0.5", "1.0:2.5:0.5"]
+        "bad",
+        [
+            "0.5:1.5", "a:b:c", "0.5:1.5:0", "1.5:0.5:0.1", "0.0:1.0:0.5", "1.0:2.5:0.5",
+            "0.1:inf:0.1", "nan:1:0.1", "0.1:1:inf", "0.1:1:nan", "0.1:2:5e-324", OVER_CAP,
+        ],
     )
     def test_bad_ranges(self, qutrit_state, bad, capsys):
         assert main(["sweep", qutrit_state, "--alpha-range", bad]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad", ["0.1:inf:0.1", "nan:1:0.1", "0.1:1:nan", OVER_CAP])
+    def test_bad_range_names_the_flag(self, qutrit_state, bad, capsys):
+        assert main(["sweep", qutrit_state, "--alpha-range", bad]) == EXIT_USAGE
+        assert "--alpha-range" in capsys.readouterr().err
+
+    def test_grid_cap_is_checked_before_building(self):
+        # the step 2^-17 makes the point count exact: the cap passes, one more is refused
+        assert len(cli._parse_alpha_range(AT_CAP)) == cli.MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="more than 100000 points"):
+            cli._parse_alpha_range(OVER_CAP)
 
 
 class TestVerify:
@@ -182,6 +203,22 @@ class TestVerify:
         assert "worst failure: strong_monotonicity" in out
         assert "violation witness" in out
         assert "gap (after - before): 0.012724250935573445" in out
+
+    def test_failing_report_prints_the_worst_record(self, capsys):
+        # the report prints the record's own sides; replaying its draws gives the same bits
+        cfg = cli._config_from_args(cli._build_parser().parse_args(self.FAILING))
+        worst = min((r for r in run_suite(cfg).records if not r.passed), key=lambda r: r.margin)
+        assert main(self.FAILING) == EXIT_FAILURE
+        out = capsys.readouterr().out
+        assert f"coherence before   : {worst.lhs!r}\n" in out
+        assert f"selective average  : {worst.rhs!r}\n" in out
+        assert f"gap (after - before): {worst.rhs - worst.lhs!r}\n" in out
+        replay = check_strong_monotonicity(worst.kind, *rebuild_witness(cfg, worst), worst.alpha)
+        assert (replay.lhs, replay.rhs, replay.rhs - replay.lhs) == (worst.lhs, worst.rhs, worst.rhs - worst.lhs)
+
+    def test_columns_are_the_record_fields(self):
+        record = TrialRecord("convexity", 2, 0.5, "alpha", 0.1, 0.2, -0.1, False, 0, 0)
+        assert VERIFY_COLUMNS == tuple(f.name for f in dataclasses.fields(TrialRecord)) == tuple(vars(record))
 
     def test_out_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "records.csv"
@@ -282,6 +319,9 @@ class TestMalformedInput:
             {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], ["x", 0]]},
             {"dim": -2, "entries": [[1, 0]]},
             {"dim": None, "entries": [[1, 0]]},
+            {"dim": 2.7, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+            {"dim": True, "entries": [[1, 0]]},
+            {"dim": "2", "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
         ],
     )
     def test_compute_state(self, payload, tmp_path, capsys):
@@ -298,6 +338,9 @@ class TestMalformedInput:
             {"d": 2, "kraus": [[[1, 0], [0, 0], [0, 0], ["x", 0]]]},
             {"d": -2, "kraus": [[[1, 0]]]},
             {"d": 2, "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[1, 0]]]},
+            {"d": 2.5, "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]},
+            {"d": True, "kraus": [[[1, 0]]]},
+            {"d": "2", "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]},
         ],
     )
     def test_replay_channel(self, payload, qubit_state, tmp_path, capsys):
@@ -309,6 +352,14 @@ class TestMalformedInput:
 
 
 class TestSearchAndReplay:
+    def test_replay_dimension_mismatch_names_both_files(self, qubit_state, tmp_path, capsys):
+        channel = tmp_path / "qutrit_channel.json"
+        save_channel(channel, dephasing_channel(3))
+        args = ["replay", "--state", qubit_state, "--channel", str(channel), "--alpha", "0.5"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(channel) in err and qubit_state in err
+
     def test_qutrit_find_write_replay(self, tmp_path, capsys):
         out_dir = tmp_path / "witness"
         code = main(

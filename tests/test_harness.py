@@ -471,6 +471,24 @@ class TestSearchViolation:
         assert not report.found
         assert report.best_gap < 1e-9
 
+    @pytest.mark.parametrize("d, pairs_drawn", [(2, False), (3, True)])
+    def test_merge_pairs_only_above_d2(self, d, pairs_drawn, monkeypatch):
+        # at d = 2 a merge pair leaves both its operators rank one, so a qubit
+        # search never asks the sampler for one; 8 batches cover whole cycles
+        asked = []
+        sampler = _batch_incoherent_channels
+
+        def recording(rng, count, dim, n_kraus, with_pair):
+            asked.append(with_pair)
+            return sampler(rng, count, dim, n_kraus, with_pair)
+
+        monkeypatch.setattr("alphacoh.harness._batch_incoherent_channels", recording)
+        report = search_violation(
+            d, 8 * 4, kind="alpha", alphas=(0.5,), n_kraus_range=(2, 2), seed=0, batch_size=4
+        )
+        assert not report.found and len(asked) == 8
+        assert any(asked) is pairs_drawn
+
     def test_qubit_search_exhausts(self):
         report = search_violation(2, 20_000, kind="tsallis", seed=0)
         assert not report.found
@@ -548,6 +566,14 @@ class TestSearchSampler:
         assert n in [o.index for o in outcomes] and dropped == 0.0
         assert branches(ch.kraus, rho, p_min=probs[n])[2][n]
         assert not branches(ch.kraus, rho, p_min=np.nextafter(probs[n], 1.0))[2][n]
+
+    @pytest.mark.parametrize("d, n_kraus, pair", CELLS)
+    def test_ops_of_a_batch_and_of_a_draw(self, d, n_kraus, pair):
+        # one assembly for a batch and for each of its draws, bit for bit
+        params, ops = _batch_incoherent_channels(substream(7, d, n_kraus), 16, d, n_kraus, pair)
+        assert np.array_equal(params.ops(), ops)
+        for b in range(len(params)):
+            assert np.array_equal(params[b].ops(), ops[b])
 
     def test_a_batch_is_search_params_with_a_leading_axis(self):
         params, ops = _batch_incoherent_channels(substream(7, 3, 3), 6, 3, 3, True)

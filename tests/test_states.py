@@ -179,6 +179,9 @@ def test_load_state_validates(tmp_path):
         ('{"dim": 1, "entries": [["x", 0]]}', "malformed state file"),
         ('{"dim": "two", "entries": [[1, 0]]}', "malformed state file"),
         ('{"dim": -2, "entries": [[1, 0]]}', "dim >= 1"),
+        ('{"dim": 2.7, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "malformed state file"),
+        ('{"dim": true, "entries": [[1, 0]]}', "malformed state file"),
+        ('{"dim": "2", "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "malformed state file"),
     ],
 )
 def test_load_state_rejects_malformed_with_file_name(tmp_path, text, match):
