@@ -140,8 +140,9 @@ def _parse_alpha_range(text: str) -> list[float]:
     steps = (hi - lo) / step + 1e-9  # inf for a subnormal step
     if not steps < MAX_SWEEP_POINTS:
         raise ValueError(f"--alpha-range {text!r} holds more than {MAX_SWEEP_POINTS} points")
-    # count >= 1 as hi >= lo; the measures reject a point under the alpha floor before any row is emitted
-    return [lo + i * step for i in range(int(math.floor(steps)) + 1)]
+    # count >= 1 as hi >= lo; the measures reject a point under the alpha floor before any row is emitted.
+    # lo + i * step can round past hi (2.0000000000000004 at hi = 2), so it is capped there
+    return [min(lo + i * step, hi) for i in range(int(math.floor(steps)) + 1)]
 
 
 def _emit_measures(args, pairs) -> int:

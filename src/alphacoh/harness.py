@@ -703,19 +703,23 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
     pair block's angles, shares, and phases in place; the discrete row
     structure never moves (batch cycling covers that instead). Every knob
     tries its candidate values in order, keeps the first that raises the gap
-    and otherwise gets its old value back. Deterministic: fixed sweep order,
+    and otherwise keeps its old value. Deterministic: fixed sweep order,
     fixed step schedule, halve the step on a stalled sweep and give up after
     four stalls in a row.
+
+    A sweep is scored as stacks: every remaining (knob, candidate) move from
+    the current point is one entry of a stack, one _batch_gaps call scores
+    them all, the first entry in sweep order that raises the gap is accepted,
+    and the next stack starts at the following knob. Each entry has the bits
+    of its own scalar evaluation and a rejected move leaves the point as it
+    was, so the trajectory is the one a move-at-a-time loop takes.
     """
     g = g.copy()
     params = params[...]
-
-    # the trial channels are complete by construction, so only the returned
-    # witness is built (and validated) as a KrausChannel
-    def evaluate():
-        return _strong_mono_stats(kind, state_from_factor(g), params.ops(), alpha)[2]
-
-    gap = evaluate()
+    point = {"g": g, **vars(params)}  # the knob arrays by name, shared with g and params
+    # only the start goes through the scalar path, and only the returned witness is
+    # built (and validated) as a KrausChannel: the stacked channels are complete by construction
+    gap = _strong_mono_stats(kind, state_from_factor(g), params.ops(), alpha)[2]
     step = 0.05
     scale = max(float(np.max(np.abs(g))), 1.0)
 
@@ -732,37 +736,47 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
     def shift(v, step):
         return [v + step, v - step]
 
-    # (array, index, candidates) for every knob, in sweep order. The pair
+    # (array name, index, candidates) for every knob, in sweep order. The pair
     # operators' raw shares at the merged columns are dead (pair_s and the
     # angles govern those columns), so they get no knob.
     merged = set() if params.pair_cols is None else {int(c) for c in params.pair_cols}
-    knobs = [(g, idx, nudge) for idx in np.ndindex(g.shape)]
+    knobs = [("g", idx, nudge) for idx in np.ndindex(g.shape)]
     knobs += [
-        (params.raw, (n, c), grow)
+        ("raw", (n, c), grow)
         for n, c in np.ndindex(params.raw.shape)
         if not (n < 2 and c in merged)
     ]
     if merged:
-        knobs += [(params.pair_angles, i, shift) for i in range(3)]
+        knobs += [("pair_angles", (i,), shift) for i in range(3)]
         if params.sing_phases.shape[0]:
-            knobs += [(params.pair_s, i, capped) for i in range(2)]
+            knobs += [("pair_s", (i,), capped) for i in range(2)]
         comp_cols = [c for c in range(params.raw.shape[1]) if c not in merged]
-        knobs += [(params.comp_phases, (t, c), shift) for t in range(2) for c in comp_cols]
+        knobs += [("comp_phases", (t, c), shift) for t in range(2) for c in comp_cols]
+
     stalls = 0
     for _ in range(max_sweeps):
         improved = False
-        for values, idx, candidates in knobs:
-            old = values[idx]
-            for new in candidates(old, step):
-                if new == old:
-                    continue
-                values[idx] = new
-                trial_gap = evaluate()
-                if trial_gap > gap:
-                    gap = trial_gap
-                    improved = True
-                    break
-                values[idx] = old
+        first = 0
+        while first < len(knobs):
+            moves = [
+                (name, idx, new, k)
+                for k, (name, idx, candidates) in enumerate(knobs[first:], first)
+                for new in candidates(point[name][idx], step)
+                if new != point[name][idx]
+            ]
+            stack = {name: np.repeat(v[None], len(moves), axis=0) for name, v in point.items() if v is not None}
+            for row, (name, idx, new, _) in enumerate(moves):
+                stack[name][(row, *idx)] = new
+            factors = stack.pop("g")
+            gaps = _batch_gaps(kind, state_from_factor(factors), _SearchParams(**stack).ops(), alpha)
+            better = np.flatnonzero(gaps > gap)
+            if not better.size:
+                break
+            name, idx, new, k = moves[better[0]]
+            point[name][idx] = new
+            gap = float(gaps[better[0]])
+            improved = True
+            first = k + 1
         if gap >= target:
             break
         if improved:

@@ -82,8 +82,10 @@ def test_batch_sampler_return_shape():
 
 def test_refine_call_pattern(monkeypatch):
     # the tracer counts refinement evaluations as _strong_mono_stats calls made
-    # directly under _refine_witness, and channel validations as
-    # KrausChannel.__post_init__ calls; the name check above cannot see either
+    # directly under _refine_witness, reads the first one's gap as the start
+    # gap, and counts channel validations as KrausChannel.__post_init__ calls;
+    # the name check above cannot see any of it. Refinement scores the start
+    # alone through _strong_mono_stats and every candidate through _batch_gaps.
     from alphacoh import harness
     from alphacoh.states import substream
 
@@ -93,12 +95,17 @@ def test_refine_call_pattern(monkeypatch):
     gaps = harness._batch_gaps("tsallis", rhos, ops, 0.3)
     top = int(gaps.argmax())
 
-    evaluated, built = [], []
-    stats, post_init = harness._strong_mono_stats, harness.KrausChannel.__post_init__
+    evaluated, scored, built = [], [], []
+    stats, batch_gaps, post_init = harness._strong_mono_stats, harness._batch_gaps, harness.KrausChannel.__post_init__
 
     def counting_stats(*args):
         result = stats(*args)
         evaluated.append(result[2])
+        return result
+
+    def counting_batch_gaps(*args):
+        result = batch_gaps(*args)
+        scored.append(result)
         return result
 
     def counting_post_init(self):
@@ -106,11 +113,12 @@ def test_refine_call_pattern(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(harness, "_strong_mono_stats", counting_stats)
+    monkeypatch.setattr(harness, "_batch_gaps", counting_batch_gaps)
     monkeypatch.setattr(harness.KrausChannel, "__post_init__", counting_post_init)
     gap, rho, ch = harness._refine_witness("tsallis", factors[top], params[top], 0.3, max_sweeps=2)
-    # every evaluation went through the module-level name: the first scores the
-    # start draw, and the accepted ones end at the returned gap
-    assert len(evaluated) > 1
-    assert evaluated[0] == gaps[top]
-    assert gap == max(evaluated)
+    # one scalar evaluation, of the start draw; the candidates went through the stacked kernel
+    assert evaluated == [gaps[top]]
+    assert scored and len(scored[0]) > 1 and all(s.ndim == 1 for s in scored)
     assert built == [ch]
+    assert type(gap) is float and gap >= evaluated[0]
+    assert gap in [evaluated[0], *(float(v) for s in scored for v in s)]

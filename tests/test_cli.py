@@ -173,6 +173,18 @@ class TestSweep:
         assert main(["sweep", qutrit_state, "--alpha-range", bad]) == EXIT_USAGE
         assert "--alpha-range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["0.18:2.0:0.07", "0.18:2.0:0.14"])
+    def test_last_point_never_rounds_past_hi(self, qutrit_state, text, capsys):
+        # 0.18 + 26 * 0.07 rounds to 2.0000000000000004, which no measure accepts
+        assert main(["sweep", qutrit_state, "--alpha-range", text]) == EXIT_OK
+        rows = parse_csv(capsys.readouterr().out)
+        assert rows[-1]["alpha"] == "2.0"
+        assert max(cli._parse_alpha_range(text)) == 2.0
+
+    def test_points_below_hi_keep_their_bytes(self):
+        # the cap only touches a point past hi: this grid still ends just under 1
+        assert cli._parse_alpha_range("0.1:1.0:0.3") == [0.1, 0.4, 0.7, 0.9999999999999999]
+
     def test_grid_cap_is_checked_before_building(self):
         # the step 2^-17 makes the point count exact: the cap passes, one more is refused
         assert len(cli._parse_alpha_range(AT_CAP)) == cli.MAX_SWEEP_POINTS

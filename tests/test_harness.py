@@ -28,6 +28,7 @@ from alphacoh.channels import (
 from alphacoh.coherence import AlphaBelowFloorError, CoherenceResult, coherence_alpha
 from alphacoh.harness import (
     ALL_CHECKS,
+    SEARCH_ALPHAS,
     BadWeightsError,
     CheckStats,
     TrialConfig,
@@ -36,6 +37,7 @@ from alphacoh.harness import (
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
+    _refine_witness,
     _SearchParams,
     _strong_mono_stats,
     check_convexity,
@@ -593,6 +595,127 @@ class TestSearchSampler:
         params[2].raw[:] = 1.0
         params[2].pair_angles[:] = 0.0
         assert np.array_equal(np.stack(params[2].build().kraus), ops[2])
+
+
+def sequential_refine(kind, g, params, alpha, *, max_sweeps=40, target=1e-4, skipped=None):
+    """The move-at-a-time coordinate ascent that _refine_witness stacks: one
+    scalar evaluation per candidate, the first that raises the gap kept."""
+    g = g.copy()
+    params = params[...]
+
+    def evaluate():
+        return _strong_mono_stats(kind, state_from_factor(g), params.ops(), alpha)[2]
+
+    gap = evaluate()
+    step = 0.05
+    scale = max(float(np.max(np.abs(g))), 1.0)
+
+    def nudge(v, step):
+        return [v + step * t for t in (scale, -scale, 1j * scale, -1j * scale)]
+
+    def grow(v, step):
+        return [v * (1.0 + step), v * (1.0 / (1.0 + step))]
+
+    def capped(v, step):
+        return [min(w, 1.0) for w in grow(v, step)]
+
+    def shift(v, step):
+        return [v + step, v - step]
+
+    merged = set() if params.pair_cols is None else {int(c) for c in params.pair_cols}
+    knobs = [(g, idx, nudge) for idx in np.ndindex(g.shape)]
+    knobs += [
+        (params.raw, (n, c), grow)
+        for n, c in np.ndindex(params.raw.shape)
+        if not (n < 2 and c in merged)
+    ]
+    if merged:
+        knobs += [(params.pair_angles, i, shift) for i in range(3)]
+        if params.sing_phases.shape[0]:
+            knobs += [(params.pair_s, i, capped) for i in range(2)]
+        comp_cols = [c for c in range(params.raw.shape[1]) if c not in merged]
+        knobs += [(params.comp_phases, (t, c), shift) for t in range(2) for c in comp_cols]
+    stalls = 0
+    for _ in range(max_sweeps):
+        improved = False
+        for values, idx, candidates in knobs:
+            old = values[idx]
+            for new in candidates(old, step):
+                if new == old:
+                    if skipped is not None:
+                        skipped.append(idx)
+                    continue
+                values[idx] = new
+                trial_gap = evaluate()
+                if trial_gap > gap:
+                    gap = trial_gap
+                    improved = True
+                    break
+                values[idx] = old
+        if gap >= target:
+            break
+        if improved:
+            stalls = 0
+        else:
+            stalls += 1
+            if stalls >= 4:
+                break
+            step *= 0.5
+    return gap, state_from_factor(g), params.build()
+
+
+class TestRefinementTrajectory:
+    """Stacked refinement takes the move-at-a-time trajectory, bit for bit.
+
+    Starts are the best draw of real search batches: d = 2 plain, d = 3
+    plain and merge pair, one to four operators, both kinds, and every
+    search alpha.
+    """
+
+    STRUCTURES = [(2, nk, False) for nk in range(1, 5)]
+    STRUCTURES += [(3, nk, pair) for nk in range(1, 5) for pair in ((False, True) if nk >= 2 else (False,))]
+
+    @staticmethod
+    def start(d, n_kraus, pair, kind, alpha, seed):
+        rng = substream(11, seed)
+        factors, rhos = _batch_states(rng, 32, d, d if seed % 2 else max(1, d // 2))
+        params, ops = _batch_incoherent_channels(rng, 32, d, n_kraus, pair)
+        top = int(np.argmax(_batch_gaps(kind, rhos, ops, alpha)))
+        return factors[top], params[top]
+
+    @staticmethod
+    def assert_same(new, old):
+        assert type(new[0]) is float
+        assert repr(new[0]) == repr(old[0])
+        assert new[1].tobytes() == old[1].tobytes()
+        assert new[2].kraus.tobytes() == old[2].kraus.tobytes()
+
+    @pytest.mark.parametrize("index", range(len(STRUCTURES)))
+    def test_matches_the_sequential_ascent(self, index):
+        d, n_kraus, pair = self.STRUCTURES[index]
+        for k, (kind, alpha) in enumerate(
+            [("tsallis", SEARCH_ALPHAS[index % 4]), ("alpha", SEARCH_ALPHAS[(index + 1) % 4]),
+             ("tsallis", SEARCH_ALPHAS[(index + 2) % 4]), ("alpha", SEARCH_ALPHAS[(index + 3) % 4])]
+        ):
+            g, params = self.start(d, n_kraus, pair, kind, alpha, 4 * index + k)
+            self.assert_same(
+                _refine_witness(kind, g, params, alpha), sequential_refine(kind, g, params, alpha)
+            )
+
+    def test_capped_share_is_skipped(self):
+        # pair_s at its cap: the growing candidate caps to the old value and is
+        # not scored, in either ascent
+        g, params = self.start(3, 3, True, "tsallis", 0.5, 100)
+        params.pair_s[0] = 1.0
+        skipped = []
+        old = sequential_refine("tsallis", g, params, 0.5, skipped=skipped)
+        assert 0 in skipped
+        self.assert_same(_refine_witness("tsallis", g, params, 0.5), old)
+
+    def test_two_sweeps(self):
+        g, params = self.start(3, 4, True, "tsallis", 0.3, 101)
+        new = _refine_witness("tsallis", g, params, 0.3, max_sweeps=2)
+        self.assert_same(new, sequential_refine("tsallis", g, params, 0.3, max_sweeps=2))
 
 
 class TestFrozenWitness:
