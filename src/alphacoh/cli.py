@@ -313,6 +313,8 @@ def cmd_replay(args) -> int:
 def cmd_oracle_compare(args) -> int:
     if args.dim not in (2, 3):
         raise ValueError(f"oracle comparison supports dim 2 or 3, got {args.dim}")
+    if args.states < 1:
+        raise ValueError(f"--states must be >= 1, got {args.states}")
     seed = _resolve_seed(args)
     resolution = args.resolution if args.resolution is not None else ORACLE_RESOLUTION[args.dim]
     # brute_force_min rejects an alpha within 1e-6 of 1 before any row is emitted

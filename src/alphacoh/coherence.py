@@ -12,8 +12,8 @@ power-mean S = sum_j a_j^(1/alpha):
   Tsallis relative alpha entropy to the incoherent set. Monotone and convex,
   but it fails strong monotonicity (the harness searches for witnesses).
 
-Both are evaluated by one kernel, ``closed_form``, on a single spectrum for
-the scalar API and on a stack of spectra for the batched search.
+Both are evaluated by one kernel, ``closed_form``. ``measure_values`` is the one
+evaluation path of every measure kind: the scalar API and the harness share it.
 
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import near_one, shannon_entropy, validate_alpha
-from .linalg import matrix_power, spectral_decompose
+from .linalg import as_hermitian, eigh_clamped, psd_power, spectral_decompose
 from .states import dephase
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
@@ -88,7 +88,7 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
 
     One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state
     can get there) raises DegenerateDiagonalError. In a stack such entries
-    come out NaN, for the caller to mask under np.errstate. No alpha is
+    come out NaN, silenced by measure_values under np.errstate. No alpha is
     checked here: the scalar API and the search gate it first.
     """
     if near_one(alpha):
@@ -130,9 +130,9 @@ def alpha_diagonal(rho, alpha: float) -> np.ndarray:
 
 
 def _family(kind: str, rho, alpha: float) -> CoherenceResult:
-    a = validate_alpha(alpha)
+    a = check_alpha_floor(validate_alpha(alpha))
     lam, vecs = spectral_decompose(rho)
-    value, delta = closed_form(kind, lam, vecs, check_alpha_floor(a))
+    value, delta = closed_form(kind, lam, vecs, a)
     return CoherenceResult(float(value), delta)
 
 
@@ -231,37 +231,17 @@ def skew_info_sum(rho) -> float:
     against the commutator form -(1/2) sum_i Tr [sqrt(rho), |i><i|]^2, which
     must agree to 1e-10 or the state fails its own algebra.
     """
-    mat = np.asarray(rho, dtype=complex)
-    root = matrix_power(mat, 0.5)
-    diag_root = np.diag(root).real
-    value = float(np.sum(np.diag(mat).real - diag_root**2))
-    d = mat.shape[0]
-    commutator_total = 0.0
-    for i in range(d):
-        # [sqrt(rho), |i><i|] has column i of sqrt(rho) and minus row i as its only entries
-        comm = np.zeros((d, d), dtype=complex)
-        comm[:, i] = root[:, i]
-        comm[i, :] -= root[i, :]
-        commutator_total += float(np.einsum("ij,ji->", comm, comm).real)
-    commutator_value = -0.5 * commutator_total
-    if not abs(value - commutator_value) <= 1e-10:
-        raise SkewFormsDisagreeError(
-            f"skew information forms disagree: {value!r} vs {commutator_value!r}"
-        )
-    return value
+    return measure_value("skew", rho)
 
 
 def l1_coherence(rho) -> float:
     """Sum of off-diagonal moduli."""
-    mods = np.abs(np.asarray(rho, dtype=complex))
-    return float(mods.sum() - np.trace(mods))
+    return measure_value("l1", rho)
 
 
 def c2_direct(rho) -> float:
     """sum_i <i|rho^2|i>^(1/2) - 1, the alpha = 2 member evaluated without eigendecomposition."""
-    mat = np.asarray(rho, dtype=complex)
-    diag_sq = np.clip(np.diag(mat @ mat).real, 0.0, None)
-    return float(np.sum(np.sqrt(diag_sq)) - 1.0)
+    return measure_value("c2", rho)
 
 
 def max_coherence(d: int, alpha: float) -> float:
@@ -283,17 +263,40 @@ ALPHA_KINDS = ("alpha", "tsallis")
 
 
 def measure_value(kind: str, rho, alpha: float | None = None) -> float:
-    """Dispatch a measure by kind name; alpha is required only for the two families."""
+    """One measure of one gated state (square, finite, Hermitian); alpha only for the families."""
     if kind in ALPHA_KINDS:
         if alpha is None:
             raise ValueError(f"measure kind {kind!r} needs an alpha value")
-        return _family(kind, rho, alpha).value
-    if kind == "relent":
-        return relative_entropy_coherence(rho).value
+        alpha = check_alpha_floor(validate_alpha(alpha))
+    return float(measure_values(kind, as_hermitian(rho), alpha))
+
+
+def measure_values(kind: str, states: np.ndarray, alpha: float | None = None) -> np.ndarray:
+    """Any measure kind over one state (d, d) or a stack (..., d, d), with no input checks.
+
+    Each entry has the bits measure_value gives that state, and one state raises
+    what it raises. A stack's family entry with a vanished diagonal is NaN, silently.
+    """
+    if kind in ("alpha", "tsallis", "relent"):
+        family, order = ("alpha", 1.0) if kind == "relent" else (kind, alpha)
+        lam, vecs = eigh_clamped(states)
+        if states.ndim == 2:  # one state raises DegenerateDiagonalError instead
+            return closed_form(family, lam, vecs, order)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return closed_form(family, lam, vecs, order)[0]
     if kind == "l1":
-        return l1_coherence(rho)
-    if kind == "skew":
-        return skew_info_sum(rho)
+        mods = np.abs(states)
+        return mods.sum(axis=(-2, -1)) - np.trace(mods, axis1=-2, axis2=-1)
     if kind == "c2":
-        return c2_direct(rho)
+        diag_sq = np.clip(np.diagonal(states @ states, axis1=-2, axis2=-1).real, 0.0, None)
+        return np.sum(np.sqrt(diag_sq), axis=-1) - 1.0
+    if kind == "skew":
+        root = psd_power(states, 0.5)
+        diag_root_sq = np.diagonal(root, axis1=-2, axis2=-1).real ** 2
+        values = np.sum(np.diagonal(states, axis1=-2, axis2=-1).real - diag_root_sq, axis=-1)
+        # -(1/2) sum_i Tr [root, |i><i|]^2 = sum_i ((root^2)_ii - root_ii^2)
+        commutator = np.einsum("...ij,...ji->...", root, root).real - np.sum(diag_root_sq, axis=-1)
+        if not np.all(np.abs(values - commutator) <= 1e-10):
+            raise SkewFormsDisagreeError(f"skew information forms disagree: {values} vs {commutator}")
+        return values
     raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")

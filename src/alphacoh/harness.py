@@ -40,12 +40,11 @@ from .coherence import (
     ALPHA_KINDS,
     MEASURE_KINDS,
     check_alpha_floor,
-    closed_form,
     measure_value,
+    measure_values,
     optimal_incoherent_state,
 )
 from .divergence import f_alpha, near_one, sgn1, validate_alpha
-from .linalg import eigh_clamped
 from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -496,7 +495,7 @@ def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:
     if workers <= 1 or len(tasks) == 1:
         per_cell = [_run_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             per_cell = list(pool.map(_run_cell, tasks))
     records = [r for cell_records in per_cell for r in cell_records]
     stats: dict[str, CheckStats] = {}
@@ -547,25 +546,9 @@ def _branch_average(kind: str, kraus, rho, alpha: float):
     """
     probs, products, kept = branches(kraus, rho)
     posts = products[kept] / probs[kept][:, None, None]
-    if kind in ALPHA_KINDS:
-        values = _batch_coherence(kind, posts, alpha)
-    else:  # the suite's other kinds, one scalar call per branch
-        values = [measure_value(kind, post, alpha) for post in posts]
     terms = np.zeros(probs.shape)
-    terms[kept] = probs[kept] * values
+    terms[kept] = probs[kept] * measure_values(kind, posts, alpha)
     return sum(np.moveaxis(terms, -1, 0))
-
-
-def _batch_coherence(kind: str, states: np.ndarray, alpha: float) -> np.ndarray:
-    """C_alpha or Ct_alpha over a stack of states, through the scalar API's kernel.
-
-    Each entry has the bits measure_value gives that state; no input is
-    validated, and the kind must be one of ALPHA_KINDS. An entry whose
-    diagonal of rho^alpha vanishes (not a state) comes out NaN without a warning.
-    """
-    lam, vecs = eigh_clamped(states)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return closed_form(kind, lam, vecs, alpha)[0]
 
 
 def _batch_states(rng, count: int, d: int, rank: int):
@@ -692,7 +675,7 @@ def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) ->
 
     Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2].
     """
-    before = _batch_coherence(kind, rhos, alpha)
+    before = measure_values(kind, rhos, alpha)
     return _branch_average(kind, kraus, rhos, alpha) - before
 
 

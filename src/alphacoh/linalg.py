@@ -60,13 +60,18 @@ def spectral_decompose(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
     Raises NotHermitianError when max |H - H†| exceeds `hermiticity_tol`,
     reporting the offending deviation.
     """
+    return eigh_clamped(as_hermitian(h, hermiticity_tol))
+
+
+def as_hermitian(h, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """as_square_matrix, plus NotHermitianError when max |H - H†| exceeds `hermiticity_tol`."""
     mat = as_square_matrix(h)
     asym = max_asymmetry(mat)
     if asym > hermiticity_tol:
         raise NotHermitianError(
             f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {hermiticity_tol:.1e}"
         )
-    return eigh_clamped(mat)
+    return mat
 
 
 def eigh_clamped(mats) -> Spectrum:
@@ -96,10 +101,15 @@ def matrix_power(h, p: float) -> np.ndarray:
     """
     if p < 0:
         raise ValueError(f"matrix_power takes exponents p >= 0, got {p}")
-    eigenvalues, eigenvectors = spectral_decompose(h)
-    if eigenvalues[0] < 0.0:
+    return psd_power(as_hermitian(h), p)
+
+
+def psd_power(mats, p: float) -> np.ndarray:
+    """Unvalidated matrix_power of one Hermitian matrix or a stack; keeps NegativeEigenvalueError."""
+    eigenvalues, eigenvectors = eigh_clamped(mats)
+    if eigenvalues[..., 0].min(initial=0.0) < 0.0:
         raise NegativeEigenvalueError(
-            f"eigenvalue {eigenvalues[0]:.3e} below -{EIGENVALUE_CLAMP:.0e}; matrix is not PSD"
+            f"eigenvalue {eigenvalues.min():.3e} below -{EIGENVALUE_CLAMP:.0e}; matrix is not PSD"
         )
     powered = powered_eigenvalues(eigenvalues, p)
-    return (eigenvectors * powered) @ eigenvectors.conj().T
+    return (eigenvectors * powered[..., None, :]) @ eigenvectors.conj().swapaxes(-1, -2)

@@ -459,6 +459,14 @@ class TestOracleCompare:
     def test_large_dim_rejected(self, capsys):
         assert main(["oracle-compare", "--dim", "4"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra", [["--states", "0"], ["--states", "-5"], ["--states", "0", "--resolution", "5"]]
+    )
+    def test_empty_comparison_rejected(self, extra, capsys):
+        # zero comparisons would pass the agreement gate vacuously
+        assert main(["oracle-compare", "--dim", "2", *extra]) == EXIT_USAGE
+        assert "--states must be >= 1" in capsys.readouterr().err
+
 
 class TestParserLevel:
     def test_missing_subcommand(self):

@@ -18,16 +18,17 @@ import alphacoh.coherence
 from alphacoh.cli import EXIT_USAGE, main
 from alphacoh.coherence import (
     ALPHA_FLOOR,
+    MEASURE_KINDS,
     AlphaBelowFloorError,
     SkewFormsDisagreeError,
     coherence_alpha,
     max_coherence,
     measure_value,
+    measure_values,
     optimal_incoherent_state,
     skew_info_sum,
     tsallis_coherence,
 )
-from alphacoh.harness import _batch_coherence
 from alphacoh.states import haar_unitary, random_density, save_state, substream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -107,15 +108,15 @@ def test_plus_state_at_alpha_two_hundredths():
     assert_allclose(optimal_incoherent_state(plus, 0.02), [0.5, 0.5], atol=1e-15)
 
 
-@pytest.mark.parametrize("kind", ["alpha", "tsallis"])
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
 @pytest.mark.parametrize("alpha", [0.02, 0.3, 1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.5, 2.0])
 def test_batched_path_agrees_with_scalar_api(kind, alpha):
     gen = substream(7103, 0)
     for d in (2, 3, 4):
         states = np.array([random_density(d, 1 + i % d, gen) for i in range(12)])
-        batched = _batch_coherence(kind, states, alpha)
+        batched = measure_values(kind, states, alpha)
         scalar = [measure_value(kind, rho, alpha) for rho in states]
-        assert_allclose(batched, scalar, rtol=0.0, atol=1e-13)
+        assert_allclose(batched, scalar, rtol=0.0, atol=0.0)
 
 
 def test_batched_path_is_silent_on_vanished_entries():
@@ -124,7 +125,7 @@ def test_batched_path_is_silent_on_vanished_entries():
     stack[1] = np.diag([0.5, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = _batch_coherence("tsallis", stack, 0.5)
+        values = measure_values("tsallis", stack, 0.5)
     assert np.isnan(values[0]) and values[1] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -163,8 +164,8 @@ class TestSkewCheck:
     @pytest.fixture
     def off_root(self, monkeypatch):
         # a wrong square root makes the diagonal and commutator forms disagree
-        true_power = alphacoh.coherence.matrix_power
-        monkeypatch.setattr(alphacoh.coherence, "matrix_power", lambda h, p: 0.9 * true_power(h, p))
+        true_power = alphacoh.coherence.psd_power
+        monkeypatch.setattr(alphacoh.coherence, "psd_power", lambda h, p: 0.9 * true_power(h, p))
 
     def test_disagreement_raises_named_error(self, off_root):
         rho = random_density(3, 3, substream(7104, 0))
@@ -181,8 +182,8 @@ class TestSkewCheck:
         script = (
             "import alphacoh.coherence as c\n"
             "from alphacoh.states import random_density, substream\n"
-            "power = c.matrix_power\n"
-            "c.matrix_power = lambda h, p: 0.9 * power(h, p)\n"
+            "power = c.psd_power\n"
+            "c.psd_power = lambda h, p: 0.9 * power(h, p)\n"
             "try:\n"
             "    c.skew_info_sum(random_density(3, 3, substream(7104, 2)))\n"
             "except c.SkewFormsDisagreeError:\n"

@@ -30,6 +30,7 @@ from alphacoh.coherence import (
     tsallis_coherence,
 )
 from alphacoh.divergence import trace_functional, tsallis_divergence
+from alphacoh.linalg import DimMismatchError, NotHermitianError
 from alphacoh.states import (
     embed_diagonal,
     maximally_coherent,
@@ -278,6 +279,26 @@ class TestDispatchAndGates:
     def test_family_requires_alpha(self):
         with pytest.raises(ValueError, match="needs an alpha"):
             measure_value("alpha", np.eye(2) / 2)
+
+    # one input gate for every kind, with the errors and messages the
+    # eigendecomposing kinds always gave
+    BAD_INPUTS = [
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], ValueError, "entries must be finite", id="nan"),
+        pytest.param([[0.5, 0.4], [0.1, 0.5]], NotHermitianError, "not Hermitian", id="non-hermitian"),
+        pytest.param(np.full((3, 2, 2), 0.25), DimMismatchError, "expected a square matrix", id="stack"),
+    ]
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("bad, error, match", BAD_INPUTS)
+    def test_every_kind_gates_its_input(self, kind, bad, error, match):
+        with pytest.raises(error, match=match):
+            measure_value(kind, bad, 0.5)
+
+    @pytest.mark.parametrize("helper", [l1_coherence, c2_direct, skew_info_sum])
+    @pytest.mark.parametrize("bad, error, match", BAD_INPUTS)
+    def test_public_helpers_gate_their_input(self, helper, bad, error, match):
+        with pytest.raises(error, match=match):
+            helper(bad)
 
     def test_optimal_delta_on_result(self, rng):
         rho = random_density(3, 3, rng(85))

@@ -25,7 +25,7 @@ from alphacoh.channels import (
     random_incoherent_channel,
     select,
 )
-from alphacoh.coherence import AlphaBelowFloorError, CoherenceResult, coherence_alpha
+from alphacoh.coherence import AlphaBelowFloorError, CoherenceResult, coherence_alpha, measure_value
 from alphacoh.harness import (
     ALL_CHECKS,
     SEARCH_ALPHAS,
@@ -373,6 +373,35 @@ class TestRunSuite:
         )
         assert run_suite(cfg, workers=1).records == run_suite(cfg, workers=2).records
 
+    def test_pool_is_capped_at_the_cell_count(self, monkeypatch):
+        # the pool forks every worker up front, so an oversized request must
+        # shrink to one worker per cell; the stand-in pool runs inline
+        import alphacoh.harness as harness
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        cfg = TrialConfig(
+            dims=(2, 3), alphas=(0.5,), trials_per_cell=2, master_seed=3,
+            checks=("strong_monotonicity",),
+        )
+        serial = run_suite(cfg, workers=1).records
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        assert run_suite(cfg, workers=5000).records == serial
+        assert sizes == [2]
+
     def test_record_counts_match_grid(self):
         cfg = TrialConfig(
             dims=(2, 3), alphas=(0.5,), trials_per_cell=3, checks=("monotonicity",)
@@ -716,6 +745,40 @@ class TestRefinementTrajectory:
         g, params = self.start(3, 4, True, "tsallis", 0.3, 101)
         new = _refine_witness("tsallis", g, params, 0.3, max_sweeps=2)
         self.assert_same(new, sequential_refine("tsallis", g, params, 0.3, max_sweeps=2))
+
+
+def per_branch_average(kind, kraus, rho, alpha):
+    """The branch average as one scalar measure_value call per kept branch.
+
+    The loop _branch_average ran for the kinds outside the two families
+    before every kind shared the stacked kernel, kept as the reference.
+    """
+    probs, products, kept = branches(kraus, rho)
+    posts = products[kept] / probs[kept][:, None, None]
+    values = [measure_value(kind, post, alpha) for post in posts]
+    terms = np.zeros(probs.shape)
+    terms[kept] = probs[kept] * values
+    return sum(np.moveaxis(terms, -1, 0))
+
+
+class TestStackedBranchAverage:
+    """The stacked branch average of the plain kinds has the per-branch loop's bits."""
+
+    @pytest.mark.parametrize("kind", ["relent", "l1", "skew", "c2"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_per_branch_loop(self, kind, d):
+        rng = substream(13, d)
+        for n_kraus in range(1, 5):
+            channels = [random_incoherent_channel(d, n_kraus, rng).kraus for _ in range(4)]
+            if d > 2 and n_kraus >= 2:  # merge pairs, whose branches can gain coherence
+                channels += list(_batch_incoherent_channels(rng, 4, d, n_kraus, True)[1])
+            for i, kraus in enumerate(channels):
+                rho = random_density(d, 1 + i % d, rng)
+                before, after, gap = _strong_mono_stats(kind, rho, kraus, None)
+                reference = per_branch_average(kind, kraus, rho, None)
+                assert type(after) is float
+                assert repr(after) == repr(float(reference))
+                assert gap == after - before
 
 
 class TestFrozenWitness:
