@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -86,9 +87,14 @@ def kraus_stack(rows, amps) -> np.ndarray:
     return ops
 
 
-def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """Deterministic (non-selective) action sum_n K_n rho K_n†."""
-    return sum(branches(ch.kraus, rho)[1])  # in operator order
+def apply_channel(ch: KrausChannel | np.ndarray, rho) -> np.ndarray:
+    """Deterministic (non-selective) action sum_n K_n rho K_n†, summed in operator order.
+
+    Takes a channel and a state, or a Kraus stack (..., n, d, d) and states
+    (..., d, d); each image of a stack has the bits of its own.
+    """
+    kraus = ch.kraus if isinstance(ch, KrausChannel) else ch
+    return sum(np.moveaxis(branches(kraus, rho)[1], -3, 0))
 
 
 def select(
@@ -138,6 +144,9 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
     for that row draw, certain with one operator and a merge); such draws
     are rejected and redrawn until one is feasible. One operator therefore
     always comes out as a permutation with phases, after about d^d/d! draws.
+    A draw whose row structure alone dooms it is rejected before any
+    projection: see _structurally_infeasible. Rows, weights and phases are
+    drawn in the same order either way, so the stream is the same.
     """
     if d < 1 or n_kraus < 1:
         raise ValueError(f"need d >= 1 and n_kraus >= 1, got d={d}, n_kraus={n_kraus}")
@@ -145,10 +154,28 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
         rows = rng.integers(0, d, size=(n_kraus, d))
         weights = rng.dirichlet(np.ones(n_kraus), size=d).T  # (n_kraus, d), columns sum to 1
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_kraus, d))
+        if _structurally_infeasible(rows):
+            continue
         amplitudes = np.sqrt(weights) * np.exp(1j * phases)
         columns = _cancel_merge_terms(rows, amplitudes)
         if columns is not None:
             return KrausChannel(kraus_stack(rows, np.array(columns).T))
+
+
+def _structurally_infeasible(rows: np.ndarray) -> bool:
+    """True when some column j shares a row with at least n_kraus earlier columns.
+
+    Those m_j >= n_kraus constraint vectors live in C^n_kraus, so the QR in
+    _cancel_merge_terms returns a square, unitary Q and the projection wipes
+    column j out whatever the amplitudes. With one operator this reads "the
+    rows are not a permutation".
+    """
+    columns = list(zip(*rows.tolist()))  # column j's row in each operator
+    for j, column in enumerate(columns):
+        # m_j: earlier columns that share a row with column j in some operator
+        if sum(any(map(operator.eq, earlier, column)) for earlier in columns[:j]) >= len(rows):
+            return True
+    return False
 
 
 def _cancel_merge_terms(rows: np.ndarray, amplitudes: np.ndarray):

@@ -24,6 +24,7 @@ from .coherence import (
     MEASURE_KINDS,
     ORACLE_RESOLUTION,
     brute_force_min,
+    check_alpha_floor,
     coherence_alpha,
     measure_value,
     tsallis_coherence,
@@ -175,7 +176,8 @@ def _emit_measures(args, pairs) -> int:
 
 
 def cmd_compute(args) -> int:
-    alphas = args.alpha or [1.0]
+    # every --alpha is gated before any row, also when only the plain kinds ignore it
+    alphas = [check_alpha_floor(validate_alpha(a)) for a in args.alpha or [1.0]]
     kinds = args.kind or MEASURE_KINDS
     return _emit_measures(args, [(k, a) for k in kinds for a in (alphas if k in ALPHA_KINDS else [None])])
 

@@ -263,12 +263,22 @@ ALPHA_KINDS = ("alpha", "tsallis")
 
 
 def measure_value(kind: str, rho, alpha: float | None = None) -> float:
-    """One measure of one gated state (square, finite, Hermitian); alpha only for the families."""
-    if kind in ALPHA_KINDS:
-        if alpha is None:
-            raise ValueError(f"measure kind {kind!r} needs an alpha value")
-        alpha = check_alpha_floor(validate_alpha(alpha))
+    """One measure of one gated state (square, finite, Hermitian) and gated alpha.
+
+    The families need an alpha; the other kinds ignore it but still refuse one
+    outside (0, 2] or under ALPHA_FLOOR.
+    """
+    alpha = check_measure_alpha(kind, alpha)
     return float(measure_values(kind, as_hermitian(rho), alpha))
+
+
+def check_measure_alpha(kind: str, alpha: float | None) -> float | None:
+    """measure_value's alpha gate: a given alpha lies in (0, 2] and over ALPHA_FLOOR; the families need one."""
+    if alpha is not None:
+        return check_alpha_floor(validate_alpha(alpha))
+    if kind in ALPHA_KINDS:
+        raise ValueError(f"measure kind {kind!r} needs an alpha value")
+    return None
 
 
 def measure_values(kind: str, states: np.ndarray, alpha: float | None = None) -> np.ndarray:

@@ -40,11 +40,13 @@ from .coherence import (
     ALPHA_KINDS,
     MEASURE_KINDS,
     check_alpha_floor,
+    check_measure_alpha,
     measure_value,
     measure_values,
     optimal_incoherent_state,
 )
 from .divergence import f_alpha, near_one, sgn1, validate_alpha
+from .linalg import hermitian_mask
 from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -401,6 +403,14 @@ def check_observations(
 # suite runner
 
 
+# the checks whose cells are scored as stacks, each with the scalar check that scores one trial
+MEASURE_CHECKS = {
+    "strong_monotonicity": check_strong_monotonicity,
+    "monotonicity": check_monotonicity,
+    "convexity": check_convexity,
+}
+
+
 def _draw_state(cfg: TrialConfig, d: int, rng) -> np.ndarray:
     rank = d if cfg.rank_policy == "full" else int(rng.integers(1, d + 1))
     return random_density(d, rank, rng)
@@ -413,24 +423,25 @@ def _draw_state_channel(cfg: TrialConfig, d: int, rng):
     return rho, random_incoherent_channel(d, int(rng.integers(lo, hi + 1)), rng)
 
 
+def _draw_measure_inputs(cfg: TrialConfig, check: str, d: int, rng):
+    """A measure-check trial's drawn arguments after the kind: (rho, ch) or (weights, states)."""
+    if check == "convexity":
+        size = int(rng.integers(2, 5))
+        weights = rng.dirichlet(np.ones(size))
+        return weights, [_draw_state(cfg, d, rng) for _ in range(size)]
+    return _draw_state_channel(cfg, d, rng)
+
+
 def _ancilla_dim(d: int) -> int:
     # keep the tensored dimension at or under 12
     return max(1, min(3, 12 // d))
 
 
 def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, rng, trial: int):
+    """Draw and score one trial of a functional check (the measure checks go by cells)."""
     lo, hi = cfg.n_kraus_range
     seed = cfg.master_seed
     tol = cfg.tolerance
-    if check == "strong_monotonicity" or check == "monotonicity":
-        rho, ch = _draw_state_channel(cfg, dim, rng)
-        fn = check_strong_monotonicity if check == "strong_monotonicity" else check_monotonicity
-        return [fn(cfg.kind, rho, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
-    if check == "convexity":
-        size = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(size))
-        states = [_draw_state(cfg, dim, rng) for _ in range(size)]
-        return [check_convexity(cfg.kind, weights, states, alpha, tolerance=tol, seed=seed, trial=trial)]
     if check == "lemma1":
         rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
         ch = random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
@@ -463,21 +474,119 @@ def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
     ]
 
 
+def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, trial: int, exc: Exception):
+    return TrialRecord(
+        check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
+        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _run_cell(task) -> list[TrialRecord]:
     cfg, cell_index, check, dim, alpha = task
+    rngs = [substream(cfg.master_seed, cell_index, trial) for trial in range(cfg.trials_per_cell)]
+    if check in MEASURE_CHECKS:
+        return _measure_cell(cfg, check, dim, alpha, rngs)
     records: list[TrialRecord] = []
-    for trial in range(cfg.trials_per_cell):
-        rng = substream(cfg.master_seed, cell_index, trial)
+    for trial, rng in enumerate(rngs):
         try:
             records.extend(_one_trial(cfg, check, dim, alpha, rng, trial))
         except Exception as exc:  # aggregate, never abort the suite
-            records.append(
-                TrialRecord(
-                    check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
-                    False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(_error_record(cfg, check, dim, alpha, trial, exc))
     return records
+
+
+def _measure_cell(cfg: TrialConfig, check: str, dim: int, alpha: float, rngs) -> list[TrialRecord]:
+    """One strong-monotonicity, monotonicity or convexity cell, scored as stacks.
+
+    Every trial draws from its own stream and meets its scalar check's input
+    gates; then one kernel call per side scores all of them (_stacked_sides).
+    A trial whose draw raises gets its error record. One that fails a gate,
+    whose stacked side is not finite, or whose stacked call raised is scored
+    by the public scalar check, so every record keeps the bits and the error
+    text of a trial-at-a-time run.
+    """
+    records: list[TrialRecord | None] = [None] * len(rngs)
+    drawn = {}
+    for trial, rng in enumerate(rngs):
+        try:
+            drawn[trial] = _draw_measure_inputs(cfg, check, dim, rng)
+        except Exception as exc:  # aggregate, never abort the suite
+            records[trial] = _error_record(cfg, check, dim, alpha, trial, exc)
+    gated = [trial for trial, inputs in drawn.items() if _passes_input_gates(check, inputs)]
+    if gated:
+        try:
+            lhs, rhs = _stacked_sides(
+                check, cfg.kind, [drawn[t] for t in gated], check_measure_alpha(cfg.kind, alpha)
+            )
+        except Exception:  # left to the scalar checks below, which raise or score trial by trial
+            lhs = rhs = np.full(len(gated), math.nan)
+        for trial, left, right in zip(gated, lhs.tolist(), rhs.tolist()):
+            if math.isfinite(left) and math.isfinite(right):
+                records[trial] = _record(
+                    check, dim, alpha, cfg.kind, left, right, cfg.tolerance, cfg.master_seed, trial
+                )
+    scalar_check = MEASURE_CHECKS[check]
+    for trial, inputs in drawn.items():
+        if records[trial] is None:
+            try:
+                records[trial] = scalar_check(
+                    cfg.kind, *inputs, alpha, tolerance=cfg.tolerance, seed=cfg.master_seed, trial=trial
+                )
+            except Exception as exc:  # aggregate, never abort the suite
+                records[trial] = _error_record(cfg, check, dim, alpha, trial, exc)
+    return records
+
+
+def _passes_input_gates(check: str, inputs) -> bool:
+    """Whether a drawn trial passes the gates its scalar check puts on the drawn arguments."""
+    if check != "convexity":
+        return is_incoherent(inputs[1])
+    try:
+        validate_probability_vector(inputs[0], "weights")
+    except BadWeightsError:
+        return False
+    return True
+
+
+def _stacked_sides(check: str, kind: str, inputs: list, alpha):
+    """A measure check's (lhs, rhs) for every trial of a cell, one stacked kernel call per side.
+
+    Entry t has the bits of the scalar check's sides on inputs[t], and is NaN
+    where a matrix that check measures fails its as_hermitian gate. Channels
+    are padded to the cell's largest operator count with zero operators and
+    convex mixtures to the largest size with zero weights and states: a zero
+    operator's branch has probability 0 and is never kept, and each pad adds
+    only +-0.0 to sums that start from +0, so no bit moves.
+    """
+    if check == "convexity":
+        sizes = np.array([len(weights) for weights, _ in inputs])
+        drawn = np.arange(sizes.max()) < sizes[:, None]  # (trials, size): the entries that exist
+        weights = np.zeros(drawn.shape)
+        weights[drawn] = np.concatenate([w for w, _ in inputs])
+        states = np.zeros(drawn.shape + inputs[0][1][0].shape, dtype=complex)
+        states[drawn] = [s for _, trial_states in inputs for s in trial_states]
+        values = np.zeros(drawn.shape)
+        values[drawn] = measure_values(kind, states[drawn], alpha)
+        lhs = sum(np.moveaxis(weights * values, -1, 0))
+        mixtures = sum(np.moveaxis(weights[..., None, None] * states, -3, 0))
+        rhs = measure_values(kind, mixtures, alpha)
+        gated = np.ones(drawn.shape, dtype=bool)
+        gated[drawn] = hermitian_mask(states[drawn])
+        gated = gated.all(axis=-1) & hermitian_mask(mixtures)
+    else:
+        rhos = np.stack([rho for rho, _ in inputs])
+        kraus = np.zeros((len(inputs), max(ch.n_kraus for _, ch in inputs)) + rhos.shape[1:], dtype=complex)
+        for t, (_, ch) in enumerate(inputs):
+            kraus[t, : ch.n_kraus] = ch.kraus
+        lhs = measure_values(kind, rhos, alpha)
+        gated = hermitian_mask(rhos)
+        if check == "strong_monotonicity":
+            rhs = _branch_average(kind, kraus, rhos, alpha)
+        else:
+            images = apply_channel(kraus, rhos)
+            rhs = measure_values(kind, images, alpha)
+            gated &= hermitian_mask(images)
+    return np.where(gated, lhs, math.nan), np.where(gated, rhs, math.nan)
 
 
 def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:

@@ -45,9 +45,9 @@ def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def max_asymmetry(mat: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermiticity, max |M - M†|."""
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+def max_asymmetry(mat: np.ndarray) -> float | np.ndarray:
+    """Largest entrywise deviation from Hermiticity, max |M - M†|, of one matrix or each of a stack."""
+    return np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def spectral_decompose(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
@@ -72,6 +72,11 @@ def as_hermitian(h, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
             f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {hermiticity_tol:.1e}"
         )
     return mat
+
+
+def hermitian_mask(mats) -> np.ndarray:
+    """Which matrices of a square stack (..., d, d) as_hermitian accepts: finite, max |H - H†| <= 1e-10."""
+    return np.isfinite(mats).all(axis=(-2, -1)) & (max_asymmetry(mats) <= HERMITICITY_TOL)
 
 
 def eigh_clamped(mats) -> Spectrum:

@@ -108,6 +108,7 @@ def test_criterion_02_grid_oracle_agreement(capsys):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_03_strong_monotonicity_suite(capsys):
     t0 = time.perf_counter()
     cfg = TrialConfig(
@@ -135,6 +136,7 @@ def test_criterion_03_strong_monotonicity_suite(capsys):
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_04_convexity_and_monotonicity(capsys):
     cfg = TrialConfig(
         dims=(2, 3, 4),
@@ -158,6 +160,7 @@ def test_criterion_04_convexity_and_monotonicity(capsys):
     assert mono.failures == 0
 
 
+@pytest.mark.slow
 def test_criterion_05_branch_decomposition_bound(capsys):
     cfg = TrialConfig(
         dims=(2, 3, 4),
@@ -178,6 +181,7 @@ def test_criterion_05_branch_decomposition_bound(capsys):
     assert stats.failures == 0
 
 
+@pytest.mark.slow
 def test_criterion_06_power_mean_step(capsys):
     cfg = TrialConfig(
         dims=(2, 3, 4),
@@ -210,6 +214,7 @@ def test_criterion_06_power_mean_step(capsys):
     assert tightness <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_07_functional_observations(capsys):
     cfg = TrialConfig(
         dims=(2, 3, 4),
@@ -255,6 +260,7 @@ def test_criterion_07_functional_observations(capsys):
     assert worst_eq <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_08_qubit_violation_search(capsys, tmp_path):
     # the violation lives at d >= 3: at d = 2 strong monotonicity of the
     # tsallis quantifier reduces to a concavity (README, "No qubit witness";

@@ -1,6 +1,9 @@
 """Channel construction, selective measurement, and the incoherent sampler."""
 
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from alphacoh.channels import (
     KrausChannel,
+    _cancel_merge_terms,
+    _structurally_infeasible,
     apply_channel,
     branches,
     dephasing_channel,
@@ -28,6 +33,7 @@ from alphacoh.states import (
     substream,
 )
 
+DATA = pathlib.Path(__file__).parent / "data"
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
@@ -228,6 +234,57 @@ class TestIncoherence:
             random_incoherent_channel(0, 1, rng(59))
         with pytest.raises(ValueError, match="need d >= 1"):
             random_channel(2, 0, rng(59))
+
+
+class TestSamplerStream:
+    """The incoherent sampler's stream, pinned per (d, n_kraus, seed).
+
+    tests/data/incoherent_sampler_sha256.json holds the sha256 of the Kraus
+    stack of random_incoherent_channel(d, n_kraus, substream(seed, d, n_kraus))
+    and the generator's next random() draw, which shows how many draws the
+    redraw loop consumed. At d = 5 and 6 one operator takes about d^d/d! draws.
+    """
+
+    DIGESTS = json.loads((DATA / "incoherent_sampler_sha256.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_bytes_and_next_draw(self, key):
+        d, n_kraus, seed = (int(part.split("=")[1]) for part in key.split())
+        gen = substream(seed, d, n_kraus)
+        ch = random_incoherent_channel(d, n_kraus, gen)
+        seen = {"kraus": hashlib.sha256(ch.kraus.tobytes()).hexdigest(), "next": float(gen.random())}
+        assert seen == self.DIGESTS[key]
+
+    def test_every_cell_is_pinned(self):
+        cells = {tuple(int(part.split("=")[1]) for part in key.split())[:2] for key in self.DIGESTS}
+        assert cells == {(d, n) for d in range(2, 7) for n in range(1, 5)}
+
+
+class TestFeasibilityRule:
+    """The structural redraw rule only rejects row draws the projection would wipe out."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_kraus", [1, 2, 3, 4])
+    def test_rejected_draws_are_infeasible(self, d, n_kraus):
+        gen = substream(17, d, n_kraus)
+        rejected = 0
+        for _ in range(300):
+            rows = gen.integers(0, d, size=(n_kraus, d))
+            amplitudes = gen.standard_normal((n_kraus, d)) + 1j * gen.standard_normal((n_kraus, d))
+            if _structurally_infeasible(rows):
+                rejected += 1
+                assert _cancel_merge_terms(rows, amplitudes) is None
+        if n_kraus >= d:  # m_j <= j < d: the rule never fires
+            assert rejected == 0
+        else:
+            assert rejected > 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_operator_passes_exactly_the_permutations(self, d):
+        gen = substream(18, d)
+        for _ in range(300):
+            rows = gen.integers(0, d, size=(1, d))
+            assert _structurally_infeasible(rows) == (len(set(rows[0].tolist())) < d)
 
 
 class TestRandomChannel:

@@ -123,6 +123,16 @@ class TestCompute:
         assert capsys.readouterr().out == ""
         assert out.read_text().startswith(",".join(COMPUTE_COLUMNS))
 
+    @pytest.mark.parametrize("kind", ["l1", "relent", "skew", "c2", "alpha"])
+    @pytest.mark.parametrize("alpha", ["7", "0", "1e-12"])
+    def test_every_alpha_is_gated_before_any_row(self, qubit_state, kind, alpha, capsys):
+        # also when the only kinds asked for ignore alpha
+        args = ["compute", qubit_state, "--kind", "relent", "--kind", kind, "--alpha", "0.5", "--alpha", alpha]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha" in captured.err
+
     def test_missing_state_file_is_usage_error(self, tmp_path, capsys):
         assert main(["compute", str(tmp_path / "absent.json")]) == EXIT_USAGE
 

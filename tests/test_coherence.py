@@ -280,6 +280,17 @@ class TestDispatchAndGates:
         with pytest.raises(ValueError, match="needs an alpha"):
             measure_value("alpha", np.eye(2) / 2)
 
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("alpha, error", [(7.0, "must lie in"), (0.0, "must lie in"), (1e-12, "below")])
+    def test_a_given_alpha_is_gated_for_every_kind(self, kind, alpha, error, rng):
+        with pytest.raises(ValueError, match=error):
+            measure_value(kind, random_density(2, 2, rng(85)), alpha)
+
+    @pytest.mark.parametrize("kind", ["relent", "l1", "skew", "c2"])
+    def test_plain_kinds_ignore_a_valid_alpha(self, kind, rng):
+        rho = random_density(3, 2, rng(86))
+        assert measure_value(kind, rho, 0.5) == measure_value(kind, rho)
+
     # one input gate for every kind, with the errors and messages the
     # eigendecomposing kinds always gave
     BAD_INPUTS = [

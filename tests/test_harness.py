@@ -25,7 +25,14 @@ from alphacoh.channels import (
     random_incoherent_channel,
     select,
 )
-from alphacoh.coherence import AlphaBelowFloorError, CoherenceResult, coherence_alpha, measure_value
+from alphacoh.coherence import (
+    MEASURE_KINDS,
+    AlphaBelowFloorError,
+    CoherenceResult,
+    SkewFormsDisagreeError,
+    coherence_alpha,
+    measure_value,
+)
 from alphacoh.harness import (
     ALL_CHECKS,
     SEARCH_ALPHAS,
@@ -37,6 +44,8 @@ from alphacoh.harness import (
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
+    _draw_state,
+    _draw_state_channel,
     _refine_witness,
     _SearchParams,
     _strong_mono_stats,
@@ -779,6 +788,177 @@ class TestStackedBranchAverage:
                 assert type(after) is float
                 assert repr(after) == repr(float(reference))
                 assert gap == after - before
+
+
+def per_trial_records(cfg):
+    """run_suite's records for the measure checks, one trial and one scalar check at a time.
+
+    The loop run_suite ran before it scored measure-check cells as stacks,
+    kept as the reference: the same draws in the same order, each trial
+    scored by its public check, and any exception turned into an error record.
+    """
+    checks = {
+        "strong_monotonicity": check_strong_monotonicity,
+        "monotonicity": check_monotonicity,
+        "convexity": check_convexity,
+    }
+    cells = [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
+    records = []
+    for cell_index, (check, dim, alpha) in enumerate(cells):
+        for trial in range(cfg.trials_per_cell):
+            rng = substream(cfg.master_seed, cell_index, trial)
+            try:
+                if check == "convexity":
+                    size = int(rng.integers(2, 5))
+                    weights = rng.dirichlet(np.ones(size))
+                    inputs = (weights, [_draw_state(cfg, dim, rng) for _ in range(size)])
+                else:
+                    inputs = _draw_state_channel(cfg, dim, rng)
+                records.append(
+                    checks[check](
+                        cfg.kind, *inputs, alpha, tolerance=cfg.tolerance, seed=cfg.master_seed, trial=trial
+                    )
+                )
+            except Exception as exc:
+                records.append(
+                    TrialRecord(
+                        check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
+                        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
+                    )
+                )
+    return records
+
+
+def raising_on_call(fn, call, exc_type=RuntimeError):
+    """fn, except that its `call`-th call (counting from 0) raises instead."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == call:
+            raise exc_type("synthetic draw failure")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+MEASURE_CHECK_NAMES = ("strong_monotonicity", "monotonicity", "convexity")
+
+
+class TestStackedCell:
+    """Measure-check cells scored as stacks give the per-trial loop's records, bit for bit."""
+
+    @staticmethod
+    def assert_same_records(new, old):
+        assert [repr(r) for r in new] == [repr(r) for r in old]
+
+    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    @pytest.mark.parametrize("trials", [1, 9])
+    def test_matches_the_per_trial_loop(self, kind, check, trials):
+        cfg = TrialConfig(
+            dims=(2, 3, 4), alphas=(0.25, 1.5), trials_per_cell=trials, checks=(check,), kind=kind, master_seed=21
+        )
+        self.assert_same_records(run_suite(cfg).records, per_trial_records(cfg))
+
+    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
+    def test_a_draw_that_raises_keeps_its_place(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=22)
+        name = "random_density" if check == "convexity" else "random_incoherent_channel"
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, raising_on_call(original, 3))
+        new = run_suite(cfg).records
+        monkeypatch.setattr(harness, name, raising_on_call(original, 3))
+        self.assert_same_records(new, per_trial_records(cfg))
+        assert [r.error for r in new].count("RuntimeError: synthetic draw failure") == 1
+
+    @pytest.mark.parametrize("check", ["strong_monotonicity", "monotonicity"])
+    def test_a_coherent_draw_gets_the_scalar_error(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        def coherent_on_call(call):
+            calls = []
+
+            def draw(d, n_kraus, rng):
+                calls.append(None)
+                return (random_channel if len(calls) - 1 == call else random_incoherent_channel)(d, n_kraus, rng)
+
+            return draw
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=23)
+        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
+        new = run_suite(cfg).records
+        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
+        self.assert_same_records(new, per_trial_records(cfg))
+        assert new[3].error.startswith("NotIncoherentChannelError: ")
+
+    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
+    def test_a_nan_side_is_scored_alone(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(1.5,), trials_per_cell=6, checks=(check,), master_seed=24)
+        old = per_trial_records(cfg)
+        original, poisoned = harness.measure_values, []
+
+        def nan_at_2_of_the_first_stack(kind, states, alpha=None):
+            values = original(kind, states, alpha)
+            if not poisoned:
+                poisoned.append(states.shape)
+                values = values.copy()
+                values[2] = math.nan
+            return values
+
+        monkeypatch.setattr(harness, "measure_values", nan_at_2_of_the_first_stack)
+        new = run_suite(cfg).records
+        assert poisoned and poisoned[0][0] >= 6
+        self.assert_same_records(new, old)
+        assert not any(r.error for r in new)
+
+    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
+    def test_a_stacked_call_that_raises_leaves_the_scalar_checks(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(2,), alphas=(0.25,), trials_per_cell=5, checks=(check,), kind="skew", master_seed=25)
+        old = per_trial_records(cfg)
+        original = harness.measure_values
+
+        def stacks_raise(kind, states, alpha=None):
+            if states.ndim == 3 and len(states) >= cfg.trials_per_cell:
+                raise SkewFormsDisagreeError("synthetic stack failure")
+            return original(kind, states, alpha)
+
+        monkeypatch.setattr(harness, "measure_values", stacks_raise)
+        self.assert_same_records(run_suite(cfg).records, old)
+
+    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
+    def test_one_kernel_call_per_side(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        calls = []
+
+        def counting(name):
+            original = getattr(harness, name)
+
+            def wrapper(kind, *args):
+                calls.append((name, len(args[-2])))  # the stack of states each kernel takes
+                return original(kind, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "measure_values", counting("measure_values"))
+        monkeypatch.setattr(harness, "_branch_average", counting("_branch_average"))
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=7, checks=(check,), kind="alpha")
+        assert run_suite(cfg).all_passed
+        if check == "strong_monotonicity":
+            # the after side's kernel measures every kept branch of the cell in one nested call
+            assert calls[:2] == [("measure_values", 7), ("_branch_average", 7)]
+            assert [name for name, _ in calls[2:]] == ["measure_values"]
+        elif check == "monotonicity":
+            assert calls == [("measure_values", 7), ("measure_values", 7)]
+        else:  # every drawn state of the cell, then the seven mixtures
+            assert len(calls) == 2 and calls[0][1] >= 14 and calls[1] == ("measure_values", 7)
 
 
 class TestFrozenWitness:

@@ -9,6 +9,8 @@ from alphacoh.linalg import (
     EIGENVALUE_CLAMP,
     NegativeEigenvalueError,
     NotHermitianError,
+    as_hermitian,
+    hermitian_mask,
     matrix_power,
     max_asymmetry,
     powered_eigenvalues,
@@ -46,6 +48,24 @@ def test_max_asymmetry_hand_value():
     mat = np.array([[1.0, 2.0], [2.5, 3.0]])
     assert max_asymmetry(mat) == pytest.approx(0.5)
     assert max_asymmetry(np.zeros((0, 0))) == 0.0
+
+
+def test_hermitian_mask_is_the_as_hermitian_gate_per_matrix(rng):
+    h = random_hermitian(3, rng(1))
+    skew = h.copy()
+    skew[0, 1] += 2e-10
+    nan = h.copy()
+    nan[2, 2] = np.nan
+    stack = np.stack([h, skew, nan, h + 6e-11j * np.eye(3)])
+    accepted = []
+    for mat in stack:
+        try:
+            as_hermitian(mat)
+            accepted.append(True)
+        except ValueError:
+            accepted.append(False)
+    assert hermitian_mask(stack).tolist() == accepted == [True, False, False, False]
+    assert max_asymmetry(stack[:2]).tolist() == [max_asymmetry(h), max_asymmetry(skew)]
 
 
 class TestMatrixPower:
