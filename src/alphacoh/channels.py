@@ -66,6 +66,13 @@ class SelectiveOutcome:
     post_state: np.ndarray = field(repr=False)
 
 
+def _products(kraus, rho) -> np.ndarray:
+    """K_n rho K_n† for Kraus operators (..., n, d, d) and states (..., d, d): (..., n, d, d)."""
+    kraus = np.asarray(kraus, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
+    return kraus @ mat[..., None, :, :] @ kraus.conj().swapaxes(-1, -2)
+
+
 def branches(kraus, rho, p_min: float = P_MIN):
     """Unnormalized selective branches K_n rho K_n†, their probabilities, and which to keep.
 
@@ -73,9 +80,7 @@ def branches(kraus, rho, p_min: float = P_MIN):
     branches (..., n, d, d) and the mask probs >= p_min. A stack gets the bits
     of one operator at a time from the plain matmul and trace; an einsum would not.
     """
-    kraus = np.asarray(kraus, dtype=complex)
-    mat = np.asarray(rho, dtype=complex)
-    products = kraus @ mat[..., None, :, :] @ kraus.conj().swapaxes(-1, -2)
+    products = _products(kraus, rho)
     probs = products.trace(axis1=-2, axis2=-1).real
     return probs, products, probs >= p_min
 
@@ -91,10 +96,11 @@ def apply_channel(ch: KrausChannel | np.ndarray, rho) -> np.ndarray:
     """Deterministic (non-selective) action sum_n K_n rho K_n†, summed in operator order.
 
     Takes a channel and a state, or a Kraus stack (..., n, d, d) and states
-    (..., d, d); each image of a stack has the bits of its own.
+    (..., d, d); each image of a stack has the bits of its own. It forms the
+    branches as `branches` does, without their traces.
     """
     kraus = ch.kraus if isinstance(ch, KrausChannel) else ch
-    return sum(np.moveaxis(branches(kraus, rho)[1], -3, 0))
+    return sum(np.moveaxis(_products(kraus, rho), -3, 0))
 
 
 def select(

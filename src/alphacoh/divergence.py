@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimMismatchError, powered_eigenvalues, spectral_decompose
+from .linalg import DimMismatchError, as_hermitian, eigh_clamped, powered_eigenvalues, spectral_decompose
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -53,27 +53,41 @@ def sgn1(alpha: float) -> float:
     return -1.0 if a < 1.0 else 1.0
 
 
-def _pair_spectra(a_mat, b_mat, *, check_support: bool):
-    """Clipped spectra ((lam_a, vecs_a), (lam_b, vecs_b)) of two same-size PSD operands.
+def _gated_pair(a_mat, b_mat):
+    """Two operands as as_hermitian returns them, or DimMismatchError when their sizes differ."""
+    a_mat, b_mat = as_hermitian(a_mat), as_hermitian(b_mat)
+    if a_mat.shape != b_mat.shape:
+        raise DimMismatchError(f"operands differ in dimension: {len(a_mat)} vs {len(b_mat)}")
+    return a_mat, b_mat
 
-    With `check_support`, returns None instead when a null direction of B
-    overlaps the support of A (squared projection > 1e-10): the divergent case.
+
+def _clipped_spectrum(mats):
+    lam, vecs = eigh_clamped(mats)
+    return np.clip(lam, 0.0, None), vecs
+
+
+def _support_diverges(lam_a, vecs_a, lam_b, vecs_b) -> np.ndarray:
+    """Whether a null direction of B overlaps the support of A (squared projection > 1e-10), per pair."""
+    cross = np.abs(vecs_a.conj().swapaxes(-1, -2) @ vecs_b) ** 2  # |<a_i|b_j>|^2
+    overlap = np.where((lam_a > 0.0)[..., :, None], cross, 0.0).sum(axis=-2)
+    return ((lam_b == 0.0) & (overlap > SUPPORT_OVERLAP_TOL)).any(axis=-1)
+
+
+def functional_values(a_mats, b_mats, alpha: float) -> np.ndarray:
+    """Tr A^alpha B^(1-alpha) of one Hermitian pair (d, d) or of stacks (..., d, d), with no input checks.
+
+    Entry t has the bits trace_functional gives (A[t], B[t]), +inf where the
+    support rule of the module doc fires (alpha > 1). The caller gates the
+    operands and alpha.
     """
-    sa = spectral_decompose(a_mat)
-    sb = spectral_decompose(b_mat)
-    if sa.eigenvalues.shape != sb.eigenvalues.shape:
-        raise DimMismatchError(
-            f"operands differ in dimension: {sa.eigenvalues.size} vs {sb.eigenvalues.size}"
-        )
-    lam_a = np.clip(sa.eigenvalues, 0.0, None)
-    lam_b = np.clip(sb.eigenvalues, 0.0, None)
-    if check_support and np.any(lam_b == 0.0):
-        support = sa.eigenvectors[:, lam_a > 0.0]
-        null_vecs = sb.eigenvectors[:, lam_b == 0.0]
-        overlap = np.sum(np.abs(support.conj().T @ null_vecs) ** 2, axis=0)
-        if np.any(overlap > SUPPORT_OVERLAP_TOL):
-            return None
-    return (lam_a, sa.eigenvectors), (lam_b, sb.eigenvectors)
+    lam_a, vecs_a = _clipped_spectrum(a_mats)
+    lam_b, vecs_b = _clipped_spectrum(b_mats)
+    a_pow = (vecs_a * powered_eigenvalues(lam_a, alpha)[..., None, :]) @ vecs_a.conj().swapaxes(-1, -2)
+    b_pow = (vecs_b * powered_eigenvalues(lam_b, 1.0 - alpha)[..., None, :]) @ vecs_b.conj().swapaxes(-1, -2)
+    values = np.einsum("...ij,...ji->...", a_pow, b_pow).real
+    if alpha > 1.0:
+        return np.where(_support_diverges(lam_a, vecs_a, lam_b, vecs_b), np.inf, values)
+    return values
 
 
 def trace_functional(a_mat, b_mat, alpha: float) -> float:
@@ -85,13 +99,7 @@ def trace_functional(a_mat, b_mat, alpha: float) -> float:
     a = validate_alpha(alpha)
     if near_one(a):
         raise ValueError("alpha within 1e-6 of 1: use the relative-entropy limit instead")
-    pair = _pair_spectra(a_mat, b_mat, check_support=a > 1.0)
-    if pair is None:
-        return math.inf
-    (lam_a, vecs_a), (lam_b, vecs_b) = pair
-    a_pow = (vecs_a * powered_eigenvalues(lam_a, a)) @ vecs_a.conj().T
-    b_pow = (vecs_b * powered_eigenvalues(lam_b, 1.0 - a)) @ vecs_b.conj().T
-    return float(np.einsum("ij,ji->", a_pow, b_pow).real)
+    return float(functional_values(*_gated_pair(a_mat, b_mat), a))
 
 
 f_alpha = trace_functional  # its name for a pair of states
@@ -128,12 +136,12 @@ def relative_entropy(rho, sigma) -> float:
     +inf when sigma has a null direction overlapping the support of rho,
     under the same 1e-10 overlap rule as the trace functional.
     """
-    pair = _pair_spectra(rho, sigma, check_support=True)
-    if pair is None:
+    rho_mat, sigma_mat = _gated_pair(rho, sigma)
+    lam_r, vecs_r = _clipped_spectrum(rho_mat)
+    lam_s, vecs_s = _clipped_spectrum(sigma_mat)
+    if _support_diverges(lam_r, vecs_r, lam_s, vecs_s):
         return math.inf
-    (lam_r, _), (lam_s, vecs_s) = pair
     plain = -float(shannon_entropy(lam_r))
-    rho_mat = np.asarray(rho, dtype=complex)
     keep = lam_s > 0.0
     vecs = vecs_s[:, keep]
     # weights <v_i| rho |v_i> on sigma's support; null directions carry no rho weight

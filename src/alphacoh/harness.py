@@ -41,12 +41,13 @@ from .coherence import (
     MEASURE_KINDS,
     check_alpha_floor,
     check_measure_alpha,
+    closed_form,
     measure_value,
     measure_values,
     optimal_incoherent_state,
 )
-from .divergence import f_alpha, near_one, sgn1, validate_alpha
-from .linalg import hermitian_mask
+from .divergence import f_alpha, functional_values, near_one, sgn1, validate_alpha
+from .linalg import eigh_clamped, hermitian_mask
 from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -282,12 +283,17 @@ def check_lemma1(
     sign = sgn1(a)
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    lhs_val = f_alpha(rho, sigma, a)
+    base = f_alpha(rho, sigma, a)
     _, products, _ = branches(ch.kraus, np.stack([rho, sigma]))
     terms = [f_alpha(r, s, a) for r, s in zip(*products)]
-    lhs = sign * lhs_val if math.isfinite(lhs_val) else math.inf
+    return _record("lemma1", rho.shape[0], a, "f_alpha", *_lemma1_sides(sign, base, terms), tolerance, seed, trial)
+
+
+def _lemma1_sides(sign, base, terms):
+    """check_lemma1's (lhs, rhs) from F(rho, sigma) and its branch terms in operator order."""
+    lhs = sign * base if math.isfinite(base) else math.inf
     rhs = sign * sum(terms) if all(math.isfinite(t) for t in terms) else math.inf
-    return _record("lemma1", rho.shape[0], a, "f_alpha", lhs, rhs, tolerance, seed, trial)
+    return lhs, rhs
 
 
 def check_holder_step(
@@ -310,21 +316,28 @@ def check_holder_step(
     if not is_incoherent(ch):
         raise NotIncoherentChannelError("the power-mean step is stated for incoherent channels")
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
     delta = optimal_incoherent_state(rho, a)
     # one call for the pair (rho, delta); a branch counts when both sides keep it
     probs, products, kept = branches(ch.kraus, np.stack([rho, embed_diagonal(delta)]))
     pairs = np.flatnonzero(kept[0] & kept[1])
     p, q = probs[:, pairs].tolist()
     f_vals = [f_alpha(products[0, n] / probs[0, n], products[1, n] / probs[1, n], a) for n in pairs]
+    return _record("holder", rho.shape[0], a, "f_alpha", *_holder_sides(a, p, q, f_vals), tolerance, seed, trial)
+
+
+def _holder_sides(a, p, q, f_vals):
+    """check_holder_step's (lhs, rhs) from the kept branches' p_n, q_n and f_n in operator order."""
     if not f_vals or any(not math.isfinite(f) for f in f_vals):
-        return _record("holder", d, a, "f_alpha", *DIVERGED, tolerance, seed, trial)
+        return DIVERGED
     p_side = sum(pn * f ** (1.0 / a) for pn, f in zip(p, f_vals))
     q_total = sum(q)
     mixed = sum(pn**a * qn ** (1.0 - a) * f for pn, qn, f in zip(p, q, f_vals))
     bound = q_total ** (1.0 - a) * p_side**a
-    lhs, rhs = (bound, mixed) if a < 1.0 else (mixed, bound)
-    return _record("holder", d, a, "f_alpha", lhs, rhs, tolerance, seed, trial)
+    return (bound, mixed) if a < 1.0 else (mixed, bound)
+
+
+# check_observations' records, in its order
+OBSERVATIONS = ("obs1_one_sided", "obs2_isometry", "obs3_contraction", "obs4_joint_convexity", "obs5_tensor_ancilla")
 
 
 def check_observations(
@@ -358,28 +371,10 @@ def check_observations(
     sign = sgn1(a)
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    d = rho.shape[0]
     unitary = np.asarray(unitary, dtype=complex)
     base = f_alpha(rho, sigma, a)
-    base_finite = math.isfinite(base)
-
-    def record(name, sides):
-        return _record(name, d, a, "f_alpha", *sides, tolerance, seed, trial)
-
-    def equality(other):
-        if not (base_finite and math.isfinite(other)):
-            return DIVERGED
-        return -abs(other - base) / max(1.0, abs(base), abs(other)), 0.0
-
-    records = [record("obs1_one_sided", (sign * base if base_finite else math.inf, sign * 1.0))]
-
     rotated = f_alpha(unitary @ rho @ unitary.conj().T, unitary @ sigma @ unitary.conj().T, a)
-    records.append(record("obs2_isometry", equality(rotated)))
-
     mapped = f_alpha(apply_channel(ch, rho), apply_channel(ch, sigma), a)
-    finite = base_finite and math.isfinite(mapped)
-    records.append(record("obs3_contraction", (sign * base, sign * mapped) if finite else DIVERGED))
-
     if ensemble is None:
         ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)]
     weights = validate_probability_vector([w for w, _, _ in ensemble], "ensemble weights")
@@ -387,23 +382,37 @@ def check_observations(
     mix_rho = sum(w * np.asarray(r, dtype=complex) for w, r, _ in ensemble)
     mix_sigma = sum(w * np.asarray(s, dtype=complex) for w, _, s in ensemble)
     mixed = f_alpha(mix_rho, mix_sigma, a)
-    if all(math.isfinite(p) for p in parts) and math.isfinite(mixed):
-        sides = (sign * sum(w * p for w, p in zip(weights, parts)), sign * mixed)
-    else:
-        sides = DIVERGED
-    records.append(record("obs4_joint_convexity", sides))
-
     ancilla = embed_diagonal(delta_diag)
     tensored = f_alpha(np.kron(rho, ancilla), np.kron(sigma, ancilla), a)
-    records.append(record("obs5_tensor_ancilla", equality(tensored)))
-    return records
+    sides = _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored)
+    d = rho.shape[0]
+    return [_record(name, d, a, "f_alpha", *side, tolerance, seed, trial) for name, side in zip(OBSERVATIONS, sides)]
+
+
+def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored):
+    """check_observations' five (lhs, rhs), in OBSERVATIONS order, from its F values."""
+    base_finite = math.isfinite(base)
+
+    def equality(other):
+        if not (base_finite and math.isfinite(other)):
+            return DIVERGED
+        return -abs(other - base) / max(1.0, abs(base), abs(other)), 0.0
+
+    convex = all(math.isfinite(p) for p in parts) and math.isfinite(mixed)
+    return [
+        (sign * base if base_finite else math.inf, sign * 1.0),
+        equality(rotated),
+        (sign * base, sign * mapped) if base_finite and math.isfinite(mapped) else DIVERGED,
+        (sign * sum(w * p for w, p in zip(weights, parts)), sign * mixed) if convex else DIVERGED,
+        equality(tensored),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # suite runner
 
 
-# the checks whose cells are scored as stacks, each with the scalar check that scores one trial
+# the checks scored by a measure kind, each with the public check that scores one trial
 MEASURE_CHECKS = {
     "strong_monotonicity": check_strong_monotonicity,
     "monotonicity": check_monotonicity,
@@ -423,13 +432,25 @@ def _draw_state_channel(cfg: TrialConfig, d: int, rng):
     return rho, random_incoherent_channel(d, int(rng.integers(lo, hi + 1)), rng)
 
 
-def _draw_measure_inputs(cfg: TrialConfig, check: str, d: int, rng):
-    """A measure-check trial's drawn arguments after the kind: (rho, ch) or (weights, states)."""
+def _draw_inputs(cfg: TrialConfig, check: str, d: int, rng):
+    """A trial's drawn arguments, as its public check takes them after the kind (observations: ensemble last)."""
     if check == "convexity":
         size = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(size))
         return weights, [_draw_state(cfg, d, rng) for _ in range(size)]
-    return _draw_state_channel(cfg, d, rng)
+    if check in ("strong_monotonicity", "monotonicity", "holder"):
+        return _draw_state_channel(cfg, d, rng)
+    lo, hi = cfg.n_kraus_range
+    rho, sigma = _draw_state(cfg, d, rng), _draw_state(cfg, d, rng)
+    ch = random_channel(d, int(rng.integers(lo, hi + 1)), rng)
+    if check == "lemma1":
+        return rho, sigma, ch
+    unitary = haar_unitary(d, rng)
+    delta_diag = rng.dirichlet(np.ones(_ancilla_dim(d)))
+    size = int(rng.integers(2, 5))
+    weights = rng.dirichlet(np.ones(size))
+    ensemble = [(float(w), _draw_state(cfg, d, rng), _draw_state(cfg, d, rng)) for w in weights]
+    return rho, sigma, ch, unitary, delta_diag, ensemble
 
 
 def _ancilla_dim(d: int) -> int:
@@ -437,31 +458,14 @@ def _ancilla_dim(d: int) -> int:
     return max(1, min(3, 12 // d))
 
 
-def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, rng, trial: int):
-    """Draw and score one trial of a functional check (the measure checks go by cells)."""
-    lo, hi = cfg.n_kraus_range
-    seed = cfg.master_seed
-    tol = cfg.tolerance
-    if check == "lemma1":
-        rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
-        ch = random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
-        return [check_lemma1(rho, sigma, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
-    if check == "holder":
-        rho, ch = _draw_state_channel(cfg, dim, rng)
-        return [check_holder_step(rho, ch, alpha, tolerance=tol, seed=seed, trial=trial)]
+def _one_trial(cfg: TrialConfig, check: str, alpha: float, inputs, trial: int) -> list[TrialRecord]:
+    """Score one drawn trial by its public check: the path a stacked cell leaves a trial to."""
+    scoring = {"tolerance": cfg.tolerance, "seed": cfg.master_seed, "trial": trial}
+    if check in MEASURE_CHECKS:
+        return [MEASURE_CHECKS[check](cfg.kind, *inputs, alpha, **scoring)]
     if check == "observations":
-        rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
-        ch = random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
-        unitary = haar_unitary(dim, rng)
-        delta_diag = rng.dirichlet(np.ones(_ancilla_dim(dim)))
-        size = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(size))
-        ensemble = [(float(w), _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)) for w in weights]
-        return check_observations(
-            rho, sigma, ch, unitary, delta_diag, alpha,
-            ensemble=ensemble, tolerance=tol, seed=seed, trial=trial,
-        )
-    raise ValueError(f"unknown check {check!r}")
+        return check_observations(*inputs[:-1], alpha, ensemble=inputs[-1], **scoring)
+    return [(check_lemma1 if check == "lemma1" else check_holder_step)(*inputs, alpha, **scoring)]
 
 
 def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
@@ -482,81 +486,190 @@ def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, trial: i
 
 
 def _run_cell(task) -> list[TrialRecord]:
-    cfg, cell_index, check, dim, alpha = task
-    rngs = [substream(cfg.master_seed, cell_index, trial) for trial in range(cfg.trials_per_cell)]
-    if check in MEASURE_CHECKS:
-        return _measure_cell(cfg, check, dim, alpha, rngs)
-    records: list[TrialRecord] = []
-    for trial, rng in enumerate(rngs):
-        try:
-            records.extend(_one_trial(cfg, check, dim, alpha, rng, trial))
-        except Exception as exc:  # aggregate, never abort the suite
-            records.append(_error_record(cfg, check, dim, alpha, trial, exc))
-    return records
+    """One (check, dim, alpha) cell, scored as stacks.
 
-
-def _measure_cell(cfg: TrialConfig, check: str, dim: int, alpha: float, rngs) -> list[TrialRecord]:
-    """One strong-monotonicity, monotonicity or convexity cell, scored as stacks.
-
-    Every trial draws from its own stream and meets its scalar check's input
-    gates; then one kernel call per side scores all of them (_stacked_sides).
-    A trial whose draw raises gets its error record. One that fails a gate,
-    whose stacked side is not finite, or whose stacked call raised is scored
-    by the public scalar check, so every record keeps the bits and the error
-    text of a trial-at-a-time run.
+    Every trial draws from its own stream and meets its public check's input
+    gates; then _stacked_sides scores all of them, with one kernel call per
+    side (measure checks) or per matrix size (functional checks). A trial
+    whose draw raises gets its error record. One that fails a gate, whose
+    stacked value is not finite, or whose stacked call raised is scored by
+    _one_trial, so every record keeps the bits and the error text of a
+    trial-at-a-time run.
     """
-    records: list[TrialRecord | None] = [None] * len(rngs)
+    cfg, cell_index, check, dim, alpha = task
+    records: list[list[TrialRecord] | None] = [None] * cfg.trials_per_cell
     drawn = {}
-    for trial, rng in enumerate(rngs):
+    for trial in range(cfg.trials_per_cell):
         try:
-            drawn[trial] = _draw_measure_inputs(cfg, check, dim, rng)
+            drawn[trial] = _draw_inputs(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
         except Exception as exc:  # aggregate, never abort the suite
-            records[trial] = _error_record(cfg, check, dim, alpha, trial, exc)
+            records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
     gated = [trial for trial, inputs in drawn.items() if _passes_input_gates(check, inputs)]
     if gated:
         try:
-            lhs, rhs = _stacked_sides(
-                check, cfg.kind, [drawn[t] for t in gated], check_measure_alpha(cfg.kind, alpha)
-            )
+            scored = _stacked_sides(check, cfg.kind, [drawn[t] for t in gated], alpha)
         except Exception:  # left to the scalar checks below, which raise or score trial by trial
-            lhs = rhs = np.full(len(gated), math.nan)
-        for trial, left, right in zip(gated, lhs.tolist(), rhs.tolist()):
-            if math.isfinite(left) and math.isfinite(right):
-                records[trial] = _record(
-                    check, dim, alpha, cfg.kind, left, right, cfg.tolerance, cfg.master_seed, trial
-                )
-    scalar_check = MEASURE_CHECKS[check]
+            scored = [None] * len(gated)
+        names = OBSERVATIONS if check == "observations" else (check,)
+        kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
+        for trial, sides in zip(gated, scored):
+            if sides is not None:
+                records[trial] = [
+                    _record(name, dim, alpha, kind, *side, cfg.tolerance, cfg.master_seed, trial)
+                    for name, side in zip(names, sides)
+                ]
     for trial, inputs in drawn.items():
         if records[trial] is None:
             try:
-                records[trial] = scalar_check(
-                    cfg.kind, *inputs, alpha, tolerance=cfg.tolerance, seed=cfg.master_seed, trial=trial
-                )
+                records[trial] = _one_trial(cfg, check, alpha, inputs, trial)
             except Exception as exc:  # aggregate, never abort the suite
-                records[trial] = _error_record(cfg, check, dim, alpha, trial, exc)
-    return records
+                records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
+    return [record for trial_records in records for record in trial_records]
 
 
-def _passes_input_gates(check: str, inputs) -> bool:
-    """Whether a drawn trial passes the gates its scalar check puts on the drawn arguments."""
-    if check != "convexity":
-        return is_incoherent(inputs[1])
+def _is_distribution(p) -> bool:
     try:
-        validate_probability_vector(inputs[0], "weights")
+        validate_probability_vector(p)
     except BadWeightsError:
         return False
     return True
 
 
-def _stacked_sides(check: str, kind: str, inputs: list, alpha):
+def _passes_input_gates(check: str, inputs) -> bool:
+    """Whether a drawn trial passes the gates its public check puts on the drawn arguments."""
+    if check in ("strong_monotonicity", "monotonicity", "holder"):
+        return is_incoherent(inputs[1])
+    if check == "convexity":
+        return _is_distribution(inputs[0])
+    if check == "observations":  # the ancilla populations and the ensemble weights
+        return _is_distribution(inputs[4]) and _is_distribution([w for w, _, _ in inputs[5]])
+    return True
+
+
+def _padded_kraus(channels) -> np.ndarray:
+    """The channels' Kraus stacks padded with zero operators to the largest count: (trials, n, d, d).
+
+    A zero operator's branch has probability 0 and is never kept, and adds
+    only +-0.0 to an operator-order sum that starts from +0, so no bit moves.
+    """
+    shape = (len(channels), max(ch.n_kraus for ch in channels)) + channels[0].kraus.shape[1:]
+    kraus = np.zeros(shape, dtype=complex)
+    for t, ch in enumerate(channels):
+        kraus[t, : ch.n_kraus] = ch.kraus
+    return kraus
+
+
+def _stacked_sides(check: str, kind: str, inputs: list, alpha) -> list:
+    """Each trial's list of (lhs, rhs), one per record its public check writes, or None.
+
+    Entry t has the bits of the public check on inputs[t]. It is None where a
+    stacked value it needs is not finite: a matrix failed the check's
+    as_hermitian gate, or a value diverged or overflowed.
+    """
+    if check in MEASURE_CHECKS:
+        lhs, rhs = _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
+        per_trial = [(side, [side]) for side in zip(lhs.tolist(), rhs.tolist())]
+    else:
+        a = validate_alpha(alpha)
+        per_trial = FUNCTIONAL_STACKS[check](inputs, a, sgn1(a))
+    return [sides if all(map(math.isfinite, values)) else None for values, sides in per_trial]
+
+
+def _lemma1_stack(inputs, a, sign):
+    """(F values, [sides]) of every lemma1 trial of a cell, as check_lemma1 forms them."""
+    pair = np.array([(rho, sigma) for rho, sigma, _ in inputs])  # (trials, 2, d, d)
+    n_ops = [ch.n_kraus for _, _, ch in inputs]
+    products = branches(_padded_kraus([ch for _, _, ch in inputs])[:, None], pair)[1].swapaxes(1, 2)
+    real = np.arange(products.shape[1]) < np.array(n_ops)[:, None]  # no padded term enters a sum
+    base, terms = _functional_stacks([pair, products[real]], a)
+    return [([b, *t], [_lemma1_sides(sign, b, t)]) for b, t in zip(base.tolist(), _by_trial(terms, n_ops))]
+
+
+def _holder_stack(inputs, a, sign):
+    """(F values, [sides]) of every holder trial of a cell, as check_holder_step forms them."""
+    rhos = np.array([rho for rho, _ in inputs])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
+        deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
+    # the gates of spectral_decompose on rho and of embed_diagonal on delta
+    usable = hermitian_mask(rhos) & np.array([_is_distribution(delta) for delta in deltas])
+    deltas = np.where(usable[:, None], deltas, 0.0)[..., None] * np.eye(rhos.shape[-1])
+    probs, products, kept = branches(_padded_kraus([ch for _, ch in inputs])[:, None], np.stack([rhos, deltas], 1))
+    pairs = kept[:, 0] & kept[:, 1]  # a branch counts when both sides keep it
+    p, q = probs[:, 0][pairs], probs[:, 1][pairs]
+    (f,) = _functional_stacks([products.swapaxes(1, 2)[pairs] / np.stack([p, q], 1)[..., None, None]], a)
+    counts = pairs.sum(axis=1).tolist()
+    return [
+        (f_t if ok else [math.nan], [_holder_sides(a, p_t, q_t, f_t)])
+        for ok, p_t, q_t, f_t in zip(usable, *(_by_trial(v, counts) for v in (p, q, f)))
+    ]
+
+
+def _observations_stack(inputs, a, sign):
+    """(F values, five sides) of every observations trial of a cell, as check_observations forms them."""
+    pair = np.array([(rho, sigma) for rho, sigma, *_ in inputs])  # (trials, 2, d, d)
+    trials, d, k = len(pair), pair.shape[-1], _ancilla_dim(pair.shape[-1])
+    us = np.array([inp[3] for inp in inputs])[:, None]
+    ensembles = [inp[5] for inp in inputs]
+    sizes = [len(ensemble) for ensemble in ensembles]
+    drawn = np.arange(max(sizes)) < np.array(sizes)[:, None]  # (trials, size): the members that exist
+    weights = np.zeros(drawn.shape)
+    weights[drawn] = [w for ensemble in ensembles for w, _, _ in ensemble]
+    members = np.zeros(drawn.shape + pair.shape[1:], dtype=complex)
+    members[drawn] = [(r, s) for ensemble in ensembles for _, r, s in ensemble]
+    ancillas = np.array([inp[4] for inp in inputs])[:, None, None, :, None, None] * np.eye(k)[:, None, :]
+    stacks = [
+        pair,
+        us @ pair @ us.conj().swapaxes(-1, -2),
+        apply_channel(_padded_kraus([inp[2] for inp in inputs])[:, None], pair),
+        members[drawn],
+        sum(np.moveaxis(weights[..., None, None, None] * members, 1, 0)),
+        # np.kron(rho, ancilla) of each matrix: entry (i k + a, j k + b) is rho_ij ancilla_ab
+        (pair[..., :, None, :, None] * ancillas).reshape(trials, 2, d * k, d * k),
+    ]
+    base, rotated, mapped, parts, mixed, tensored = (v.tolist() for v in _functional_stacks(stacks, a))
+    return [
+        ([b, r, m, *part, mx, t], _observation_sides(sign, b, r, m, [w for w, _, _ in ens], part, mx, t))
+        for b, r, m, part, mx, t, ens in zip(
+            base, rotated, mapped, _by_trial(parts, sizes), mixed, tensored, ensembles
+        )
+    ]
+
+
+FUNCTIONAL_STACKS = {"lemma1": _lemma1_stack, "holder": _holder_stack, "observations": _observations_stack}
+
+
+def _by_trial(values, counts) -> list[list]:
+    """A flat per-cell stack split into each trial's consecutive entries, as lists of floats."""
+    flat, ends = np.asarray(values).tolist(), np.cumsum(counts).tolist()
+    return [flat[end - count : end] for count, end in zip(counts, ends)]
+
+
+def _functional_stacks(pairs, alpha) -> list[np.ndarray]:
+    """F_alpha(A, B) of every pair of each (n, 2, d, d) stack, one kernel call per matrix size.
+
+    A pair that fails trace_functional's Hermitian gate on either side is NaN.
+    """
+    values = [None] * len(pairs)
+    for size in sorted({stack.shape[-1] for stack in pairs}):
+        members = [i for i, stack in enumerate(pairs) if stack.shape[-1] == size]
+        stack = np.concatenate([pairs[i] for i in members])
+        ok = hermitian_mask(stack).all(axis=1)
+        stack = np.where(ok[:, None, None, None], stack, 0.0)  # a pair the gate refuses is not decomposed
+        f = functional_values(stack[:, 0], stack[:, 1], alpha)
+        ends = np.cumsum([len(pairs[i]) for i in members])
+        for i, part in zip(members, np.split(np.where(ok, f, math.nan), ends[:-1])):
+            values[i] = part
+    return values
+
+
+def _measure_sides(check: str, kind: str, inputs: list, alpha):
     """A measure check's (lhs, rhs) for every trial of a cell, one stacked kernel call per side.
 
     Entry t has the bits of the scalar check's sides on inputs[t], and is NaN
     where a matrix that check measures fails its as_hermitian gate. Channels
-    are padded to the cell's largest operator count with zero operators and
-    convex mixtures to the largest size with zero weights and states: a zero
-    operator's branch has probability 0 and is never kept, and each pad adds
-    only +-0.0 to sums that start from +0, so no bit moves.
+    are padded with zero operators (_padded_kraus) and convex mixtures to the
+    largest size with zero weights and states, which add only +-0.0 to sums
+    that start from +0.
     """
     if check == "convexity":
         sizes = np.array([len(weights) for weights, _ in inputs])
@@ -575,9 +688,7 @@ def _stacked_sides(check: str, kind: str, inputs: list, alpha):
         gated = gated.all(axis=-1) & hermitian_mask(mixtures)
     else:
         rhos = np.stack([rho for rho, _ in inputs])
-        kraus = np.zeros((len(inputs), max(ch.n_kraus for _, ch in inputs)) + rhos.shape[1:], dtype=complex)
-        for t, (_, ch) in enumerate(inputs):
-            kraus[t, : ch.n_kraus] = ch.kraus
+        kraus = _padded_kraus([ch for _, ch in inputs])
         lhs = measure_values(kind, rhos, alpha)
         gated = hermitian_mask(rhos)
         if check == "strong_monotonicity":

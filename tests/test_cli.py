@@ -331,6 +331,29 @@ class TestVerifyRecordBytes:
         assert sorted(self.DIGESTS) == sorted(MEASURE_KINDS)
 
 
+class TestFunctionalRecordBytes:
+    """The functional checks' verify records on the full acceptance grid are pinned by sha256.
+
+    tests/data/functional_verify_sha256.json holds the digests of `verify --out`
+    for lemma1, holder and observations on dims 2-4, the eight suite alphas,
+    10 trials, seed 5 and --n-kraus 1:4, one per rank policy.
+    """
+
+    DIGESTS = json.loads((DATA / "functional_verify_sha256.json").read_text())
+    GRID = [
+        "verify", "--dim", "2", "--dim", "3", "--dim", "4",
+        *(arg for alpha in ("0.1", "0.25", "0.5", "0.75", "0.9", "1.1", "1.5", "2.0") for arg in ("--alpha", alpha)),
+        "--trials", "10", "--seed", "5", "--n-kraus", "1:4",
+        "--check", "lemma1", "--check", "holder", "--check", "observations",
+    ]
+
+    @pytest.mark.parametrize("policy", ["full", "mixed-ranks"])
+    def test_digest(self, policy, tmp_path, capsys):
+        out = tmp_path / f"{policy}.csv"
+        assert main(self.GRID + ["--rank-policy", policy, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[policy]
+
+
 class TestMalformedInput:
     """Valid JSON with the wrong content is an input error (exit 2) naming the file."""
 

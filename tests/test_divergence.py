@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphacoh.divergence import (
+    SUPPORT_OVERLAP_TOL,
     f_alpha,
+    functional_values,
     near_one,
     relative_entropy,
     sgn1,
@@ -22,8 +24,8 @@ from alphacoh.divergence import (
     validate_alpha,
     von_neumann_entropy,
 )
-from alphacoh.linalg import DimMismatchError
-from alphacoh.states import random_density, substream
+from alphacoh.linalg import DimMismatchError, powered_eigenvalues, spectral_decompose
+from alphacoh.states import haar_unitary, random_density, substream
 
 RHO_DIAG = np.diag([0.75, 0.25]).astype(complex)
 SIGMA_UNIFORM = np.diag([0.5, 0.5]).astype(complex)
@@ -209,6 +211,68 @@ class TestEntropy:
         assert values.tolist() == [shannon_entropy(row) for row in stack]
         assert values[0] == pytest.approx(-(0.75 * math.log(0.75) + 0.25 * math.log(0.25)), abs=1e-15)
         assert values[1] == 0.0
+
+
+SUITE_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0)
+
+
+def per_pair_functional(a_mat, b_mat, alpha):
+    """Tr A^alpha B^(1-alpha) of one pair, the support rule applied to the support and null blocks.
+
+    trace_functional's body before it called the stacked kernel, kept as the reference.
+    """
+    (lam_a, vecs_a), (lam_b, vecs_b) = spectral_decompose(a_mat), spectral_decompose(b_mat)
+    lam_a, lam_b = np.clip(lam_a, 0.0, None), np.clip(lam_b, 0.0, None)
+    if alpha > 1.0 and np.any(lam_b == 0.0):
+        overlap = np.sum(np.abs(vecs_a[:, lam_a > 0.0].conj().T @ vecs_b[:, lam_b == 0.0]) ** 2, axis=0)
+        if np.any(overlap > SUPPORT_OVERLAP_TOL):
+            return math.inf
+    a_pow = (vecs_a * powered_eigenvalues(lam_a, alpha)) @ vecs_a.conj().T
+    b_pow = (vecs_b * powered_eigenvalues(lam_b, 1.0 - alpha)) @ vecs_b.conj().T
+    return float(np.einsum("ij,ji->", a_pow, b_pow).real)
+
+
+class TestStackedKernel:
+    """functional_values scores a stack with each pair's trace_functional bits."""
+
+    OVERLAP, ORTHOGONAL, ZERO = -3, -2, -1  # the hand-made pairs closing every stack
+
+    @classmethod
+    def stacks(cls, d):
+        """Pairs of every rank 1..d on both sides, a self pair each, then the three hand-made pairs."""
+        gen = substream(7003, d)
+        a_mats, b_mats = [], []
+        for rank in range(1, d + 1):
+            rho = random_density(d, rank, gen)
+            a_mats += [rho, rho]
+            b_mats += [random_density(d, d + 1 - rank, gen), rho]
+        # rotated diagonal pairs: A's support is |0>; B's null direction is |0> (overlap) or |d-1> (orthogonal)
+        u = haar_unitary(d, gen)
+        first = np.diag(np.eye(d)[0]).astype(complex)
+        for null in (0, d - 1):
+            a_mats.append(u @ first @ u.conj().T)
+            b_mats.append(u @ np.diag(np.where(np.arange(d) == null, 0.0, 1.0 / (d - 1))) @ u.conj().T)
+        a_mats.append(np.zeros((d, d), dtype=complex))
+        b_mats.append(np.zeros((d, d), dtype=complex))
+        return np.array(a_mats), np.array(b_mats)
+
+    @pytest.mark.parametrize("alpha", SUITE_ALPHAS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 12])
+    def test_entries_have_the_scalar_bits(self, d, alpha):
+        a_mats, b_mats = self.stacks(d)
+        values = functional_values(a_mats, b_mats, alpha)
+        assert values.shape == (len(a_mats),)
+        for a_mat, b_mat, value in zip(a_mats, b_mats, values.tolist()):
+            assert repr(value) == repr(trace_functional(a_mat, b_mat, alpha))
+            assert repr(value) == repr(per_pair_functional(a_mat, b_mat, alpha))
+        assert (values[self.OVERLAP] == math.inf) == (alpha > 1.0)
+        assert math.isfinite(values[self.ORTHOGONAL])
+        assert repr(values[self.ZERO].item()) == "0.0"
+
+    def test_one_pair_is_a_scalar(self):
+        value = functional_values(RHO_TILTED, SIGMA_UNIFORM, 2.0)
+        assert value.shape == ()
+        assert float(value) == trace_functional(RHO_TILTED, SIGMA_UNIFORM, 2.0)
 
 
 class TestDimMismatch:

@@ -961,6 +961,167 @@ class TestStackedCell:
             assert len(calls) == 2 and calls[0][1] >= 14 and calls[1] == ("measure_values", 7)
 
 
+def per_trial_functional_records(cfg):
+    """run_suite's records for the functional checks, one trial and one scalar check at a time.
+
+    The loop run_suite ran before it scored functional-check cells as stacks,
+    kept as the reference: the same draws in the same order, each trial
+    scored by its public check, and any exception turned into an error record.
+    """
+    import alphacoh.harness as harness
+
+    lo, hi = cfg.n_kraus_range
+    cells = [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
+    records = []
+    for cell_index, (check, dim, alpha) in enumerate(cells):
+        for trial in range(cfg.trials_per_cell):
+            rng = substream(cfg.master_seed, cell_index, trial)
+            scoring = {"tolerance": cfg.tolerance, "seed": cfg.master_seed, "trial": trial}
+            try:
+                if check == "holder":
+                    rho, ch = _draw_state_channel(cfg, dim, rng)
+                    records.append(check_holder_step(rho, ch, alpha, **scoring))
+                    continue
+                rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
+                ch = harness.random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
+                if check == "lemma1":
+                    records.append(check_lemma1(rho, sigma, ch, alpha, **scoring))
+                    continue
+                unitary = harness.haar_unitary(dim, rng)
+                delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // dim))))
+                weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+                ensemble = [(float(w), _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)) for w in weights]
+                records.extend(
+                    check_observations(rho, sigma, ch, unitary, delta_diag, alpha, ensemble=ensemble, **scoring)
+                )
+            except Exception as exc:
+                records.append(
+                    TrialRecord(
+                        check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
+                        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
+                    )
+                )
+    return records
+
+
+FUNCTIONAL_CHECK_NAMES = ("lemma1", "holder", "observations")
+
+
+class TestStackedFunctionalCell:
+    """Functional-check cells scored as stacks give the per-trial loop's records, bit for bit."""
+
+    assert_same_records = staticmethod(TestStackedCell.assert_same_records)
+
+    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
+    @pytest.mark.parametrize("trials", [1, 9])
+    @pytest.mark.parametrize("rank_policy", ["full", "mixed-ranks"])
+    def test_matches_the_per_trial_loop(self, check, trials, rank_policy):
+        cfg = TrialConfig(
+            dims=(2, 3, 4), alphas=(0.25, 0.75, 1.5, 2.0), trials_per_cell=trials,
+            checks=(check,), rank_policy=rank_policy, master_seed=31,
+        )
+        self.assert_same_records(run_suite(cfg).records, per_trial_functional_records(cfg))
+
+    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
+    def test_a_draw_that_raises_keeps_its_place(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(1.5,), trials_per_cell=6, checks=(check,), master_seed=32)
+        original = harness.random_density
+        monkeypatch.setattr(harness, "random_density", raising_on_call(original, 3))
+        new = run_suite(cfg).records
+        monkeypatch.setattr(harness, "random_density", raising_on_call(original, 3))
+        self.assert_same_records(new, per_trial_functional_records(cfg))
+        assert [r.error for r in new].count("RuntimeError: synthetic draw failure") == 1
+
+    def test_a_coherent_holder_channel_gets_the_scalar_error(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        def coherent_on_call(call):
+            calls = []
+
+            def draw(d, n_kraus, rng):
+                calls.append(None)
+                return (random_channel if len(calls) - 1 == call else random_incoherent_channel)(d, n_kraus, rng)
+
+            return draw
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("holder",), master_seed=33)
+        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
+        new = run_suite(cfg).records
+        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
+        self.assert_same_records(new, per_trial_functional_records(cfg))
+        assert new[3].error.startswith("NotIncoherentChannelError: ")
+
+    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
+    @pytest.mark.parametrize("poison", [math.nan, math.inf])
+    def test_a_non_finite_value_is_scored_alone(self, check, poison, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
+        old = per_trial_functional_records(cfg)
+        original, poisoned = harness.functional_values, []
+
+        def poison_2_of_the_first_stack(a_mats, b_mats, alpha):
+            values = original(a_mats, b_mats, alpha)
+            if not poisoned:
+                poisoned.append(len(values))
+                values[2] = poison
+            return values
+
+        monkeypatch.setattr(harness, "functional_values", poison_2_of_the_first_stack)
+        new = run_suite(cfg).records
+        assert poisoned and poisoned[0] >= 6
+        self.assert_same_records(new, old)
+        assert not any(r.error or r.degenerate for r in new)
+
+    def test_a_holder_delta_the_weight_gate_refuses_is_scored_alone(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("holder",), master_seed=37)
+        old = per_trial_functional_records(cfg)
+        original = harness.closed_form
+
+        def nan_delta_at_2(kind, lam, vecs, alpha):
+            value, delta = original(kind, lam, vecs, alpha)
+            delta[2] = math.nan
+            return value, delta
+
+        monkeypatch.setattr(harness, "closed_form", nan_delta_at_2)
+        new = run_suite(cfg).records
+        self.assert_same_records(new, old)
+        assert not any(r.error or r.degenerate for r in new)
+
+    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
+    def test_a_stacked_call_that_raises_leaves_the_scalar_checks(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        def stacks_raise(a_mats, b_mats, alpha):
+            raise np.linalg.LinAlgError("synthetic stack failure")
+
+        cfg = TrialConfig(dims=(2,), alphas=(0.25, 2.0), trials_per_cell=5, checks=(check,), master_seed=35)
+        old = per_trial_functional_records(cfg)
+        monkeypatch.setattr(harness, "functional_values", stacks_raise)
+        self.assert_same_records(run_suite(cfg).records, old)
+
+    @pytest.mark.parametrize("check, sizes", [("lemma1", [3]), ("holder", [3]), ("observations", [3, 9])])
+    def test_one_kernel_call_per_matrix_size(self, check, sizes, monkeypatch):
+        import alphacoh.harness as harness
+
+        calls, original = [], harness.functional_values
+
+        def counting(a_mats, b_mats, alpha):
+            calls.append(a_mats.shape)
+            return original(a_mats, b_mats, alpha)
+
+        monkeypatch.setattr(harness, "functional_values", counting)
+        cfg = TrialConfig(dims=(3,), alphas=(0.5, 1.5), trials_per_cell=7, checks=(check,), master_seed=36)
+        assert run_suite(cfg).all_passed
+        # one call per (cell, matrix size), each holding at least one pair per trial
+        assert [shape[-1] for shape in calls] == sizes * 2
+        assert all(len(shape) == 3 and shape[0] >= 7 for shape in calls)
+
+
 class TestFrozenWitness:
     def test_stored_qutrit_violation_replays(self):
         meta = json.loads((DATA / "qutrit_witness_meta.json").read_text())
