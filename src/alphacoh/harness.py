@@ -72,6 +72,14 @@ ALL_CHECKS = (
 DIVERGENCE_CHECKS = frozenset({"lemma1", "holder", "observations"})
 
 
+def _check_kraus_range(n_kraus_range) -> tuple[int, int]:
+    """The (lo, hi) operator-count range of the drawn channels, refused unless 1 <= lo <= hi."""
+    lo, hi = n_kraus_range
+    if not 1 <= lo <= hi:
+        raise ValueError(f"n_kraus_range must satisfy 1 <= lo <= hi, got {tuple(n_kraus_range)}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Grid and policies for one suite run; identity of this object fixes every draw."""
@@ -105,11 +113,9 @@ class TrialConfig:
             raise ValueError("alphas must be nonempty")
         if self.trials_per_cell < 1:
             raise ValueError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
-        lo, hi = self.n_kraus_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"n_kraus_range must satisfy 1 <= lo <= hi, got {self.n_kraus_range}")
-        if not self.tolerance > 0:  # NaN too, under which every trial would fail
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        _check_kraus_range(self.n_kraus_range)
+        if not 0.0 < self.tolerance < math.inf:  # NaN would fail every trial, inf pass every one
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.rank_policy not in ("full", "mixed-ranks"):
             raise ValueError(f"rank_policy must be 'full' or 'mixed-ranks', got {self.rank_policy!r}")
         if not self.checks:
@@ -210,6 +216,11 @@ class ViolationReport:
 DIVERGED = (math.inf, math.inf)
 
 
+def _diverged(*values) -> bool:
+    """Whether an F value is +inf and none is NaN (a stacked gate's refusal, which must reach the sides)."""
+    return any(map(math.isinf, values)) and not any(map(math.isnan, values))
+
+
 def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
     # builtin floats keep repr-based serialization downstream clean
     lhs, rhs = float(lhs), float(rhs)
@@ -222,6 +233,27 @@ def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
     )
 
 
+def _input_gate(check: str, inputs):
+    """The gate check_<check> and _run_cell put on the drawn arguments (in _draw_inputs order).
+
+    Raises the public check's exception, or returns what it validated: the
+    weights (convexity), or the ensemble weights and the ancilla state (observations).
+    """
+    if check in ("strong_monotonicity", "monotonicity", "holder"):
+        if not is_incoherent(inputs[1]):
+            stated = "the power-mean step is stated" if check == "holder" else f"{check.replace('_', ' ')} is defined"
+            raise NotIncoherentChannelError(f"{stated} for incoherent channels")
+    elif check == "convexity":
+        weights, states = inputs
+        w = validate_probability_vector(weights, "weights")
+        if len(states) != w.size:
+            raise BadWeightsError(f"need one weight per state, got {w.size} weights, {len(states)} states")
+        return w
+    elif check == "observations":
+        return validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights"), embed_diagonal(inputs[4])
+    return None
+
+
 def check_strong_monotonicity(
     kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
 ) -> TrialRecord:
@@ -231,8 +263,7 @@ def check_strong_monotonicity(
     contribute 0 to the average, biasing the right side down, i.e. toward
     pass; their mass is negligible by construction of the drop threshold.
     """
-    if not is_incoherent(ch):
-        raise NotIncoherentChannelError("strong monotonicity is defined for incoherent channels")
+    _input_gate("strong_monotonicity", (rho, ch))
     rho = np.asarray(rho, dtype=complex)
     lhs, rhs, _ = _strong_mono_stats(kind, rho, ch.kraus, alpha)
     return _record(
@@ -244,8 +275,7 @@ def check_monotonicity(
     kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
 ) -> TrialRecord:
     """C(rho) >= C(E(rho)) for the non-selective action of an incoherent channel."""
-    if not is_incoherent(ch):
-        raise NotIncoherentChannelError("monotonicity is defined for incoherent channels")
+    _input_gate("monotonicity", (rho, ch))
     rho = np.asarray(rho, dtype=complex)
     lhs = measure_value(kind, rho, alpha)
     rhs = measure_value(kind, apply_channel(ch, rho), alpha)
@@ -256,9 +286,7 @@ def check_convexity(
     kind, weights, states, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
 ) -> TrialRecord:
     """sum_i w_i C(rho_i) >= C(sum_i w_i rho_i)."""
-    w = validate_probability_vector(weights, "weights")
-    if len(states) != w.size:
-        raise BadWeightsError(f"need one weight per state, got {w.size} weights, {len(states)} states")
+    w = _input_gate("convexity", (weights, states))
     mats = [np.asarray(s, dtype=complex) for s in states]
     lhs = sum(wi * measure_value(kind, s, alpha) for wi, s in zip(w, mats))
     mixture = sum(wi * s for wi, s in zip(w, mats))
@@ -291,8 +319,8 @@ def check_lemma1(
 
 def _lemma1_sides(sign, base, terms):
     """check_lemma1's (lhs, rhs) from F(rho, sigma) and its branch terms in operator order."""
-    lhs = sign * base if math.isfinite(base) else math.inf
-    rhs = sign * sum(terms) if all(math.isfinite(t) for t in terms) else math.inf
+    lhs = math.inf if _diverged(base) else sign * base
+    rhs = math.inf if _diverged(*terms) else sign * sum(terms)
     return lhs, rhs
 
 
@@ -313,8 +341,7 @@ def check_holder_step(
     a = validate_alpha(alpha)
     if near_one(a):
         raise ValueError("holder step undefined within 1e-6 of alpha = 1")
-    if not is_incoherent(ch):
-        raise NotIncoherentChannelError("the power-mean step is stated for incoherent channels")
+    _input_gate("holder", (rho, ch))
     rho = np.asarray(rho, dtype=complex)
     delta = optimal_incoherent_state(rho, a)
     # one call for the pair (rho, delta); a branch counts when both sides keep it
@@ -327,7 +354,7 @@ def check_holder_step(
 
 def _holder_sides(a, p, q, f_vals):
     """check_holder_step's (lhs, rhs) from the kept branches' p_n, q_n and f_n in operator order."""
-    if not f_vals or any(not math.isfinite(f) for f in f_vals):
+    if not f_vals or _diverged(*f_vals):
         return DIVERGED
     p_side = sum(pn * f ** (1.0 / a) for pn, f in zip(p, f_vals))
     q_total = sum(q)
@@ -371,18 +398,17 @@ def check_observations(
     sign = sgn1(a)
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
+    if ensemble is None:
+        ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)]
+    weights, ancilla = _input_gate("observations", (rho, sigma, ch, unitary, delta_diag, ensemble))
     unitary = np.asarray(unitary, dtype=complex)
     base = f_alpha(rho, sigma, a)
     rotated = f_alpha(unitary @ rho @ unitary.conj().T, unitary @ sigma @ unitary.conj().T, a)
     mapped = f_alpha(apply_channel(ch, rho), apply_channel(ch, sigma), a)
-    if ensemble is None:
-        ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)]
-    weights = validate_probability_vector([w for w, _, _ in ensemble], "ensemble weights")
     parts = [f_alpha(r, s, a) for _, r, s in ensemble]
     mix_rho = sum(w * np.asarray(r, dtype=complex) for w, r, _ in ensemble)
     mix_sigma = sum(w * np.asarray(s, dtype=complex) for w, _, s in ensemble)
     mixed = f_alpha(mix_rho, mix_sigma, a)
-    ancilla = embed_diagonal(delta_diag)
     tensored = f_alpha(np.kron(rho, ancilla), np.kron(sigma, ancilla), a)
     sides = _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored)
     d = rho.shape[0]
@@ -391,19 +417,17 @@ def check_observations(
 
 def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored):
     """check_observations' five (lhs, rhs), in OBSERVATIONS order, from its F values."""
-    base_finite = math.isfinite(base)
 
     def equality(other):
-        if not (base_finite and math.isfinite(other)):
+        if _diverged(base, other):
             return DIVERGED
         return -abs(other - base) / max(1.0, abs(base), abs(other)), 0.0
 
-    convex = all(math.isfinite(p) for p in parts) and math.isfinite(mixed)
     return [
-        (sign * base if base_finite else math.inf, sign * 1.0),
+        (math.inf if _diverged(base) else sign * base, sign * 1.0),
         equality(rotated),
-        (sign * base, sign * mapped) if base_finite and math.isfinite(mapped) else DIVERGED,
-        (sign * sum(w * p for w, p in zip(weights, parts)), sign * mixed) if convex else DIVERGED,
+        DIVERGED if _diverged(base, mapped) else (sign * base, sign * mapped),
+        DIVERGED if _diverged(*parts, mixed) else (sign * sum(w * p for w, p in zip(weights, parts)), sign * mixed),
         equality(tensored),
     ]
 
@@ -446,16 +470,11 @@ def _draw_inputs(cfg: TrialConfig, check: str, d: int, rng):
     if check == "lemma1":
         return rho, sigma, ch
     unitary = haar_unitary(d, rng)
-    delta_diag = rng.dirichlet(np.ones(_ancilla_dim(d)))
+    delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // d))))  # a tensored dimension of at most 12
     size = int(rng.integers(2, 5))
     weights = rng.dirichlet(np.ones(size))
     ensemble = [(float(w), _draw_state(cfg, d, rng), _draw_state(cfg, d, rng)) for w in weights]
     return rho, sigma, ch, unitary, delta_diag, ensemble
-
-
-def _ancilla_dim(d: int) -> int:
-    # keep the tensored dimension at or under 12
-    return max(1, min(3, 12 // d))
 
 
 def _one_trial(cfg: TrialConfig, check: str, alpha: float, inputs, trial: int) -> list[TrialRecord]:
@@ -488,42 +507,36 @@ def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, trial: i
 def _run_cell(task) -> list[TrialRecord]:
     """One (check, dim, alpha) cell, scored as stacks.
 
-    Every trial draws from its own stream and meets its public check's input
-    gates; then _stacked_sides scores all of them, with one kernel call per
-    side (measure checks) or per matrix size (functional checks). A trial
-    whose draw raises gets its error record. One that fails a gate, whose
-    stacked value is not finite, or whose stacked call raised is scored by
-    _one_trial, so every record keeps the bits and the error text of a
-    trial-at-a-time run.
+    Every trial draws from its own stream and meets _input_gate; a draw or
+    gate that raises gives that error record. _stacked_sides scores the rest,
+    and a trial it leaves, or all of them if it raised, goes to _one_trial.
+    So every record keeps the bits and error text of a trial-at-a-time run.
     """
     cfg, cell_index, check, dim, alpha = task
     records: list[list[TrialRecord] | None] = [None] * cfg.trials_per_cell
     drawn = {}
     for trial in range(cfg.trials_per_cell):
         try:
-            drawn[trial] = _draw_inputs(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
+            inputs = _draw_inputs(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
+            _input_gate(check, inputs)
         except Exception as exc:  # aggregate, never abort the suite
             records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
-    gated = [trial for trial, inputs in drawn.items() if _passes_input_gates(check, inputs)]
-    if gated:
+        else:
+            drawn[trial] = inputs
+    try:
+        scored = _stacked_sides(check, cfg.kind, list(drawn.values()), alpha) if drawn else []
+    except Exception:  # left to the scalar checks below, which raise or score trial by trial
+        scored = [None] * len(drawn)
+    names = OBSERVATIONS if check == "observations" else (check,)
+    kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
+    for (trial, inputs), sides in zip(drawn.items(), scored):
         try:
-            scored = _stacked_sides(check, cfg.kind, [drawn[t] for t in gated], alpha)
-        except Exception:  # left to the scalar checks below, which raise or score trial by trial
-            scored = [None] * len(gated)
-        names = OBSERVATIONS if check == "observations" else (check,)
-        kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
-        for trial, sides in zip(gated, scored):
-            if sides is not None:
-                records[trial] = [
-                    _record(name, dim, alpha, kind, *side, cfg.tolerance, cfg.master_seed, trial)
-                    for name, side in zip(names, sides)
-                ]
-    for trial, inputs in drawn.items():
-        if records[trial] is None:
-            try:
-                records[trial] = _one_trial(cfg, check, alpha, inputs, trial)
-            except Exception as exc:  # aggregate, never abort the suite
-                records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
+            records[trial] = _one_trial(cfg, check, alpha, inputs, trial) if sides is None else [
+                _record(name, dim, alpha, kind, *side, cfg.tolerance, cfg.master_seed, trial)
+                for name, side in zip(names, sides)
+            ]
+        except Exception as exc:  # aggregate, never abort the suite
+            records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
     return [record for trial_records in records for record in trial_records]
 
 
@@ -535,92 +548,79 @@ def _is_distribution(p) -> bool:
     return True
 
 
-def _passes_input_gates(check: str, inputs) -> bool:
-    """Whether a drawn trial passes the gates its public check puts on the drawn arguments."""
-    if check in ("strong_monotonicity", "monotonicity", "holder"):
-        return is_incoherent(inputs[1])
-    if check == "convexity":
-        return _is_distribution(inputs[0])
-    if check == "observations":  # the ancilla populations and the ensemble weights
-        return _is_distribution(inputs[4]) and _is_distribution([w for w, _, _ in inputs[5]])
-    return True
+def _padded(ragged) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged per-trial sequences zero-padded into one (trials, longest, ...) array, and the mask of real entries.
 
-
-def _padded_kraus(channels) -> np.ndarray:
-    """The channels' Kraus stacks padded with zero operators to the largest count: (trials, n, d, d).
-
-    A zero operator's branch has probability 0 and is never kept, and adds
-    only +-0.0 to an operator-order sum that starts from +0, so no bit moves.
+    Padding moves no bit of a stacked result: a zero Kraus operator's branch
+    has probability 0 and is never kept, and a zero weight, state or operator
+    adds only +-0.0 to an entry-order sum that starts from +0.
     """
-    shape = (len(channels), max(ch.n_kraus for ch in channels)) + channels[0].kraus.shape[1:]
-    kraus = np.zeros(shape, dtype=complex)
-    for t, ch in enumerate(channels):
-        kraus[t, : ch.n_kraus] = ch.kraus
-    return kraus
+    sizes = np.array([len(seq) for seq in ragged])
+    real = np.arange(sizes.max()) < sizes[:, None]
+    flat = np.concatenate(ragged)
+    padded = np.zeros(real.shape + flat.shape[1:], dtype=flat.dtype)
+    padded[real] = flat
+    return padded, real
 
 
 def _stacked_sides(check: str, kind: str, inputs: list, alpha) -> list:
     """Each trial's list of (lhs, rhs), one per record its public check writes, or None.
 
-    Entry t has the bits of the public check on inputs[t]. It is None where a
-    stacked value it needs is not finite: a matrix failed the check's
-    as_hermitian gate, or a value diverged or overflowed.
+    One kernel call per side (measure checks) or per matrix size (functional
+    checks). Entry t has the bits of the public check on inputs[t], a divergent
+    (+inf) value's degenerate sides included. It is None where a side is NaN: a
+    stacked gate refused a matrix, which the public check refuses with its error.
     """
     if check in MEASURE_CHECKS:
         lhs, rhs = _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
-        per_trial = [(side, [side]) for side in zip(lhs.tolist(), rhs.tolist())]
+        per_trial = [[side] for side in zip(lhs.tolist(), rhs.tolist())]
     else:
         a = validate_alpha(alpha)
         per_trial = FUNCTIONAL_STACKS[check](inputs, a, sgn1(a))
-    return [sides if all(map(math.isfinite, values)) else None for values, sides in per_trial]
+    return [None if any(math.isnan(v) for side in sides for v in side) else sides for sides in per_trial]
 
 
 def _lemma1_stack(inputs, a, sign):
-    """(F values, [sides]) of every lemma1 trial of a cell, as check_lemma1 forms them."""
+    """The sides of every lemma1 trial of a cell, as check_lemma1 forms them."""
     pair = np.array([(rho, sigma) for rho, sigma, _ in inputs])  # (trials, 2, d, d)
-    n_ops = [ch.n_kraus for _, _, ch in inputs]
-    products = branches(_padded_kraus([ch for _, _, ch in inputs])[:, None], pair)[1].swapaxes(1, 2)
-    real = np.arange(products.shape[1]) < np.array(n_ops)[:, None]  # no padded term enters a sum
+    kraus, real = _padded([ch.kraus for _, _, ch in inputs])
+    products = branches(kraus[:, None], pair)[1].swapaxes(1, 2)
     base, terms = _functional_stacks([pair, products[real]], a)
-    return [([b, *t], [_lemma1_sides(sign, b, t)]) for b, t in zip(base.tolist(), _by_trial(terms, n_ops))]
+    return [[_lemma1_sides(sign, b, t)] for b, t in zip(base.tolist(), _by_trial(terms, real.sum(axis=1)))]
 
 
 def _holder_stack(inputs, a, sign):
-    """(F values, [sides]) of every holder trial of a cell, as check_holder_step forms them."""
+    """The sides of every holder trial of a cell, as check_holder_step forms them."""
     rhos = np.array([rho for rho, _ in inputs])
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
         deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
     # the gates of spectral_decompose on rho and of embed_diagonal on delta
     usable = hermitian_mask(rhos) & np.array([_is_distribution(delta) for delta in deltas])
     deltas = np.where(usable[:, None], deltas, 0.0)[..., None] * np.eye(rhos.shape[-1])
-    probs, products, kept = branches(_padded_kraus([ch for _, ch in inputs])[:, None], np.stack([rhos, deltas], 1))
+    probs, products, kept = branches(_padded([ch.kraus for _, ch in inputs])[0][:, None], np.stack([rhos, deltas], 1))
     pairs = kept[:, 0] & kept[:, 1]  # a branch counts when both sides keep it
     p, q = probs[:, 0][pairs], probs[:, 1][pairs]
     (f,) = _functional_stacks([products.swapaxes(1, 2)[pairs] / np.stack([p, q], 1)[..., None, None]], a)
-    counts = pairs.sum(axis=1).tolist()
     return [
-        (f_t if ok else [math.nan], [_holder_sides(a, p_t, q_t, f_t)])
-        for ok, p_t, q_t, f_t in zip(usable, *(_by_trial(v, counts) for v in (p, q, f)))
+        [_holder_sides(a, p_t, q_t, f_t) if ok else (math.nan, math.nan)]
+        for ok, p_t, q_t, f_t in zip(usable, *(_by_trial(v, pairs.sum(axis=1)) for v in (p, q, f)))
     ]
 
 
 def _observations_stack(inputs, a, sign):
-    """(F values, five sides) of every observations trial of a cell, as check_observations forms them."""
+    """The five sides of every observations trial of a cell, as check_observations forms them."""
     pair = np.array([(rho, sigma) for rho, sigma, *_ in inputs])  # (trials, 2, d, d)
-    trials, d, k = len(pair), pair.shape[-1], _ancilla_dim(pair.shape[-1])
+    populations = np.array([inp[4] for inp in inputs])  # (trials, k): each ancilla's diagonal
+    trials, d, k = len(pair), pair.shape[-1], populations.shape[-1]
     us = np.array([inp[3] for inp in inputs])[:, None]
     ensembles = [inp[5] for inp in inputs]
-    sizes = [len(ensemble) for ensemble in ensembles]
-    drawn = np.arange(max(sizes)) < np.array(sizes)[:, None]  # (trials, size): the members that exist
-    weights = np.zeros(drawn.shape)
-    weights[drawn] = [w for ensemble in ensembles for w, _, _ in ensemble]
-    members = np.zeros(drawn.shape + pair.shape[1:], dtype=complex)
-    members[drawn] = [(r, s) for ensemble in ensembles for _, r, s in ensemble]
-    ancillas = np.array([inp[4] for inp in inputs])[:, None, None, :, None, None] * np.eye(k)[:, None, :]
+    weights, drawn = _padded([[w for w, _, _ in ensemble] for ensemble in ensembles])
+    members = _padded([[(r, s) for _, r, s in ensemble] for ensemble in ensembles])[0]
+    ancillas = populations[:, None, None, :, None, None] * np.eye(k)[:, None, :]
     stacks = [
         pair,
         us @ pair @ us.conj().swapaxes(-1, -2),
-        apply_channel(_padded_kraus([inp[2] for inp in inputs])[:, None], pair),
+        apply_channel(_padded([inp[2].kraus for inp in inputs])[0][:, None], pair),
         members[drawn],
         sum(np.moveaxis(weights[..., None, None, None] * members, 1, 0)),
         # np.kron(rho, ancilla) of each matrix: entry (i k + a, j k + b) is rho_ij ancilla_ab
@@ -628,9 +628,9 @@ def _observations_stack(inputs, a, sign):
     ]
     base, rotated, mapped, parts, mixed, tensored = (v.tolist() for v in _functional_stacks(stacks, a))
     return [
-        ([b, r, m, *part, mx, t], _observation_sides(sign, b, r, m, [w for w, _, _ in ens], part, mx, t))
+        _observation_sides(sign, b, r, m, [w for w, _, _ in ens], part, mx, t)
         for b, r, m, part, mx, t, ens in zip(
-            base, rotated, mapped, _by_trial(parts, sizes), mixed, tensored, ensembles
+            base, rotated, mapped, _by_trial(parts, drawn.sum(axis=1)), mixed, tensored, ensembles
         )
     ]
 
@@ -667,28 +667,20 @@ def _measure_sides(check: str, kind: str, inputs: list, alpha):
 
     Entry t has the bits of the scalar check's sides on inputs[t], and is NaN
     where a matrix that check measures fails its as_hermitian gate. Channels
-    are padded with zero operators (_padded_kraus) and convex mixtures to the
-    largest size with zero weights and states, which add only +-0.0 to sums
-    that start from +0.
+    and convex mixtures are padded to the cell's largest size (_padded).
     """
     if check == "convexity":
-        sizes = np.array([len(weights) for weights, _ in inputs])
-        drawn = np.arange(sizes.max()) < sizes[:, None]  # (trials, size): the entries that exist
-        weights = np.zeros(drawn.shape)
-        weights[drawn] = np.concatenate([w for w, _ in inputs])
-        states = np.zeros(drawn.shape + inputs[0][1][0].shape, dtype=complex)
-        states[drawn] = [s for _, trial_states in inputs for s in trial_states]
-        values = np.zeros(drawn.shape)
-        values[drawn] = measure_values(kind, states[drawn], alpha)
+        weights, real = _padded([w for w, _ in inputs])
+        states = _padded([trial_states for _, trial_states in inputs])[0]
+        values = np.zeros(real.shape)
+        values[real] = measure_values(kind, states[real], alpha)
         lhs = sum(np.moveaxis(weights * values, -1, 0))
         mixtures = sum(np.moveaxis(weights[..., None, None] * states, -3, 0))
         rhs = measure_values(kind, mixtures, alpha)
-        gated = np.ones(drawn.shape, dtype=bool)
-        gated[drawn] = hermitian_mask(states[drawn])
-        gated = gated.all(axis=-1) & hermitian_mask(mixtures)
+        gated = hermitian_mask(states).all(axis=-1) & hermitian_mask(mixtures)  # a zero pad passes
     else:
         rhos = np.stack([rho for rho, _ in inputs])
-        kraus = _padded_kraus([ch for _, ch in inputs])
+        kraus = _padded([ch.kraus for _, ch in inputs])[0]
         lhs = measure_values(kind, rhos, alpha)
         gated = hermitian_mask(rhos)
         if check == "strong_monotonicity":
@@ -1029,7 +1021,13 @@ def search_violation(
     # to relative-entropy coherence there, which is strongly monotone, so a
     # search restricted to them just exhausts its budget
     alphas = tuple(check_alpha_floor(validate_alpha(a)) for a in alphas)
-    lo, hi = n_kraus_range
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    lo, hi = _check_kraus_range(n_kraus_range)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not math.isfinite(gap_threshold):  # NaN or +inf would refuse every witness, -inf accept any
+        raise ValueError(f"gap_threshold must be finite, got {gap_threshold}")
     ranks = sorted({1, max(1, d // 2), d})
     combos = [
         (a, nk, r, pair)

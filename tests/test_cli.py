@@ -597,6 +597,12 @@ class TestInputBoundary:
         assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tolerance_that_decides_nothing(self, tol, capsys):
+        # an infinite tolerance passes every record, NaN fails every one
+        assert main(self.VERIFY + ["--tol", tol]) == EXIT_USAGE
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
     def test_config_not_an_object(self, tmp_path, capsys):
         path = self._write(tmp_path, "cfg.json", "[2, 3]")
         assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE

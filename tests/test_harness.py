@@ -29,6 +29,7 @@ from alphacoh.coherence import (
     MEASURE_KINDS,
     AlphaBelowFloorError,
     CoherenceResult,
+    DegenerateDiagonalError,
     SkewFormsDisagreeError,
     coherence_alpha,
     measure_value,
@@ -46,6 +47,9 @@ from alphacoh.harness import (
     _batch_states,
     _draw_state,
     _draw_state_channel,
+    _holder_sides,
+    _lemma1_sides,
+    _observation_sides,
     _refine_witness,
     _SearchParams,
     _strong_mono_stats,
@@ -60,6 +64,7 @@ from alphacoh.harness import (
     run_suite,
     search_violation,
 )
+from alphacoh.linalg import DimMismatchError, NegativeEigenvalueError, NotHermitianError
 from alphacoh.states import (
     haar_unitary,
     load_state,
@@ -78,6 +83,20 @@ HADAMARD_CH = KrausChannel(
 
 def identity_channel(d: int) -> KrausChannel:
     return KrausChannel((np.eye(d, dtype=complex),))
+
+
+def image_refused_by_the_gate():
+    """A qutrit state inside the Hermitian gate and an incoherent channel whose image of it is outside.
+
+    rho carries the anti-Hermitian part 0.49e-10 i J (J all ones), under the
+    1e-10 gate. Each K_n = |0><conj(u_n)|, u_n the rows of a Haar unitary, sends
+    it to <conj(u_n)| rho |conj(u_n)> |0><0|, and their imaginary parts add up
+    to 3 * 0.49e-10 at entry (0, 0).
+    """
+    rng = substream(3)
+    u = haar_unitary(3, rng)
+    rho = random_density(3, 3, rng) + 1j * 0.49e-10 * np.ones((3, 3))
+    return rho, KrausChannel(tuple(np.outer(np.eye(3)[0], row) for row in u))
 
 
 class TestTrialConfigValidation:
@@ -101,6 +120,7 @@ class TestTrialConfigValidation:
             ({"checks": ()}, "checks"),
             ({"kind": "l2"}, "unknown kind"),
             ({"tolerance": math.nan}, "tolerance"),
+            ({"tolerance": math.inf}, "tolerance"),
         ],
     )
     def test_rejects(self, kwargs, match):
@@ -329,6 +349,108 @@ class TestObservations:
             check_observations(**args, alpha=1.5, ensemble=bad)
 
 
+ZERO = np.zeros((2, 2), dtype=complex)
+NOT_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
+NOT_PSD = np.diag([1.5, -0.5]).astype(complex)
+
+
+def _qubit():
+    return random_density(2, 2, substream(1))
+
+
+def _qutrit():
+    return random_density(3, 3, substream(2))
+
+
+class TestErrorContract:
+    """The exception class and message prefix each public check raises, one input defect at a time."""
+
+    @pytest.mark.parametrize(
+        "call, exc, prefix",
+        [
+            pytest.param(
+                lambda: check_holder_step(ZERO, identity_channel(2), 0.5),
+                DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="zero-holder",
+            ),
+            pytest.param(
+                lambda: check_strong_monotonicity("alpha", ZERO, identity_channel(2), 0.5),
+                DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="zero-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("alpha", ZERO, identity_channel(2), 0.5),
+                DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="zero-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_convexity("alpha", [1.0], [ZERO], 0.5),
+                DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="zero-convexity",
+            ),
+            pytest.param(
+                lambda: check_lemma1(_qubit(), _qutrit(), identity_channel(2), 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-lemma1",
+            ),
+            pytest.param(
+                lambda: check_observations(_qubit(), _qutrit(), identity_channel(2), np.eye(2), [1.0], 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-observations",
+            ),
+            pytest.param(
+                lambda: check_holder_step(NOT_HERMITIAN, identity_channel(2), 0.5),
+                NotHermitianError, "not Hermitian: max |H - H^dag| = 2.000e-01", id="not_hermitian-holder",
+            ),
+            pytest.param(
+                lambda: check_lemma1(NOT_HERMITIAN, _qubit(), identity_channel(2), 0.5),
+                NotHermitianError, "not Hermitian: max |H - H^dag| = 2.000e-01", id="not_hermitian-lemma1",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("skew", NOT_PSD, identity_channel(2), None),
+                NegativeEigenvalueError, "eigenvalue -5.000e-01 below -1e-12", id="not_psd-skew-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("alpha", *image_refused_by_the_gate(), 0.5),
+                NotHermitianError, "not Hermitian: max |H - H^dag|", id="image_not_hermitian-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_strong_monotonicity("alpha", _qubit(), HADAMARD_CH, 0.5),
+                NotIncoherentChannelError, "strong monotonicity is defined for incoherent channels",
+                id="coherent-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("alpha", _qubit(), HADAMARD_CH, 0.5),
+                NotIncoherentChannelError, "monotonicity is defined for incoherent channels",
+                id="coherent-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), HADAMARD_CH, 0.5),
+                NotIncoherentChannelError, "the power-mean step is stated for incoherent channels",
+                id="coherent-holder",
+            ),
+            pytest.param(
+                lambda: check_convexity("alpha", [0.5, 0.6], [_qubit(), _qubit()], 0.5),
+                BadWeightsError, "weights: normalization violated", id="weights-convexity",
+            ),
+            pytest.param(
+                lambda: check_convexity("alpha", [0.5, 0.5], [_qubit()], 0.5),
+                BadWeightsError, "need one weight per state, got 2 weights, 1 states", id="count-convexity",
+            ),
+            pytest.param(
+                lambda: check_observations(
+                    _qubit(), _qubit(), identity_channel(2), np.eye(2), [1.0], 0.5,
+                    ensemble=[(0.7, _qubit(), _qubit()), (0.7, _qubit(), _qubit())],
+                ),
+                BadWeightsError, "ensemble weights: normalization violated", id="ensemble-observations",
+            ),
+            pytest.param(
+                lambda: check_observations(_qubit(), _qubit(), identity_channel(2), np.eye(2), [0.5, 0.6], 0.5),
+                BadWeightsError, "distribution: normalization violated", id="ancilla-observations",
+            ),
+        ],
+    )
+    def test_raises(self, call, exc, prefix):
+        with pytest.raises(exc) as info:
+            call()
+        assert type(info.value) is exc
+        assert str(info.value).startswith(prefix)
+
+
 class TestCheckStats:
     def test_absorb_counts(self):
         stats = CheckStats()
@@ -551,6 +673,24 @@ class TestSearchViolation:
             search_violation(2, 0)
         with pytest.raises(ValueError, match="alpha must lie"):
             search_violation(2, 10, alphas=(2.5,))
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"alphas": ()}, "alphas must be nonempty"),
+            ({"n_kraus_range": (3, 1)}, "n_kraus_range"),
+            ({"n_kraus_range": (0, 2)}, "n_kraus_range"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"gap_threshold": math.nan}, "gap_threshold"),
+        ],
+    )
+    def test_refuses_a_search_that_cannot_run(self, kwargs, match, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a batch before refusing the arguments")
+
+        monkeypatch.setattr("alphacoh.harness._batch_states", no_draws)
+        with pytest.raises(ValueError, match=match):
+            search_violation(3, 100, **kwargs)
 
 
 class TestSearchSampler:
@@ -842,6 +982,17 @@ def raising_on_call(fn, call, exc_type=RuntimeError):
     return wrapper
 
 
+def returning_on_call(fn, call, value):
+    """fn, except that its `call`-th call (counting from 0) returns `value` instead."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return value if len(calls) - 1 == call else fn(*args, **kwargs)
+
+    return wrapper
+
+
 MEASURE_CHECK_NAMES = ("strong_monotonicity", "monotonicity", "convexity")
 
 
@@ -893,6 +1044,25 @@ class TestStackedCell:
         monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
         self.assert_same_records(new, per_trial_records(cfg))
         assert new[3].error.startswith("NotIncoherentChannelError: ")
+
+    def test_an_image_the_gate_refuses_gets_the_scalar_error(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        rho, ch = image_refused_by_the_gate()
+        draws = {"_draw_state": rho, "random_incoherent_channel": ch}
+        originals = {name: getattr(harness, name) for name in draws}
+
+        def refused_draw_at_trial_3():
+            for name, value in draws.items():
+                monkeypatch.setattr(harness, name, returning_on_call(originals[name], 3, value))
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("monotonicity",), master_seed=26)
+        refused_draw_at_trial_3()
+        new = run_suite(cfg).records
+        refused_draw_at_trial_3()
+        self.assert_same_records(new, per_trial_records(cfg))
+        assert new[3].error.startswith("NotHermitianError: not Hermitian")
+        assert [bool(r.error) for r in new] == [False, False, False, True, False, False]
 
     @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
     def test_a_nan_side_is_scored_alone(self, check, monkeypatch):
@@ -1053,27 +1223,59 @@ class TestStackedFunctionalCell:
         self.assert_same_records(new, per_trial_functional_records(cfg))
         assert new[3].error.startswith("NotIncoherentChannelError: ")
 
-    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
-    @pytest.mark.parametrize("poison", [math.nan, math.inf])
-    def test_a_non_finite_value_is_scored_alone(self, check, poison, monkeypatch):
+    @staticmethod
+    def poison_2_of_the_first_stack(monkeypatch, poison) -> list:
+        """Make entry 2 of the cell's first functional_values stack `poison`; returns the poisoned stack's length."""
         import alphacoh.harness as harness
 
-        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
-        old = per_trial_functional_records(cfg)
         original, poisoned = harness.functional_values, []
 
-        def poison_2_of_the_first_stack(a_mats, b_mats, alpha):
+        def poisoning(a_mats, b_mats, alpha):
             values = original(a_mats, b_mats, alpha)
             if not poisoned:
                 poisoned.append(len(values))
                 values[2] = poison
             return values
 
-        monkeypatch.setattr(harness, "functional_values", poison_2_of_the_first_stack)
+        monkeypatch.setattr(harness, "functional_values", poisoning)
+        return poisoned
+
+    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
+    @pytest.mark.parametrize("poison", [math.nan])
+    def test_a_non_finite_value_is_scored_alone(self, check, poison, monkeypatch):
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
+        old = per_trial_functional_records(cfg)
+        poisoned = self.poison_2_of_the_first_stack(monkeypatch, poison)
         new = run_suite(cfg).records
         assert poisoned and poisoned[0] >= 6
         self.assert_same_records(new, old)
         assert not any(r.error or r.degenerate for r in new)
+
+    @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
+    def test_a_divergent_value_is_a_degenerate_record_of_the_stack(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
+        old = per_trial_functional_records(cfg)
+        poisoned = self.poison_2_of_the_first_stack(monkeypatch, math.inf)
+        scalar_calls = []
+        original_trial = harness._one_trial
+
+        def counting_trial(*args):
+            scalar_calls.append(args)
+            return original_trial(*args)
+
+        monkeypatch.setattr(harness, "_one_trial", counting_trial)
+        new = run_suite(cfg).records
+        assert poisoned and poisoned[0] >= 6
+        assert not scalar_calls
+        assert [(r.check_name, r.trial) for r in new] == [(r.check_name, r.trial) for r in old]
+        changed = [(r, o) for r, o in zip(new, old) if repr(r) != repr(o)]
+        # only the trial that owns the poisoned pair moves, and each record it changes is degenerate
+        assert changed and len({r.trial for r, _ in changed}) == 1
+        for r, o in changed:
+            assert r.degenerate and r.passed and r.margin == math.inf and not r.error
+            assert math.inf in (r.lhs, r.rhs) and not o.degenerate
 
     def test_a_holder_delta_the_weight_gate_refuses_is_scored_alone(self, monkeypatch):
         import alphacoh.harness as harness
@@ -1103,6 +1305,30 @@ class TestStackedFunctionalCell:
         old = per_trial_functional_records(cfg)
         monkeypatch.setattr(harness, "functional_values", stacks_raise)
         self.assert_same_records(run_suite(cfg).records, old)
+
+    def test_a_refused_value_beside_a_divergent_one_reaches_the_sides(self):
+        # a NaN (a pair a stacked gate refused) sends its trial to the public check only through a NaN side
+        nan, inf = math.nan, math.inf
+        assert math.isnan(_lemma1_sides(-1.0, 0.5, [inf, nan])[1])
+        assert any(map(math.isnan, _holder_sides(0.5, [0.5, 0.5], [0.5, 0.5], [inf, nan])))
+        sides = _observation_sides(1.0, inf, nan, nan, [0.5, 0.5], [inf, nan], 1.0, nan)
+        assert all(any(map(math.isnan, side)) for side in sides[1:])
+
+    def test_divergent_trials_never_reach_the_scalar_checks(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        calls, original = [], harness._one_trial
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_one_trial", counting)
+        # at alpha > 1 with mixed ranks most of these trials hold a divergent F value
+        cfg = TrialConfig(alphas=(1.5, 2.0), trials_per_cell=10, checks=FUNCTIONAL_CHECK_NAMES, master_seed=5)
+        summary = run_suite(cfg)
+        assert not calls
+        assert summary.stats["lemma1"].degenerate and summary.stats["obs1_one_sided"].degenerate
 
     @pytest.mark.parametrize("check, sizes", [("lemma1", [3]), ("holder", [3]), ("observations", [3, 9])])
     def test_one_kernel_call_per_matrix_size(self, check, sizes, monkeypatch):
