@@ -1252,7 +1252,7 @@ class TestStackedFunctionalCell:
         assert not any(r.error or r.degenerate for r in new)
 
     @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
-    def test_a_divergent_value_is_a_degenerate_record_of_the_stack(self, check, monkeypatch):
+    def test_a_divergent_value_is_degenerate(self, check, monkeypatch):
         import alphacoh.harness as harness
 
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
