@@ -14,6 +14,8 @@ power-mean S = sum_j a_j^(1/alpha):
 
 Both are evaluated by one kernel, ``closed_form``. ``measure_values`` is the one
 evaluation path of every measure kind: the scalar API and the harness share it.
+The scalar API reads the spectrum from ``linalg.validated_spectrum``, so the
+kinds, alphas and oracle calls on one state share one eigendecomposition.
 
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import near_one, shannon_entropy, validate_alpha
-from .linalg import as_hermitian, eigh_clamped, psd_power, spectral_decompose
+from .linalg import as_hermitian, eigh_clamped, psd_power, validated_spectrum
 from .states import dephase
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
@@ -125,14 +127,13 @@ def alpha_diagonal(rho, alpha: float) -> np.ndarray:
     every summand nonnegative instead of forming the full matrix power.
     """
     a = validate_alpha(alpha)
-    lam, vecs = spectral_decompose(rho)
+    lam, vecs = validated_spectrum(rho)
     return _diagonal(lam, vecs, a)
 
 
 def _family(kind: str, rho, alpha: float) -> CoherenceResult:
     a = check_alpha_floor(validate_alpha(alpha))
-    lam, vecs = spectral_decompose(rho)
-    value, delta = closed_form(kind, lam, vecs, a)
+    value, delta = closed_form(kind, *validated_spectrum(rho), a)
     return CoherenceResult(float(value), delta)
 
 
@@ -200,9 +201,10 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
     value with its argmin. Divergent candidates (boundary points whose zero
     sits inside rho's diagonal support, alpha > 1) are skipped. Deliberately
     independent of the closed form: for diagonal delta the functional reduces
-    to sum_j a_j delta_j^(1-alpha), and that is all this uses.
+    to sum_j a_j delta_j^(1-alpha), and that is all this uses. Its alpha gate
+    is the scalar API's, ALPHA_FLOOR included.
     """
-    a = validate_alpha(alpha)
+    a = check_alpha_floor(validate_alpha(alpha))
     if near_one(a):
         raise ValueError("oracle undefined within 1e-6 of alpha = 1")
     if not 1e-5 <= resolution <= 1e-2:
@@ -266,9 +268,14 @@ def measure_value(kind: str, rho, alpha: float | None = None) -> float:
     """One measure of one gated state (square, finite, Hermitian) and gated alpha.
 
     The families need an alpha; the other kinds ignore it but still refuse one
-    outside (0, 2] or under ALPHA_FLOOR.
+    outside (0, 2] or under ALPHA_FLOOR. alpha, tsallis and relent read the
+    state's validated_spectrum.
     """
     alpha = check_measure_alpha(kind, alpha)
+    if kind == "relent":
+        kind, alpha = "alpha", 1.0
+    if kind in ALPHA_KINDS:
+        return float(closed_form(kind, *validated_spectrum(rho), alpha)[0])
     return float(measure_values(kind, as_hermitian(rho), alpha))
 
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimMismatchError, as_hermitian, eigh_clamped, powered_eigenvalues, spectral_decompose
+from .linalg import DimMismatchError, as_hermitian, eigh_clamped, powered_eigenvalues, validated_spectrum
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -127,7 +127,7 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho in nats, with 0 ln 0 = 0."""
-    return float(shannon_entropy(np.clip(spectral_decompose(rho).eigenvalues, 0.0, None)))
+    return float(shannon_entropy(np.clip(validated_spectrum(rho).eigenvalues, 0.0, None)))
 
 
 def relative_entropy(rho, sigma) -> float:

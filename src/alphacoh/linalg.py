@@ -8,6 +8,7 @@ within the clamp window are treated as exact zeros, and 0**p = 0 for p >= 0.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -58,9 +59,28 @@ def spectral_decompose(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
     support logic never sees denormal noise as rank.
 
     Raises NotHermitianError when max |H - H†| exceeds `hermiticity_tol`,
-    reporting the offending deviation.
+    reporting the offending deviation. The arrays are copies, the caller's to write.
     """
-    return eigh_clamped(as_hermitian(h, hermiticity_tol))
+    return Spectrum(*(arr.copy() for arr in validated_spectrum(h, hermiticity_tol)))
+
+
+def validated_spectrum(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
+    """spectral_decompose without the copies: read-only arrays, shared while h keeps its exact bytes.
+
+    One entry, the last matrix that passed as_hermitian, keyed by its shape,
+    the bytes of its complex coercion and the tolerance. A matrix edited in
+    place is a new key; a refused one is never stored, so it raises every time.
+    """
+    mat = np.asarray(h, dtype=complex)
+    return _last_spectrum(mat.shape, mat.tobytes(), hermiticity_tol)
+
+
+@lru_cache(maxsize=1)
+def _last_spectrum(shape: tuple, data: bytes, hermiticity_tol: float) -> Spectrum:
+    spectrum = eigh_clamped(as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape), hermiticity_tol))
+    for arr in spectrum:
+        arr.flags.writeable = False
+    return spectrum
 
 
 def as_hermitian(h, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -354,6 +354,47 @@ class TestFunctionalRecordBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[policy]
 
 
+class TestScalarApiBytes:
+    """The scalar API's rows on a rank-2 qutrit and a full-rank d=4 state are pinned by sha256.
+
+    tests/data/scalar_api_sha256.json holds the digests of `compute` (all kinds,
+    alphas 0.01/0.5/1.0/2.0, with the optimal populations) and of `sweep` (both
+    families over 0.05:2.0:0.05, whose alpha ~ 1 point is the relent limit, with
+    the optimal populations) on each state, and of `oracle-compare` with 3 states
+    at d=2 and d=3. They move only when a spectrum, a closed form or the oracle
+    changes bits.
+    """
+
+    DIGESTS = json.loads((DATA / "scalar_api_sha256.json").read_text())
+    STATES = {"qutrit_rank2": (3, 2, 300), "d4_full": (4, 4, 301)}
+    COMMANDS = {
+        "compute": ["compute", "--alpha", "0.01", "--alpha", "0.5", "--alpha", "1.0", "--alpha", "2.0", "--emit-delta"],
+        "sweep": ["sweep", "--alpha-range", "0.05:2.0:0.05", "--emit-delta"],
+    }
+    CASES = [
+        "compute-qutrit_rank2", "compute-d4_full", "sweep-qutrit_rank2", "sweep-d4_full", "oracle-d2", "oracle-d3",
+    ]
+
+    def _argv(self, case, tmp_path):
+        if case.startswith("oracle-d"):
+            return ["oracle-compare", "--dim", case[-1], "--states", "3"]
+        command, name = case.split("-", 1)
+        d, rank, key = self.STATES[name]
+        path = tmp_path / f"{name}.json"
+        save_state(path, random_density(d, rank, substream(2026, key)))
+        first, *flags = self.COMMANDS[command]
+        return [first, str(path), *flags]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_digest(self, case, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(self._argv(case, tmp_path) + ["--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[case]
+
+    def test_every_case_is_pinned(self):
+        assert sorted(self.DIGESTS) == sorted(self.CASES)
+
+
 class TestMalformedInput:
     """Valid JSON with the wrong content is an input error (exit 2) naming the file."""
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from alphacoh.coherence import (
+    AlphaBelowFloorError,
     DegenerateDiagonalError,
     DimTooLargeError,
     MEASURE_KINDS,
@@ -197,6 +198,13 @@ class TestOracleAgreement:
             brute_force_min(qubit, 1.5, 1e-6)
         with pytest.raises(ValueError, match="oracle undefined"):
             brute_force_min(qubit, 1.0 + 1e-9, 1e-4)
+
+    def test_alpha_floor_gate(self):
+        # under the floor the grid's 1/alpha power gave an artifact (0.17263975... at 1e-12)
+        rho = random_density(3, 3, substream(1, 2))
+        with pytest.raises(AlphaBelowFloorError, match="below"):
+            brute_force_min(rho, 1e-12, 2e-3)
+        assert brute_force_min(rho, 1e-9, 2e-3)[0] == pytest.approx(0.17234870, abs=1e-8)
 
     def test_qutrit_grid_size_gate(self, rng):
         # 1e-4 is a legal resolution, but its d = 3 grid holds about 5e7 points

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphacoh.cli import EXIT_OK, main
+from alphacoh.coherence import alpha_diagonal, coherence_alpha, measure_value, measure_values
+from alphacoh.divergence import shannon_entropy, von_neumann_entropy
 from alphacoh.linalg import (
     EIGENVALUE_CLAMP,
     NegativeEigenvalueError,
     NotHermitianError,
     as_hermitian,
+    eigh_clamped,
     hermitian_mask,
     matrix_power,
     max_asymmetry,
     powered_eigenvalues,
     spectral_decompose,
+    validated_spectrum,
 )
+from alphacoh.states import random_density, save_state
 from conftest import random_hermitian
 
 ROT = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -66,6 +72,89 @@ def test_hermitian_mask_is_the_as_hermitian_gate_per_matrix(rng):
             accepted.append(False)
     assert hermitian_mask(stack).tolist() == accepted == [True, False, False, False]
     assert max_asymmetry(stack[:2]).tolist() == [max_asymmetry(h), max_asymmetry(skew)]
+
+
+class TestSpectrumMemo:
+    """The scalar API reuses one validated spectrum; nothing a caller does can make it stale."""
+
+    def test_a_state_edited_in_place_gets_its_new_value(self, rng):
+        rho = random_density(3, 3, rng(20))
+        other = random_density(3, 2, rng(21))
+        before = measure_value("alpha", rho, 0.5)
+        rho[...] = other
+        fresh = eigh_clamped(other.copy())  # never through the memo
+        assert measure_value("alpha", rho, 0.5) == float(measure_values("alpha", other.copy(), 0.5)) != before
+        np.testing.assert_array_equal(spectral_decompose(rho).eigenvalues, fresh.eigenvalues)
+        assert von_neumann_entropy(rho) == float(shannon_entropy(np.clip(fresh.eigenvalues, 0.0, None)))
+
+    def test_writing_into_spectral_decompose_changes_nothing_the_next_call_sees(self, rng):
+        rho = random_density(3, 3, rng(22))
+        expected = coherence_alpha(rho, 1.5).value
+        lam, vecs = spectral_decompose(rho)
+        reference = (lam.copy(), vecs.copy())
+        lam[:] = 7.0
+        vecs[:] = 0.0
+        again = spectral_decompose(rho)
+        np.testing.assert_array_equal(again.eigenvalues, reference[0])
+        np.testing.assert_array_equal(again.eigenvectors, reference[1])
+        assert coherence_alpha(rho, 1.5).value == expected
+
+    def test_the_shared_arrays_are_read_only(self, rng):
+        rho = random_density(2, 2, rng(23))
+        for arr in validated_spectrum(rho):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([[np.nan, 0.0], [0.0, 1.0]], ValueError), ([[0.5, 0.4], [0.1, 0.5]], NotHermitianError)],
+        ids=["nan", "non-hermitian"],
+    )
+    def test_a_refused_matrix_raises_on_every_call(self, bad, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                spectral_decompose(bad)
+            with pytest.raises(error):
+                measure_value("alpha", bad, 0.5)
+            with pytest.raises(error):
+                alpha_diagonal(bad, 0.5)
+
+    def test_another_tolerance_is_not_served_the_first_entry(self, rng):
+        h = random_hermitian(3, rng(24))
+        h[0, 1] += 1e-8
+        spectral_decompose(h, hermiticity_tol=1e-6)
+        with pytest.raises(NotHermitianError):
+            spectral_decompose(h)
+        spectral_decompose(h, hermiticity_tol=1e-6)
+        with pytest.raises(NotHermitianError):
+            spectral_decompose(h, hermiticity_tol=1e-9)
+
+    @staticmethod
+    def _count_eigh(monkeypatch) -> list:
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mats):
+            calls.append(np.shape(mats))
+            return eigh(mats)
+
+        spectral_decompose(np.eye(2))  # no state of the test below is the memo's entry
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_a_sweep_decomposes_its_state_once(self, rng, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "state.json"
+        save_state(path, random_density(4, 3, rng(25)))
+        calls = self._count_eigh(monkeypatch)
+        assert main(["sweep", str(path), "--alpha-range", "0.05:2.0:0.05", "--emit-delta"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 40
+        assert calls == [(4, 4)]
+
+    def test_an_oracle_point_decomposes_its_state_once(self, monkeypatch, capsys):
+        calls = self._count_eigh(monkeypatch)
+        assert main(["oracle-compare", "--dim", "2", "--states", "2", "--alpha", "1.5", "--alpha", "0.5"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
+        assert calls == [(2, 2), (2, 2)]
 
 
 class TestMatrixPower:
