@@ -46,8 +46,8 @@ from .coherence import (
     measure_values,
     optimal_incoherent_state,
 )
-from .divergence import f_alpha, functional_values, near_one, sgn1, validate_alpha
-from .linalg import eigh_clamped, hermitian_mask
+from .divergence import _gated_pair, functional_values, near_one, sgn1, validate_alpha
+from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask
 from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -70,6 +70,8 @@ ALL_CHECKS = (
 )
 # checks built on the trace functional, undefined inside the alpha = 1 window
 DIVERGENCE_CHECKS = frozenset({"lemma1", "holder", "observations"})
+MEASURE_CHECKS = ("strong_monotonicity", "monotonicity", "convexity")  # the checks scored by a measure kind
+CHANNEL_CHECKS = ("strong_monotonicity", "monotonicity", "holder")  # a trial is a state and an incoherent channel
 
 
 def _check_kraus_range(n_kraus_range) -> tuple[int, int]:
@@ -233,25 +235,34 @@ def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
     )
 
 
-def _input_gate(check: str, inputs):
+def _input_gate(check: str, inputs) -> None:
     """The gate check_<check> and _run_cell put on the drawn arguments (in _draw_inputs order).
 
-    Raises the public check's exception, or returns what it validated: the
-    weights (convexity), or the ensemble weights and the ancilla state (observations).
+    Raises the public check's exception: a coherent channel, weights that are
+    not a distribution, or operands that are not square matrices of one size.
     """
-    if check in ("strong_monotonicity", "monotonicity", "holder"):
+    if check in CHANNEL_CHECKS:
         if not is_incoherent(inputs[1]):
             stated = "the power-mean step is stated" if check == "holder" else f"{check.replace('_', ' ')} is defined"
             raise NotIncoherentChannelError(f"{stated} for incoherent channels")
+        operands = (inputs[0], inputs[1].kraus[0])
     elif check == "convexity":
-        weights, states = inputs
+        weights, operands = inputs
         w = validate_probability_vector(weights, "weights")
-        if len(states) != w.size:
-            raise BadWeightsError(f"need one weight per state, got {w.size} weights, {len(states)} states")
-        return w
-    elif check == "observations":
-        return validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights"), embed_diagonal(inputs[4])
-    return None
+        if len(operands) != w.size:
+            raise BadWeightsError(f"need one weight per state, got {w.size} weights, {len(operands)} states")
+    elif check == "lemma1":
+        operands = (*inputs[:2], inputs[2].kraus[0])
+    else:
+        validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
+        embed_diagonal(inputs[4])
+        operands = (*inputs[:2], inputs[2].kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
+    for mat in operands:
+        shape = np.shape(mat)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            as_square_matrix(mat)  # raises its DimMismatchError
+        elif shape != np.shape(operands[0]):  # _gated_pair's refusal
+            raise DimMismatchError(f"operands differ in dimension: {len(operands[0])} vs {shape[0]}")
 
 
 def check_strong_monotonicity(
@@ -263,35 +274,21 @@ def check_strong_monotonicity(
     contribute 0 to the average, biasing the right side down, i.e. toward
     pass; their mass is negligible by construction of the drop threshold.
     """
-    _input_gate("strong_monotonicity", (rho, ch))
-    rho = np.asarray(rho, dtype=complex)
-    lhs, rhs, _ = _strong_mono_stats(kind, rho, ch.kraus, alpha)
-    return _record(
-        "strong_monotonicity", rho.shape[0], alpha, kind, lhs, rhs, tolerance, seed, trial
-    )
+    return _trial_records("strong_monotonicity", kind, (rho, ch), alpha, tolerance, seed, trial)[0]
 
 
 def check_monotonicity(
     kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
 ) -> TrialRecord:
     """C(rho) >= C(E(rho)) for the non-selective action of an incoherent channel."""
-    _input_gate("monotonicity", (rho, ch))
-    rho = np.asarray(rho, dtype=complex)
-    lhs = measure_value(kind, rho, alpha)
-    rhs = measure_value(kind, apply_channel(ch, rho), alpha)
-    return _record("monotonicity", rho.shape[0], alpha, kind, lhs, rhs, tolerance, seed, trial)
+    return _trial_records("monotonicity", kind, (rho, ch), alpha, tolerance, seed, trial)[0]
 
 
 def check_convexity(
     kind, weights, states, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
 ) -> TrialRecord:
     """sum_i w_i C(rho_i) >= C(sum_i w_i rho_i)."""
-    w = _input_gate("convexity", (weights, states))
-    mats = [np.asarray(s, dtype=complex) for s in states]
-    lhs = sum(wi * measure_value(kind, s, alpha) for wi, s in zip(w, mats))
-    mixture = sum(wi * s for wi, s in zip(w, mats))
-    rhs = measure_value(kind, mixture, alpha)
-    return _record("convexity", mats[0].shape[0], alpha, kind, lhs, rhs, tolerance, seed, trial)
+    return _trial_records("convexity", kind, (weights, states), alpha, tolerance, seed, trial)[0]
 
 
 def check_lemma1(
@@ -307,14 +304,7 @@ def check_lemma1(
     A divergent term (alpha > 1, branch support mismatch) makes the direction
     unfalsifiable, so the trial is recorded as passed-degenerate.
     """
-    a = validate_alpha(alpha)
-    sign = sgn1(a)
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    base = f_alpha(rho, sigma, a)
-    _, products, _ = branches(ch.kraus, np.stack([rho, sigma]))
-    terms = [f_alpha(r, s, a) for r, s in zip(*products)]
-    return _record("lemma1", rho.shape[0], a, "f_alpha", *_lemma1_sides(sign, base, terms), tolerance, seed, trial)
+    return _trial_records("lemma1", None, (rho, sigma, ch), alpha, tolerance, seed, trial)[0]
 
 
 def _lemma1_sides(sign, base, terms):
@@ -338,18 +328,7 @@ def check_holder_step(
     channel must achieve equality. The record's lhs is whichever side the
     inequality bounds from above.
     """
-    a = validate_alpha(alpha)
-    if near_one(a):
-        raise ValueError("holder step undefined within 1e-6 of alpha = 1")
-    _input_gate("holder", (rho, ch))
-    rho = np.asarray(rho, dtype=complex)
-    delta = optimal_incoherent_state(rho, a)
-    # one call for the pair (rho, delta); a branch counts when both sides keep it
-    probs, products, kept = branches(ch.kraus, np.stack([rho, embed_diagonal(delta)]))
-    pairs = np.flatnonzero(kept[0] & kept[1])
-    p, q = probs[:, pairs].tolist()
-    f_vals = [f_alpha(products[0, n] / probs[0, n], products[1, n] / probs[1, n], a) for n in pairs]
-    return _record("holder", rho.shape[0], a, "f_alpha", *_holder_sides(a, p, q, f_vals), tolerance, seed, trial)
+    return _trial_records("holder", None, (rho, ch), alpha, tolerance, seed, trial)[0]
 
 
 def _holder_sides(a, p, q, f_vals):
@@ -394,25 +373,9 @@ def check_observations(
     sits at their round-off scale, not at an absolute one. Records where a
     divergent value makes the comparison unfalsifiable are degenerate.
     """
-    a = validate_alpha(alpha)
-    sign = sgn1(a)
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if ensemble is None:
-        ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)]
-    weights, ancilla = _input_gate("observations", (rho, sigma, ch, unitary, delta_diag, ensemble))
-    unitary = np.asarray(unitary, dtype=complex)
-    base = f_alpha(rho, sigma, a)
-    rotated = f_alpha(unitary @ rho @ unitary.conj().T, unitary @ sigma @ unitary.conj().T, a)
-    mapped = f_alpha(apply_channel(ch, rho), apply_channel(ch, sigma), a)
-    parts = [f_alpha(r, s, a) for _, r, s in ensemble]
-    mix_rho = sum(w * np.asarray(r, dtype=complex) for w, r, _ in ensemble)
-    mix_sigma = sum(w * np.asarray(s, dtype=complex) for w, _, s in ensemble)
-    mixed = f_alpha(mix_rho, mix_sigma, a)
-    tensored = f_alpha(np.kron(rho, ancilla), np.kron(sigma, ancilla), a)
-    sides = _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored)
-    d = rho.shape[0]
-    return [_record(name, d, a, "f_alpha", *side, tolerance, seed, trial) for name, side in zip(OBSERVATIONS, sides)]
+    ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)] if ensemble is None else ensemble
+    inputs = (rho, sigma, ch, unitary, delta_diag, ensemble)
+    return _trial_records("observations", None, inputs, alpha, tolerance, seed, trial)
 
 
 def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored):
@@ -432,16 +395,55 @@ def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tenso
     ]
 
 
+def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> list[TrialRecord]:
+    """A public check's records: its gates, then one _stacked_sides call on the stack of its trial alone.
+
+    Alpha comes first for the functional checks, after the inputs (in the stack) for the measure checks.
+    A NaN side or a raising stack runs _refuse on what the stack formed, or on the inputs if it raised.
+    """
+    if check in DIVERGENCE_CHECKS:
+        alpha, kind = validate_alpha(alpha), "f_alpha"
+        if check == "holder" and near_one(alpha):
+            raise ValueError("holder step undefined within 1e-6 of alpha = 1")
+        sgn1(alpha)
+    _input_gate(check, inputs)
+    try:
+        (sides,), formed = _stacked_sides(check, kind, [inputs], alpha)
+    except Exception as exc:  # the scalar gates name the refusal first; with none, the stack's error stands
+        sides, error = None, exc
+    if sides is None:
+        first = inputs[1] if check == "convexity" else [inputs[0] if check in CHANNEL_CHECKS else inputs[:2]]
+        _refuse(check, kind, alpha, [first])
+        raise error
+    if np.isnan(sides).any():  # a NaN no gate names is recorded as it is
+        _refuse(check, kind, alpha, formed)
+    return _records(check, formed[0].shape[-1], alpha, kind, sides, tolerance, seed, trial)
+
+
+def _refuse(check: str, kind, alpha, formed) -> None:
+    """Raise the first refusal of the scalar gates over a trial's matrix stacks, met in the scalar checks' order.
+
+    measure_value on each state, channel image or mixture; _gated_pair on each
+    pair; for holder, first optimal_incoherent_state and embed_diagonal on rho.
+    """
+    for i, stack in enumerate(formed):
+        for mat in stack:
+            if check in MEASURE_CHECKS:
+                measure_value(kind, mat, alpha)
+            elif check == "holder" and i == 0:
+                embed_diagonal(optimal_incoherent_state(mat, alpha))
+            else:
+                _gated_pair(*mat)
+
+
+def _records(check: str, dim: int, alpha, kind, sides, tolerance, seed, trial) -> list[TrialRecord]:
+    """A trial's records of the given kind from its list of (lhs, rhs), one per name its check writes."""
+    names = OBSERVATIONS if check == "observations" else (check,)
+    return [_record(name, dim, alpha, kind, *side, tolerance, seed, trial) for name, side in zip(names, sides)]
+
+
 # ---------------------------------------------------------------------------
 # suite runner
-
-
-# the checks scored by a measure kind, each with the public check that scores one trial
-MEASURE_CHECKS = {
-    "strong_monotonicity": check_strong_monotonicity,
-    "monotonicity": check_monotonicity,
-    "convexity": check_convexity,
-}
 
 
 def _draw_state(cfg: TrialConfig, d: int, rng) -> np.ndarray:
@@ -462,7 +464,7 @@ def _draw_inputs(cfg: TrialConfig, check: str, d: int, rng):
         size = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(size))
         return weights, [_draw_state(cfg, d, rng) for _ in range(size)]
-    if check in ("strong_monotonicity", "monotonicity", "holder"):
+    if check in CHANNEL_CHECKS:
         return _draw_state_channel(cfg, d, rng)
     lo, hi = cfg.n_kraus_range
     rho, sigma = _draw_state(cfg, d, rng), _draw_state(cfg, d, rng)
@@ -478,13 +480,8 @@ def _draw_inputs(cfg: TrialConfig, check: str, d: int, rng):
 
 
 def _one_trial(cfg: TrialConfig, check: str, alpha: float, inputs, trial: int) -> list[TrialRecord]:
-    """Score one drawn trial by its public check: the path a stacked cell leaves a trial to."""
-    scoring = {"tolerance": cfg.tolerance, "seed": cfg.master_seed, "trial": trial}
-    if check in MEASURE_CHECKS:
-        return [MEASURE_CHECKS[check](cfg.kind, *inputs, alpha, **scoring)]
-    if check == "observations":
-        return check_observations(*inputs[:-1], alpha, ensemble=inputs[-1], **scoring)
-    return [(check_lemma1 if check == "lemma1" else check_holder_step)(*inputs, alpha, **scoring)]
+    """A drawn trial a cell's stack left, scored alone: its public check (_trial_records)."""
+    return _trial_records(check, cfg.kind, inputs, alpha, cfg.tolerance, cfg.master_seed, trial)
 
 
 def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
@@ -497,9 +494,9 @@ def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
     ]
 
 
-def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, trial: int, exc: Exception):
+def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, kind: str, trial: int, exc: Exception):
     return TrialRecord(
-        check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
+        check, dim, alpha, kind, math.nan, math.nan, -math.inf,
         False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
     )
 
@@ -508,11 +505,13 @@ def _run_cell(task) -> list[TrialRecord]:
     """One (check, dim, alpha) cell, scored as stacks.
 
     Every trial draws from its own stream and meets _input_gate; a draw or
-    gate that raises gives that error record. _stacked_sides scores the rest,
-    and a trial it leaves, or all of them if it raised, goes to _one_trial.
-    So every record keeps the bits and error text of a trial-at-a-time run.
+    gate that raises gives that error record. One _stacked_sides call scores
+    the rest. A trial with a NaN side, or every trial if that call raised, goes
+    to _one_trial: the stack of it alone, which is its public check. So every
+    record keeps the bits and error text of a trial-at-a-time run.
     """
     cfg, cell_index, check, dim, alpha = task
+    kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
     records: list[list[TrialRecord] | None] = [None] * cfg.trials_per_cell
     drawn = {}
     for trial in range(cfg.trials_per_cell):
@@ -520,23 +519,21 @@ def _run_cell(task) -> list[TrialRecord]:
             inputs = _draw_inputs(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
             _input_gate(check, inputs)
         except Exception as exc:  # aggregate, never abort the suite
-            records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
+            records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
         else:
             drawn[trial] = inputs
     try:
-        scored = _stacked_sides(check, cfg.kind, list(drawn.values()), alpha) if drawn else []
-    except Exception:  # left to the scalar checks below, which raise or score trial by trial
-        scored = [None] * len(drawn)
-    names = OBSERVATIONS if check == "observations" else (check,)
-    kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
+        scored = _stacked_sides(check, cfg.kind, list(drawn.values()), alpha)[0] if drawn else []
+    except Exception:  # left to the stacks of one below, which raise or score trial by trial
+        scored = [[(math.nan, math.nan)]] * len(drawn)
     for (trial, inputs), sides in zip(drawn.items(), scored):
         try:
-            records[trial] = _one_trial(cfg, check, alpha, inputs, trial) if sides is None else [
-                _record(name, dim, alpha, kind, *side, cfg.tolerance, cfg.master_seed, trial)
-                for name, side in zip(names, sides)
-            ]
+            records[trial] = (
+                _one_trial(cfg, check, alpha, inputs, trial) if np.isnan(sides).any()
+                else _records(check, dim, alpha, kind, sides, cfg.tolerance, cfg.master_seed, trial)
+            )
         except Exception as exc:  # aggregate, never abort the suite
-            records[trial] = [_error_record(cfg, check, dim, alpha, trial, exc)]
+            records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
     return [record for trial_records in records for record in trial_records]
 
 
@@ -563,35 +560,32 @@ def _padded(ragged) -> tuple[np.ndarray, np.ndarray]:
     return padded, real
 
 
-def _stacked_sides(check: str, kind: str, inputs: list, alpha) -> list:
-    """Each trial's list of (lhs, rhs), one per record its public check writes, or None.
+def _stacked_sides(check: str, kind, inputs: list, alpha) -> tuple[list, list]:
+    """Each trial's list of (lhs, rhs), one per record its check writes, and the matrix stacks they came from.
 
-    One kernel call per side (measure checks) or per matrix size (functional
-    checks). Entry t has the bits of the public check on inputs[t], a divergent
-    (+inf) value's degenerate sides included. It is None where a side is NaN: a
-    stacked gate refused a matrix, which the public check refuses with its error.
+    The one scoring body of a cell and of a public check (its stack of one), with one kernel call per side
+    or matrix size. Entry t has the bits of the scalar arithmetic on inputs[t], divergent (+inf) values'
+    degenerate sides included, NaN where a stacked gate refused a matrix. Stacks come in the gates' order.
     """
     if check in MEASURE_CHECKS:
-        lhs, rhs = _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
-        per_trial = [[side] for side in zip(lhs.tolist(), rhs.tolist())]
-    else:
-        a = validate_alpha(alpha)
-        per_trial = FUNCTIONAL_STACKS[check](inputs, a, sgn1(a))
-    return [None if any(math.isnan(v) for side in sides for v in side) else sides for sides in per_trial]
+        return _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
+    a = validate_alpha(alpha)
+    return FUNCTIONAL_STACKS[check](inputs, a, sgn1(a))
 
 
 def _lemma1_stack(inputs, a, sign):
-    """The sides of every lemma1 trial of a cell, as check_lemma1 forms them."""
-    pair = np.array([(rho, sigma) for rho, sigma, _ in inputs])  # (trials, 2, d, d)
+    """The sides of every lemma1 trial of a cell, and its pair stacks (rho, sigma), then each branch's."""
+    pair = np.array([(rho, sigma) for rho, sigma, _ in inputs], dtype=complex)  # (trials, 2, d, d)
     kraus, real = _padded([ch.kraus for _, _, ch in inputs])
-    products = branches(kraus[:, None], pair)[1].swapaxes(1, 2)
-    base, terms = _functional_stacks([pair, products[real]], a)
-    return [[_lemma1_sides(sign, b, t)] for b, t in zip(base.tolist(), _by_trial(terms, real.sum(axis=1)))]
+    formed = [pair, branches(kraus[:, None], pair)[1].swapaxes(1, 2)[real]]
+    base, terms = _functional_stacks(formed, a)
+    return [[_lemma1_sides(sign, b, t)] for b, t in zip(base.tolist(), _by_trial(terms, real.sum(axis=1)))], formed
 
 
 def _holder_stack(inputs, a, sign):
-    """The sides of every holder trial of a cell, as check_holder_step forms them."""
-    rhos = np.array([rho for rho, _ in inputs])
+    """The sides of every holder trial of a cell, and its stacks: the states, then the kept branch pairs."""
+    check_alpha_floor(a)  # the gate optimal_incoherent_state puts on the closed form
+    rhos = np.array([rho for rho, _ in inputs], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
         deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
     # the gates of spectral_decompose on rho and of embed_diagonal on delta
@@ -600,22 +594,23 @@ def _holder_stack(inputs, a, sign):
     probs, products, kept = branches(_padded([ch.kraus for _, ch in inputs])[0][:, None], np.stack([rhos, deltas], 1))
     pairs = kept[:, 0] & kept[:, 1]  # a branch counts when both sides keep it
     p, q = probs[:, 0][pairs], probs[:, 1][pairs]
-    (f,) = _functional_stacks([products.swapaxes(1, 2)[pairs] / np.stack([p, q], 1)[..., None, None]], a)
+    normalized = products.swapaxes(1, 2)[pairs] / np.stack([p, q], 1)[..., None, None]
+    (f,) = _functional_stacks([normalized], a)
     return [
         [_holder_sides(a, p_t, q_t, f_t) if ok else (math.nan, math.nan)]
         for ok, p_t, q_t, f_t in zip(usable, *(_by_trial(v, pairs.sum(axis=1)) for v in (p, q, f)))
-    ]
+    ], [rhos, normalized]
 
 
 def _observations_stack(inputs, a, sign):
-    """The five sides of every observations trial of a cell, as check_observations forms them."""
-    pair = np.array([(rho, sigma) for rho, sigma, *_ in inputs])  # (trials, 2, d, d)
+    """The five sides of every observations trial of a cell, and its six pair stacks in OBSERVATIONS order."""
+    pair = np.array([(rho, sigma) for rho, sigma, *_ in inputs], dtype=complex)  # (trials, 2, d, d)
     populations = np.array([inp[4] for inp in inputs])  # (trials, k): each ancilla's diagonal
     trials, d, k = len(pair), pair.shape[-1], populations.shape[-1]
-    us = np.array([inp[3] for inp in inputs])[:, None]
+    us = np.array([inp[3] for inp in inputs], dtype=complex)[:, None]
     ensembles = [inp[5] for inp in inputs]
     weights, drawn = _padded([[w for w, _, _ in ensemble] for ensemble in ensembles])
-    members = _padded([[(r, s) for _, r, s in ensemble] for ensemble in ensembles])[0]
+    members = _padded([np.array([(r, s) for _, r, s in ensemble], dtype=complex) for ensemble in ensembles])[0]
     ancillas = populations[:, None, None, :, None, None] * np.eye(k)[:, None, :]
     stacks = [
         pair,
@@ -632,7 +627,7 @@ def _observations_stack(inputs, a, sign):
         for b, r, m, part, mx, t, ens in zip(
             base, rotated, mapped, _by_trial(parts, drawn.sum(axis=1)), mixed, tensored, ensembles
         )
-    ]
+    ], stacks
 
 
 FUNCTIONAL_STACKS = {"lemma1": _lemma1_stack, "holder": _holder_stack, "observations": _observations_stack}
@@ -663,33 +658,37 @@ def _functional_stacks(pairs, alpha) -> list[np.ndarray]:
 
 
 def _measure_sides(check: str, kind: str, inputs: list, alpha):
-    """A measure check's (lhs, rhs) for every trial of a cell, one stacked kernel call per side.
+    """The sides of every measure-check trial of a cell, one kernel call per side, and the stacks measured.
 
-    Entry t has the bits of the scalar check's sides on inputs[t], and is NaN
-    where a matrix that check measures fails its as_hermitian gate. Channels
+    Entry t has the bits of the scalar arithmetic's sides on inputs[t], and is
+    NaN where a matrix that check measures fails its as_hermitian gate. Channels
     and convex mixtures are padded to the cell's largest size (_padded).
     """
     if check == "convexity":
         weights, real = _padded([w for w, _ in inputs])
-        states = _padded([trial_states for _, trial_states in inputs])[0]
+        states = _padded([np.array(trial_states, dtype=complex) for _, trial_states in inputs])[0]
         values = np.zeros(real.shape)
         values[real] = measure_values(kind, states[real], alpha)
         lhs = sum(np.moveaxis(weights * values, -1, 0))
         mixtures = sum(np.moveaxis(weights[..., None, None] * states, -3, 0))
         rhs = measure_values(kind, mixtures, alpha)
         gated = hermitian_mask(states).all(axis=-1) & hermitian_mask(mixtures)  # a zero pad passes
+        formed = [states[real], mixtures]
     else:
-        rhos = np.stack([rho for rho, _ in inputs])
+        rhos = np.array([rho for rho, _ in inputs], dtype=complex)
         kraus = _padded([ch.kraus for _, ch in inputs])[0]
         lhs = measure_values(kind, rhos, alpha)
         gated = hermitian_mask(rhos)
+        formed = [rhos]
         if check == "strong_monotonicity":
             rhs = _branch_average(kind, kraus, rhos, alpha)
         else:
             images = apply_channel(kraus, rhos)
             rhs = measure_values(kind, images, alpha)
             gated &= hermitian_mask(images)
-    return np.where(gated, lhs, math.nan), np.where(gated, rhs, math.nan)
+            formed.append(images)
+    lhs, rhs = (np.where(gated, side, math.nan).tolist() for side in (lhs, rhs))
+    return [[side] for side in zip(lhs, rhs)], formed
 
 
 def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:

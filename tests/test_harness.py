@@ -17,6 +17,7 @@ from alphacoh.channels import (
     KrausChannel,
     NotIncoherentChannelError,
     SelectiveOutcome,
+    apply_channel,
     branches,
     dephasing_channel,
     is_incoherent,
@@ -33,9 +34,13 @@ from alphacoh.coherence import (
     SkewFormsDisagreeError,
     coherence_alpha,
     measure_value,
+    optimal_incoherent_state,
 )
+from alphacoh.divergence import f_alpha, near_one, sgn1, validate_alpha
 from alphacoh.harness import (
     ALL_CHECKS,
+    DEFAULT_TOLERANCE,
+    OBSERVATIONS,
     SEARCH_ALPHAS,
     BadWeightsError,
     CheckStats,
@@ -48,8 +53,10 @@ from alphacoh.harness import (
     _draw_state,
     _draw_state_channel,
     _holder_sides,
+    _input_gate,
     _lemma1_sides,
     _observation_sides,
+    _record,
     _refine_witness,
     _SearchParams,
     _strong_mono_stats,
@@ -66,6 +73,7 @@ from alphacoh.harness import (
 )
 from alphacoh.linalg import DimMismatchError, NegativeEigenvalueError, NotHermitianError
 from alphacoh.states import (
+    embed_diagonal,
     haar_unitary,
     load_state,
     maximally_coherent,
@@ -441,6 +449,84 @@ class TestErrorContract:
             pytest.param(
                 lambda: check_observations(_qubit(), _qubit(), identity_channel(2), np.eye(2), [0.5, 0.6], 0.5),
                 BadWeightsError, "distribution: normalization violated", id="ancilla-observations",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), identity_channel(2), 1.0),
+                ValueError, "holder step undefined within 1e-6 of alpha = 1", id="near_one-holder",
+            ),
+            pytest.param(
+                lambda: check_lemma1(_qubit(), _qubit(), identity_channel(2), 1.0),
+                ValueError, "sgn1 undefined inside the alpha = 1 window", id="near_one-lemma1",
+            ),
+            pytest.param(
+                lambda: check_observations(_qubit(), _qubit(), identity_channel(2), np.eye(2), [1.0], 1.0),
+                ValueError, "sgn1 undefined inside the alpha = 1 window", id="near_one-observations",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("alpha", _qubit(), identity_channel(2), 2.5),
+                ValueError, "alpha must lie in (0, 2], got 2.5", id="alpha_range-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), identity_channel(2), 2.5),
+                ValueError, "alpha must lie in (0, 2], got 2.5", id="alpha_range-holder",
+            ),
+            pytest.param(
+                lambda: check_strong_monotonicity("tsallis", _qubit(), identity_channel(2), None),
+                ValueError, "measure kind 'tsallis' needs an alpha value", id="no_alpha-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_convexity("alpha", [1.0], [_qubit()], 1e-12),
+                AlphaBelowFloorError, "alpha 1e-12 is below 1e-10", id="alpha_floor-convexity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), identity_channel(2), 1e-12),
+                AlphaBelowFloorError, "alpha 1e-12 is below 1e-10", id="alpha_floor-holder",
+            ),
+            # the measure checks gate their inputs before alpha, the functional checks alpha first
+            pytest.param(
+                lambda: check_strong_monotonicity("alpha", _qubit(), HADAMARD_CH, 2.5),
+                NotIncoherentChannelError, "strong monotonicity is defined for incoherent channels",
+                id="order-coherent_before_alpha-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), HADAMARD_CH, 1.0),
+                ValueError, "holder step undefined within 1e-6 of alpha = 1", id="order-alpha_before_coherent-holder",
+            ),
+            pytest.param(
+                lambda: check_lemma1(_qubit(), _qutrit(), identity_channel(2), 2.5),
+                ValueError, "alpha must lie in (0, 2], got 2.5", id="order-alpha_before_sizes-lemma1",
+            ),
+            pytest.param(
+                lambda: check_observations(
+                    _qubit(), _qubit(), identity_channel(2), np.eye(2), [1.0], 0.5,
+                    ensemble=[(0.5, _qubit(), _qutrit()), (0.5, _qubit(), _qubit())],
+                ),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-ensemble-observations",
+            ),
+            # operand sizes that disagree are refused by the input gate, never by numpy
+            pytest.param(
+                lambda: check_strong_monotonicity("alpha", _qubit(), identity_channel(3), 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-channel-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("alpha", _qubit(), identity_channel(3), 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-channel-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), identity_channel(3), 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-channel-holder",
+            ),
+            pytest.param(
+                lambda: check_lemma1(_qubit(), _qubit(), identity_channel(3), 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-channel-lemma1",
+            ),
+            pytest.param(
+                lambda: check_observations(_qubit(), _qubit(), identity_channel(2), np.eye(3), [1.0], 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-unitary-observations",
+            ),
+            pytest.param(
+                lambda: check_convexity("alpha", [0.5, 0.5], [_qubit(), _qutrit()], 0.5),
+                DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-states-convexity",
             ),
         ],
     )
@@ -930,18 +1016,86 @@ class TestStackedBranchAverage:
                 assert gap == after - before
 
 
+MEASURE_CHECK_NAMES = ("strong_monotonicity", "monotonicity", "convexity")
+FUNCTIONAL_CHECK_NAMES = ("lemma1", "holder", "observations")
+
+
+def reference_records(check, kind, inputs, alpha, tolerance, seed, trial) -> list[TrialRecord]:
+    """One gated trial's records from scalar arithmetic, one matrix or pair at a time.
+
+    The public checks' bodies before each of them scored its stack of one,
+    kept as the independent reference of the stacked cells and the public
+    checks. It is built from measure_value, branches, apply_channel, f_alpha
+    and optimal_incoherent_state; the (lhs, rhs) rules (_lemma1_sides,
+    _holder_sides, _observation_sides), _record and the input gate are the
+    harness's own.
+    """
+    if check in FUNCTIONAL_CHECK_NAMES:
+        alpha = validate_alpha(alpha)
+        if check == "holder" and near_one(alpha):
+            raise ValueError("holder step undefined within 1e-6 of alpha = 1")
+        sign = sgn1(alpha)
+        kind = "f_alpha"
+    _input_gate(check, inputs)
+    if check == "convexity":
+        w, mats = np.asarray(inputs[0], dtype=float), [np.asarray(s, dtype=complex) for s in inputs[1]]
+        lhs = sum(wi * measure_value(kind, s, alpha) for wi, s in zip(w, mats))
+        rhs = measure_value(kind, sum(wi * s for wi, s in zip(w, mats)), alpha)
+        return [_record(check, len(mats[0]), alpha, kind, lhs, rhs, tolerance, seed, trial)]
+    rho = np.asarray(inputs[0], dtype=complex)
+    if check in ("strong_monotonicity", "monotonicity"):
+        ch = inputs[1]
+        lhs = measure_value(kind, rho, alpha)
+        if check == "strong_monotonicity":
+            sides = [(lhs, per_branch_average(kind, ch.kraus, rho, alpha))]
+        else:
+            sides = [(lhs, measure_value(kind, apply_channel(ch, rho), alpha))]
+    elif check == "holder":
+        delta = optimal_incoherent_state(rho, alpha)
+        # one call for the pair (rho, delta); a branch counts when both sides keep it
+        probs, products, kept = branches(inputs[1].kraus, np.stack([rho, embed_diagonal(delta)]))
+        pairs = np.flatnonzero(kept[0] & kept[1])
+        p, q = probs[:, pairs].tolist()
+        f_vals = [f_alpha(products[0, n] / probs[0, n], products[1, n] / probs[1, n], alpha) for n in pairs]
+        sides = [_holder_sides(alpha, p, q, f_vals)]
+    else:
+        sigma = np.asarray(inputs[1], dtype=complex)
+        base = f_alpha(rho, sigma, alpha)
+        if check == "lemma1":
+            _, products, _ = branches(inputs[2].kraus, np.stack([rho, sigma]))
+            sides = [_lemma1_sides(sign, base, [f_alpha(r, s, alpha) for r, s in zip(*products)])]
+        else:
+            ch, unitary, delta_diag, ensemble = inputs[2:]
+            unitary = np.asarray(unitary, dtype=complex)
+            ancilla = embed_diagonal(delta_diag)
+            rotated = f_alpha(unitary @ rho @ unitary.conj().T, unitary @ sigma @ unitary.conj().T, alpha)
+            mapped = f_alpha(apply_channel(ch, rho), apply_channel(ch, sigma), alpha)
+            parts = [f_alpha(r, s, alpha) for _, r, s in ensemble]
+            mix_rho = sum(w * np.asarray(r, dtype=complex) for w, r, _ in ensemble)
+            mix_sigma = sum(w * np.asarray(s, dtype=complex) for w, _, s in ensemble)
+            mixed = f_alpha(mix_rho, mix_sigma, alpha)
+            tensored = f_alpha(np.kron(rho, ancilla), np.kron(sigma, ancilla), alpha)
+            weights = [w for w, _, _ in ensemble]
+            sides = _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored)
+    names = OBSERVATIONS if check == "observations" else (check,)
+    return [_record(name, len(rho), alpha, kind, *side, tolerance, seed, trial) for name, side in zip(names, sides)]
+
+
+def error_record(cfg, check, dim, alpha, trial, exc):
+    kind = "f_alpha" if check in FUNCTIONAL_CHECK_NAMES else cfg.kind
+    return TrialRecord(
+        check, dim, alpha, kind, math.nan, math.nan, -math.inf,
+        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
+    )
+
+
 def per_trial_records(cfg):
-    """run_suite's records for the measure checks, one trial and one scalar check at a time.
+    """run_suite's records for the measure checks, one trial and one scalar reference at a time.
 
     The loop run_suite ran before it scored measure-check cells as stacks,
     kept as the reference: the same draws in the same order, each trial
-    scored by its public check, and any exception turned into an error record.
+    scored by reference_records, and any exception turned into an error record.
     """
-    checks = {
-        "strong_monotonicity": check_strong_monotonicity,
-        "monotonicity": check_monotonicity,
-        "convexity": check_convexity,
-    }
     cells = [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
     records = []
     for cell_index, (check, dim, alpha) in enumerate(cells):
@@ -954,18 +1108,11 @@ def per_trial_records(cfg):
                     inputs = (weights, [_draw_state(cfg, dim, rng) for _ in range(size)])
                 else:
                     inputs = _draw_state_channel(cfg, dim, rng)
-                records.append(
-                    checks[check](
-                        cfg.kind, *inputs, alpha, tolerance=cfg.tolerance, seed=cfg.master_seed, trial=trial
-                    )
+                records.extend(
+                    reference_records(check, cfg.kind, inputs, alpha, cfg.tolerance, cfg.master_seed, trial)
                 )
             except Exception as exc:
-                records.append(
-                    TrialRecord(
-                        check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
-                        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                records.append(error_record(cfg, check, dim, alpha, trial, exc))
     return records
 
 
@@ -991,9 +1138,6 @@ def returning_on_call(fn, call, value):
         return value if len(calls) - 1 == call else fn(*args, **kwargs)
 
     return wrapper
-
-
-MEASURE_CHECK_NAMES = ("strong_monotonicity", "monotonicity", "convexity")
 
 
 class TestStackedCell:
@@ -1132,11 +1276,11 @@ class TestStackedCell:
 
 
 def per_trial_functional_records(cfg):
-    """run_suite's records for the functional checks, one trial and one scalar check at a time.
+    """run_suite's records for the functional checks, one trial and one scalar reference at a time.
 
     The loop run_suite ran before it scored functional-check cells as stacks,
     kept as the reference: the same draws in the same order, each trial
-    scored by its public check, and any exception turned into an error record.
+    scored by reference_records, and any exception turned into an error record.
     """
     import alphacoh.harness as harness
 
@@ -1146,35 +1290,26 @@ def per_trial_functional_records(cfg):
     for cell_index, (check, dim, alpha) in enumerate(cells):
         for trial in range(cfg.trials_per_cell):
             rng = substream(cfg.master_seed, cell_index, trial)
-            scoring = {"tolerance": cfg.tolerance, "seed": cfg.master_seed, "trial": trial}
             try:
                 if check == "holder":
-                    rho, ch = _draw_state_channel(cfg, dim, rng)
-                    records.append(check_holder_step(rho, ch, alpha, **scoring))
-                    continue
-                rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
-                ch = harness.random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
-                if check == "lemma1":
-                    records.append(check_lemma1(rho, sigma, ch, alpha, **scoring))
-                    continue
-                unitary = harness.haar_unitary(dim, rng)
-                delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // dim))))
-                weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
-                ensemble = [(float(w), _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)) for w in weights]
+                    inputs = _draw_state_channel(cfg, dim, rng)
+                else:
+                    rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
+                    ch = harness.random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
+                    inputs = (rho, sigma, ch)
+                if check == "observations":
+                    unitary = harness.haar_unitary(dim, rng)
+                    delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // dim))))
+                    weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+                    ensemble = [(float(w), _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)) for w in weights]
+                    inputs += (unitary, delta_diag, ensemble)
                 records.extend(
-                    check_observations(rho, sigma, ch, unitary, delta_diag, alpha, ensemble=ensemble, **scoring)
+                    reference_records(check, cfg.kind, inputs, alpha, cfg.tolerance, cfg.master_seed, trial)
                 )
             except Exception as exc:
-                records.append(
-                    TrialRecord(
-                        check, dim, alpha, cfg.kind, math.nan, math.nan, -math.inf,
-                        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                records.append(error_record(cfg, check, dim, alpha, trial, exc))
     return records
 
-
-FUNCTIONAL_CHECK_NAMES = ("lemma1", "holder", "observations")
 
 
 class TestStackedFunctionalCell:
@@ -1282,15 +1417,18 @@ class TestStackedFunctionalCell:
 
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("holder",), master_seed=37)
         old = per_trial_functional_records(cfg)
-        original = harness.closed_form
+        original, poisoned = harness.closed_form, []
 
-        def nan_delta_at_2(kind, lam, vecs, alpha):
+        def nan_delta_at_2_of_the_first_stack(kind, lam, vecs, alpha):
             value, delta = original(kind, lam, vecs, alpha)
-            delta[2] = math.nan
+            if not poisoned:
+                poisoned.append(len(delta))
+                delta[2] = math.nan
             return value, delta
 
-        monkeypatch.setattr(harness, "closed_form", nan_delta_at_2)
+        monkeypatch.setattr(harness, "closed_form", nan_delta_at_2_of_the_first_stack)
         new = run_suite(cfg).records
+        assert poisoned == [6]
         self.assert_same_records(new, old)
         assert not any(r.error or r.degenerate for r in new)
 
@@ -1298,13 +1436,19 @@ class TestStackedFunctionalCell:
     def test_a_stacked_call_that_raises_leaves_the_scalar_checks(self, check, monkeypatch):
         import alphacoh.harness as harness
 
-        def stacks_raise(a_mats, b_mats, alpha):
-            raise np.linalg.LinAlgError("synthetic stack failure")
+        original, raised = harness.functional_values, []
+
+        def first_stack_of_each_cell_raises(a_mats, b_mats, alpha):
+            if alpha not in raised:  # each cell has its own alpha here
+                raised.append(alpha)
+                raise np.linalg.LinAlgError("synthetic stack failure")
+            return original(a_mats, b_mats, alpha)
 
         cfg = TrialConfig(dims=(2,), alphas=(0.25, 2.0), trials_per_cell=5, checks=(check,), master_seed=35)
         old = per_trial_functional_records(cfg)
-        monkeypatch.setattr(harness, "functional_values", stacks_raise)
+        monkeypatch.setattr(harness, "functional_values", first_stack_of_each_cell_raises)
         self.assert_same_records(run_suite(cfg).records, old)
+        assert raised == [0.25, 2.0]
 
     def test_a_refused_value_beside_a_divergent_one_reaches_the_sides(self):
         # a NaN (a pair a stacked gate refused) sends its trial to the public check only through a NaN side
@@ -1346,6 +1490,103 @@ class TestStackedFunctionalCell:
         # one call per (cell, matrix size), each holding at least one pair per trial
         assert [shape[-1] for shape in calls] == sizes * 2
         assert all(len(shape) == 3 and shape[0] >= 7 for shape in calls)
+
+    def test_error_records_carry_the_functional_kind(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(
+            dims=(3,), alphas=(0.5,), trials_per_cell=3, checks=("lemma1",), kind="tsallis", master_seed=38
+        )
+        monkeypatch.setattr(harness, "random_channel", raising_on_call(harness.random_channel, 1))
+        records = run_suite(cfg).records
+        assert [r.kind for r in records] == ["f_alpha"] * 3
+        assert [r.error for r in records] == ["", "RuntimeError: synthetic draw failure", ""]
+
+
+def public_check_call(check, kind, inputs, alpha):
+    """The public check of `check` on one drawn trial (inputs in _draw_inputs order), as a list of records."""
+    if check == "observations":
+        return check_observations(*inputs[:-1], alpha, ensemble=inputs[-1])
+    if check in FUNCTIONAL_CHECK_NAMES:
+        return [(check_lemma1 if check == "lemma1" else check_holder_step)(*inputs, alpha)]
+    public = {
+        "strong_monotonicity": check_strong_monotonicity,
+        "monotonicity": check_monotonicity,
+        "convexity": check_convexity,
+    }
+    return [public[check](kind, *inputs, alpha)]
+
+
+class TestStackOfOne:
+    """Each public check is its cell's stack of one trial: one stacked call, the scalar reference's bits."""
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_one_stacked_call_of_one_trial(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        calls, original = [], harness._stacked_sides
+
+        def counting(check, kind, inputs, alpha):
+            calls.append(len(inputs))
+            return original(check, kind, inputs, alpha)
+
+        monkeypatch.setattr(harness, "_stacked_sides", counting)
+        cfg = TrialConfig(dims=(3,), checks=(check,))
+        inputs = harness._draw_inputs(cfg, check, 3, substream(39))
+        assert public_check_call(check, "tsallis", inputs, 1.5)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_scalar_reference(self, check, d):
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(d,), checks=(check,))
+        kinds = MEASURE_KINDS if check in MEASURE_CHECK_NAMES else ("alpha",)
+        for trial in range(6):
+            inputs = harness._draw_inputs(cfg, check, d, substream(40, d, trial))
+            for kind in kinds:
+                # the kinds outside the families take no alpha or ignore a given one
+                for alpha in (0.25, 1.5, 2.0) if kind in ("alpha", "tsallis", "relent") else (None, 0.5):
+                    new = public_check_call(check, kind, inputs, alpha)
+                    old = reference_records(check, kind, inputs, alpha, DEFAULT_TOLERANCE, -1, -1)
+                    assert [repr(r) for r in new] == [repr(r) for r in old]
+
+    def test_real_arrays_score_as_their_complex_copies(self):
+        # a real eigh and a complex one differ in the last bits (here relent and skew at d = 4)
+        gen = substream(41)
+        rho, sigma = (random_density(4, 4, gen) for _ in range(2))
+        real_rho, real_sigma = (np.real(m + m.conj().T) / 2 for m in (rho, sigma))
+        ch = random_incoherent_channel(4, 3, gen)
+        calls = [
+            lambda r, s, kind=kind, check=check: [check(kind, r, ch, 0.5)]
+            for kind in MEASURE_KINDS
+            for check in (check_strong_monotonicity, check_monotonicity)
+        ]
+        calls += [
+            lambda r, s: [check_convexity("skew", [0.5, 0.5], [r, s], None)],
+            lambda r, s: [check_holder_step(r, ch, 0.5)],
+            lambda r, s: [check_lemma1(r, s, ch, 1.5)],
+            lambda r, s: check_observations(r, s, ch, np.eye(4), [1.0], 1.5),
+        ]
+        for call in calls:
+            new = call(real_rho, real_sigma)
+            old = call(real_rho.astype(complex), real_sigma.astype(complex))
+            assert [repr(r) for r in new] == [repr(r) for r in old]
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_a_stack_error_no_gate_names_is_raised(self, check, monkeypatch):
+        import alphacoh.harness as harness
+
+        def raising(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic stack failure")
+
+        monkeypatch.setattr(harness, "measure_values", raising)
+        monkeypatch.setattr(harness, "functional_values", raising)
+        cfg = TrialConfig(dims=(3,), checks=(check,))
+        inputs = harness._draw_inputs(cfg, check, 3, substream(42))
+        with pytest.raises(np.linalg.LinAlgError, match="synthetic stack failure"):
+            public_check_call(check, "tsallis", inputs, 1.5)
 
 
 class TestFrozenWitness:
