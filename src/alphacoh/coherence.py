@@ -178,19 +178,54 @@ def relative_entropy_coherence(rho) -> CoherenceResult:
     return _family("alpha", rho, 1.0)
 
 
+@dataclass(frozen=True, eq=False)
+class _LevelTable:
+    """A simplex grid stored as its distinct coordinate values and an index into them.
+
+    Point k of the grid is ``levels[index[k]]``; ``len()`` is the point count.
+    """
+
+    levels: np.ndarray  # the leading coordinates' steps + 1 values, then the last one's other values
+    index: np.ndarray  # (points, d) intp positions into levels
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 @lru_cache(maxsize=8)
-def _simplex_grid(d: int, steps: int) -> np.ndarray:
-    """All probability vectors on the d-simplex with coordinates i/steps."""
+def _simplex_grid(d: int, steps: int) -> _LevelTable:
+    """All probability vectors on the d-simplex with coordinates i/steps, as a level table.
+
+    The leading coordinates take the steps + 1 values i/steps (np.linspace's at
+    d = 2), so a point's level there is just i (and j). Only the last one,
+    clip(1 - sum of the others, 0), needs np.unique, and a sorted search finds
+    each point's level among its distinct values. Every point keeps the bits
+    the float grid had, and the float grid itself is never stored.
+    """
+    count = np.arange(steps + 1)
     if d == 2:
-        t = np.linspace(0.0, 1.0, steps + 1)
-        return np.column_stack([t, 1.0 - t])
-    i, j = np.nonzero(np.add.outer(np.arange(steps + 1), np.arange(steps + 1)) <= steps)
-    grid = np.empty((i.size, 3))
-    grid[:, 0] = i / steps
-    grid[:, 1] = j / steps
-    grid[:, 2] = 1.0 - grid[:, 0] - grid[:, 1]
-    np.clip(grid[:, 2], 0.0, None, out=grid[:, 2])
-    return grid
+        lead = np.linspace(0.0, 1.0, steps + 1)
+        index = np.empty((steps + 1, 2), dtype=np.intp)
+        index[:, 0] = count
+    else:
+        lead = count / steps
+        index = np.empty(((steps + 1) * (steps + 2) // 2, 3), dtype=np.intp)
+        index[:, 0], index[:, 1] = np.nonzero(np.add.outer(count, count) <= steps)
+    last = 1.0 - lead[index[:, 0]]
+    if d == 3:
+        last -= lead[index[:, 1]]
+    np.clip(last, 0.0, None, out=last)
+    # asking for counts keeps np.unique on its in-place sort; the plain call's
+    # hash path (numpy >= 2.3) imports numpy.ma, about 1 MB of resident memory
+    tail, _ = np.unique(last, return_counts=True)
+    # a tail value that is a leading value too keeps that level; the rest follow lead
+    at = np.minimum(np.searchsorted(lead, tail), steps)
+    new = lead[at] != tail
+    level = np.where(new, lead.size - 1 + np.cumsum(new), at)
+    index[:, -1] = np.searchsorted(tail, last)
+    del last  # before the gather's temporary, so the build peaks no higher than the float grid's did
+    index[:, -1] = level[index[:, -1]]
+    return _LevelTable(np.concatenate([lead, tail[new]]), index)
 
 
 def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.ndarray]:
@@ -203,6 +238,11 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
     independent of the closed form: for diagonal delta the functional reduces
     to sum_j a_j delta_j^(1-alpha), and that is all this uses. Its alpha gate
     is the scalar API's, ALPHA_FLOOR included.
+
+    The grid comes from a cache of level tables (_simplex_grid): each distinct
+    coordinate is raised to 1 - alpha once, and one gather lays the powers out
+    as the (points, d) matrix. The values are those of the direct per-entry
+    powers, bit for bit.
     """
     a = check_alpha_floor(validate_alpha(alpha))
     if near_one(a):
@@ -216,14 +256,16 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
     steps = int(round(1.0 / resolution))
     if d == 3 and (steps + 1) * (steps + 2) // 2 > _MAX_GRID_POINTS:
         raise ValueError(f"resolution {resolution} too fine for d = 3 (grid too large)")
-    grid = _simplex_grid(d, steps)
+    table = _simplex_grid(d, steps)
     diag_a = alpha_diagonal(mat, a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        objective = (np.power(grid, 1.0 - a) @ diag_a) ** (1.0 / a)
-        values = (objective - 1.0) / (a - 1.0)
-    values = np.where(np.isnan(values), np.inf, values)
+        values = np.take(np.power(table.levels, 1.0 - a), table.index) @ diag_a
+        values **= 1.0 / a
+        values -= 1.0
+        values /= a - 1.0
+    values[np.isnan(values)] = np.inf
     best = int(np.argmin(values))
-    return float(values[best]), grid[best].copy()
+    return float(values[best]), table.levels[table.index[best]]
 
 
 def skew_info_sum(rho) -> float:

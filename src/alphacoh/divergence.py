@@ -33,8 +33,11 @@ SUPPORT_OVERLAP_TOL = 1e-10
 
 
 def validate_alpha(alpha: float) -> float:
-    """Require alpha in the admissible interval (0, 2]."""
-    a = float(alpha)
+    """Require alpha in the admissible interval (0, 2]; an alpha float() cannot read is a TypeError."""
+    try:
+        a = float(alpha)
+    except (TypeError, ValueError):
+        raise TypeError(f"alpha must be a real number, got {alpha!r}") from None
     if not math.isfinite(a) or a <= 0.0 or a > 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
     return a

@@ -51,8 +51,13 @@ def validate_density(rho, name: str = "state") -> np.ndarray:
 
 
 def validate_probability_vector(p, name: str = "distribution") -> np.ndarray:
-    """Check finiteness, nonnegativity and unit sum (within 1e-12), else raise BadWeightsError."""
-    vec = np.asarray(p, dtype=float)
+    """Check realness, finiteness, nonnegativity and unit sum (within 1e-12), else raise BadWeightsError."""
+    vec = np.asarray(p)
+    if np.iscomplexobj(vec):
+        if np.any(vec.imag != 0.0):  # a float cast would drop it with only a ComplexWarning
+            raise BadWeightsError(f"{name}: entries must be real, max |imag| = {np.abs(vec.imag).max():.3e}")
+        vec = vec.real
+    vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise BadWeightsError(f"{name}: expected a nonempty 1-D vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from alphacoh.coherence import (
     AlphaBelowFloorError,
+    _simplex_grid,
     DegenerateDiagonalError,
     DimTooLargeError,
     MEASURE_KINDS,
@@ -210,6 +211,65 @@ class TestOracleAgreement:
         # 1e-4 is a legal resolution, but its d = 3 grid holds about 5e7 points
         with pytest.raises(ValueError, match="too fine for d = 3"):
             brute_force_min(random_density(3, 3, rng(78, 2)), 1.5, 1e-4)
+
+
+def reference_grid(d: int, steps: int) -> np.ndarray:
+    """The simplex grid as a float (points, d) array, built the way the oracle once stored it."""
+    if d == 2:
+        t = np.linspace(0.0, 1.0, steps + 1)
+        return np.column_stack([t, 1.0 - t])
+    i, j = np.nonzero(np.add.outer(np.arange(steps + 1), np.arange(steps + 1)) <= steps)
+    grid = np.empty((i.size, 3))
+    grid[:, 0] = i / steps
+    grid[:, 1] = j / steps
+    grid[:, 2] = 1.0 - grid[:, 0] - grid[:, 1]
+    np.clip(grid[:, 2], 0.0, None, out=grid[:, 2])
+    return grid
+
+
+def reference_brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.ndarray]:
+    """The oracle's body before the level table: one power per grid entry.
+
+    Kept as the independent reference the level-table oracle must match bit
+    for bit; its gates are left to brute_force_min.
+    """
+    grid = reference_grid(rho.shape[0], int(round(1.0 / resolution)))
+    diag_a = alpha_diagonal(rho, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        objective = (np.power(grid, 1.0 - alpha) @ diag_a) ** (1.0 / alpha)
+        values = (objective - 1.0) / (alpha - 1.0)
+    values = np.where(np.isnan(values), np.inf, values)
+    best = int(np.argmin(values))
+    return float(values[best]), grid[best].copy()
+
+
+REFERENCE_ALPHAS = (1e-9, 0.02, 0.3, 0.7, 0.999, 1.3, 1.5, 2.0)
+REFERENCE_GRIDS = [(2, 1e-4), (2, 1e-2), (3, 2e-3), (3, 1e-2)]
+
+
+class TestOracleLevelTable:
+    """The level-table oracle returns the direct per-entry powers' value and argmin, bit for bit."""
+
+    @pytest.mark.parametrize("d, resolution", REFERENCE_GRIDS)
+    def test_table_rebuilds_every_grid_point(self, d, resolution):
+        steps = int(round(1.0 / resolution))
+        table, grid = _simplex_grid(d, steps), reference_grid(d, steps)
+        assert len(table) == len(grid)
+        assert table.index.dtype == np.intp
+        assert table.levels[table.index].tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("d, resolution", REFERENCE_GRIDS)
+    def test_matches_direct_powers(self, d, resolution):
+        gen = substream(17, d, int(round(1.0 / resolution)))
+        states = [random_density(d, rank, gen) for rank in range(1, d + 1)]
+        # a zero population makes 0 * inf = NaN candidates at alpha > 1, which become inf
+        states.append(embed_diagonal([1.0, 0.0] if d == 2 else [0.3, 0.7, 0.0]))
+        for rho in states:
+            for alpha in REFERENCE_ALPHAS:
+                value, argmin = brute_force_min(rho, alpha, resolution)
+                expected, expected_argmin = reference_brute_force_min(rho, alpha, resolution)
+                assert repr(value) == repr(expected), (d, resolution, alpha)
+                assert argmin.tobytes() == expected_argmin.tobytes(), (d, resolution, alpha)
 
 
 class TestNearOneRouting:

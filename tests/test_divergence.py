@@ -129,6 +129,16 @@ class TestAlphaGates:
         with pytest.raises(ValueError, match="alpha must lie"):
             validate_alpha(bad)
 
+    def test_validate_alpha_reads_numpy_scalars(self):
+        assert validate_alpha(np.float64(0.5)) == 0.5
+        assert validate_alpha(np.float32(1.5)) == 1.5
+        assert validate_alpha(np.array(2.0)) == 2.0
+
+    @pytest.mark.parametrize("bad", ["x", None, [0.5], 0.5 + 0j])
+    def test_validate_alpha_refuses_non_numbers(self, bad):
+        with pytest.raises(TypeError, match="alpha must be a real number"):
+            validate_alpha(bad)
+
     def test_near_one_window(self):
         assert near_one(1.0)
         assert near_one(1.0 + 0.9e-6)

@@ -360,6 +360,7 @@ class TestObservations:
 ZERO = np.zeros((2, 2), dtype=complex)
 NOT_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
 NOT_PSD = np.diag([1.5, -0.5]).astype(complex)
+COMPLEX_WEIGHTS = np.array([0.5 + 0.3j, 0.5 - 0.3j])
 
 
 def _qubit():
@@ -435,6 +436,18 @@ class TestErrorContract:
                 lambda: check_convexity("alpha", [0.5, 0.6], [_qubit(), _qubit()], 0.5),
                 BadWeightsError, "weights: normalization violated", id="weights-convexity",
             ),
+            # a float cast of the array keeps only the real parts, 0.5 and 0.5, with a ComplexWarning
+            pytest.param(
+                lambda: check_convexity("alpha", COMPLEX_WEIGHTS, [_qubit(), maximally_coherent(2)], 0.5),
+                BadWeightsError, "weights: entries must be real, max |imag| = 3.000e-01", id="complex-weights-convexity",
+            ),
+            pytest.param(
+                lambda: check_observations(
+                    _qubit(), _qubit(), identity_channel(2), np.eye(2), COMPLEX_WEIGHTS, 0.5
+                ),
+                BadWeightsError, "distribution: entries must be real, max |imag| = 3.000e-01",
+                id="complex-ancilla-observations",
+            ),
             pytest.param(
                 lambda: check_convexity("alpha", [0.5, 0.5], [_qubit()], 0.5),
                 BadWeightsError, "need one weight per state, got 2 weights, 1 states", id="count-convexity",
@@ -469,6 +482,10 @@ class TestErrorContract:
             pytest.param(
                 lambda: check_holder_step(_qubit(), identity_channel(2), 2.5),
                 ValueError, "alpha must lie in (0, 2], got 2.5", id="alpha_range-holder",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("l1", _qubit(), identity_channel(2), "x"),
+                TypeError, "alpha must be a real number, got 'x'", id="alpha_type-monotonicity",
             ),
             pytest.param(
                 lambda: check_strong_monotonicity("tsallis", _qubit(), identity_channel(2), None),

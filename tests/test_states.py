@@ -126,6 +126,15 @@ def test_validate_probability_vector_raises_bad_weights():
             validate_probability_vector(bad)
 
 
+def test_validate_probability_vector_refuses_imaginary_parts():
+    for bad in ([0.5 + 0.3j, 0.5 - 0.3j], np.array([0.5 + 0.3j, 0.5 - 0.3j]), [1.0 + 1e-300j]):
+        with pytest.raises(BadWeightsError, match="entries must be real"):
+            validate_probability_vector(bad)
+    vec = validate_probability_vector(np.array([0.25 + 0j, 0.75 + 0j]))
+    assert vec.dtype == float
+    np.testing.assert_array_equal(vec, [0.25, 0.75])
+
+
 def test_haar_unitary_is_unitary(rng):
     u = haar_unitary(5, rng(12))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
