@@ -120,13 +120,13 @@ def select(
     return outcomes, float(np.maximum(probs[~kept], 0.0).sum())
 
 
-def is_incoherent(ch: KrausChannel, tol: float = INCOHERENCE_TOL) -> bool:
-    """True when every Kraus operator has at most one entry per column above `tol`.
+def is_incoherent(ch: KrausChannel) -> bool:
+    """True when every Kraus operator has at most one entry per column above INCOHERENCE_TOL.
 
     That column structure maps diagonal states to diagonal states branch by
     branch, which is the defining property of an incoherent operation.
     """
-    return not np.any((np.abs(ch.kraus) > tol).sum(axis=-2) > 1)
+    return not np.any((np.abs(ch.kraus) > INCOHERENCE_TOL).sum(axis=-2) > 1)
 
 
 def dephasing_channel(d: int) -> KrausChannel:

@@ -177,7 +177,7 @@ def _emit_measures(args, pairs) -> int:
 
 def cmd_compute(args) -> int:
     # every --alpha is gated before any row, also when only the plain kinds ignore it
-    alphas = [check_alpha_floor(validate_alpha(a)) for a in args.alpha or [1.0]]
+    alphas = [check_alpha_floor(a) for a in args.alpha or [1.0]]
     kinds = args.kind or MEASURE_KINDS
     return _emit_measures(args, [(k, a) for k in kinds for a in (alphas if k in ALPHA_KINDS else [None])])
 

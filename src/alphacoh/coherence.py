@@ -25,6 +25,7 @@ two routes can be compared trial by trial.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +33,6 @@ import numpy as np
 
 from .divergence import near_one, shannon_entropy, validate_alpha
 from .linalg import as_hermitian, eigh_clamped, psd_power, validated_spectrum
-from .states import dephase
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
 # the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,
@@ -111,13 +111,14 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
 
 
 def check_alpha_floor(alpha: float) -> float:
-    """Return alpha, or raise AlphaBelowFloorError if it is below ALPHA_FLOOR."""
-    if alpha < ALPHA_FLOOR:
+    """validate_alpha, plus AlphaBelowFloorError when alpha is below ALPHA_FLOOR."""
+    a = validate_alpha(alpha)
+    if a < ALPHA_FLOOR:
         raise AlphaBelowFloorError(
-            f"alpha {alpha!r} is below {ALPHA_FLOOR}, where the 1/alpha power "
+            f"alpha {a!r} is below {ALPHA_FLOOR}, where the 1/alpha power "
             "cannot be resolved in double precision"
         )
-    return alpha
+    return a
 
 
 def alpha_diagonal(rho, alpha: float) -> np.ndarray:
@@ -132,7 +133,7 @@ def alpha_diagonal(rho, alpha: float) -> np.ndarray:
 
 
 def _family(kind: str, rho, alpha: float) -> CoherenceResult:
-    a = check_alpha_floor(validate_alpha(alpha))
+    a = check_alpha_floor(alpha)
     value, delta = closed_form(kind, *validated_spectrum(rho), a)
     return CoherenceResult(float(value), delta)
 
@@ -164,9 +165,7 @@ def tsallis_coherence(rho, alpha: float) -> CoherenceResult:
 
 
 def optimal_incoherent_state(rho, alpha: float) -> np.ndarray:
-    """Populations of the incoherent state closest to rho in the alpha sense."""
-    if near_one(validate_alpha(alpha)):
-        return dephase(rho)  # the limit's minimizer needs no spectrum
+    """Populations of the incoherent state closest to rho in the alpha sense (dephased at alpha ~ 1)."""
     return _family("alpha", rho, alpha).optimal_delta
 
 
@@ -244,7 +243,7 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
     as the (points, d) matrix. The values are those of the direct per-entry
     powers, bit for bit.
     """
-    a = check_alpha_floor(validate_alpha(alpha))
+    a = check_alpha_floor(alpha)
     if near_one(a):
         raise ValueError("oracle undefined within 1e-6 of alpha = 1")
     if not 1e-5 <= resolution <= 1e-2:
@@ -294,7 +293,7 @@ def max_coherence(d: int, alpha: float) -> float:
     Attained by the equal-weight pure states for every phase choice; ln d at
     the alpha ~ 1 limit.
     """
-    if d < 1:
+    if operator.index(d) < 1:  # 2.5 is refused, not read as 2
         raise ValueError(f"dimension must be >= 1, got {d}")
     a = validate_alpha(alpha)
     if near_one(a):
@@ -324,7 +323,7 @@ def measure_value(kind: str, rho, alpha: float | None = None) -> float:
 def check_measure_alpha(kind: str, alpha: float | None) -> float | None:
     """measure_value's alpha gate: a given alpha lies in (0, 2] and over ALPHA_FLOOR; the families need one."""
     if alpha is not None:
-        return check_alpha_floor(validate_alpha(alpha))
+        return check_alpha_floor(alpha)
     if kind in ALPHA_KINDS:
         raise ValueError(f"measure kind {kind!r} needs an alpha value")
     return None

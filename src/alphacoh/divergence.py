@@ -23,6 +23,7 @@ natural, so entropic values are in nats.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,11 +34,13 @@ SUPPORT_OVERLAP_TOL = 1e-10
 
 
 def validate_alpha(alpha: float) -> float:
-    """Require alpha in the admissible interval (0, 2]; an alpha float() cannot read is a TypeError."""
-    try:
-        a = float(alpha)
-    except (TypeError, ValueError):
-        raise TypeError(f"alpha must be a real number, got {alpha!r}") from None
+    """Require a real alpha in (0, 2]: a number, numpy real or 0-d real array; any other type is a TypeError."""
+    # a plain float, the common case, skips the slower abstract-class check
+    if type(alpha) is not float and not isinstance(alpha, numbers.Real) and not (
+        isinstance(alpha, np.ndarray) and alpha.shape == () and alpha.dtype.kind in "biuf"
+    ):
+        raise TypeError(f"alpha must be a real number, got {alpha!r}")
+    a = float(alpha)
     if not math.isfinite(a) or a <= 0.0 or a > 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
     return a

@@ -18,7 +18,6 @@ bookkeeping.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -98,19 +97,14 @@ class TrialConfig:
 
     def __post_init__(self):
         # an integer field given a float or a string raises TypeError instead of truncating it
-        # and so does an alpha that is not a real number, which float() would parse
         object.__setattr__(self, "dims", tuple(operator.index(d) for d in self.dims))
-        if not all(isinstance(a, numbers.Real) for a in self.alphas):
-            raise TypeError(f"alphas must be real numbers, got {self.alphas!r}")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", tuple(check_alpha_floor(a) for a in self.alphas))
         object.__setattr__(self, "n_kraus_range", tuple(operator.index(n) for n in self.n_kraus_range))
         object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
         for name in ("trials_per_cell", "master_seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not self.dims or any(d < 2 for d in self.dims):
             raise ValueError(f"dims must be a nonempty list of integers >= 2, got {self.dims}")
-        for a in self.alphas:
-            check_alpha_floor(validate_alpha(a))
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         if self.trials_per_cell < 1:
@@ -846,8 +840,6 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
     The params are one _SearchParams with a leading batch axis, assembled by
     its ``ops``, the same method every later rebuild goes through.
     """
-    if with_pair and n_kraus < 2:
-        raise ValueError("a merge pair needs at least two operators")
     n_sing = n_kraus - 2 if with_pair else n_kraus
     raw = rng.gamma(1.0, size=(count, n_kraus, d))
     sing_phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, n_sing, d))
@@ -1019,7 +1011,7 @@ def search_violation(
     # alpha values inside the near-one window are legal: both kinds collapse
     # to relative-entropy coherence there, which is strongly monotone, so a
     # search restricted to them just exhausts its budget
-    alphas = tuple(check_alpha_floor(validate_alpha(a)) for a in alphas)
+    alphas = tuple(check_alpha_floor(a) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
     lo, hi = _check_kraus_range(n_kraus_range)

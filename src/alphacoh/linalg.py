@@ -51,45 +51,45 @@ def max_asymmetry(mat: np.ndarray) -> float | np.ndarray:
     return np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def spectral_decompose(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
+def spectral_decompose(h) -> Spectrum:
     """Eigendecompose a Hermitian matrix.
 
     Eigenvalues come back ascending (LAPACK order); any eigenvalue with
     |lam| < 1e-12 is clamped to exactly 0 so that downstream power and
     support logic never sees denormal noise as rank.
 
-    Raises NotHermitianError when max |H - H†| exceeds `hermiticity_tol`,
-    reporting the offending deviation. The arrays are copies, the caller's to write.
+    Raises NotHermitianError when max |H - H†| exceeds 1e-10, reporting the
+    offending deviation. The arrays are copies, the caller's to write.
     """
-    return Spectrum(*(arr.copy() for arr in validated_spectrum(h, hermiticity_tol)))
+    return Spectrum(*(arr.copy() for arr in validated_spectrum(h)))
 
 
-def validated_spectrum(h, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
+def validated_spectrum(h) -> Spectrum:
     """spectral_decompose without the copies: read-only arrays, shared while h keeps its exact bytes.
 
-    One entry, the last matrix that passed as_hermitian, keyed by its shape,
-    the bytes of its complex coercion and the tolerance. A matrix edited in
-    place is a new key; a refused one is never stored, so it raises every time.
+    One entry, the last matrix that passed as_hermitian, keyed by its shape and
+    the bytes of its complex coercion. A matrix edited in place is a new key;
+    a refused one is never stored, so it raises every time.
     """
     mat = np.asarray(h, dtype=complex)
-    return _last_spectrum(mat.shape, mat.tobytes(), hermiticity_tol)
+    return _last_spectrum(mat.shape, mat.tobytes())
 
 
 @lru_cache(maxsize=1)
-def _last_spectrum(shape: tuple, data: bytes, hermiticity_tol: float) -> Spectrum:
-    spectrum = eigh_clamped(as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape), hermiticity_tol))
+def _last_spectrum(shape: tuple, data: bytes) -> Spectrum:
+    spectrum = eigh_clamped(as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape)))
     for arr in spectrum:
         arr.flags.writeable = False
     return spectrum
 
 
-def as_hermitian(h, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """as_square_matrix, plus NotHermitianError when max |H - H†| exceeds `hermiticity_tol`."""
+def as_hermitian(h) -> np.ndarray:
+    """as_square_matrix, plus NotHermitianError when max |H - H†| exceeds HERMITICITY_TOL."""
     mat = as_square_matrix(h)
     asym = max_asymmetry(mat)
-    if asym > hermiticity_tol:
+    if asym > HERMITICITY_TOL:
         raise NotHermitianError(
-            f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {hermiticity_tol:.1e}"
+            f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
     return mat
 

@@ -11,6 +11,7 @@ every draw regardless of execution order.
 from __future__ import annotations
 
 import json
+import operator
 import os
 
 import numpy as np
@@ -81,8 +82,9 @@ def dephase(rho) -> np.ndarray:
 
     Tiny negatives are clamped to 0 and the vector is renormalized, so
     round-off on a valid input state never leaks past the 1e-12 sum gate.
+    A non-square matrix or one with a non-finite entry is refused.
     """
-    mat = np.asarray(rho, dtype=complex)
+    mat = as_square_matrix(rho)
     diag = np.clip(np.diag(mat).real, 0.0, None)
     return diag / diag.sum()
 
@@ -115,7 +117,8 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     reproducibility contract needs: the stream for a given key is the same
     no matter how many other streams were opened or in what order.
     """
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
+    # operator.index refuses a float seed or key, which int() would truncate to another stream
+    ss = np.random.SeedSequence(operator.index(master_seed), spawn_key=tuple(map(operator.index, key)))
     return np.random.default_rng(ss)
 
 

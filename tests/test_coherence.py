@@ -292,6 +292,21 @@ class TestNearOneRouting:
         rho = random_density(3, 3, rng(81))
         probs = optimal_incoherent_state(rho, 1.0)
         assert_allclose(probs, np.diag(rho).real, atol=1e-12)
+        assert np.array_equal(probs, coherence_alpha(rho, 1.0).optimal_delta)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[0.5, 0.3], [0.1, 0.5]], NotHermitianError),
+            (np.ones((2, 3)), DimMismatchError),
+            ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+        ],
+        ids=["non-hermitian", "non-square", "nan"],
+    )
+    def test_optimal_state_gates_its_input_at_every_alpha(self, bad, error):
+        for alpha in (0.5, 1.0):
+            with pytest.raises(error):
+                optimal_incoherent_state(bad, alpha)
 
 
 class TestNullOnIncoherentStates:
@@ -392,6 +407,8 @@ class TestDispatchAndGates:
     def test_max_coherence_gates(self):
         with pytest.raises(ValueError, match="dimension"):
             max_coherence(0, 1.5)
+        with pytest.raises(TypeError):  # int() read 2.5 as dimension 2
+            max_coherence(2.5, 0.5)
         assert max_coherence(3, 1.0) == pytest.approx(math.log(3.0), abs=1e-15)
 
 

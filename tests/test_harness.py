@@ -32,6 +32,7 @@ from alphacoh.coherence import (
     CoherenceResult,
     DegenerateDiagonalError,
     SkewFormsDisagreeError,
+    brute_force_min,
     coherence_alpha,
     measure_value,
     optimal_incoherent_state,
@@ -544,6 +545,15 @@ class TestErrorContract:
             pytest.param(
                 lambda: check_convexity("alpha", [0.5, 0.5], [_qubit(), _qutrit()], 0.5),
                 DimMismatchError, "operands differ in dimension: 2 vs 3", id="sizes-states-convexity",
+            ),
+            pytest.param(
+                lambda: check_strong_monotonicity("alpha", np.ones((2, 3)), identity_channel(2), 0.5),
+                DimMismatchError, "matrix: expected a square matrix, got shape (2, 3)",
+                id="non_square-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_lemma1(np.ones((2, 3)), _qubit(), identity_channel(2), 0.5),
+                DimMismatchError, "matrix: expected a square matrix, got shape (2, 3)", id="non_square-lemma1",
             ),
         ],
     )
@@ -1638,9 +1648,48 @@ class TestInputGates:
 
     @pytest.mark.parametrize("alphas", [("0.5",), ("a",), (0.5, None), "0.5"])
     def test_alphas_refuse_non_numbers(self, alphas):
-        # float() would parse "0.5" and turn "a" into a message without the field
+        # float() would parse "0.5"; the alpha rule refuses it by type
         with pytest.raises(TypeError):
             TrialConfig(alphas=alphas)
+
+    # one alpha rule (divergence.validate_alpha) behind every entry point: the same values pass, the same refuse
+    ALPHA_TYPES = [
+        pytest.param(0.5, False, id="float"),
+        pytest.param(np.float32(0.5), False, id="float32"),
+        pytest.param(np.array(0.5), False, id="0d-array"),
+        pytest.param(1, False, id="int"),
+        pytest.param("0.5", True, id="str"),
+        pytest.param(b"0.5", True, id="bytes"),
+        pytest.param(np.complex128(0.5), True, id="complex128"),
+        pytest.param([0.5], True, id="list"),
+        pytest.param(None, True, id="None"),
+    ]
+    # each entry with its refusal of None: measure_value reads None as "no alpha", which a family refuses
+    ALPHA_ENTRIES = [
+        pytest.param(validate_alpha, TypeError, id="validate_alpha"),
+        pytest.param(lambda a: TrialConfig(alphas=(a,), checks=("strong_monotonicity",)), TypeError, id="TrialConfig"),
+        pytest.param(lambda a: search_violation(2, 1, alphas=(a,)), TypeError, id="search_violation"),
+        pytest.param(lambda a: measure_value("alpha", _qubit(), a), ValueError, id="measure_value"),
+        # alpha = 1 passes the type rule and meets the oracle's own ValueError
+        pytest.param(lambda a: a == 1 or brute_force_min(_qubit(), a, 1e-2), TypeError, id="brute_force_min"),
+    ]
+
+    @pytest.mark.parametrize("entry, none_error", ALPHA_ENTRIES)
+    @pytest.mark.parametrize("alpha, refused", ALPHA_TYPES)
+    def test_one_alpha_rule_at_every_entry(self, entry, none_error, alpha, refused):
+        if not refused:
+            entry(alpha)
+            return
+        error = none_error if alpha is None else TypeError
+        with pytest.raises(error) as info:
+            entry(alpha)
+        assert type(info.value) is error
+        assert str(info.value).startswith("alpha must be a real number" if error is TypeError else "measure kind")
+
+    def test_search_refuses_a_float_seed(self):
+        # int() made seed 1.5 draw seed 1's batches and report seed 1.5
+        with pytest.raises(TypeError):
+            search_violation(3, 300, seed=1.5)
 
     def test_search_rejects_kind_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphacoh.linalg import DimMismatchError
 from alphacoh.states import (
     BadRankError,
     BadWeightsError,
@@ -73,6 +74,13 @@ def test_embed_and_dephase_round_trip():
 def test_dephase_strips_off_diagonals():
     rho = maximally_coherent(4)
     np.testing.assert_allclose(dephase(rho), np.full(4, 0.25), atol=1e-15)
+
+
+def test_dephase_gates_its_input():
+    with pytest.raises(DimMismatchError, match="expected a square matrix"):
+        dephase(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        dephase([[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestMaximallyCoherent:
@@ -157,6 +165,16 @@ class TestStreams:
         a = substream(7, 1).standard_normal(4)
         b = substream(7, 2).standard_normal(4)
         assert np.any(a != b)
+
+    @pytest.mark.parametrize("args", [(1.7,), (1, 2.5), ("1",)])
+    def test_refuses_a_seed_or_key_that_is_not_an_integer(self, args):
+        # int() truncated 1.7 to seed 1's stream
+        with pytest.raises(TypeError):
+            substream(*args)
+
+    def test_numpy_integers_are_the_same_stream(self):
+        a = substream(np.int64(7), np.int32(3)).standard_normal(3)
+        np.testing.assert_array_equal(a, substream(7, 3).standard_normal(3))
 
 
 def test_state_file_round_trip_exact(tmp_path, rng):
