@@ -34,10 +34,10 @@ SUPPORT_OVERLAP_TOL = 1e-10
 
 
 def validate_alpha(alpha: float) -> float:
-    """Require a real alpha in (0, 2]: a number, numpy real or 0-d real array; any other type is a TypeError."""
-    # a plain float, the common case, skips the slower abstract-class check
-    if type(alpha) is not float and not isinstance(alpha, numbers.Real) and not (
-        isinstance(alpha, np.ndarray) and alpha.shape == () and alpha.dtype.kind in "biuf"
+    """Require a real alpha in (0, 2]: a non-bool real, numpy real or 0-d real array; any other type is a TypeError."""
+    # a plain float, the common case, skips the slower abstract-class check; a bool is no alpha
+    if type(alpha) is not float and (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)) and not (
+        isinstance(alpha, np.ndarray) and alpha.shape == () and alpha.dtype.kind in "iuf"
     ):
         raise TypeError(f"alpha must be a real number, got {alpha!r}")
     a = float(alpha)

@@ -47,13 +47,14 @@ from .coherence import (
 )
 from .divergence import _gated_pair, functional_values, near_one, sgn1, validate_alpha
 from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask
-from .states import BadWeightsError, embed_diagonal, haar_unitary, random_density, state_from_factor
+from .states import BadWeightsError, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
 
 DEFAULT_TOLERANCE = 1e-9
 VIOLATION_GAP = 1e-6
 SEARCH_ALPHAS = (0.3, 0.5, 1.5, 2.0)
 REFINE_TRIGGER = 1e-8
+REFINE_TARGET = 1e-4  # coordinate ascent stops once a sweep ends at this gap
 # a batch's best gap within this of zero seeds coordinate ascent; raw draws
 # alone essentially never cross into the (thin) violating set
 ASCEND_WINDOW = 1e-2
@@ -249,7 +250,7 @@ def _input_gate(check: str, inputs) -> None:
         operands = (*inputs[:2], inputs[2].kraus[0])
     else:
         validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
-        embed_diagonal(inputs[4])
+        validate_probability_vector(inputs[4])
         operands = (*inputs[:2], inputs[2].kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
     for mat in operands:
         shape = np.shape(mat)
@@ -259,35 +260,27 @@ def _input_gate(check: str, inputs) -> None:
             raise DimMismatchError(f"operands differ in dimension: {len(operands[0])} vs {shape[0]}")
 
 
-def check_strong_monotonicity(
-    kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
-) -> TrialRecord:
+def check_strong_monotonicity(kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """C(rho) >= sum_n p_n C(rho_n) over the selective branches of an incoherent channel.
 
     Dropped branches (probability under P_MIN, see channels.branches)
     contribute 0 to the average, biasing the right side down, i.e. toward
     pass; their mass is negligible by construction of the drop threshold.
     """
-    return _trial_records("strong_monotonicity", kind, (rho, ch), alpha, tolerance, seed, trial)[0]
+    return _trial_records("strong_monotonicity", kind, (rho, ch), alpha, tolerance, -1, -1)[0]
 
 
-def check_monotonicity(
-    kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
-) -> TrialRecord:
+def check_monotonicity(kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """C(rho) >= C(E(rho)) for the non-selective action of an incoherent channel."""
-    return _trial_records("monotonicity", kind, (rho, ch), alpha, tolerance, seed, trial)[0]
+    return _trial_records("monotonicity", kind, (rho, ch), alpha, tolerance, -1, -1)[0]
 
 
-def check_convexity(
-    kind, weights, states, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
-) -> TrialRecord:
+def check_convexity(kind, weights, states, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """sum_i w_i C(rho_i) >= C(sum_i w_i rho_i)."""
-    return _trial_records("convexity", kind, (weights, states), alpha, tolerance, seed, trial)[0]
+    return _trial_records("convexity", kind, (weights, states), alpha, tolerance, -1, -1)[0]
 
 
-def check_lemma1(
-    rho, sigma, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
-) -> TrialRecord:
+def check_lemma1(rho, sigma, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """Branch decomposition bound on the trace functional for an arbitrary channel.
 
     sgn1(alpha) F(rho, sigma) >= sgn1(alpha) sum_n p_n^alpha q_n^(1-alpha) F(rho_n, sigma_n).
@@ -298,7 +291,7 @@ def check_lemma1(
     A divergent term (alpha > 1, branch support mismatch) makes the direction
     unfalsifiable, so the trial is recorded as passed-degenerate.
     """
-    return _trial_records("lemma1", None, (rho, sigma, ch), alpha, tolerance, seed, trial)[0]
+    return _trial_records("lemma1", None, (rho, sigma, ch), alpha, tolerance, -1, -1)[0]
 
 
 def _lemma1_sides(sign, base, terms):
@@ -308,9 +301,7 @@ def _lemma1_sides(sign, base, terms):
     return lhs, rhs
 
 
-def check_holder_step(
-    rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE, seed=-1, trial=-1
-) -> TrialRecord:
+def check_holder_step(rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """Power-mean step over the branches of an incoherent channel.
 
     With p_n, rho_n the selective outcomes of rho, q_n, sigma_n those of the
@@ -322,7 +313,7 @@ def check_holder_step(
     channel must achieve equality. The record's lhs is whichever side the
     inequality bounds from above.
     """
-    return _trial_records("holder", None, (rho, ch), alpha, tolerance, seed, trial)[0]
+    return _trial_records("holder", None, (rho, ch), alpha, tolerance, -1, -1)[0]
 
 
 def _holder_sides(a, p, q, f_vals):
@@ -350,8 +341,6 @@ def check_observations(
     *,
     ensemble=None,
     tolerance=DEFAULT_TOLERANCE,
-    seed=-1,
-    trial=-1,
 ) -> list[TrialRecord]:
     """The five structural properties of the trace functional, one record each.
 
@@ -369,7 +358,7 @@ def check_observations(
     """
     ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)] if ensemble is None else ensemble
     inputs = (rho, sigma, ch, unitary, delta_diag, ensemble)
-    return _trial_records("observations", None, inputs, alpha, tolerance, seed, trial)
+    return _trial_records("observations", None, inputs, alpha, tolerance, -1, -1)
 
 
 def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored):
@@ -418,14 +407,14 @@ def _refuse(check: str, kind, alpha, formed) -> None:
     """Raise the first refusal of the scalar gates over a trial's matrix stacks, met in the scalar checks' order.
 
     measure_value on each state, channel image or mixture; _gated_pair on each
-    pair; for holder, first optimal_incoherent_state and embed_diagonal on rho.
+    pair; for holder, first optimal_incoherent_state on rho.
     """
     for i, stack in enumerate(formed):
         for mat in stack:
             if check in MEASURE_CHECKS:
                 measure_value(kind, mat, alpha)
             elif check == "holder" and i == 0:
-                embed_diagonal(optimal_incoherent_state(mat, alpha))
+                optimal_incoherent_state(mat, alpha)
             else:
                 _gated_pair(*mat)
 
@@ -531,14 +520,6 @@ def _run_cell(task) -> list[TrialRecord]:
     return [record for trial_records in records for record in trial_records]
 
 
-def _is_distribution(p) -> bool:
-    try:
-        validate_probability_vector(p)
-    except BadWeightsError:
-        return False
-    return True
-
-
 def _padded(ragged) -> tuple[np.ndarray, np.ndarray]:
     """Ragged per-trial sequences zero-padded into one (trials, longest, ...) array, and the mask of real entries.
 
@@ -563,8 +544,7 @@ def _stacked_sides(check: str, kind, inputs: list, alpha) -> tuple[list, list]:
     """
     if check in MEASURE_CHECKS:
         return _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
-    a = validate_alpha(alpha)
-    return FUNCTIONAL_STACKS[check](inputs, a, sgn1(a))
+    return FUNCTIONAL_STACKS[check](inputs, alpha, sgn1(alpha))
 
 
 def _lemma1_stack(inputs, a, sign):
@@ -582,8 +562,8 @@ def _holder_stack(inputs, a, sign):
     rhos = np.array([rho for rho, _ in inputs], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
         deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
-    # the gates of spectral_decompose on rho and of embed_diagonal on delta
-    usable = hermitian_mask(rhos) & np.array([_is_distribution(delta) for delta in deltas])
+    # the gate of spectral_decompose on rho; a finite delta is a distribution (closed_form's largest root is 1)
+    usable = hermitian_mask(rhos) & np.isfinite(deltas).all(axis=-1)
     deltas = np.where(usable[:, None], deltas, 0.0)[..., None] * np.eye(rhos.shape[-1])
     probs, products, kept = branches(_padded([ch.kraus for _, ch in inputs])[0][:, None], np.stack([rhos, deltas], 1))
     pairs = kept[:, 0] & kept[:, 1]  # a branch counts when both sides keep it
@@ -882,7 +862,7 @@ def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) ->
     return _branch_average(kind, kraus, rhos, alpha) - before
 
 
-def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, target=1e-4):
+def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40):
     """Greedy coordinate ascent on the gap from one (state factor, channel) start.
 
     Perturbs the factor additively, weight shares multiplicatively, and the
@@ -963,7 +943,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40, tar
             gap = float(gaps[better[0]])
             improved = True
             first = k + 1
-        if gap >= target:
+        if gap >= REFINE_TARGET:
             break
         if improved:
             stalls = 0
@@ -983,7 +963,6 @@ def search_violation(
     alphas=SEARCH_ALPHAS,
     seed: int = 0,
     n_kraus_range: tuple[int, int] = (1, 4),
-    gap_threshold: float = VIOLATION_GAP,
     batch_size: int = SEARCH_BATCH,
 ) -> ViolationReport:
     """Random search for a strong-monotonicity violation of the given quantifier.
@@ -998,7 +977,7 @@ def search_violation(
     zero, because the violating set is thin enough that raw sampling alone
     essentially never crosses it. Refinement returns its witness as a
     validated KrausChannel, and it only counts as found once _strong_mono_stats
-    on that channel confirms gap > `gap_threshold`. The report carries those
+    on that channel confirms gap > VIOLATION_GAP. The report carries those
     numbers, so reverify_violation and a serialized witness replay them
     exactly.
     """
@@ -1017,8 +996,6 @@ def search_violation(
     lo, hi = _check_kraus_range(n_kraus_range)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not math.isfinite(gap_threshold):  # NaN or +inf would refuse every witness, -inf accept any
-        raise ValueError(f"gap_threshold must be finite, got {gap_threshold}")
     ranks = sorted({1, max(1, d // 2), d})
     combos = [
         (a, nk, r, pair)
@@ -1055,7 +1032,7 @@ def search_violation(
             before, after, gap = _strong_mono_stats(kind, rho, ch.kraus, alpha)
             if gap > best_gap:
                 best_gap = gap
-            if gap > gap_threshold:
+            if gap > VIOLATION_GAP:
                 return ViolationReport(
                     found=True,
                     kind=kind,

@@ -21,7 +21,6 @@ from .linalg import HERMITICITY_TOL, as_square_matrix, max_asymmetry
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-12
-RANK_TOL = 1e-10
 
 
 class BadRankError(ValueError):
@@ -82,11 +81,15 @@ def dephase(rho) -> np.ndarray:
 
     Tiny negatives are clamped to 0 and the vector is renormalized, so
     round-off on a valid input state never leaks past the 1e-12 sum gate.
-    A non-square matrix or one with a non-finite entry is refused.
+    A non-square matrix, one with a non-finite entry, and one whose clamped
+    diagonal sums to 0 (no distribution to renormalize) are refused.
     """
     mat = as_square_matrix(rho)
     diag = np.clip(np.diag(mat).real, 0.0, None)
-    return diag / diag.sum()
+    total = diag.sum()
+    if total == 0.0:
+        raise BadWeightsError(f"dephased diagonal must have a positive sum, got {total}")
+    return diag / total
 
 
 def maximally_coherent(d: int, phases=None) -> np.ndarray:
@@ -154,11 +157,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diag(r)
     return q * (diag / np.abs(diag))
-
-
-def rank_of(rho, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues above `tol`."""
-    return int(np.sum(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)) > tol))
 
 
 def save_state(path: str | os.PathLike, rho) -> None:

@@ -769,8 +769,9 @@ class TestSearchViolation:
         assert not report.found
         assert report.best_gap < 1e-9
 
-    def test_gap_threshold_is_respected(self):
-        report = search_violation(3, 60_000, kind="tsallis", seed=0, gap_threshold=1.0)
+    def test_gap_threshold_is_respected(self, monkeypatch):
+        monkeypatch.setattr("alphacoh.harness.VIOLATION_GAP", 1.0)
+        report = search_violation(3, 60_000, kind="tsallis", seed=0)
         assert not report.found
         assert report.best_gap > 1e-6  # it did see violations, none that large
 
@@ -794,7 +795,6 @@ class TestSearchViolation:
             ({"n_kraus_range": (3, 1)}, "n_kraus_range"),
             ({"n_kraus_range": (0, 2)}, "n_kraus_range"),
             ({"batch_size": 0}, "batch_size"),
-            ({"gap_threshold": math.nan}, "gap_threshold"),
         ],
     )
     def test_refuses_a_search_that_cannot_run(self, kwargs, match, monkeypatch):
@@ -1685,6 +1685,18 @@ class TestInputGates:
             entry(alpha)
         assert type(info.value) is error
         assert str(info.value).startswith("alpha must be a real number" if error is TypeError else "measure kind")
+
+    # True == 1, so brute_force_min is called here without the alpha = 1 bypass of ALPHA_ENTRIES
+    BOOL_ENTRIES = [pytest.param(p.values[0], id=p.id) for p in ALPHA_ENTRIES[:-1]] + [
+        pytest.param(lambda a: brute_force_min(_qubit(), a, 1e-2), id="brute_force_min")
+    ]
+
+    @pytest.mark.parametrize("entry", BOOL_ENTRIES)
+    @pytest.mark.parametrize("alpha", [True, False, np.True_, np.array(True)], ids=["True", "False", "np_True", "0d-bool"])
+    def test_a_bool_is_no_alpha_at_any_entry(self, entry, alpha):
+        # bool is a numbers.Real, so True used to read as alpha 1
+        with pytest.raises(TypeError, match="^alpha must be a real number"):
+            entry(alpha)
 
     def test_search_refuses_a_float_seed(self):
         # int() made seed 1.5 draw seed 1's batches and report seed 1.5

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every private helper is used in the package.
 
-A refactor that deletes the last use of a name leaves its import behind; this
-test finds such dead imports from the source alone.
+A refactor that deletes the last use of a name leaves its import, or the
+private function or class behind it, in place; these tests find both from the
+source alone. A helper kept alive only by `tests/` or `perfbench/` does not
+count as used: code the package itself never runs is dead code.
 """
 
 import ast
@@ -37,3 +39,21 @@ def test_every_import_is_used(module):
 @pytest.mark.parametrize("module, name", sorted(EXEMPT))
 def test_an_exemption_is_still_needed(module, name):
     assert name in unused_imports(module)
+
+
+def dead_private_helpers() -> set[tuple[str, str]]:
+    """(module, name) of each module-level `_name` function or class no package code reads outside its own body."""
+    defined, used = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.add((path.stem, node.name))
+                read.discard(node.name)  # recursion is no use
+            used |= read
+    return {(module, name) for module, name in defined if name not in used}
+
+
+def test_every_private_helper_is_used():
+    assert dead_private_helpers() == set()

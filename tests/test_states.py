@@ -18,12 +18,15 @@ from alphacoh.states import (
     maximally_coherent,
     random_density,
     random_pure,
-    rank_of,
     save_state,
     substream,
     validate_density,
     validate_probability_vector,
 )
+
+
+def numerical_rank(rho) -> int:
+    return int(np.sum(np.linalg.eigvalsh(rho) > 1e-10))
 
 
 class TestValidateDensity:
@@ -81,6 +84,9 @@ def test_dephase_gates_its_input():
         dephase(np.ones((2, 3)))
     with pytest.raises(ValueError, match="entries must be finite"):
         dephase([[np.nan, 0.0], [0.0, 1.0]])
+    for no_weight in (np.zeros((2, 2)), [[-1.0, 0.0], [0.0, 0.0]]):  # a clamped diagonal of sum 0
+        with pytest.raises(BadWeightsError, match="positive sum, got 0.0"):
+            dephase(no_weight)
 
 
 class TestMaximallyCoherent:
@@ -88,7 +94,7 @@ class TestMaximallyCoherent:
         rho = maximally_coherent(3)
         assert np.trace(rho).real == pytest.approx(1.0)
         np.testing.assert_allclose(rho, np.full((3, 3), 1 / 3), atol=1e-15)
-        assert rank_of(rho) == 1
+        assert numerical_rank(rho) == 1
 
     def test_phases_affect_off_diagonals_only(self):
         rho = maximally_coherent(2, phases=[0.0, np.pi / 2])
@@ -109,7 +115,7 @@ class TestRandomDensity:
     def test_valid_state_of_exact_rank(self, d, rank, rng):
         rho = random_density(d, rank, rng(d, rank))
         validate_density(rho)
-        assert rank_of(rho) == rank
+        assert numerical_rank(rho) == rank
 
     def test_rank_gate(self, rng):
         with pytest.raises(BadRankError):
@@ -121,7 +127,7 @@ class TestRandomDensity:
 def test_random_pure_and_incoherent(rng):
     pure = random_pure(4, rng(10))
     validate_density(pure)
-    assert rank_of(pure) == 1
+    assert numerical_rank(pure) == 1
 
 
 def test_random_pure_is_the_rank_one_random_density():
