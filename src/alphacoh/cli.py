@@ -29,7 +29,7 @@ from .coherence import (
     measure_value,
     tsallis_coherence,
 )
-from .divergence import validate_alpha
+from .divergence import check_count, validate_alpha
 from .harness import (
     ALL_CHECKS,
     SEARCH_ALPHAS,
@@ -315,8 +315,7 @@ def cmd_replay(args) -> int:
 def cmd_oracle_compare(args) -> int:
     if args.dim not in (2, 3):
         raise ValueError(f"oracle comparison supports dim 2 or 3, got {args.dim}")
-    if args.states < 1:
-        raise ValueError(f"--states must be >= 1, got {args.states}")
+    check_count(args.states, "--states", 1)
     seed = _resolve_seed(args)
     resolution = args.resolution if args.resolution is not None else ORACLE_RESOLUTION[args.dim]
     # brute_force_min rejects an alpha within 1e-6 of 1 before any row is emitted

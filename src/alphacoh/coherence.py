@@ -25,13 +25,12 @@ two routes can be compared trial by trial.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .divergence import near_one, shannon_entropy, validate_alpha
+from .divergence import check_count, near_one, shannon_entropy, validate_alpha
 from .linalg import as_hermitian, eigh_clamped, psd_power, validated_spectrum
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
@@ -293,8 +292,7 @@ def max_coherence(d: int, alpha: float) -> float:
     Attained by the equal-weight pure states for every phase choice; ln d at
     the alpha ~ 1 limit.
     """
-    if operator.index(d) < 1:  # 2.5 is refused, not read as 2
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = check_count(d, "dimension", 1)
     a = validate_alpha(alpha)
     if near_one(a):
         return math.log(d)

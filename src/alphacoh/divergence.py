@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -33,14 +34,29 @@ ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
 
 
-def validate_alpha(alpha: float) -> float:
-    """Require a real alpha in (0, 2]: a non-bool real, numpy real or 0-d real array; any other type is a TypeError."""
-    # a plain float, the common case, skips the slower abstract-class check; a bool is no alpha
-    if type(alpha) is not float and (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)) and not (
-        isinstance(alpha, np.ndarray) and alpha.shape == () and alpha.dtype.kind in "iuf"
+def real_number(value, name: str) -> float:
+    """value as a float: a non-bool real, numpy real or 0-d real array; any other type is a TypeError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)) and not (
+        isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf"
     ):
-        raise TypeError(f"alpha must be a real number, got {alpha!r}")
-    a = float(alpha)
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_count(value, name: str, least: int) -> int:
+    """value as an int >= least; a non-integer is operator.index's TypeError, and so is a bool (it reads 1 or 0)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def validate_alpha(alpha: float) -> float:
+    """Require a real alpha in (0, 2] (real_number's types); any other type is a TypeError."""
+    # a plain float, the common case, skips the slower abstract-class check
+    a = alpha if type(alpha) is float else real_number(alpha, "alpha")
     if not math.isfinite(a) or a <= 0.0 or a > 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
     return a

@@ -18,7 +18,6 @@ bookkeeping.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,7 +44,7 @@ from .coherence import (
     measure_values,
     optimal_incoherent_state,
 )
-from .divergence import _gated_pair, functional_values, near_one, sgn1, validate_alpha
+from .divergence import _gated_pair, check_count, functional_values, near_one, real_number, sgn1, validate_alpha
 from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask
 from .states import BadWeightsError, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
@@ -70,16 +69,30 @@ ALL_CHECKS = (
 )
 # checks built on the trace functional, undefined inside the alpha = 1 window
 DIVERGENCE_CHECKS = frozenset({"lemma1", "holder", "observations"})
-MEASURE_CHECKS = ("strong_monotonicity", "monotonicity", "convexity")  # the checks scored by a measure kind
 CHANNEL_CHECKS = ("strong_monotonicity", "monotonicity", "holder")  # a trial is a state and an incoherent channel
 
 
 def _check_kraus_range(n_kraus_range) -> tuple[int, int]:
-    """The (lo, hi) operator-count range of the drawn channels, refused unless 1 <= lo <= hi."""
+    """The (lo, hi) operator-count range of the drawn channels, two counts with 1 <= lo <= hi."""
     lo, hi = n_kraus_range
-    if not 1 <= lo <= hi:
-        raise ValueError(f"n_kraus_range must satisfy 1 <= lo <= hi, got {tuple(n_kraus_range)}")
-    return lo, hi
+    lo = check_count(lo, "n_kraus_range lo", 1)
+    return lo, check_count(hi, "n_kraus_range hi", lo)
+
+
+def _check_alphas(alphas) -> tuple[float, ...]:
+    """A nonempty tuple of alphas, each through check_alpha_floor."""
+    alphas = tuple(check_alpha_floor(a) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    return alphas
+
+
+def _check_tolerance(tolerance) -> float:
+    """A record tolerance: a real number in (0, inf), since NaN would fail every trial and inf pass every one."""
+    t = real_number(tolerance, "tolerance")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -97,22 +110,15 @@ class TrialConfig:
     kind: str = "alpha"
 
     def __post_init__(self):
-        # an integer field given a float or a string raises TypeError instead of truncating it
-        object.__setattr__(self, "dims", tuple(operator.index(d) for d in self.dims))
-        object.__setattr__(self, "alphas", tuple(check_alpha_floor(a) for a in self.alphas))
-        object.__setattr__(self, "n_kraus_range", tuple(operator.index(n) for n in self.n_kraus_range))
+        object.__setattr__(self, "dims", tuple(check_count(d, "dims", 2) for d in self.dims))
+        if not self.dims:
+            raise ValueError("dims must be nonempty")
+        object.__setattr__(self, "alphas", _check_alphas(self.alphas))
+        object.__setattr__(self, "trials_per_cell", check_count(self.trials_per_cell, "trials_per_cell", 1))
+        object.__setattr__(self, "n_kraus_range", _check_kraus_range(self.n_kraus_range))
+        object.__setattr__(self, "master_seed", check_count(self.master_seed, "master_seed", 0))
+        object.__setattr__(self, "tolerance", _check_tolerance(self.tolerance))
         object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
-        for name in ("trials_per_cell", "master_seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if not self.dims or any(d < 2 for d in self.dims):
-            raise ValueError(f"dims must be a nonempty list of integers >= 2, got {self.dims}")
-        if not self.alphas:
-            raise ValueError("alphas must be nonempty")
-        if self.trials_per_cell < 1:
-            raise ValueError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
-        _check_kraus_range(self.n_kraus_range)
-        if not 0.0 < self.tolerance < math.inf:  # NaN would fail every trial, inf pass every one
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.rank_policy not in ("full", "mixed-ranks"):
             raise ValueError(f"rank_policy must be 'full' or 'mixed-ranks', got {self.rank_policy!r}")
         if not self.checks:
@@ -389,6 +395,7 @@ def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> l
         if check == "holder" and near_one(alpha):
             raise ValueError("holder step undefined within 1e-6 of alpha = 1")
         sgn1(alpha)
+    tolerance = _check_tolerance(tolerance)
     _input_gate(check, inputs)
     try:
         (sides,), formed = _stacked_sides(check, kind, [inputs], alpha)
@@ -411,7 +418,7 @@ def _refuse(check: str, kind, alpha, formed) -> None:
     """
     for i, stack in enumerate(formed):
         for mat in stack:
-            if check in MEASURE_CHECKS:
+            if check not in DIVERGENCE_CHECKS:
                 measure_value(kind, mat, alpha)
             elif check == "holder" and i == 0:
                 optimal_incoherent_state(mat, alpha)
@@ -542,7 +549,7 @@ def _stacked_sides(check: str, kind, inputs: list, alpha) -> tuple[list, list]:
     or matrix size. Entry t has the bits of the scalar arithmetic on inputs[t], divergent (+inf) values'
     degenerate sides included, NaN where a stacked gate refused a matrix. Stacks come in the gates' order.
     """
-    if check in MEASURE_CHECKS:
+    if check not in DIVERGENCE_CHECKS:
         return _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
     return FUNCTIONAL_STACKS[check](inputs, alpha, sgn1(alpha))
 
@@ -981,21 +988,15 @@ def search_violation(
     numbers, so reverify_violation and a serialized witness replay them
     exactly.
     """
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
-    if max_trials < 1:
-        raise ValueError(f"need a positive trial budget, got {max_trials}")
+    d, max_trials = check_count(d, "dimension", 2), check_count(max_trials, "trial budget", 1)
     if kind not in ALPHA_KINDS:
         raise ValueError(f"batched search supports kinds 'tsallis' and 'alpha', got {kind!r}")
     # alpha values inside the near-one window are legal: both kinds collapse
     # to relative-entropy coherence there, which is strongly monotone, so a
     # search restricted to them just exhausts its budget
-    alphas = tuple(check_alpha_floor(a) for a in alphas)
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
+    alphas = _check_alphas(alphas)
     lo, hi = _check_kraus_range(n_kraus_range)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size, seed = check_count(batch_size, "batch_size", 1), check_count(seed, "seed", 0)
     ranks = sorted({1, max(1, d // 2), d})
     combos = [
         (a, nk, r, pair)

@@ -16,10 +16,10 @@ import os
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, as_square_matrix, max_asymmetry
+from .divergence import check_count
+from .linalg import EIGENVALUE_CLAMP, HERMITICITY_TOL, as_square_matrix, max_asymmetry, validated_spectrum
 
 TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-12
 
 
@@ -41,8 +41,8 @@ def validate_density(rho, name: str = "state") -> np.ndarray:
     asym = max_asymmetry(mat)
     if asym > HERMITICITY_TOL:
         raise ValueError(f"{name}: hermiticity violated, max |M - M^dag| = {asym:.3e}")
-    eigenvalues = np.linalg.eigvalsh(mat)
-    if eigenvalues[0] < EIGENVALUE_FLOOR:
+    eigenvalues = validated_spectrum(mat).eigenvalues  # the spectrum the measures of the state then reuse
+    if eigenvalues[0] < -EIGENVALUE_CLAMP:
         raise ValueError(f"{name}: positivity violated, lowest eigenvalue {eigenvalues[0]:.3e}")
     trace = mat.trace()
     if abs(trace - 1.0) > TRACE_TOL:
@@ -102,8 +102,7 @@ def maximally_coherent(d: int, phases=None) -> np.ndarray:
     phases : array_like of float, optional
         One phase per amplitude; defaults to all zeros.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = check_count(d, "dimension", 1)
     if phases is None:
         phases = np.zeros(d)
     phases = np.asarray(phases, dtype=float)

@@ -623,6 +623,7 @@ class TestInputBoundary:
             {"n_kraus_range": 3},
             {"alphas": ["0.5"]},
             {"alphas": ["a"]},
+            {"tolerance": True},
         ],
     )
     def test_mistyped_config_value(self, payload, tmp_path, capsys):
@@ -643,6 +644,12 @@ class TestInputBoundary:
         # an infinite tolerance passes every record, NaN fails every one
         assert main(self.VERIFY + ["--tol", tol]) == EXIT_USAGE
         assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        # SeedSequence refused it in every trial, so every record was an error and verify exited 1
+        argv = ["verify", "--seed", "-1", "--dim", "2", "--alpha", "0.5", "--trials", "2", "--check", "monotonicity"]
+        assert main(argv) == EXIT_USAGE
+        assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_config_not_an_object(self, tmp_path, capsys):
         path = self._write(tmp_path, "cfg.json", "[2, 3]")

@@ -34,6 +34,7 @@ from alphacoh.coherence import (
     SkewFormsDisagreeError,
     brute_force_min,
     coherence_alpha,
+    max_coherence,
     measure_value,
     optimal_incoherent_state,
 )
@@ -51,6 +52,7 @@ from alphacoh.harness import (
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
+    _draw_inputs,
     _draw_state,
     _draw_state_channel,
     _holder_sides,
@@ -1530,18 +1532,18 @@ class TestStackedFunctionalCell:
         assert [r.error for r in records] == ["", "RuntimeError: synthetic draw failure", ""]
 
 
-def public_check_call(check, kind, inputs, alpha):
+def public_check_call(check, kind, inputs, alpha, tolerance=DEFAULT_TOLERANCE):
     """The public check of `check` on one drawn trial (inputs in _draw_inputs order), as a list of records."""
     if check == "observations":
-        return check_observations(*inputs[:-1], alpha, ensemble=inputs[-1])
+        return check_observations(*inputs[:-1], alpha, ensemble=inputs[-1], tolerance=tolerance)
     if check in FUNCTIONAL_CHECK_NAMES:
-        return [(check_lemma1 if check == "lemma1" else check_holder_step)(*inputs, alpha)]
+        return [(check_lemma1 if check == "lemma1" else check_holder_step)(*inputs, alpha, tolerance=tolerance)]
     public = {
         "strong_monotonicity": check_strong_monotonicity,
         "monotonicity": check_monotonicity,
         "convexity": check_convexity,
     }
-    return [public[check](kind, *inputs, alpha)]
+    return [public[check](kind, *inputs, alpha, tolerance=tolerance)]
 
 
 class TestStackOfOne:
@@ -1697,6 +1699,65 @@ class TestInputGates:
         # bool is a numbers.Real, so True used to read as alpha 1
         with pytest.raises(TypeError, match="^alpha must be a real number"):
             entry(alpha)
+
+    # one count rule (divergence.check_count) behind every count argument: entry, name in its message, floor
+    COUNT_ENTRIES = [
+        pytest.param(lambda n: TrialConfig(dims=(n,)), "dims", 2, id="TrialConfig-dims"),
+        pytest.param(lambda n: TrialConfig(trials_per_cell=n), "trials_per_cell", 1, id="TrialConfig-trials"),
+        pytest.param(lambda n: TrialConfig(n_kraus_range=(n, 4)), "n_kraus_range lo", 1, id="TrialConfig-kraus-lo"),
+        pytest.param(lambda n: TrialConfig(n_kraus_range=(1, n)), "n_kraus_range hi", 1, id="TrialConfig-kraus-hi"),
+        pytest.param(lambda n: TrialConfig(master_seed=n), "master_seed", 0, id="TrialConfig-seed"),
+        pytest.param(lambda n: search_violation(n, 10), "dimension", 2, id="search-d"),
+        pytest.param(lambda n: search_violation(3, n), "trial budget", 1, id="search-budget"),
+        pytest.param(lambda n: search_violation(3, 10, batch_size=n), "batch_size", 1, id="search-batch"),
+        pytest.param(lambda n: search_violation(3, 10, n_kraus_range=(n, 4)), "n_kraus_range lo", 1, id="search-kraus"),
+        pytest.param(lambda n: search_violation(3, 10, seed=n), "seed", 0, id="search-seed"),
+        pytest.param(lambda n: max_coherence(n, 0.5), "dimension", 1, id="max_coherence"),
+        pytest.param(maximally_coherent, "dimension", 1, id="maximally_coherent"),
+    ]
+
+    @staticmethod
+    def _no_draws(monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a batch before refusing the arguments")
+
+        monkeypatch.setattr("alphacoh.harness._batch_states", no_draws)
+
+    @pytest.mark.parametrize("entry, name, least", COUNT_ENTRIES)
+    @pytest.mark.parametrize("value", [2.5, True, "3", None], ids=["float", "bool", "str", "None"])
+    def test_one_count_rule_at_every_entry(self, entry, name, least, value, monkeypatch):
+        # a float budget used to run batches until numpy refused it; True used to count as 1
+        self._no_draws(monkeypatch)
+        with pytest.raises(TypeError):
+            entry(value)
+
+    @pytest.mark.parametrize("entry, name, least", COUNT_ENTRIES)
+    def test_a_count_below_its_floor_is_refused_by_name(self, entry, name, least, monkeypatch):
+        self._no_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            entry(least - 1)
+
+    # one tolerance rule behind TrialConfig and the six public checks
+    TOLERANCE_ENTRIES = [pytest.param(lambda t: TrialConfig(tolerance=t), id="TrialConfig")] + [
+        pytest.param(
+            lambda t, check=check: public_check_call(
+                check, "tsallis", _draw_inputs(TrialConfig(dims=(3,), checks=(check,)), check, 3, substream(39)), 0.5, t
+            ),
+            id=check,
+        )
+        for check in ALL_CHECKS
+    ]
+
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRIES)
+    @pytest.mark.parametrize(
+        "tolerance, error",
+        [(math.nan, ValueError), (True, TypeError), (np.array([1e-9]), TypeError), (-1e-3, ValueError)],
+        ids=["nan", "bool", "array", "negative"],
+    )
+    def test_one_tolerance_rule_at_every_entry(self, entry, tolerance, error):
+        # the public checks used to take any tolerance: NaN failed a positive margin, an array made passed an array
+        with pytest.raises(error, match="^tolerance must be"):
+            entry(tolerance)
 
     def test_search_refuses_a_float_seed(self):
         # int() made seed 1.5 draw seed 1's batches and report seed 1.5

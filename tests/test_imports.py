@@ -1,13 +1,15 @@
-"""Every name a package module imports is used in that module, and every private helper is used in the package.
+"""Every import of a package module is used there, and every private helper and constant is used in the package.
 
-A refactor that deletes the last use of a name leaves its import, or the
-private function or class behind it, in place; these tests find both from the
-source alone. A helper kept alive only by `tests/` or `perfbench/` does not
-count as used: code the package itself never runs is dead code.
+A refactor that deletes the last use of a name leaves its import, the private
+function or class behind it, or the constant it read, in place; these tests
+find all three from the source alone. A helper or constant kept alive only by
+`tests/` or `perfbench/` does not count as used: code the package itself
+never runs is dead code.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -57,3 +59,25 @@ def dead_private_helpers() -> set[tuple[str, str]]:
 
 def test_every_private_helper_is_used():
     assert dead_private_helpers() == set()
+
+
+def dead_constants() -> set[tuple[str, str]]:
+    """(module, name) of each module-level UPPER_CASE assignment no package code reads outside that assignment."""
+    defined, used = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in (n.id for n in ast.walk(target) if isinstance(n, ast.Name)):
+                        if re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+                            defined.add((path.stem, name))
+                            read.discard(name)  # its own binding is no read
+            used |= read
+    return {(module, name) for module, name in defined if name not in used}
+
+
+def test_every_constant_is_read():
+    assert dead_constants() == set()

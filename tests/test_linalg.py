@@ -130,6 +130,18 @@ class TestSpectrumMemo:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         return calls
 
+    def test_compute_decomposes_a_loaded_state_once(self, rng, tmp_path, monkeypatch, capsys):
+        # load_state's positivity gate reads the spectrum the measures of the state then reuse
+        path = tmp_path / "state.json"
+        save_state(path, random_density(3, 2, rng(26)))
+        calls = self._count_eigh(monkeypatch)
+        eigvalsh = np.linalg.eigvalsh  # the positivity gate's own call before it read the memo
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append("eigvalsh") or eigvalsh(mat))
+        argv = ["compute", str(path), "--kind", "alpha", "--kind", "tsallis", "--kind", "relent", "--alpha", "0.5"]
+        assert main(argv) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+        assert calls == [(3, 3)]
+
     def test_a_sweep_decomposes_its_state_once(self, rng, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.json"
         save_state(path, random_density(4, 3, rng(25)))
