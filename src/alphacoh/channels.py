@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .divergence import check_count
 from .states import haar_unitary, load_entries, save_entries
 
 COMPLETENESS_TOL = 1e-9
@@ -154,8 +155,7 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
     projection: see _structurally_infeasible. Rows, weights and phases are
     drawn in the same order either way, so the stream is the same.
     """
-    if d < 1 or n_kraus < 1:
-        raise ValueError(f"need d >= 1 and n_kraus >= 1, got d={d}, n_kraus={n_kraus}")
+    d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
     while True:  # ends: a draw with injective rows in every operator needs no projection
         rows = rng.integers(0, d, size=(n_kraus, d))
         weights = rng.dirichlet(np.ones(n_kraus), size=d).T  # (n_kraus, d), columns sum to 1
@@ -217,8 +217,7 @@ def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChann
     The stacked blocks form an isometry, so completeness is inherited from
     unitarity rather than repaired after the fact.
     """
-    if d < 1 or n_kraus < 1:
-        raise ValueError(f"need d >= 1 and n_kraus >= 1, got d={d}, n_kraus={n_kraus}")
+    d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
     big = haar_unitary(d * n_kraus, rng)
     return KrausChannel(big[:, :d].reshape(n_kraus, d, d))
 

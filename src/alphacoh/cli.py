@@ -103,15 +103,17 @@ def _emit(records: list[dict], columns, fmt: str, out_path: str | None) -> None:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else COHERENCE_SEED, else 0; a seed below 0 is refused under the name of its source."""
     if args.seed is not None:
-        return args.seed
+        return check_count(args.seed, "--seed", 0)
     env = os.environ.get("COHERENCE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"COHERENCE_SEED must be an integer, got {env!r}")
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ValueError(f"COHERENCE_SEED must be an integer, got {env!r}") from None
+    return check_count(seed, "COHERENCE_SEED", 0)
 
 
 # the entropy-limit argument behind the bits factor only covers the
@@ -194,7 +196,8 @@ def _config_from_args(args) -> TrialConfig:
     flags = {name: value for name, value in vars(args).items() if name in fields and value is not None}
     if "n_kraus_range" in flags:
         flags["n_kraus_range"] = _parse_kraus_range(flags["n_kraus_range"])
-    cfg = TrialConfig(master_seed=_resolve_seed(args), **flags)
+    # verify's --seed is TrialConfig's master_seed, gated there under that name, as in a config file
+    cfg = TrialConfig(master_seed=_resolve_seed(args) if args.seed is None else args.seed, **flags)
     overrides = read_json(args.config) if args.config else {}
     if not isinstance(overrides, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")

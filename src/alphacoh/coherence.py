@@ -12,10 +12,12 @@ power-mean S = sum_j a_j^(1/alpha):
   Tsallis relative alpha entropy to the incoherent set. Monotone and convex,
   but it fails strong monotonicity (the harness searches for witnesses).
 
-Both are evaluated by one kernel, ``closed_form``. ``measure_values`` is the one
-evaluation path of every measure kind: the scalar API and the harness share it.
-The scalar API reads the spectrum from ``linalg.validated_spectrum``, so the
-kinds, alphas and oracle calls on one state share one eigendecomposition.
+Both are evaluated by one kernel, ``closed_form``: a kind-free power mean and
+the kind's readout of it. ``measure_values`` is the one evaluation path of every
+measure kind over a stack, shared with the harness. The scalar API reads the
+spectrum from ``linalg.spectrum_memo`` and keeps one power mean per gated alpha
+there, so the kinds, alphas, minimizer and oracle calls on one state share one
+eigendecomposition, and each (state, alpha) pair is evaluated once.
 
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import check_count, near_one, shannon_entropy, validate_alpha
-from .linalg import as_hermitian, eigh_clamped, psd_power, validated_spectrum
+from .linalg import as_hermitian, eigh_clamped, psd_power, spectrum_memo, validated_spectrum
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
 # the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,
@@ -77,20 +79,22 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
     Takes one spectrum (lam (d,), vecs (d, d)) or a stack ((..., d), (..., d, d))
     and returns (value, delta) with matching leading shape. Eigenvalues within
     1e-12 of zero must already be exact zeros, as spectral_decompose leaves
-    them.
-
-    Both families are the power mean S = sum_j a_j^(1/alpha):
-    C_alpha = (S - 1)/(alpha - 1), Ct_alpha = (S^alpha - 1)/(alpha - 1) and
-    delta_j = a_j^(1/alpha) / S. The a_j are divided by their largest entry
-    before the 1/alpha power, so S = peak^(1/alpha) sum_j (a_j/peak)^(1/alpha)
-    never loses the sum to underflow at small alpha. Inside the alpha = 1
-    window both kinds give the relative-entropy coherence S(diag rho) - S(rho),
-    with the dephased populations as delta.
+    them. It is the kind's readout of the kind-free power mean (_power_mean).
 
     One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state
     can get there) raises DegenerateDiagonalError. In a stack such entries
     come out NaN, silenced by measure_values under np.errstate. No alpha is
     checked here: the scalar API and the search gate it first.
+    """
+    return _readout(kind, alpha, _power_mean(lam, vecs, alpha))
+
+
+def _power_mean(lam: np.ndarray, vecs: np.ndarray, alpha: float) -> tuple:
+    """closed_form's kind-free terms: (peak, total, delta), or (value, populations) at alpha ~ 1.
+
+    S = sum_j a_j^(1/alpha) = peak^(1/alpha) total with total = sum_j (a_j/peak)^(1/alpha),
+    which never loses S to underflow at small alpha, and delta_j = a_j^(1/alpha) / S.
+    At alpha ~ 1 both kinds are S(diag rho) - S(rho), with the dephased populations.
     """
     if near_one(alpha):
         pops = _diagonal(lam, vecs, 1.0)
@@ -102,11 +106,26 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
         raise DegenerateDiagonalError("diagonal of rho^alpha vanished entirely")
     roots = (diag / peak) ** (1.0 / alpha)
     total = roots.sum(axis=-1, keepdims=True)
-    delta = roots / total
-    peak, total = peak[..., 0], total[..., 0]
+    return peak[..., 0], total[..., 0], roots / total
+
+
+def _readout(kind: str, alpha: float, terms: tuple) -> tuple:
+    """(value, delta) of kind from _power_mean's terms: (S - 1)/(alpha - 1) or (S^alpha - 1)/(alpha - 1)."""
+    if near_one(alpha):
+        return terms
+    peak, total, delta = terms
     if kind == "tsallis":
         return (peak * total**alpha - 1.0) / (alpha - 1.0), delta
     return (peak ** (1.0 / alpha) * total - 1.0) / (alpha - 1.0), delta
+
+
+def _memo_readout(kind: str, rho, alpha: float) -> tuple:
+    """closed_form of rho's validated spectrum, its power mean kept in the spectrum's memo per gated alpha."""
+    spectrum, memo = spectrum_memo(rho)
+    if alpha not in memo:  # a raising evaluation stores nothing
+        memo[alpha] = _power_mean(*spectrum, alpha)
+        memo[alpha][-1].flags.writeable = False  # the delta leaves only as a copy
+    return _readout(kind, alpha, memo[alpha])
 
 
 def check_alpha_floor(alpha: float) -> float:
@@ -133,8 +152,8 @@ def alpha_diagonal(rho, alpha: float) -> np.ndarray:
 
 def _family(kind: str, rho, alpha: float) -> CoherenceResult:
     a = check_alpha_floor(alpha)
-    value, delta = closed_form(kind, *validated_spectrum(rho), a)
-    return CoherenceResult(float(value), delta)
+    value, delta = _memo_readout(kind, rho, a)
+    return CoherenceResult(float(value), delta.copy())
 
 
 def coherence_alpha(rho, alpha: float) -> CoherenceResult:
@@ -307,14 +326,14 @@ def measure_value(kind: str, rho, alpha: float | None = None) -> float:
     """One measure of one gated state (square, finite, Hermitian) and gated alpha.
 
     The families need an alpha; the other kinds ignore it but still refuse one
-    outside (0, 2] or under ALPHA_FLOOR. alpha, tsallis and relent read the
-    state's validated_spectrum.
+    outside (0, 2] or under ALPHA_FLOOR. alpha, tsallis and relent (alpha 1)
+    read the state's memoized power mean at alpha.
     """
     alpha = check_measure_alpha(kind, alpha)
     if kind == "relent":
         kind, alpha = "alpha", 1.0
     if kind in ALPHA_KINDS:
-        return float(closed_form(kind, *validated_spectrum(rho), alpha)[0])
+        return float(_memo_readout(kind, rho, alpha)[0])
     return float(measure_values(kind, as_hermitian(rho), alpha))
 
 

@@ -44,8 +44,8 @@ def real_number(value, name: str) -> float:
 
 
 def check_count(value, name: str, least: int) -> int:
-    """value as an int >= least; a non-integer is operator.index's TypeError, and so is a bool (it reads 1 or 0)."""
-    if isinstance(value, bool):
+    """value as an int >= least; a non-integer, a bool included (it reads 1 or 0), is a TypeError that names it."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     count = operator.index(value)
     if count < least:

@@ -65,7 +65,12 @@ def spectral_decompose(h) -> Spectrum:
 
 
 def validated_spectrum(h) -> Spectrum:
-    """spectral_decompose without the copies: read-only arrays, shared while h keeps its exact bytes.
+    """spectral_decompose without the copies: read-only arrays, shared while h keeps its exact bytes."""
+    return spectrum_memo(h)[0]
+
+
+def spectrum_memo(h) -> tuple[Spectrum, dict]:
+    """validated_spectrum and a dict for terms derived from it, created and dropped with it.
 
     One entry, the last matrix that passed as_hermitian, keyed by its shape and
     the bytes of its complex coercion. A matrix edited in place is a new key;
@@ -76,11 +81,11 @@ def validated_spectrum(h) -> Spectrum:
 
 
 @lru_cache(maxsize=1)
-def _last_spectrum(shape: tuple, data: bytes) -> Spectrum:
+def _last_spectrum(shape: tuple, data: bytes) -> tuple[Spectrum, dict]:
     spectrum = eigh_clamped(as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape)))
     for arr in spectrum:
         arr.flags.writeable = False
-    return spectrum
+    return spectrum, {}
 
 
 def as_hermitian(h) -> np.ndarray:

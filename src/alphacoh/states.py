@@ -129,8 +129,12 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 
     Exactly `d - rank` eigenvalues are zero up to round-off.
     """
-    if not 1 <= rank <= d:
-        raise BadRankError(f"rank must lie in 1..{d}, got {rank}")
+    d = check_count(d, "d", 1)
+    try:  # a non-integer rank is check_count's TypeError; an integer outside 1..d is a BadRankError
+        if check_count(rank, "rank", 1) > d:
+            raise ValueError
+    except ValueError:
+        raise BadRankError(f"rank must lie in 1..{d}, got {rank}") from None
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     return state_from_factor(g)
 

@@ -230,10 +230,29 @@ class TestIncoherence:
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
 
     def test_rejects_bad_sizes(self, rng):
-        with pytest.raises(ValueError, match="need d >= 1"):
+        with pytest.raises(ValueError, match="d must be >= 1"):
             random_incoherent_channel(0, 1, rng(59))
-        with pytest.raises(ValueError, match="need d >= 1"):
+        with pytest.raises(ValueError, match="n_kraus must be >= 1"):
             random_channel(2, 0, rng(59))
+
+    @pytest.mark.parametrize(
+        "sampler, args, name",
+        [
+            (random_incoherent_channel, (2.0, 1), "d"),
+            (random_incoherent_channel, (True, 1), "d"),
+            (random_incoherent_channel, (2, "1"), "n_kraus"),
+            (random_channel, (2, 1.0), "n_kraus"),
+            (random_channel, (None, 1), "d"),
+            (random_density, (3, 1.5), "rank"),
+            (random_density, (3.0, 2), "d"),
+        ],
+        ids=["incoherent-float-d", "incoherent-bool-d", "incoherent-str-n", "channel-float-n", "channel-none-d",
+             "density-float-rank", "density-float-d"],
+    )
+    def test_a_non_integer_size_is_refused_by_name(self, sampler, args, name, rng):
+        # numpy used to refuse these with a TypeError that named no argument, or read True as 1
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            sampler(*args, rng(59))
 
 
 class TestSamplerStream:

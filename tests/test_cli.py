@@ -651,6 +651,25 @@ class TestInputBoundary:
         assert main(argv) == EXIT_USAGE
         assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_negative_seed_for_compute(self, qutrit_state, capsys):
+        # it was accepted and printed as -1 in the seed column of every row
+        assert main(["compute", qutrit_state, "--seed", "-1", "--kind", "l1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be >= 0, got -1" in captured.err
+
+    def test_negative_seed_for_oracle_compare(self, capsys):
+        # numpy's SeedSequence refused it without naming the seed
+        assert main(["oracle-compare", "--dim", "2", "--states", "1", "--seed", "-1"]) == EXIT_USAGE
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_negative_env_seed(self, command, qutrit_state, monkeypatch, capsys):
+        monkeypatch.setenv("COHERENCE_SEED", "-1")
+        argv = [command, qutrit_state, "--kind", "l1"] if command == "compute" else self.VERIFY[:-2]  # no --seed
+        assert main(argv) == EXIT_USAGE
+        assert "COHERENCE_SEED must be >= 0, got -1" in capsys.readouterr().err
+
     def test_config_not_an_object(self, tmp_path, capsys):
         path = self._write(tmp_path, "cfg.json", "[2, 3]")
         assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE

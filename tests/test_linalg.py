@@ -6,7 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphacoh.cli import EXIT_OK, main
-from alphacoh.coherence import alpha_diagonal, coherence_alpha, measure_value, measure_values
+import alphacoh.coherence as coherence
+from alphacoh.coherence import (
+    DegenerateDiagonalError,
+    alpha_diagonal,
+    closed_form,
+    coherence_alpha,
+    measure_value,
+    measure_values,
+    optimal_incoherent_state,
+    relative_entropy_coherence,
+    tsallis_coherence,
+)
 from alphacoh.divergence import shannon_entropy, von_neumann_entropy
 from alphacoh.linalg import (
     EIGENVALUE_CLAMP,
@@ -19,6 +30,7 @@ from alphacoh.linalg import (
     max_asymmetry,
     powered_eigenvalues,
     spectral_decompose,
+    spectrum_memo,
     validated_spectrum,
 )
 from alphacoh.states import random_density, save_state
@@ -155,6 +167,87 @@ class TestSpectrumMemo:
         assert main(["oracle-compare", "--dim", "2", "--states", "2", "--alpha", "1.5", "--alpha", "0.5"]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
         assert calls == [(2, 2), (2, 2)]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_writing_into_a_returned_delta_changes_nothing_the_next_call_sees(self, alpha, rng):
+        rho = random_density(3, 2, rng(27))
+        first = coherence_alpha(rho, alpha).optimal_delta
+        expected = first.copy()
+        first[:] = 7.0
+        again = [optimal_incoherent_state(rho, alpha), tsallis_coherence(rho, alpha).optimal_delta]
+        for delta in again:
+            np.testing.assert_array_equal(delta, expected)
+            assert delta.flags.writeable and delta is not first
+        assert again[0] is not again[1]
+
+    def test_a_zero_matrix_raises_on_every_call(self):
+        zero = np.zeros((3, 3))
+        for _ in range(2):
+            for call in (
+                lambda: measure_value("alpha", zero, 0.5),
+                lambda: measure_value("tsallis", zero, 0.5),
+                lambda: coherence_alpha(zero, 0.5),
+                lambda: optimal_incoherent_state(zero, 0.5),
+            ):
+                with pytest.raises(DegenerateDiagonalError):
+                    call()
+        assert 0.5 not in spectrum_memo(zero)[1]
+
+    def test_a_state_edited_in_place_gets_fresh_terms(self, rng):
+        rho = random_density(3, 3, rng(28))
+        other = random_density(3, 2, rng(29))
+        before = tsallis_coherence(rho, 0.5)
+        rho[...] = other
+        value, delta = closed_form("tsallis", *eigh_clamped(other.copy()), 0.5)  # never through the memo
+        after = tsallis_coherence(rho, 0.5)
+        assert after.value == float(value) != before.value
+        np.testing.assert_array_equal(after.optimal_delta, delta)
+
+    def test_the_memo_holds_one_state(self, rng):
+        first, second = random_density(3, 3, rng(30)), random_density(3, 3, rng(31))
+        coherence_alpha(first, 0.5), coherence_alpha(first, 1.5)
+        assert sorted(spectrum_memo(first)[1]) == [0.5, 1.5]
+        measure_value("tsallis", second, 0.25)
+        assert list(spectrum_memo(second)[1]) == [0.25]
+        assert spectrum_memo(first)[1] == {}  # the first state's terms went with its spectrum
+
+    def test_relent_is_the_alpha_one_member_bit_for_bit(self, rng):
+        rho = random_density(4, 3, rng(32))
+        relent = measure_value("relent", rho)
+        spectral_decompose(np.eye(2))  # a fresh memo, so the families evaluate the limit themselves
+        assert measure_value("alpha", rho, 1.0) == relent == measure_value("tsallis", rho, 1.0)
+        assert relative_entropy_coherence(rho).value == relent == float(measure_values("relent", rho.copy()))
+
+    @staticmethod
+    def _count_power_means(monkeypatch) -> list:
+        calls = []
+        power_mean = coherence._power_mean
+
+        def counting(lam, vecs, alpha):
+            calls.append(alpha)
+            return power_mean(lam, vecs, alpha)
+
+        monkeypatch.setattr(coherence, "_power_mean", counting)
+        return calls
+
+    def test_a_sweep_evaluates_one_power_mean_per_alpha(self, rng, tmp_path, monkeypatch, capsys):
+        # both families and their delta at each grid alpha read one evaluation
+        path = tmp_path / "state.json"
+        save_state(path, random_density(4, 3, rng(33)))
+        calls = self._count_power_means(monkeypatch)
+        assert main(["sweep", str(path), "--alpha-range", "0.05:2.0:0.05", "--emit-delta"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 40
+        assert len(calls) == len(set(calls)) == 40
+
+    def test_compute_evaluates_one_power_mean_per_alpha(self, rng, tmp_path, monkeypatch, capsys):
+        # every kind: alpha and tsallis at four alphas, and relent, which is the alpha = 1 member
+        path = tmp_path / "state.json"
+        save_state(path, random_density(3, 2, rng(34)))
+        calls = self._count_power_means(monkeypatch)
+        argv = ["compute", str(path), "--alpha", "0.01", "--alpha", "0.5", "--alpha", "1.0", "--alpha", "2.0"]
+        assert main(argv + ["--emit-delta"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 4 + 4
+        assert calls == [0.01, 0.5, 1.0, 2.0]
 
 
 class TestMatrixPower:

@@ -122,6 +122,8 @@ class TestRandomDensity:
             random_density(3, 0, rng(0))
         with pytest.raises(BadRankError):
             random_density(3, 4, rng(0))
+        with pytest.raises(BadRankError, match=r"^rank must lie in 1\.\.3, got -1$"):
+            random_density(3, -1, rng(0))
 
 
 def test_random_pure_and_incoherent(rng):
