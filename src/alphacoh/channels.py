@@ -74,16 +74,16 @@ def _products(kraus, rho) -> np.ndarray:
     return kraus @ mat[..., None, :, :] @ kraus.conj().swapaxes(-1, -2)
 
 
-def branches(kraus, rho, p_min: float = P_MIN):
+def branches(kraus, rho):
     """Unnormalized selective branches K_n rho K_n†, their probabilities, and which to keep.
 
     Kraus operators (..., n, d, d) and states (..., d, d) give probs (..., n),
-    branches (..., n, d, d) and the mask probs >= p_min. A stack gets the bits
+    branches (..., n, d, d) and the mask probs >= P_MIN. A stack gets the bits
     of one operator at a time from the plain matmul and trace; an einsum would not.
     """
     products = _products(kraus, rho)
     probs = products.trace(axis1=-2, axis2=-1).real
-    return probs, products, probs >= p_min
+    return probs, products, probs >= P_MIN
 
 
 def kraus_stack(rows, amps) -> np.ndarray:
@@ -104,16 +104,14 @@ def apply_channel(ch: KrausChannel | np.ndarray, rho) -> np.ndarray:
     return sum(np.moveaxis(_products(kraus, rho), -3, 0))
 
 
-def select(
-    ch: KrausChannel, rho, p_min: float = P_MIN
-) -> tuple[list[SelectiveOutcome], float]:
+def select(ch: KrausChannel, rho) -> tuple[list[SelectiveOutcome], float]:
     """Selective measurement outcomes (prob, normalized post-state) plus dropped mass.
 
-    Outcomes with probability below `p_min` are dropped, never normalized
+    Outcomes with probability below `P_MIN` are dropped, never normalized
     (dividing by a vanishing probability only amplifies noise); their total
     probability is returned so callers can account for it.
     """
-    probs, products, kept = branches(ch.kraus, rho, p_min)
+    probs, products, kept = branches(ch.kraus, rho)
     outcomes = [
         SelectiveOutcome(int(n), float(probs[n]), products[n] / probs[n])
         for n in np.flatnonzero(kept)

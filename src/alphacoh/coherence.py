@@ -81,8 +81,8 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
     1e-12 of zero must already be exact zeros, as spectral_decompose leaves
     them. It is the kind's readout of the kind-free power mean (_power_mean).
 
-    One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state
-    can get there) raises DegenerateDiagonalError. In a stack such entries
+    One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state can
+    get there) raises DegenerateDiagonalError, at every alpha. In a stack such entries
     come out NaN, silenced by measure_values under np.errstate. No alpha is
     checked here: the scalar API and the search gate it first.
     """
@@ -96,14 +96,13 @@ def _power_mean(lam: np.ndarray, vecs: np.ndarray, alpha: float) -> tuple:
     which never loses S to underflow at small alpha, and delta_j = a_j^(1/alpha) / S.
     At alpha ~ 1 both kinds are S(diag rho) - S(rho), with the dephased populations.
     """
-    if near_one(alpha):
-        pops = _diagonal(lam, vecs, 1.0)
-        pops = pops / pops.sum(axis=-1, keepdims=True)
-        return shannon_entropy(pops) - shannon_entropy(np.maximum(lam, 0.0)), pops
-    diag = _diagonal(lam, vecs, alpha)
+    diag = _diagonal(lam, vecs, 1.0 if near_one(alpha) else alpha)
     peak = diag.max(axis=-1, keepdims=True)
     if diag.ndim == 1 and peak[0] < DEGENERATE_DIAGONAL_TOL:
         raise DegenerateDiagonalError("diagonal of rho^alpha vanished entirely")
+    if near_one(alpha):
+        pops = diag / diag.sum(axis=-1, keepdims=True)
+        return shannon_entropy(pops) - shannon_entropy(np.maximum(lam, 0.0)), pops
     roots = (diag / peak) ** (1.0 / alpha)
     total = roots.sum(axis=-1, keepdims=True)
     return peak[..., 0], total[..., 0], roots / total
@@ -355,9 +354,7 @@ def measure_values(kind: str, states: np.ndarray, alpha: float | None = None) ->
     if kind in ("alpha", "tsallis", "relent"):
         family, order = ("alpha", 1.0) if kind == "relent" else (kind, alpha)
         lam, vecs = eigh_clamped(states)
-        if states.ndim == 2:  # one state raises DegenerateDiagonalError instead
-            return closed_form(family, lam, vecs, order)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # one state raises before any division
             return closed_form(family, lam, vecs, order)[0]
     if kind == "l1":
         mods = np.abs(states)

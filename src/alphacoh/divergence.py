@@ -45,9 +45,12 @@ def real_number(value, name: str) -> float:
 
 def check_count(value, name: str, least: int) -> int:
     """value as an int >= least; a non-integer, a bool included (it reads 1 or 0), is a TypeError that names it."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    count = operator.index(value)
     if count < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
     return count

@@ -44,7 +44,7 @@ from .coherence import (
     measure_values,
     optimal_incoherent_state,
 )
-from .divergence import _gated_pair, check_count, functional_values, near_one, real_number, sgn1, validate_alpha
+from .divergence import _gated_pair, check_count, functional_values, near_one, real_number, sgn1
 from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask
 from .states import BadWeightsError, haar_unitary, random_density, state_from_factor
 from .states import substream, validate_probability_vector
@@ -54,6 +54,7 @@ VIOLATION_GAP = 1e-6
 SEARCH_ALPHAS = (0.3, 0.5, 1.5, 2.0)
 REFINE_TRIGGER = 1e-8
 REFINE_TARGET = 1e-4  # coordinate ascent stops once a sweep ends at this gap
+REFINE_SWEEPS = 40  # or after this many sweeps
 # a batch's best gap within this of zero seeds coordinate ascent; raw draws
 # alone essentially never cross into the (thin) violating set
 ASCEND_WINDOW = 1e-2
@@ -387,16 +388,17 @@ def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tenso
 def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> list[TrialRecord]:
     """A public check's records: its gates, then one _stacked_sides call on the stack of its trial alone.
 
-    Alpha comes first for the functional checks, after the inputs (in the stack) for the measure checks.
+    Alpha is gated first for the functional checks (check_alpha_floor), after the inputs for the measure checks.
     A NaN side or a raising stack runs _refuse on what the stack formed, or on the inputs if it raised.
     """
     if check in DIVERGENCE_CHECKS:
-        alpha, kind = validate_alpha(alpha), "f_alpha"
+        alpha, kind = check_alpha_floor(alpha), "f_alpha"
         if check == "holder" and near_one(alpha):
             raise ValueError("holder step undefined within 1e-6 of alpha = 1")
         sgn1(alpha)
     tolerance = _check_tolerance(tolerance)
     _input_gate(check, inputs)
+    alpha = alpha if check in DIVERGENCE_CHECKS else check_measure_alpha(kind, alpha)
     try:
         (sides,), formed = _stacked_sides(check, kind, [inputs], alpha)
     except Exception as exc:  # the scalar gates name the refusal first; with none, the stack's error stands
@@ -546,11 +548,12 @@ def _stacked_sides(check: str, kind, inputs: list, alpha) -> tuple[list, list]:
     """Each trial's list of (lhs, rhs), one per record its check writes, and the matrix stacks they came from.
 
     The one scoring body of a cell and of a public check (its stack of one), with one kernel call per side
-    or matrix size. Entry t has the bits of the scalar arithmetic on inputs[t], divergent (+inf) values'
-    degenerate sides included, NaN where a stacked gate refused a matrix. Stacks come in the gates' order.
+    or matrix size and no alpha gate. Entry t has the bits of the scalar arithmetic on inputs[t], divergent
+    (+inf) values' degenerate sides included, NaN where a stacked gate refused a matrix. Stacks come in the
+    gates' order.
     """
     if check not in DIVERGENCE_CHECKS:
-        return _measure_sides(check, kind, inputs, check_measure_alpha(kind, alpha))
+        return _measure_sides(check, kind, inputs, alpha)
     return FUNCTIONAL_STACKS[check](inputs, alpha, sgn1(alpha))
 
 
@@ -565,7 +568,6 @@ def _lemma1_stack(inputs, a, sign):
 
 def _holder_stack(inputs, a, sign):
     """The sides of every holder trial of a cell, and its stacks: the states, then the kept branch pairs."""
-    check_alpha_floor(a)  # the gate optimal_incoherent_state puts on the closed form
     rhos = np.array([rho for rho, _ in inputs], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
         deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
@@ -869,7 +871,7 @@ def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) ->
     return _branch_average(kind, kraus, rhos, alpha) - before
 
 
-def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40):
+def _refine_witness(kind, g, params: _SearchParams, alpha):
     """Greedy coordinate ascent on the gap from one (state factor, channel) start.
 
     Perturbs the factor additively, weight shares multiplicatively, and the
@@ -927,7 +929,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha, *, max_sweeps=40):
         knobs += [("comp_phases", (t, c), shift) for t in range(2) for c in comp_cols]
 
     stalls = 0
-    for _ in range(max_sweeps):
+    for _ in range(REFINE_SWEEPS):
         improved = False
         first = 0
         while first < len(knobs):

@@ -115,7 +115,8 @@ def test_refine_call_pattern(monkeypatch):
     monkeypatch.setattr(harness, "_strong_mono_stats", counting_stats)
     monkeypatch.setattr(harness, "_batch_gaps", counting_batch_gaps)
     monkeypatch.setattr(harness.KrausChannel, "__post_init__", counting_post_init)
-    gap, rho, ch = harness._refine_witness("tsallis", factors[top], params[top], 0.3, max_sweeps=2)
+    monkeypatch.setattr(harness, "REFINE_SWEEPS", 2)
+    gap, rho, ch = harness._refine_witness("tsallis", factors[top], params[top], 0.3)
     # one scalar evaluation, of the start draw; the candidates went through the stacked kernel
     assert evaluated == [gaps[top]]
     assert scored and len(scored[0]) > 1 and all(s.ndim == 1 for s in scored)

@@ -119,13 +119,14 @@ def test_batched_path_agrees_with_scalar_api(kind, alpha):
         assert_allclose(batched, scalar, rtol=0.0, atol=0.0)
 
 
-def test_batched_path_is_silent_on_vanished_entries():
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_batched_path_is_silent_on_vanished_entries(alpha):
     # a dropped branch can be the zero matrix; it must come back NaN without a warning
     stack = np.zeros((2, 2, 2), dtype=complex)
     stack[1] = np.diag([0.5, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = measure_values("tsallis", stack, 0.5)
+        values = measure_values("tsallis", stack, alpha)
     assert np.isnan(values[0]) and values[1] == pytest.approx(0.0, abs=1e-15)
 
 

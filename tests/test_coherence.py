@@ -404,6 +404,26 @@ class TestDispatchAndGates:
         with pytest.raises(DegenerateDiagonalError):
             coherence_alpha(np.zeros((2, 2), dtype=complex), 0.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda z, a: measure_value("alpha", z, a),
+            lambda z, a: measure_value("tsallis", z, a),
+            lambda z, a: measure_value("relent", z),
+            lambda z, a: coherence_alpha(z, a),
+            lambda z, a: tsallis_coherence(z, a),
+            lambda z, a: relative_entropy_coherence(z),
+            lambda z, a: optimal_incoherent_state(z, a),
+        ],
+        ids=["measure_value-alpha", "measure_value-tsallis", "measure_value-relent", "coherence_alpha",
+             "tsallis_coherence", "relative_entropy_coherence", "optimal_incoherent_state"],
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 - 5e-7, 1.0, 2.0])
+    def test_degenerate_diagonal_rejected_at_every_alpha(self, call, alpha):
+        # one rule at every alpha: inside the alpha = 1 window too, not a NaN with a RuntimeWarning
+        with pytest.raises(DegenerateDiagonalError, match="^diagonal of rho\\^alpha vanished entirely$"):
+            call(np.zeros((2, 2), dtype=complex), alpha)
+
     def test_max_coherence_gates(self):
         with pytest.raises(ValueError, match="dimension"):
             max_coherence(0, 1.5)

@@ -502,6 +502,15 @@ class TestErrorContract:
                 lambda: check_holder_step(_qubit(), identity_channel(2), 1e-12),
                 AlphaBelowFloorError, "alpha 1e-12 is below 1e-10", id="alpha_floor-holder",
             ),
+            # the floor TrialConfig puts on every suite cell holds for the public functional checks too
+            pytest.param(
+                lambda: check_lemma1(_qubit(), _qubit(), identity_channel(2), 1e-12),
+                AlphaBelowFloorError, "alpha 1e-12 is below 1e-10", id="alpha_floor-lemma1",
+            ),
+            pytest.param(
+                lambda: check_observations(_qubit(), _qubit(), identity_channel(2), np.eye(2), [1.0], 1e-12),
+                AlphaBelowFloorError, "alpha 1e-12 is below 1e-10", id="alpha_floor-observations",
+            ),
             # the measure checks gate their inputs before alpha, the functional checks alpha first
             pytest.param(
                 lambda: check_strong_monotonicity("alpha", _qubit(), HADAMARD_CH, 2.5),
@@ -647,6 +656,21 @@ class TestRunSuite:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         assert run_suite(cfg, workers=5000).records == serial
         assert sizes == [2]
+
+    def test_the_stacks_gate_no_alpha(self, monkeypatch):
+        # TrialConfig gates every alpha once; the cells and their stacks run no alpha gate again
+        import alphacoh.coherence as coherence
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(2, 3), alphas=(0.5, 1.5), trials_per_cell=3)
+        calls = []
+        for module in (harness, coherence):
+            for name in ("check_alpha_floor", "check_measure_alpha"):
+                gate = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, gate=gate, name=name: calls.append(name) or gate(*a))
+        summary = run_suite(cfg)
+        assert summary.all_passed and len(summary.records) == 2 * 2 * 3 * (5 + len(OBSERVATIONS))
+        assert calls == []
 
     def test_record_counts_match_grid(self):
         cfg = TrialConfig(
@@ -852,15 +876,17 @@ class TestSearchSampler:
                 scalar = [_strong_mono_stats(kind, rhos[b], ops[b], alpha)[2] for b in range(64)]
                 assert scalar == gaps.tolist()
 
-    def test_branch_at_exactly_p_min_is_kept(self):
+    def test_branch_at_exactly_p_min_is_kept(self, monkeypatch):
         rho = random_density(3, 2, substream(7, 99))
         ch = random_incoherent_channel(3, 3, substream(7, 100))
         probs = branches(ch.kraus, rho)[0]
         n = int(np.argmin(probs))
-        outcomes, dropped = select(ch, rho, p_min=probs[n])
+        monkeypatch.setattr("alphacoh.channels.P_MIN", probs[n])
+        outcomes, dropped = select(ch, rho)
         assert n in [o.index for o in outcomes] and dropped == 0.0
-        assert branches(ch.kraus, rho, p_min=probs[n])[2][n]
-        assert not branches(ch.kraus, rho, p_min=np.nextafter(probs[n], 1.0))[2][n]
+        assert branches(ch.kraus, rho)[2][n]
+        monkeypatch.setattr("alphacoh.channels.P_MIN", np.nextafter(probs[n], 1.0))
+        assert not branches(ch.kraus, rho)[2][n]
 
     @pytest.mark.parametrize("d, n_kraus, pair", CELLS)
     def test_ops_of_a_batch_and_of_a_draw(self, d, n_kraus, pair):
@@ -1005,9 +1031,10 @@ class TestRefinementTrajectory:
         assert 0 in skipped
         self.assert_same(_refine_witness("tsallis", g, params, 0.5), old)
 
-    def test_two_sweeps(self):
+    def test_two_sweeps(self, monkeypatch):
         g, params = self.start(3, 4, True, "tsallis", 0.3, 101)
-        new = _refine_witness("tsallis", g, params, 0.3, max_sweeps=2)
+        monkeypatch.setattr("alphacoh.harness.REFINE_SWEEPS", 2)
+        new = _refine_witness("tsallis", g, params, 0.3)
         self.assert_same(new, sequential_refine("tsallis", g, params, 0.3, max_sweeps=2))
 
 
@@ -1724,11 +1751,16 @@ class TestInputGates:
         monkeypatch.setattr("alphacoh.harness._batch_states", no_draws)
 
     @pytest.mark.parametrize("entry, name, least", COUNT_ENTRIES)
-    @pytest.mark.parametrize("value", [2.5, True, "3", None], ids=["float", "bool", "str", "None"])
+    @pytest.mark.parametrize(
+        "value",
+        [2.5, True, "3", None, np.array(2.5), np.array([2])],
+        ids=["float", "bool", "str", "None", "0d-float-array", "1d-array"],
+    )
     def test_one_count_rule_at_every_entry(self, entry, name, least, value, monkeypatch):
-        # a float budget used to run batches until numpy refused it; True used to count as 1
+        # a float budget used to run batches until numpy refused it; True used to count as 1;
+        # a numpy array is named too, not left to operator.index's nameless message
         self._no_draws(monkeypatch)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
             entry(value)
 
     @pytest.mark.parametrize("entry, name, least", COUNT_ENTRIES)

@@ -5,9 +5,14 @@ function or class behind it, or the constant it read, in place; these tests
 find all three from the source alone. A helper or constant kept alive only by
 `tests/` or `perfbench/` does not count as used: code the package itself
 never runs is dead code.
+
+`alphacoh.__all__` is kept because without it `help(alphacoh)` stops listing
+the re-exported functions and `from alphacoh import *` binds the submodules
+too; a test holds it to the package's import block.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
@@ -81,3 +86,13 @@ def dead_constants() -> set[tuple[str, str]]:
 
 def test_every_constant_is_read():
     assert dead_constants() == set()
+
+
+def test_all_is_every_public_name_the_package_binds():
+    import alphacoh
+
+    bound = {name for name, value in vars(alphacoh).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(alphacoh.__all__) == sorted(bound)
+    assert len(alphacoh.__all__) == len(set(alphacoh.__all__)) == 46
+    for name in alphacoh.__all__:
+        assert not inspect.ismodule(getattr(alphacoh, name))
