@@ -41,6 +41,7 @@ DEGENERATE_DIAGONAL_TOL = 1e-14
 ALPHA_FLOOR = 1e-10
 ORACLE_RESOLUTION = {2: 1e-4, 3: 2e-3}
 _MAX_GRID_POINTS = 5_000_000
+_ORACLE_WINDOW = 1e-9  # relative distance from the objective's extreme inside which the oracle takes the root
 
 
 class DimTooLargeError(ValueError):
@@ -247,18 +248,22 @@ def _simplex_grid(d: int, steps: int) -> _LevelTable:
 def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.ndarray]:
     """Grid oracle for the family's defining minimum; dimensions 2 and 3 only.
 
-    Evaluates (F_alpha^(1/alpha)(rho, delta) - 1)/(alpha - 1) at every grid
-    point of the simplex with the given resolution and returns the smallest
-    value with its argmin. Divergent candidates (boundary points whose zero
-    sits inside rho's diagonal support, alpha > 1) are skipped. Deliberately
-    independent of the closed form: for diagonal delta the functional reduces
-    to sum_j a_j delta_j^(1-alpha), and that is all this uses. Its alpha gate
-    is the scalar API's, ALPHA_FLOOR included.
+    Minimizes (F_alpha^(1/alpha)(rho, delta) - 1)/(alpha - 1) over the grid
+    points of the simplex with the given resolution and returns the smallest
+    value with its argmin, the first in grid order among equal values.
+    Deliberately independent of the closed form: for diagonal delta the
+    functional reduces to F_alpha = sum_j a_j delta_j^(1-alpha), summed over
+    the j with a_j > 0 (a point with delta_j = 0 there diverges at alpha > 1).
+    Its alpha gate is the scalar API's, ALPHA_FLOOR included.
 
     The grid comes from a cache of level tables (_simplex_grid): each distinct
     coordinate is raised to 1 - alpha once, and one gather lays the powers out
-    as the (points, d) matrix. The values are those of the direct per-entry
-    powers, bit for bit.
+    as the (points, d) matrix. The value rises with F_alpha when alpha > 1 and
+    falls when alpha < 1, so the root is taken only within relative
+    _ORACLE_WINDOW of F_alpha's extreme, when the value at a probe half as far
+    out is strictly above the extreme's own. Otherwise rounding has merged
+    values and the root is taken at every point. The value and argmin are
+    those of the direct per-entry powers, bit for bit.
     """
     a = check_alpha_floor(alpha)
     if near_one(a):
@@ -274,14 +279,27 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
         raise ValueError(f"resolution {resolution} too fine for d = 3 (grid too large)")
     table = _simplex_grid(d, steps)
     diag_a = alpha_diagonal(mat, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.take(np.power(table.levels, 1.0 - a), table.index) @ diag_a
-        values **= 1.0 / a
-        values -= 1.0
-        values /= a - 1.0
-    values[np.isnan(values)] = np.inf
+    with np.errstate(divide="ignore"):
+        powers = np.take(np.power(table.levels, 1.0 - a), table.index)
+    powers[:, diag_a == 0] = 0.0  # a_j = 0 adds nothing, also where delta_j = 0 (no 0 * inf)
+    f = powers @ diag_a
+    edge, side, keep = (f.min(), 1.0, np.less_equal) if a > 1 else (f.max(), -1.0, np.greater_equal)
+    ends = _oracle_objective(np.array([edge, edge * (1.0 + side * _ORACLE_WINDOW / 2)]), a)
+    if ends[1] > ends[0]:  # the root past the window differs by ~5e-10 relative, far above its rounding
+        near = np.flatnonzero(keep(f, edge * (1.0 + side * _ORACLE_WINDOW)))
+    else:  # rounding merged values
+        near = np.arange(len(f))
+    values = _oracle_objective(f[near], a)
     best = int(np.argmin(values))
-    return float(values[best]), table.levels[table.index[best]]
+    return float(values[best]), table.levels[table.index[near[best]]]
+
+
+def _oracle_objective(f: np.ndarray, a: float) -> np.ndarray:
+    """(f^(1/a) - 1)/(a - 1) elementwise and in place: brute_force_min's value at F_alpha = f."""
+    f **= 1.0 / a
+    f -= 1.0
+    f /= a - 1.0
+    return f
 
 
 def skew_info_sum(rho) -> float:

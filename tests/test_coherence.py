@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from alphacoh import coherence
+from alphacoh.cli import ORACLE_ALPHAS
 from alphacoh.coherence import (
     AlphaBelowFloorError,
     _simplex_grid,
@@ -42,6 +44,7 @@ from alphacoh.states import (
 )
 
 ALPHA_GRID = (0.3, 0.5, 0.7, 1.3, 1.5, 2.0)
+PURE_QUTRIT = np.outer([1.0, 1j, 0.0], [1.0, -1j, 0.0]) / 2.0  # (|0> + i|1>)/sqrt(2)
 
 
 class TestClosedFormSpots:
@@ -190,6 +193,15 @@ class TestOracleAgreement:
         assert closed <= oracle + 1e-9
         assert abs(closed - oracle) <= 2e-2
 
+    @pytest.mark.parametrize(
+        "rho, alpha", [(embed_diagonal([0.3, 0.7, 0.0]), 1.5), (PURE_QUTRIT, 2.0)], ids=["diagonal", "pure"]
+    )
+    def test_optimum_on_the_zero_face(self, rho, alpha):
+        # a_3 = 0, so delta_3 = 0 adds nothing; skipping that face as divergent gave 0.00134 and 0.41563
+        value, argmin = brute_force_min(rho, alpha, 2e-3)
+        assert abs(value - coherence_alpha(rho, alpha).value) <= 1e-12
+        assert argmin[2] == 0.0
+
     def test_grid_gates(self, rng):
         rho = random_density(4, 4, rng(78))
         with pytest.raises(DimTooLargeError):
@@ -228,17 +240,19 @@ def reference_grid(d: int, steps: int) -> np.ndarray:
 
 
 def reference_brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.ndarray]:
-    """The oracle's body before the level table: one power per grid entry.
+    """The oracle's body before the level table: one power per grid entry, the root at every point.
 
     Kept as the independent reference the level-table oracle must match bit
-    for bit; its gates are left to brute_force_min.
+    for bit; its gates are left to brute_force_min. It shares the oracle's
+    support rule: only the columns with a_j > 0 enter the sum.
     """
     grid = reference_grid(rho.shape[0], int(round(1.0 / resolution)))
     diag_a = alpha_diagonal(rho, alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        objective = (np.power(grid, 1.0 - alpha) @ diag_a) ** (1.0 / alpha)
-        values = (objective - 1.0) / (alpha - 1.0)
-    values = np.where(np.isnan(values), np.inf, values)
+    with np.errstate(divide="ignore"):
+        powers = np.power(grid, 1.0 - alpha)
+    powers[:, diag_a == 0] = 0.0  # a column with a_j = 0 adds nothing, also where delta_j = 0
+    objective = (powers @ diag_a) ** (1.0 / alpha)
+    values = (objective - 1.0) / (alpha - 1.0)
     best = int(np.argmin(values))
     return float(values[best]), grid[best].copy()
 
@@ -262,14 +276,54 @@ class TestOracleLevelTable:
     def test_matches_direct_powers(self, d, resolution):
         gen = substream(17, d, int(round(1.0 / resolution)))
         states = [random_density(d, rank, gen) for rank in range(1, d + 1)]
-        # a zero population makes 0 * inf = NaN candidates at alpha > 1, which become inf
+        # a zero population puts the alpha > 1 optimum on a face where delta_j^(1 - alpha) = inf
         states.append(embed_diagonal([1.0, 0.0] if d == 2 else [0.3, 0.7, 0.0]))
+        # tie-heavy: symmetric points tie in the objective, and the diagonal state sits
+        # at its minimum; at the smallest alphas these reach the whole-grid fallback
+        states += [maximally_coherent(d), embed_diagonal(gen.dirichlet(np.ones(d)))]
+        if d == 3:
+            states.append(PURE_QUTRIT)
         for rho in states:
             for alpha in REFERENCE_ALPHAS:
                 value, argmin = brute_force_min(rho, alpha, resolution)
                 expected, expected_argmin = reference_brute_force_min(rho, alpha, resolution)
                 assert repr(value) == repr(expected), (d, resolution, alpha)
                 assert argmin.tobytes() == expected_argmin.tobytes(), (d, resolution, alpha)
+
+
+class TestOracleWindow:
+    """The oracle takes the root only near the objective's extreme, unless rounding ties its probe."""
+
+    @pytest.fixture
+    def transformed(self, monkeypatch):
+        sizes = []
+        objective = coherence._oracle_objective
+
+        def counted(f, a):
+            sizes.append(len(f))
+            return objective(f, a)
+
+        monkeypatch.setattr(coherence, "_oracle_objective", counted)
+        return sizes
+
+    def test_full_rank_qutrits_transform_a_few_points(self, transformed):
+        gen = substream(23, 3)
+        for rho in [random_density(3, 3, gen) for _ in range(4)]:
+            for alpha in ORACLE_ALPHAS:
+                transformed.clear()
+                value, argmin = brute_force_min(rho, alpha, 2e-3)
+                expected, expected_argmin = reference_brute_force_min(rho, alpha, 2e-3)
+                assert sum(transformed) <= 4, (alpha, transformed)
+                assert repr(value) == repr(expected), alpha
+                assert argmin.tobytes() == expected_argmin.tobytes(), alpha
+
+    def test_pure_state_falls_back_to_the_whole_grid(self, transformed):
+        rho = random_pure(3, substream(23, 1))
+        value, argmin = brute_force_min(rho, 0.01, 2e-3)
+        expected, expected_argmin = reference_brute_force_min(rho, 0.01, 2e-3)
+        assert transformed[-1] == len(_simplex_grid(3, 500))
+        assert repr(value) == repr(expected)
+        assert argmin.tobytes() == expected_argmin.tobytes()
 
 
 class TestNearOneRouting:
