@@ -15,9 +15,10 @@ power-mean S = sum_j a_j^(1/alpha):
 Both are evaluated by one kernel, ``closed_form``: a kind-free power mean and
 the kind's readout of it. ``measure_values`` is the one evaluation path of every
 measure kind over a stack, shared with the harness. The scalar API reads the
-spectrum from ``linalg.spectrum_memo`` and keeps one power mean per gated alpha
-there, so the kinds, alphas, minimizer and oracle calls on one state share one
-eigendecomposition, and each (state, alpha) pair is evaluated once.
+spectrum from ``linalg.spectrum_memo``, with its alpha-free terms max(lam, 0) and
+|V|^2, and keeps one power mean per gated alpha there, so every kind, alpha,
+minimizer and oracle call on one state shares one eigendecomposition, and each
+(state, alpha) pair is evaluated once.
 
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import check_count, near_one, shannon_entropy, validate_alpha
-from .linalg import as_hermitian, eigh_clamped, psd_power, spectrum_memo, validated_spectrum
+from .linalg import as_hermitian, as_square_matrix, diagonal_terms, eigh_clamped, spectrum_memo, spectrum_power
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
 # the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,
@@ -68,10 +69,10 @@ class CoherenceResult:
     optimal_delta: np.ndarray | None = field(default=None, repr=False)
 
 
-def _diagonal(lam: np.ndarray, vecs: np.ndarray, alpha: float) -> np.ndarray:
-    # a_j = sum_k |<j|v_k>|^2 lam_k^alpha with every summand nonnegative; lam
-    # comes clamped as spectral_decompose leaves it, with exact zeros under 1e-12
-    return (np.abs(vecs) ** 2 @ (np.maximum(lam, 0.0) ** alpha)[..., None])[..., 0]
+def _diagonal(weights: np.ndarray, overlaps: np.ndarray, alpha: float) -> np.ndarray:
+    # a_j = sum_k |<j|v_k>|^2 lam_k^alpha with every summand nonnegative, from
+    # linalg.diagonal_terms of a spectrum clamped as spectral_decompose leaves it
+    return (overlaps @ (weights**alpha)[..., None])[..., 0]
 
 
 def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
@@ -87,23 +88,23 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
     come out NaN, silenced by measure_values under np.errstate. No alpha is
     checked here: the scalar API and the search gate it first.
     """
-    return _readout(kind, alpha, _power_mean(lam, vecs, alpha))
+    return _readout(kind, alpha, _power_mean(*diagonal_terms(lam, vecs), alpha))
 
 
-def _power_mean(lam: np.ndarray, vecs: np.ndarray, alpha: float) -> tuple:
+def _power_mean(weights: np.ndarray, overlaps: np.ndarray, alpha: float) -> tuple:
     """closed_form's kind-free terms: (peak, total, delta), or (value, populations) at alpha ~ 1.
 
     S = sum_j a_j^(1/alpha) = peak^(1/alpha) total with total = sum_j (a_j/peak)^(1/alpha),
     which never loses S to underflow at small alpha, and delta_j = a_j^(1/alpha) / S.
     At alpha ~ 1 both kinds are S(diag rho) - S(rho), with the dephased populations.
     """
-    diag = _diagonal(lam, vecs, 1.0 if near_one(alpha) else alpha)
+    diag = _diagonal(weights, overlaps, 1.0 if near_one(alpha) else alpha)
     peak = diag.max(axis=-1, keepdims=True)
     if diag.ndim == 1 and peak[0] < DEGENERATE_DIAGONAL_TOL:
         raise DegenerateDiagonalError("diagonal of rho^alpha vanished entirely")
     if near_one(alpha):
         pops = diag / diag.sum(axis=-1, keepdims=True)
-        return shannon_entropy(pops) - shannon_entropy(np.maximum(lam, 0.0)), pops
+        return shannon_entropy(pops) - shannon_entropy(weights), pops
     roots = (diag / peak) ** (1.0 / alpha)
     total = roots.sum(axis=-1, keepdims=True)
     return peak[..., 0], total[..., 0], roots / total
@@ -119,13 +120,14 @@ def _readout(kind: str, alpha: float, terms: tuple) -> tuple:
     return (peak ** (1.0 / alpha) * total - 1.0) / (alpha - 1.0), delta
 
 
-def _memo_readout(kind: str, rho, alpha: float) -> tuple:
-    """closed_form of rho's validated spectrum, its power mean kept in the spectrum's memo per gated alpha."""
-    spectrum, memo = spectrum_memo(rho)
-    if alpha not in memo:  # a raising evaluation stores nothing
-        memo[alpha] = _power_mean(*spectrum, alpha)
-        memo[alpha][-1].flags.writeable = False  # the delta leaves only as a copy
-    return _readout(kind, alpha, memo[alpha])
+def _memo_power_mean(rho, alpha: float) -> tuple:
+    """_power_mean of rho's validated spectrum, kept in the spectrum's memo per gated alpha."""
+    memo = spectrum_memo(rho)
+    if alpha not in memo.derived:  # a raising evaluation stores nothing
+        terms = _power_mean(memo.weights, memo.overlaps, alpha)
+        terms[-1].flags.writeable = False  # the delta leaves only as a copy
+        memo.derived[alpha] = terms
+    return memo.derived[alpha]
 
 
 def check_alpha_floor(alpha: float) -> float:
@@ -146,13 +148,13 @@ def alpha_diagonal(rho, alpha: float) -> np.ndarray:
     every summand nonnegative instead of forming the full matrix power.
     """
     a = validate_alpha(alpha)
-    lam, vecs = validated_spectrum(rho)
-    return _diagonal(lam, vecs, a)
+    memo = spectrum_memo(rho)
+    return _diagonal(memo.weights, memo.overlaps, a)
 
 
 def _family(kind: str, rho, alpha: float) -> CoherenceResult:
     a = check_alpha_floor(alpha)
-    value, delta = _memo_readout(kind, rho, a)
+    value, delta = _readout(kind, a, _memo_power_mean(rho, a))
     return CoherenceResult(float(value), delta.copy())
 
 
@@ -184,7 +186,7 @@ def tsallis_coherence(rho, alpha: float) -> CoherenceResult:
 
 def optimal_incoherent_state(rho, alpha: float) -> np.ndarray:
     """Populations of the incoherent state closest to rho in the alpha sense (dephased at alpha ~ 1)."""
-    return _family("alpha", rho, alpha).optimal_delta
+    return _memo_power_mean(rho, check_alpha_floor(alpha))[-1].copy()
 
 
 def relative_entropy_coherence(rho) -> CoherenceResult:
@@ -270,7 +272,7 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
         raise ValueError("oracle undefined within 1e-6 of alpha = 1")
     if not 1e-5 <= resolution <= 1e-2:
         raise ValueError(f"resolution must lie in [1e-5, 1e-2], got {resolution}")
-    mat = np.asarray(rho, dtype=complex)
+    mat = as_square_matrix(rho)
     d = mat.shape[0]
     if d not in (2, 3):
         raise DimTooLargeError(f"grid oracle supports d in {{2, 3}}, got d = {d}")
@@ -344,13 +346,16 @@ def measure_value(kind: str, rho, alpha: float | None = None) -> float:
 
     The families need an alpha; the other kinds ignore it but still refuse one
     outside (0, 2] or under ALPHA_FLOOR. alpha, tsallis and relent (alpha 1)
-    read the state's memoized power mean at alpha.
+    read the state's memoized power mean at alpha, and skew its memoized spectrum.
     """
     alpha = check_measure_alpha(kind, alpha)
     if kind == "relent":
         kind, alpha = "alpha", 1.0
     if kind in ALPHA_KINDS:
-        return float(_memo_readout(kind, rho, alpha)[0])
+        return float(_readout(kind, alpha, _memo_power_mean(rho, alpha))[0])
+    if kind == "skew":
+        spectrum = spectrum_memo(rho).spectrum  # the gate, before rho is read
+        return float(_skew(np.asarray(rho, dtype=complex), *spectrum))
     return float(measure_values(kind, as_hermitian(rho), alpha))
 
 
@@ -381,12 +386,17 @@ def measure_values(kind: str, states: np.ndarray, alpha: float | None = None) ->
         diag_sq = np.clip(np.diagonal(states @ states, axis1=-2, axis2=-1).real, 0.0, None)
         return np.sum(np.sqrt(diag_sq), axis=-1) - 1.0
     if kind == "skew":
-        root = psd_power(states, 0.5)
-        diag_root_sq = np.diagonal(root, axis1=-2, axis2=-1).real ** 2
-        values = np.sum(np.diagonal(states, axis1=-2, axis2=-1).real - diag_root_sq, axis=-1)
-        # -(1/2) sum_i Tr [root, |i><i|]^2 = sum_i ((root^2)_ii - root_ii^2)
-        commutator = np.einsum("...ij,...ji->...", root, root).real - np.sum(diag_root_sq, axis=-1)
-        if not np.all(np.abs(values - commutator) <= 1e-10):
-            raise SkewFormsDisagreeError(f"skew information forms disagree: {values} vs {commutator}")
-        return values
+        return _skew(states, *eigh_clamped(states))
     raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")
+
+
+def _skew(states: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """skew_info_sum of one state or a stack from its clamped spectrum; both forms must agree."""
+    root = spectrum_power(lam, vecs, 0.5)
+    diag_root_sq = np.diagonal(root, axis1=-2, axis2=-1).real ** 2
+    values = np.sum(np.diagonal(states, axis1=-2, axis2=-1).real - diag_root_sq, axis=-1)
+    # -(1/2) sum_i Tr [root, |i><i|]^2 = sum_i ((root^2)_ii - root_ii^2)
+    commutator = np.einsum("...ij,...ji->...", root, root).real - np.sum(diag_root_sq, axis=-1)
+    if not np.all(np.abs(values - commutator) <= 1e-10):
+        raise SkewFormsDisagreeError(f"skew information forms disagree: {values} vs {commutator}")
+    return values

@@ -18,7 +18,6 @@ bookkeeping.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -684,11 +683,15 @@ def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:
     import time
 
     start = time.perf_counter()
+    workers = check_count(workers, "workers", 1)
     cells = _grid(cfg)
     tasks = [(cfg, i, check, dim, alpha) for i, (check, dim, alpha) in enumerate(cells)]
-    if workers <= 1 or len(tasks) == 1:
+    if workers == 1 or len(tasks) == 1:
         per_cell = [_run_cell(t) for t in tasks]
     else:
+        # imported here: concurrent.futures.process pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             per_cell = list(pool.map(_run_cell, tasks))
     records = [r for cell_records in per_cell for r in cell_records]

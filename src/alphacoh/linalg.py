@@ -66,11 +66,23 @@ def spectral_decompose(h) -> Spectrum:
 
 def validated_spectrum(h) -> Spectrum:
     """spectral_decompose without the copies: read-only arrays, shared while h keeps its exact bytes."""
-    return spectrum_memo(h)[0]
+    return spectrum_memo(h).spectrum
 
 
-def spectrum_memo(h) -> tuple[Spectrum, dict]:
-    """validated_spectrum and a dict for terms derived from it, created and dropped with it.
+class SpectrumMemo(NamedTuple):
+    """A validated spectrum, its diagonal_terms (weights, overlaps) and a dict for the caller's terms.
+
+    The arrays are read-only; the dict is created and dropped with the spectrum.
+    """
+
+    spectrum: Spectrum
+    derived: dict
+    weights: np.ndarray
+    overlaps: np.ndarray
+
+
+def spectrum_memo(h) -> SpectrumMemo:
+    """validated_spectrum with its alpha-free diagonal terms and a dict for terms derived from it.
 
     One entry, the last matrix that passed as_hermitian, keyed by its shape and
     the bytes of its complex coercion. A matrix edited in place is a new key;
@@ -81,11 +93,12 @@ def spectrum_memo(h) -> tuple[Spectrum, dict]:
 
 
 @lru_cache(maxsize=1)
-def _last_spectrum(shape: tuple, data: bytes) -> tuple[Spectrum, dict]:
+def _last_spectrum(shape: tuple, data: bytes) -> SpectrumMemo:
     spectrum = eigh_clamped(as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape)))
-    for arr in spectrum:
+    terms = diagonal_terms(*spectrum)
+    for arr in (*spectrum, *terms):
         arr.flags.writeable = False
-    return spectrum, {}
+    return SpectrumMemo(spectrum, {}, *terms)
 
 
 def as_hermitian(h) -> np.ndarray:
@@ -111,6 +124,11 @@ def eigh_clamped(mats) -> Spectrum:
     return Spectrum(eigenvalues, eigenvectors)
 
 
+def diagonal_terms(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max(lam, 0), |V|^2) of one clamped spectrum or a stack: diag H_+^p = |V|^2 @ max(lam, 0)**p."""
+    return np.maximum(eigenvalues, 0.0), np.abs(eigenvectors) ** 2
+
+
 def powered_eigenvalues(eigenvalues: np.ndarray, p: float) -> np.ndarray:
     """Elementwise lam**p with the 0**p = 0 convention (also at p = 0, keeping rank)."""
     out = np.zeros_like(eigenvalues)
@@ -131,12 +149,11 @@ def matrix_power(h, p: float) -> np.ndarray:
     """
     if p < 0:
         raise ValueError(f"matrix_power takes exponents p >= 0, got {p}")
-    return psd_power(as_hermitian(h), p)
+    return spectrum_power(*eigh_clamped(as_hermitian(h)), p)
 
 
-def psd_power(mats, p: float) -> np.ndarray:
-    """Unvalidated matrix_power of one Hermitian matrix or a stack; keeps NegativeEigenvalueError."""
-    eigenvalues, eigenvectors = eigh_clamped(mats)
+def spectrum_power(eigenvalues: np.ndarray, eigenvectors: np.ndarray, p: float) -> np.ndarray:
+    """H**p of one clamped spectrum or a stack, with no input checks; NegativeEigenvalueError when H is not PSD."""
     if eigenvalues[..., 0].min(initial=0.0) < 0.0:
         raise NegativeEigenvalueError(
             f"eigenvalue {eigenvalues.min():.3e} below -{EIGENVALUE_CLAMP:.0e}; matrix is not PSD"

@@ -100,7 +100,7 @@ def maximally_coherent(d: int, phases=None) -> np.ndarray:
     d : int
         Dimension, >= 1.
     phases : array_like of float, optional
-        One phase per amplitude; defaults to all zeros.
+        One finite phase per amplitude; defaults to all zeros.
     """
     d = check_count(d, "dimension", 1)
     if phases is None:
@@ -108,6 +108,8 @@ def maximally_coherent(d: int, phases=None) -> np.ndarray:
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (d,):
         raise ValueError(f"expected {d} phases, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite, got {phases.tolist()}")
     amplitudes = np.exp(1j * phases) / np.sqrt(d)
     return np.outer(amplitudes, amplitudes.conj())
 

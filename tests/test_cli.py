@@ -263,6 +263,12 @@ class TestVerify:
         main(self.PASSING + ["--out", str(b), "--workers", "4"])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_a_worker_count_below_one_is_usage_error(self, workers, capsys):
+        args = ["verify", "--dim", "2", "--alpha", "0.5", "--trials", "1", "--check", "convexity"]
+        assert main(args + ["--workers", workers]) == EXIT_USAGE
+        assert "workers" in capsys.readouterr().err
+
     def test_bad_alpha_is_usage_error(self, capsys):
         assert main(["verify", "--alpha", "2.5", "--trials", "1"]) == EXIT_USAGE
 

@@ -165,8 +165,8 @@ class TestSkewCheck:
     @pytest.fixture
     def off_root(self, monkeypatch):
         # a wrong square root makes the diagonal and commutator forms disagree
-        true_power = alphacoh.coherence.psd_power
-        monkeypatch.setattr(alphacoh.coherence, "psd_power", lambda h, p: 0.9 * true_power(h, p))
+        true_power = alphacoh.coherence.spectrum_power
+        monkeypatch.setattr(alphacoh.coherence, "spectrum_power", lambda lam, vecs, p: 0.9 * true_power(lam, vecs, p))
 
     def test_disagreement_raises_named_error(self, off_root):
         rho = random_density(3, 3, substream(7104, 0))
@@ -183,8 +183,8 @@ class TestSkewCheck:
         script = (
             "import alphacoh.coherence as c\n"
             "from alphacoh.states import random_density, substream\n"
-            "power = c.psd_power\n"
-            "c.psd_power = lambda h, p: 0.9 * power(h, p)\n"
+            "power = c.spectrum_power\n"
+            "c.spectrum_power = lambda lam, vecs, p: 0.9 * power(lam, vecs, p)\n"
             "try:\n"
             "    c.skew_info_sum(random_density(3, 3, substream(7104, 2)))\n"
             "except c.SkewFormsDisagreeError:\n"

@@ -434,6 +434,7 @@ class TestDispatchAndGates:
         pytest.param([[np.nan, 0.0], [0.0, 1.0]], ValueError, "entries must be finite", id="nan"),
         pytest.param([[0.5, 0.4], [0.1, 0.5]], NotHermitianError, "not Hermitian", id="non-hermitian"),
         pytest.param(np.full((3, 2, 2), 0.25), DimMismatchError, "expected a square matrix", id="stack"),
+        pytest.param(5.0, DimMismatchError, "expected a square matrix", id="0-d"),
     ]
 
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
@@ -442,7 +443,11 @@ class TestDispatchAndGates:
         with pytest.raises(error, match=match):
             measure_value(kind, bad, 0.5)
 
-    @pytest.mark.parametrize("helper", [l1_coherence, c2_direct, skew_info_sum])
+    @pytest.mark.parametrize(
+        "helper",
+        [l1_coherence, c2_direct, skew_info_sum, lambda rho: brute_force_min(rho, 0.5, 1e-3)],
+        ids=["l1_coherence", "c2_direct", "skew_info_sum", "brute_force_min"],
+    )
     @pytest.mark.parametrize("bad, error, match", BAD_INPUTS)
     def test_public_helpers_gate_their_input(self, helper, bad, error, match):
         with pytest.raises(error, match=match):

@@ -631,7 +631,7 @@ class TestRunSuite:
     def test_pool_is_capped_at_the_cell_count(self, monkeypatch):
         # the pool forks every worker up front, so an oversized request must
         # shrink to one worker per cell; the stand-in pool runs inline
-        import alphacoh.harness as harness
+        import concurrent.futures
 
         sizes = []
 
@@ -653,9 +653,16 @@ class TestRunSuite:
             checks=("strong_monotonicity",),
         )
         serial = run_suite(cfg, workers=1).records
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # run_suite imports it per pool
         assert run_suite(cfg, workers=5000).records == serial
         assert sizes == [2]
+
+    @pytest.mark.parametrize(
+        "workers, error", [(0, ValueError), (-1, ValueError), (True, TypeError), (2.5, TypeError)]
+    )
+    def test_a_worker_count_is_a_count(self, workers, error):
+        with pytest.raises(error, match="workers"):
+            run_suite(SMALL_CFG, workers=workers)
 
     def test_the_stacks_gate_no_alpha(self, monkeypatch):
         # TrialConfig gates every alpha once; the cells and their stacks run no alpha gate again

@@ -13,8 +13,11 @@ too; a test holds it to the package's import block.
 
 import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +99,14 @@ def test_all_is_every_public_name_the_package_binds():
     assert len(alphacoh.__all__) == len(set(alphacoh.__all__)) == 46
     for name in alphacoh.__all__:
         assert not inspect.ismodule(getattr(alphacoh, name))
+
+
+def test_importing_the_package_leaves_multiprocessing_out():
+    # a serial run never needs a process pool; run_suite imports one only to make it
+    script = "import sys, alphacoh; print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

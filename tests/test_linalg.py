@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alphacoh.cli import EXIT_OK, main
 import alphacoh.coherence as coherence
 from alphacoh.coherence import (
+    MEASURE_KINDS,
     DegenerateDiagonalError,
     alpha_diagonal,
     closed_form,
@@ -16,6 +17,7 @@ from alphacoh.coherence import (
     measure_values,
     optimal_incoherent_state,
     relative_entropy_coherence,
+    skew_info_sum,
     tsallis_coherence,
 )
 from alphacoh.divergence import shannon_entropy, von_neumann_entropy
@@ -149,10 +151,17 @@ class TestSpectrumMemo:
         calls = self._count_eigh(monkeypatch)
         eigvalsh = np.linalg.eigvalsh  # the positivity gate's own call before it read the memo
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append("eigvalsh") or eigvalsh(mat))
-        argv = ["compute", str(path), "--kind", "alpha", "--kind", "tsallis", "--kind", "relent", "--alpha", "0.5"]
-        assert main(argv) == EXIT_OK
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+        assert main(["compute", str(path), "--alpha", "0.5"]) == EXIT_OK  # every kind, skew's square root included
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(MEASURE_KINDS)
         assert calls == [(3, 3)]
+
+    def test_measure_value_of_every_kind_decomposes_a_state_once(self, rng, monkeypatch):
+        rho = random_density(4, 3, rng(36))
+        calls = self._count_eigh(monkeypatch)
+        for kind in MEASURE_KINDS:
+            measure_value(kind, rho, 0.5)
+        optimal_incoherent_state(rho, 0.5), alpha_diagonal(rho, 1.5), skew_info_sum(rho)
+        assert calls == [(4, 4)]
 
     def test_a_sweep_decomposes_its_state_once(self, rng, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.json"
@@ -223,9 +232,9 @@ class TestSpectrumMemo:
         calls = []
         power_mean = coherence._power_mean
 
-        def counting(lam, vecs, alpha):
+        def counting(weights, overlaps, alpha):
             calls.append(alpha)
-            return power_mean(lam, vecs, alpha)
+            return power_mean(weights, overlaps, alpha)
 
         monkeypatch.setattr(coherence, "_power_mean", counting)
         return calls

@@ -105,6 +105,11 @@ class TestMaximallyCoherent:
         with pytest.raises(ValueError, match="expected 3 phases"):
             maximally_coherent(3, phases=[0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_phases_refused(self, bad):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            maximally_coherent(2, phases=[bad, 0.0])
+
     def test_dimension_gate(self):
         with pytest.raises(ValueError):
             maximally_coherent(0)
