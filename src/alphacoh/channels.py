@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import check_count
-from .states import haar_unitary, load_entries, save_entries
+from .linalg import DimMismatchError, as_square_matrix
+from .states import ginibre, haar_from_ginibre, load_entries, save_entries
 
 COMPLETENESS_TOL = 1e-9
 INCOHERENCE_TOL = 1e-10
@@ -26,7 +27,8 @@ class KrausChannel:
 
     Equal square operators or a ready stack become one read-only complex
     (n, d, d) array, which `branches` reads without a copy. The completeness
-    sum must be the identity within 1e-9; construction fails otherwise.
+    sum must be the identity within 1e-9 (completeness_refusals); construction
+    fails otherwise.
     """
 
     kraus: np.ndarray
@@ -42,10 +44,9 @@ class KrausChannel:
             raise ValueError(f"Kraus operators must share one square shape, got {ops.shape[1:]}")
         if not np.all(np.isfinite(ops)):
             raise ValueError("Kraus entries must be finite")
-        complete = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
-        deviation = float(np.max(np.abs(complete - np.eye(ops.shape[1]))))
-        if deviation > COMPLETENESS_TOL:
-            raise ValueError(f"completeness violated: max |sum K^dag K - I| = {deviation:.3e}")
+        refusal = completeness_refusals(ops[None]).get(0)
+        if refusal is not None:
+            raise refusal
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
@@ -56,6 +57,20 @@ class KrausChannel:
     @property
     def n_kraus(self) -> int:
         return len(self.kraus)
+
+
+def completeness_refusals(kraus: np.ndarray) -> dict[int, ValueError]:
+    """The completeness rule on a stack of channels (channels, n, d, d): a ValueError per refused index.
+
+    A channel is refused when max |sum_n K_n^dag K_n - I| exceeds 1e-9. Zero
+    operators, the padding of a ragged stack, add nothing to the sum.
+    """
+    complete = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+    deviation = np.abs(complete - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+    return {
+        int(t): ValueError(f"completeness violated: max |sum K^dag K - I| = {deviation[t]:.3e}")
+        for t in np.flatnonzero(deviation > COMPLETENESS_TOL)
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +111,22 @@ def kraus_stack(rows, amps) -> np.ndarray:
 def apply_channel(ch: KrausChannel | np.ndarray, rho) -> np.ndarray:
     """Deterministic (non-selective) action sum_n K_n rho K_n†, summed in operator order.
 
-    Takes a channel and a state, or a Kraus stack (..., n, d, d) and states
-    (..., d, d); each image of a stack has the bits of its own. It forms the
-    branches as `branches` does, without their traces.
+    Takes a channel and a state (gated by _channel_operand), or a Kraus stack
+    (..., n, d, d) and states (..., d, d), ungated; each image of a stack has
+    the bits of its own. It forms the branches as `branches` does, without
+    their traces.
     """
-    kraus = ch.kraus if isinstance(ch, KrausChannel) else ch
-    return sum(np.moveaxis(_products(kraus, rho), -3, 0))
+    if isinstance(ch, KrausChannel):
+        ch, rho = ch.kraus, _channel_operand(ch, rho)
+    return sum(np.moveaxis(_products(ch, rho), -3, 0))
+
+
+def _channel_operand(ch: KrausChannel, rho) -> np.ndarray:
+    """rho as a finite square matrix (as_square_matrix) of the channel's dimension, else DimMismatchError."""
+    mat = as_square_matrix(rho, "state")
+    if len(mat) != ch.dim:
+        raise DimMismatchError(f"state: a {len(mat)}-dimensional state on a {ch.dim}-dimensional channel")
+    return mat
 
 
 def select(ch: KrausChannel, rho) -> tuple[list[SelectiveOutcome], float]:
@@ -109,9 +134,10 @@ def select(ch: KrausChannel, rho) -> tuple[list[SelectiveOutcome], float]:
 
     Outcomes with probability below `P_MIN` are dropped, never normalized
     (dividing by a vanishing probability only amplifies noise); their total
-    probability is returned so callers can account for it.
+    probability is returned so callers can account for it. rho must be a
+    finite square matrix of the channel's dimension.
     """
-    probs, products, kept = branches(ch.kraus, rho)
+    probs, products, kept = branches(ch.kraus, _channel_operand(ch, rho))
     outcomes = [
         SelectiveOutcome(int(n), float(probs[n]), products[n] / probs[n])
         for n in np.flatnonzero(kept)
@@ -125,12 +151,17 @@ def is_incoherent(ch: KrausChannel) -> bool:
     That column structure maps diagonal states to diagonal states branch by
     branch, which is the defining property of an incoherent operation.
     """
-    return not np.any((np.abs(ch.kraus) > INCOHERENCE_TOL).sum(axis=-2) > 1)
+    return bool(incoherent_mask(ch.kraus))
+
+
+def incoherent_mask(kraus: np.ndarray) -> np.ndarray:
+    """is_incoherent of each channel of a Kraus stack (..., n, d, d); zero padding operators pass."""
+    return ~np.any((np.abs(kraus) > INCOHERENCE_TOL).sum(axis=-2) > 1, axis=(-2, -1))
 
 
 def dephasing_channel(d: int) -> KrausChannel:
-    """Projective measurement in the fixed basis: K_i = |i><i|."""
-    eye = np.eye(d, dtype=complex)
+    """Projective measurement in the fixed basis: K_i = |i><i|, for a count d >= 1."""
+    eye = np.eye(check_count(d, "d", 1), dtype=complex)
     return KrausChannel(eye[:, :, None] * eye[:, None, :])
 
 
@@ -152,6 +183,17 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
     A draw whose row structure alone dooms it is rejected before any
     projection: see _structurally_infeasible. Rows, weights and phases are
     drawn in the same order either way, so the stream is the same.
+
+    The draw is incoherent_draw's and the formation kraus_stack's, which the
+    suite runs once per cell on the zero-padded draws of all its trials.
+    """
+    return KrausChannel(kraus_stack(*incoherent_draw(d, n_kraus, rng)))
+
+
+def incoherent_draw(d: int, n_kraus: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """random_incoherent_channel's rows and amplitudes, each (n_kraus, d), for kraus_stack.
+
+    Operator n puts amps[n, c] at (rows[n, c], c).
     """
     d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
     while True:  # ends: a draw with injective rows in every operator needs no projection
@@ -163,7 +205,7 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
         amplitudes = np.sqrt(weights) * np.exp(1j * phases)
         columns = _cancel_merge_terms(rows, amplitudes)
         if columns is not None:
-            return KrausChannel(kraus_stack(rows, np.array(columns).T))
+            return rows, np.array(columns).T
 
 
 def _structurally_infeasible(rows: np.ndarray) -> bool:
@@ -213,11 +255,22 @@ def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChann
     """Arbitrary random channel: d-column blocks of a Haar unitary on d * n_kraus.
 
     The stacked blocks form an isometry, so completeness is inherited from
-    unitarity rather than repaired after the fact.
+    unitarity rather than repaired after the fact. The draw is channel_draw's;
+    the formation, haar_from_ginibre and isometry_kraus, runs in the suite once
+    per cell and unitary size.
     """
+    return KrausChannel(isometry_kraus(haar_from_ginibre(channel_draw(d, n_kraus, rng)), d))
+
+
+def channel_draw(d: int, n_kraus: int, rng: np.random.Generator) -> np.ndarray:
+    """The Ginibre matrix (d n_kraus, d n_kraus) behind random_channel's Haar unitary, after its count gates."""
     d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
-    big = haar_unitary(d * n_kraus, rng)
-    return KrausChannel(big[:, :d].reshape(n_kraus, d, d))
+    return ginibre((d * n_kraus, d * n_kraus), rng)
+
+
+def isometry_kraus(unitary: np.ndarray, d: int) -> np.ndarray:
+    """Kraus stack (..., n, d, d): the first d columns of unitaries (..., n d, n d), cut into n row blocks."""
+    return unitary[..., :d].reshape(*unitary.shape[:-2], -1, d, d)
 
 
 def save_channel(path: str | os.PathLike, ch: KrausChannel) -> None:

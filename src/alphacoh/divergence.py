@@ -23,24 +23,14 @@ natural, so entropic values are in nats.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 
 import numpy as np
 
-from .linalg import DimMismatchError, as_hermitian, eigh_clamped, powered_eigenvalues, validated_spectrum
+from .linalg import DimMismatchError, as_hermitian, eigh_clamped, powered_eigenvalues, real_number, validated_spectrum
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
-
-
-def real_number(value, name: str) -> float:
-    """value as a float: a non-bool real, numpy real or 0-d real array; any other type is a TypeError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)) and not (
-        isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf"
-    ):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def check_count(value, name: str, least: int) -> int:

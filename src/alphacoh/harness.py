@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +28,12 @@ from .channels import (
     NotIncoherentChannelError,
     apply_channel,
     branches,
-    is_incoherent,
+    channel_draw,
+    completeness_refusals,
+    incoherent_draw,
+    incoherent_mask,
+    isometry_kraus,
     kraus_stack,
-    random_channel,
-    random_incoherent_channel,
     select,  # unused here; the benchmark reads and patches it under this module too
 )
 from .coherence import (
@@ -43,9 +46,9 @@ from .coherence import (
     measure_values,
     optimal_incoherent_state,
 )
-from .divergence import _gated_pair, check_count, functional_values, near_one, real_number, sgn1
-from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask
-from .states import BadWeightsError, haar_unitary, random_density, state_from_factor
+from .divergence import _gated_pair, check_count, functional_values, near_one, sgn1
+from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask, real_number
+from .states import BadWeightsError, density_factor, ginibre, haar_from_ginibre, state_from_factor
 from .states import substream, validate_probability_vector
 
 DEFAULT_TOLERANCE = 1e-9
@@ -236,27 +239,64 @@ def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
     )
 
 
-def _input_gate(check: str, inputs) -> None:
-    """The gate check_<check> and _run_cell put on the drawn arguments (in _draw_inputs order).
+class _Cell(NamedTuple):
+    """A cell's trials as stacks, one leading entry per trial; ragged parts are zero-padded beside their masks.
 
-    Raises the public check's exception: a coherent channel, weights that are
-    not a distribution, or operands that are not square matrices of one size.
+    states (T, m, d, d) holds rho (m = 1), rho and sigma (m = 2), or the
+    convexity states (padded, masked by real_weights). A field the check has
+    no use for is None.
+    """
+
+    states: np.ndarray
+    kraus: np.ndarray | None = None  # (T, n, d, d)
+    real_kraus: np.ndarray | None = None  # (T, n)
+    weights: np.ndarray | None = None  # (T, s): the convexity weights, or the observations ensemble's
+    real_weights: np.ndarray | None = None  # (T, s)
+    members: np.ndarray | None = None  # (T, s, 2, d, d): the observations ensemble's pairs
+    unitaries: np.ndarray | None = None  # (T, d, d)
+    populations: np.ndarray | None = None  # (T, k): the observations ancilla's diagonal
+
+    def take(self, index) -> "_Cell":
+        """The cell of the trials at a list of indices, its padding kept."""
+        return _Cell(*(None if v is None else v[index] for v in self))
+
+
+def _input_gate(check: str, cell: _Cell) -> dict[int, Exception]:
+    """The gate check_<check> and _run_cell put on a cell: the error of each refused trial, by index.
+
+    Its channels must be complete (completeness_refusals: a KrausChannel met
+    that when it was built, a formed cell meets it here) and, for the channel
+    checks, incoherent. A channel refused on both counts gets the completeness error.
+    """
+    if cell.kraus is None:
+        return {}
+    refusals = {}
+    if check in CHANNEL_CHECKS:
+        stated = "the power-mean step is stated" if check == "holder" else f"{check.replace('_', ' ')} is defined"
+        refusal = NotIncoherentChannelError(f"{stated} for incoherent channels")
+        refusals = dict.fromkeys(np.flatnonzero(~incoherent_mask(cell.kraus)).tolist(), refusal)
+    return {**refusals, **completeness_refusals(cell.kraus)}
+
+
+def _cell_of(check: str, inputs) -> _Cell:
+    """The cell of one public check call, from its arguments after the kind (observations: ensemble last).
+
+    First the rules a formed cell meets by construction: weights that are a
+    distribution, one weight per convexity state, and operands that are square
+    matrices of one size.
     """
     if check in CHANNEL_CHECKS:
-        if not is_incoherent(inputs[1]):
-            stated = "the power-mean step is stated" if check == "holder" else f"{check.replace('_', ' ')} is defined"
-            raise NotIncoherentChannelError(f"{stated} for incoherent channels")
         operands = (inputs[0], inputs[1].kraus[0])
     elif check == "convexity":
         weights, operands = inputs
-        w = validate_probability_vector(weights, "weights")
-        if len(operands) != w.size:
-            raise BadWeightsError(f"need one weight per state, got {w.size} weights, {len(operands)} states")
+        weights = validate_probability_vector(weights, "weights")
+        if len(operands) != weights.size:
+            raise BadWeightsError(f"need one weight per state, got {weights.size} weights, {len(operands)} states")
     elif check == "lemma1":
         operands = (*inputs[:2], inputs[2].kraus[0])
     else:
-        validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
-        validate_probability_vector(inputs[4])
+        weights = validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
+        populations = validate_probability_vector(inputs[4])
         operands = (*inputs[:2], inputs[2].kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
     for mat in operands:
         shape = np.shape(mat)
@@ -264,6 +304,12 @@ def _input_gate(check: str, inputs) -> None:
             as_square_matrix(mat)  # raises its DimMismatchError
         elif shape != np.shape(operands[0]):  # _gated_pair's refusal
             raise DimMismatchError(f"operands differ in dimension: {len(operands[0])} vs {shape[0]}")
+    if check == "convexity":
+        return _assemble(check, [operands], weights=[weights])
+    kraus = _padded([(inputs[1] if check in CHANNEL_CHECKS else inputs[2]).kraus])
+    if check == "observations":  # rho, sigma, then each member's pair
+        return _assemble(check, [operands[:2] + operands[4:]], kraus, [weights], [inputs[3]], [populations])
+    return _assemble(check, [operands[: 1 if check in CHANNEL_CHECKS else 2]], kraus)
 
 
 def check_strong_monotonicity(kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
@@ -385,10 +431,9 @@ def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tenso
 
 
 def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> list[TrialRecord]:
-    """A public check's records: its gates, then one _stacked_sides call on the stack of its trial alone.
+    """A public check's records: its gates, then _scored on the cell of its trial alone (_cell_of).
 
     Alpha is gated first for the functional checks (check_alpha_floor), after the inputs for the measure checks.
-    A NaN side or a raising stack runs _refuse on what the stack formed, or on the inputs if it raised.
     """
     if check in DIVERGENCE_CHECKS:
         alpha, kind = check_alpha_floor(alpha), "f_alpha"
@@ -396,15 +441,25 @@ def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> l
             raise ValueError("holder step undefined within 1e-6 of alpha = 1")
         sgn1(alpha)
     tolerance = _check_tolerance(tolerance)
-    _input_gate(check, inputs)
+    cell = _cell_of(check, inputs)
+    for refusal in _input_gate(check, cell).values():
+        raise refusal
     alpha = alpha if check in DIVERGENCE_CHECKS else check_measure_alpha(kind, alpha)
+    return _scored(check, kind, cell, alpha, tolerance, seed, trial)
+
+
+def _scored(check: str, kind, cell: _Cell, alpha, tolerance, seed, trial) -> list[TrialRecord]:
+    """The records of a gated cell of one trial, from one _stacked_sides call.
+
+    A NaN side or a raising stack runs _refuse on what the stack formed, or on the cell's states if it raised.
+    """
     try:
-        (sides,), formed = _stacked_sides(check, kind, [inputs], alpha)
+        (sides,), formed = _stacked_sides(check, kind, cell, alpha)
     except Exception as exc:  # the scalar gates name the refusal first; with none, the stack's error stands
         sides, error = None, exc
     if sides is None:
-        first = inputs[1] if check == "convexity" else [inputs[0] if check in CHANNEL_CHECKS else inputs[:2]]
-        _refuse(check, kind, alpha, [first])
+        states = cell.states[cell.real_weights] if check == "convexity" else cell.states
+        _refuse(check, kind, alpha, [states[0] if check in CHANNEL_CHECKS else states])
         raise error
     if np.isnan(sides).any():  # a NaN no gate names is recorded as it is
         _refuse(check, kind, alpha, formed)
@@ -437,42 +492,90 @@ def _records(check: str, dim: int, alpha, kind, sides, tolerance, seed, trial) -
 # suite runner
 
 
+class _Draw(NamedTuple):
+    """One trial's random numbers, everything _form makes its inputs from."""
+
+    factors: list  # density_factor of each state: rho[, sigma[, then each ensemble pair]], or the convexity states
+    channel: object = None  # incoherent_draw's (rows, amps), or channel_draw's Ginibre matrix
+    unitary: np.ndarray | None = None  # observations: the Ginibre matrix of U
+    weights: np.ndarray | None = None  # the convexity weights, or the observations ensemble's
+    populations: np.ndarray | None = None  # observations: the ancilla's diagonal
+
+
 def _draw_state(cfg: TrialConfig, d: int, rng) -> np.ndarray:
     rank = d if cfg.rank_policy == "full" else int(rng.integers(1, d + 1))
-    return random_density(d, rank, rng)
+    return density_factor(d, rank, rng)
 
 
-def _draw_state_channel(cfg: TrialConfig, d: int, rng):
-    # the draw order rebuild_witness replays
+def _draw(cfg: TrialConfig, check: str, d: int, rng) -> _Draw:
+    """A trial's draw, in its stream's order: the generator calls of the public samplers, nothing formed."""
     lo, hi = cfg.n_kraus_range
-    rho = _draw_state(cfg, d, rng)
-    return rho, random_incoherent_channel(d, int(rng.integers(lo, hi + 1)), rng)
-
-
-def _draw_inputs(cfg: TrialConfig, check: str, d: int, rng):
-    """A trial's drawn arguments, as its public check takes them after the kind (observations: ensemble last)."""
     if check == "convexity":
-        size = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(size))
-        return weights, [_draw_state(cfg, d, rng) for _ in range(size)]
-    if check in CHANNEL_CHECKS:
-        return _draw_state_channel(cfg, d, rng)
-    lo, hi = cfg.n_kraus_range
-    rho, sigma = _draw_state(cfg, d, rng), _draw_state(cfg, d, rng)
-    ch = random_channel(d, int(rng.integers(lo, hi + 1)), rng)
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+        return _Draw([_draw_state(cfg, d, rng) for _ in weights], weights=weights)
+    rho = _draw_state(cfg, d, rng)
+    if check in CHANNEL_CHECKS:  # the draw order rebuild_witness replays
+        return _Draw([rho], incoherent_draw(d, int(rng.integers(lo, hi + 1)), rng))
+    factors = [rho, _draw_state(cfg, d, rng)]
+    channel = channel_draw(d, int(rng.integers(lo, hi + 1)), rng)
     if check == "lemma1":
-        return rho, sigma, ch
-    unitary = haar_unitary(d, rng)
-    delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // d))))  # a tensored dimension of at most 12
-    size = int(rng.integers(2, 5))
-    weights = rng.dirichlet(np.ones(size))
-    ensemble = [(float(w), _draw_state(cfg, d, rng), _draw_state(cfg, d, rng)) for w in weights]
-    return rho, sigma, ch, unitary, delta_diag, ensemble
+        return _Draw(factors, channel)
+    unitary = ginibre((d, d), rng)
+    populations = rng.dirichlet(np.ones(max(1, min(3, 12 // d))))  # a tensored dimension of at most 12
+    weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+    factors += [_draw_state(cfg, d, rng) for _ in range(2 * len(weights))]  # each member's rho, then sigma
+    return _Draw(factors, channel, unitary, weights, populations)
 
 
-def _one_trial(cfg: TrialConfig, check: str, alpha: float, inputs, trial: int) -> list[TrialRecord]:
-    """A drawn trial a cell's stack left, scored alone: its public check (_trial_records)."""
-    return _trial_records(check, cfg.kind, inputs, alpha, cfg.tolerance, cfg.master_seed, trial)
+def _form(check: str, draws: list[_Draw]) -> _Cell:
+    """The cell of a list of trial draws; each input has the bits its public sampler makes of the same draw.
+
+    One state_from_factor per factor rank; then one kraus_stack of the
+    zero-padded incoherent draws, or one haar_from_ginibre per unitary size.
+    """
+    formed = iter(_by_shape(state_from_factor, [g for draw in draws for g in draw.factors]))
+    states = [[next(formed) for _ in draw.factors] for draw in draws]
+    if check == "convexity":
+        return _assemble(check, states, weights=[draw.weights for draw in draws])
+    if check in CHANNEL_CHECKS:
+        (rows, real), (amps, _) = (_padded(part) for part in zip(*(draw.channel for draw in draws)))
+        return _assemble(check, states, (kraus_stack(rows, amps), real))
+    ginibres = [draw.channel for draw in draws] + [draw.unitary for draw in draws if draw.unitary is not None]
+    unitaries = iter(_by_shape(haar_from_ginibre, ginibres))  # each channel's, then each observation's U
+    kraus = _padded([isometry_kraus(next(unitaries), len(draw.factors[0])) for draw in draws])
+    weights, populations = [draw.weights for draw in draws], [draw.populations for draw in draws]
+    return _assemble(check, states, kraus, weights, list(unitaries), populations)
+
+
+def _assemble(check: str, states, kraus=None, weights=None, unitaries=None, populations=None) -> _Cell:
+    """The cell of formed trials: each one's states in _Draw.factors order, and the padded Kraus stack with its mask."""
+    if check == "convexity":
+        weights, real = _padded(weights)
+        return _Cell(_padded([np.array(s, dtype=complex) for s in states])[0], weights=weights, real_weights=real)
+    pairs = np.array([s[:2] for s in states], dtype=complex)  # (trials, 1 or 2, d, d): rho[, sigma]
+    if check != "observations":
+        return _Cell(pairs, *kraus)
+    d = pairs.shape[-1]
+    members = _padded([np.array(s[2:], dtype=complex).reshape(-1, 2, d, d) for s in states])[0]
+    return _Cell(pairs, *kraus, *_padded(weights), members, np.array(unitaries, dtype=complex), np.array(populations))
+
+
+def _by_shape(form, arrays: list) -> list:
+    """form called once on the stack of each shape's arrays; the formed entries in the order of arrays."""
+    groups: dict[tuple, list[int]] = {}
+    for i, arr in enumerate(arrays):
+        groups.setdefault(arr.shape, []).append(i)
+    formed = [None] * len(arrays)
+    for members in groups.values():
+        for i, entry in zip(members, form(np.array([arrays[i] for i in members]))):
+            formed[i] = entry
+    return formed
+
+
+def _one_trial(cfg: TrialConfig, check: str, alpha: float, cell: _Cell, trial: int) -> list[TrialRecord]:
+    """A gated trial a cell's stack left, scored alone: the cell of it alone, as its public check scores it."""
+    kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
+    return _scored(check, kind, cell, alpha, cfg.tolerance, cfg.master_seed, trial)
 
 
 def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
@@ -493,38 +596,45 @@ def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, kind: st
 
 
 def _run_cell(task) -> list[TrialRecord]:
-    """One (check, dim, alpha) cell, scored as stacks.
+    """One (check, dim, alpha) cell, formed and scored as stacks.
 
-    Every trial draws from its own stream and meets _input_gate; a draw or
-    gate that raises gives that error record. One _stacked_sides call scores
-    the rest. A trial with a NaN side, or every trial if that call raised, goes
-    to _one_trial: the stack of it alone, which is its public check. So every
-    record keeps the bits and error text of a trial-at-a-time run.
+    Every trial draws from its own stream (_draw); a draw that raises gives
+    that error record. _form makes the cell of the rest at once, and one
+    _input_gate call refuses trials with their public check's error. One
+    _stacked_sides call scores the others. A trial with a NaN side, or every
+    trial if that call raised, goes to _one_trial: the stack of it alone, as its
+    public check scores it. So every record keeps the bits and error text of a
+    trial-at-a-time run.
     """
     cfg, cell_index, check, dim, alpha = task
     kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
     records: list[list[TrialRecord] | None] = [None] * cfg.trials_per_cell
-    drawn = {}
+    draws = {}
     for trial in range(cfg.trials_per_cell):
         try:
-            inputs = _draw_inputs(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
-            _input_gate(check, inputs)
+            draws[trial] = _draw(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
         except Exception as exc:  # aggregate, never abort the suite
             records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
-        else:
-            drawn[trial] = inputs
-    try:
-        scored = _stacked_sides(check, cfg.kind, list(drawn.values()), alpha)[0] if drawn else []
-    except Exception:  # left to the stacks of one below, which raise or score trial by trial
-        scored = [[(math.nan, math.nan)]] * len(drawn)
-    for (trial, inputs), sides in zip(drawn.items(), scored):
+    if draws:
+        trials, cell = list(draws), _form(check, list(draws.values()))
+        refusals = _input_gate(check, cell)
+        for i, refusal in refusals.items():
+            records[trials[i]] = [_error_record(cfg, check, dim, alpha, kind, trials[i], refusal)]
+        if refusals:
+            kept = [i for i in range(len(trials)) if i not in refusals]
+            trials, cell = [trials[i] for i in kept], cell.take(kept)
         try:
-            records[trial] = (
-                _one_trial(cfg, check, alpha, inputs, trial) if np.isnan(sides).any()
-                else _records(check, dim, alpha, kind, sides, cfg.tolerance, cfg.master_seed, trial)
-            )
-        except Exception as exc:  # aggregate, never abort the suite
-            records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
+            scored = _stacked_sides(check, cfg.kind, cell, alpha)[0] if trials else []
+        except Exception:  # left to the stacks of one below, which raise or score trial by trial
+            scored = [[(math.nan, math.nan)]] * len(trials)
+        for i, (trial, sides) in enumerate(zip(trials, scored)):
+            try:
+                records[trial] = (
+                    _one_trial(cfg, check, alpha, cell.take([i]), trial) if np.isnan(sides).any()
+                    else _records(check, dim, alpha, kind, sides, cfg.tolerance, cfg.master_seed, trial)
+                )
+            except Exception as exc:  # aggregate, never abort the suite
+                records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
     return [record for trial_records in records for record in trial_records]
 
 
@@ -543,37 +653,36 @@ def _padded(ragged) -> tuple[np.ndarray, np.ndarray]:
     return padded, real
 
 
-def _stacked_sides(check: str, kind, inputs: list, alpha) -> tuple[list, list]:
+def _stacked_sides(check: str, kind, cell: _Cell, alpha) -> tuple[list, list]:
     """Each trial's list of (lhs, rhs), one per record its check writes, and the matrix stacks they came from.
 
-    The one scoring body of a cell and of a public check (its stack of one), with one kernel call per side
-    or matrix size and no alpha gate. Entry t has the bits of the scalar arithmetic on inputs[t], divergent
-    (+inf) values' degenerate sides included, NaN where a stacked gate refused a matrix. Stacks come in the
-    gates' order.
+    The one scoring body of a cell and of a public check (its cell of one), with one kernel call per side
+    or matrix size and no alpha gate. Entry t has the bits of the scalar arithmetic on trial t's inputs,
+    divergent (+inf) values' degenerate sides included, NaN where a stacked gate refused a matrix. Stacks
+    come in the gates' order.
     """
     if check not in DIVERGENCE_CHECKS:
-        return _measure_sides(check, kind, inputs, alpha)
-    return FUNCTIONAL_STACKS[check](inputs, alpha, sgn1(alpha))
+        return _measure_sides(check, kind, cell, alpha)
+    return FUNCTIONAL_STACKS[check](cell, alpha, sgn1(alpha))
 
 
-def _lemma1_stack(inputs, a, sign):
+def _lemma1_stack(cell: _Cell, a, sign):
     """The sides of every lemma1 trial of a cell, and its pair stacks (rho, sigma), then each branch's."""
-    pair = np.array([(rho, sigma) for rho, sigma, _ in inputs], dtype=complex)  # (trials, 2, d, d)
-    kraus, real = _padded([ch.kraus for _, _, ch in inputs])
-    formed = [pair, branches(kraus[:, None], pair)[1].swapaxes(1, 2)[real]]
+    pair, real = cell.states, cell.real_kraus  # (trials, 2, d, d)
+    formed = [pair, branches(cell.kraus[:, None], pair)[1].swapaxes(1, 2)[real]]
     base, terms = _functional_stacks(formed, a)
     return [[_lemma1_sides(sign, b, t)] for b, t in zip(base.tolist(), _by_trial(terms, real.sum(axis=1)))], formed
 
 
-def _holder_stack(inputs, a, sign):
+def _holder_stack(cell: _Cell, a, sign):
     """The sides of every holder trial of a cell, and its stacks: the states, then the kept branch pairs."""
-    rhos = np.array([rho for rho, _ in inputs], dtype=complex)
+    rhos = cell.states[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
         deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
     # the gate of spectral_decompose on rho; a finite delta is a distribution (closed_form's largest root is 1)
     usable = hermitian_mask(rhos) & np.isfinite(deltas).all(axis=-1)
     deltas = np.where(usable[:, None], deltas, 0.0)[..., None] * np.eye(rhos.shape[-1])
-    probs, products, kept = branches(_padded([ch.kraus for _, ch in inputs])[0][:, None], np.stack([rhos, deltas], 1))
+    probs, products, kept = branches(cell.kraus[:, None], np.stack([rhos, deltas], 1))
     pairs = kept[:, 0] & kept[:, 1]  # a branch counts when both sides keep it
     p, q = probs[:, 0][pairs], probs[:, 1][pairs]
     normalized = products.swapaxes(1, 2)[pairs] / np.stack([p, q], 1)[..., None, None]
@@ -584,30 +693,28 @@ def _holder_stack(inputs, a, sign):
     ], [rhos, normalized]
 
 
-def _observations_stack(inputs, a, sign):
+def _observations_stack(cell: _Cell, a, sign):
     """The five sides of every observations trial of a cell, and its six pair stacks in OBSERVATIONS order."""
-    pair = np.array([(rho, sigma) for rho, sigma, *_ in inputs], dtype=complex)  # (trials, 2, d, d)
-    populations = np.array([inp[4] for inp in inputs])  # (trials, k): each ancilla's diagonal
+    pair, populations = cell.states, cell.populations  # (trials, 2, d, d) and (trials, k)
     trials, d, k = len(pair), pair.shape[-1], populations.shape[-1]
-    us = np.array([inp[3] for inp in inputs], dtype=complex)[:, None]
-    ensembles = [inp[5] for inp in inputs]
-    weights, drawn = _padded([[w for w, _, _ in ensemble] for ensemble in ensembles])
-    members = _padded([np.array([(r, s) for _, r, s in ensemble], dtype=complex) for ensemble in ensembles])[0]
+    us = cell.unitaries[:, None]
+    weights, drawn, members = cell.weights, cell.real_weights, cell.members
     ancillas = populations[:, None, None, :, None, None] * np.eye(k)[:, None, :]
     stacks = [
         pair,
         us @ pair @ us.conj().swapaxes(-1, -2),
-        apply_channel(_padded([inp[2].kraus for inp in inputs])[0][:, None], pair),
+        apply_channel(cell.kraus[:, None], pair),
         members[drawn],
         sum(np.moveaxis(weights[..., None, None, None] * members, 1, 0)),
         # np.kron(rho, ancilla) of each matrix: entry (i k + a, j k + b) is rho_ij ancilla_ab
         (pair[..., :, None, :, None] * ancillas).reshape(trials, 2, d * k, d * k),
     ]
     base, rotated, mapped, parts, mixed, tensored = (v.tolist() for v in _functional_stacks(stacks, a))
+    counts = drawn.sum(axis=1)
     return [
-        _observation_sides(sign, b, r, m, [w for w, _, _ in ens], part, mx, t)
-        for b, r, m, part, mx, t, ens in zip(
-            base, rotated, mapped, _by_trial(parts, drawn.sum(axis=1)), mixed, tensored, ensembles
+        _observation_sides(sign, b, r, m, w, part, mx, t)
+        for b, r, m, w, part, mx, t in zip(
+            base, rotated, mapped, _by_trial(weights[drawn], counts), _by_trial(parts, counts), mixed, tensored
         )
     ], stacks
 
@@ -639,16 +746,15 @@ def _functional_stacks(pairs, alpha) -> list[np.ndarray]:
     return values
 
 
-def _measure_sides(check: str, kind: str, inputs: list, alpha):
+def _measure_sides(check: str, kind: str, cell: _Cell, alpha):
     """The sides of every measure-check trial of a cell, one kernel call per side, and the stacks measured.
 
-    Entry t has the bits of the scalar arithmetic's sides on inputs[t], and is
+    Entry t has the bits of the scalar arithmetic's sides on trial t, and is
     NaN where a matrix that check measures fails its as_hermitian gate. Channels
     and convex mixtures are padded to the cell's largest size (_padded).
     """
     if check == "convexity":
-        weights, real = _padded([w for w, _ in inputs])
-        states = _padded([np.array(trial_states, dtype=complex) for _, trial_states in inputs])[0]
+        weights, real, states = cell.weights, cell.real_weights, cell.states
         values = np.zeros(real.shape)
         values[real] = measure_values(kind, states[real], alpha)
         lhs = sum(np.moveaxis(weights * values, -1, 0))
@@ -657,8 +763,7 @@ def _measure_sides(check: str, kind: str, inputs: list, alpha):
         gated = hermitian_mask(states).all(axis=-1) & hermitian_mask(mixtures)  # a zero pad passes
         formed = [states[real], mixtures]
     else:
-        rhos = np.array([rho for rho, _ in inputs], dtype=complex)
-        kraus = _padded([ch.kraus for _, ch in inputs])[0]
+        rhos, kraus = cell.states[:, 0], cell.kraus
         lhs = measure_values(kind, rhos, alpha)
         gated = hermitian_mask(rhos)
         formed = [rhos]
@@ -712,7 +817,9 @@ def rebuild_witness(cfg: TrialConfig, record: TrialRecord):
     if record.check_name not in ("strong_monotonicity", "monotonicity"):
         raise ValueError(f"no state/channel witness for check {record.check_name!r}")
     cell_index = _grid(cfg).index((record.check_name, record.dim, record.alpha))
-    return _draw_state_channel(cfg, record.dim, substream(cfg.master_seed, cell_index, record.trial))
+    draw = _draw(cfg, record.check_name, record.dim, substream(cfg.master_seed, cell_index, record.trial))
+    cell = _form(record.check_name, [draw])  # a cell of one: no padding
+    return cell.states[0, 0], KrausChannel(cell.kraus[0])
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +856,7 @@ def _branch_average(kind: str, kraus, rho, alpha: float):
 
 
 def _batch_states(rng, count: int, d: int, rank: int):
-    g = rng.standard_normal((count, d, rank)) + 1j * rng.standard_normal((count, d, rank))
+    g = ginibre((count, d, rank), rng)
     return g, state_from_factor(g)
 
 

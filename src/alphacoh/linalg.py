@@ -8,6 +8,8 @@ within the clamp window are treated as exact zeros, and 0**p = 0 for p >= 0.
 
 from __future__ import annotations
 
+import math
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,6 +36,15 @@ class Spectrum(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def real_number(value, name: str) -> float:
+    """value as a float: a non-bool real, numpy real or 0-d real array; any other type is a TypeError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)) and not (
+        isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf"
+    ):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
@@ -145,11 +156,14 @@ def matrix_power(h, p: float) -> np.ndarray:
     h : array_like
         Hermitian PSD matrix (eigenvalues >= -1e-12; small negatives are clamped to 0).
     p : float
-        Exponent >= 0. 0**p = 0, so H**0 is the support projector.
+        Finite exponent >= 0 (real_number's types). 0**p = 0, so H**0 is the support projector.
+
+    The spectrum is the memo's (spectrum_memo), shared with the measures of h.
     """
-    if p < 0:
-        raise ValueError(f"matrix_power takes exponents p >= 0, got {p}")
-    return spectrum_power(*eigh_clamped(as_hermitian(h)), p)
+    p = real_number(p, "p")
+    if not 0.0 <= p < math.inf:  # NaN fails here too, where it would power every eigenvalue to NaN
+        raise ValueError(f"matrix_power takes finite exponents p >= 0, got {p}")
+    return spectrum_power(*spectrum_memo(h).spectrum, p)
 
 
 def spectrum_power(eigenvalues: np.ndarray, eigenvectors: np.ndarray, p: float) -> np.ndarray:

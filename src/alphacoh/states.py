@@ -129,16 +129,27 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 def random_density(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random density matrix of the given rank (normalized Ginibre product G G†).
 
-    Exactly `d - rank` eigenvalues are zero up to round-off.
+    Exactly `d - rank` eigenvalues are zero up to round-off. The draw is
+    density_factor's and the formation state_from_factor's, which the suite
+    runs once per cell on every factor of one rank.
     """
+    return state_from_factor(density_factor(d, rank, rng))
+
+
+def density_factor(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """The Ginibre factor G (d, rank) of random_density, after its gates on d and rank."""
     d = check_count(d, "d", 1)
     try:  # a non-integer rank is check_count's TypeError; an integer outside 1..d is a BadRankError
         if check_count(rank, "rank", 1) > d:
             raise ValueError
     except ValueError:
         raise BadRankError(f"rank must lie in 1..{d}, got {rank}") from None
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    return state_from_factor(g)
+    return ginibre((d, rank), rng)
+
+
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre array: standard normal real parts, then standard normal imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def state_from_factor(g: np.ndarray) -> np.ndarray:
@@ -153,15 +164,21 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix.
+    """Haar-distributed unitary: haar_from_ginibre of a d x d Ginibre matrix, for a count d >= 1."""
+    d = check_count(d, "d", 1)
+    return haar_from_ginibre(ginibre((d, d), rng))
 
-    The R diagonal phases are divided out; without that fix the QR
-    convention skews the distribution away from Haar.
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """The Haar unitary Q of G = QR, R's diagonal phases divided out, for one square G or a stack.
+
+    Without the phase fix the QR convention skews the distribution away from
+    Haar. A stacked QR factors each matrix alone, so a stack has the bits of
+    one matrix at a time.
     """
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def save_state(path: str | os.PathLike, rho) -> None:

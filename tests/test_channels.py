@@ -25,6 +25,7 @@ from alphacoh.channels import (
     save_channel,
     select,
 )
+from alphacoh.linalg import DimMismatchError
 from alphacoh.states import (
     dephase,
     embed_diagonal,
@@ -160,6 +161,26 @@ class TestApplyAndSelect:
         assert [o.index for o in outcomes] == [0]
         assert dropped == pytest.approx(0.0, abs=1e-15)
 
+
+    @pytest.mark.parametrize("act", [select, apply_channel], ids=["select", "apply_channel"])
+    @pytest.mark.parametrize(
+        "rho, error, match",
+        [
+            (np.full((3, 3), np.nan), ValueError, "^state: entries must be finite$"),
+            (np.ones((3, 2)), DimMismatchError, r"^state: expected a square matrix, got shape \(3, 2\)$"),
+            (np.eye(2) / 2, DimMismatchError, "^state: a 2-dimensional state on a 3-dimensional channel$"),
+        ],
+        ids=["nan", "non_square", "qubit_on_qutrit"],
+    )
+    def test_a_channel_gates_the_state_it_acts_on(self, act, rho, error, match):
+        # a NaN state gave ([], nan) and a NaN image silently; a qubit on a qutrit channel reached numpy's matmul
+        with pytest.raises(error, match=match):
+            act(dephasing_channel(3), rho)
+
+    def test_the_array_form_stays_ungated(self):
+        # the stacks call apply_channel and branches on arrays; a NaN state passes through to its NaN image
+        image = apply_channel(dephasing_channel(3).kraus, np.full((3, 3), np.nan))
+        assert np.isnan(np.diag(image)).all()
 
     def test_branches_match_the_per_operator_loop_bit_for_bit(self, rng):
         # the stacked kernel must not reorder the arithmetic, for one state or a stack
@@ -304,6 +325,17 @@ class TestFeasibilityRule:
         for _ in range(300):
             rows = gen.integers(0, d, size=(1, d))
             assert _structurally_infeasible(rows) == (len(set(rows[0].tolist())) < d)
+
+
+@pytest.mark.parametrize(
+    "d, error, match",
+    [(0, ValueError, "^d must be >= 1, got 0$"), (2.0, TypeError, "^d must be an integer, got 2.0$"),
+     (True, TypeError, "^d must be an integer, got True$")],
+)
+def test_dephasing_channel_takes_a_count(d, error, match):
+    # these used to fail with messages that did not name d, or (True) as numpy's TypeError
+    with pytest.raises(error, match=match):
+        dephasing_channel(d)
 
 
 class TestRandomChannel:

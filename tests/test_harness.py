@@ -52,9 +52,7 @@ from alphacoh.harness import (
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
-    _draw_inputs,
-    _draw_state,
-    _draw_state_channel,
+    _cell_of,
     _holder_sides,
     _input_gate,
     _lemma1_sides,
@@ -693,7 +691,7 @@ class TestRunSuite:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic draw failure")
 
-        monkeypatch.setattr(harness, "random_density", boom)
+        monkeypatch.setattr(harness, "density_factor", boom)  # each state's draw
         cfg = TrialConfig(
             dims=(2,), alphas=(0.5,), trials_per_cell=2, checks=("monotonicity",)
         )
@@ -1099,7 +1097,8 @@ def reference_records(check, kind, inputs, alpha, tolerance, seed, trial) -> lis
             raise ValueError("holder step undefined within 1e-6 of alpha = 1")
         sign = sgn1(alpha)
         kind = "f_alpha"
-    _input_gate(check, inputs)
+    for refusal in _input_gate(check, _cell_of(check, inputs)).values():
+        raise refusal
     if check == "convexity":
         w, mats = np.asarray(inputs[0], dtype=float), [np.asarray(s, dtype=complex) for s in inputs[1]]
         lhs = sum(wi * measure_value(kind, s, alpha) for wi, s in zip(w, mats))
@@ -1152,25 +1151,50 @@ def error_record(cfg, check, dim, alpha, trial, exc):
     )
 
 
-def per_trial_records(cfg):
-    """run_suite's records for the measure checks, one trial and one scalar reference at a time.
+def sampled_state(cfg, d, rng):
+    """A suite trial's state, one public sampler call at a time: its rank, then random_density."""
+    rank = d if cfg.rank_policy == "full" else int(rng.integers(1, d + 1))
+    return random_density(d, rank, rng)
 
-    The loop run_suite ran before it scored measure-check cells as stacks,
-    kept as the reference: the same draws in the same order, each trial
-    scored by reference_records, and any exception turned into an error record.
+
+def sampled_inputs(cfg, check, d, rng):
+    """A suite trial's arguments for its public check after the kind (observations: ensemble last).
+
+    Drawn from the trial's stream in the suite's order and formed one public
+    sampler call at a time: random_density, random_incoherent_channel,
+    random_channel and haar_unitary, where the suite forms each cell at once.
+    """
+    lo, hi = cfg.n_kraus_range
+    if check == "convexity":
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+        return weights, [sampled_state(cfg, d, rng) for _ in weights]
+    rho = sampled_state(cfg, d, rng)
+    if check in ("strong_monotonicity", "monotonicity", "holder"):
+        return rho, random_incoherent_channel(d, int(rng.integers(lo, hi + 1)), rng)
+    sigma = sampled_state(cfg, d, rng)
+    ch = random_channel(d, int(rng.integers(lo, hi + 1)), rng)
+    if check == "lemma1":
+        return rho, sigma, ch
+    unitary = haar_unitary(d, rng)
+    delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // d))))
+    weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+    ensemble = [(float(w), sampled_state(cfg, d, rng), sampled_state(cfg, d, rng)) for w in weights]
+    return rho, sigma, ch, unitary, delta_diag, ensemble
+
+
+def per_trial_records(cfg):
+    """run_suite's records, one trial and one scalar reference at a time.
+
+    The loop run_suite ran before it formed and scored cells as stacks, kept
+    as the reference: the same draws in the same order (sampled_inputs), each
+    trial scored by reference_records, and any exception turned into an error record.
     """
     cells = [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
     records = []
     for cell_index, (check, dim, alpha) in enumerate(cells):
         for trial in range(cfg.trials_per_cell):
-            rng = substream(cfg.master_seed, cell_index, trial)
             try:
-                if check == "convexity":
-                    size = int(rng.integers(2, 5))
-                    weights = rng.dirichlet(np.ones(size))
-                    inputs = (weights, [_draw_state(cfg, dim, rng) for _ in range(size)])
-                else:
-                    inputs = _draw_state_channel(cfg, dim, rng)
+                inputs = sampled_inputs(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
                 records.extend(
                     reference_records(check, cfg.kind, inputs, alpha, cfg.tolerance, cfg.master_seed, trial)
                 )
@@ -1192,15 +1216,59 @@ def raising_on_call(fn, call, exc_type=RuntimeError):
     return wrapper
 
 
-def returning_on_call(fn, call, value):
-    """fn, except that its `call`-th call (counting from 0) returns `value` instead."""
-    calls = []
+def raising_draw(monkeypatch, name, call):
+    """Patch the draw `name` (density_factor, incoherent_draw or channel_draw) so its `call`-th call raises.
 
-    def wrapper(*args, **kwargs):
-        calls.append(None)
-        return value if len(calls) - 1 == call else fn(*args, **kwargs)
+    Returns the function that does the same to the public samplers, whose module calls the draw;
+    a suite run and the per-trial loop then meet the failure on the same draw.
+    """
+    import alphacoh.channels as channels
+    import alphacoh.harness as harness
+    import alphacoh.states as states
 
-    return wrapper
+    source = states if name == "density_factor" else channels
+    original = getattr(source, name)
+    monkeypatch.setattr(harness, name, raising_on_call(original, call))
+
+    def in_the_samplers():
+        monkeypatch.setattr(harness, name, original)
+        monkeypatch.setattr(source, name, raising_on_call(original, call))
+
+    return in_the_samplers
+
+
+def replaced_at_trial_3(monkeypatch, replace):
+    """Patch the harness's cell formation so `replace(cell)` edits each cell's inputs (trial 3's) after _form."""
+    import alphacoh.harness as harness
+
+    original = harness._form
+
+    def form(check, draws):
+        cell = original(check, draws)
+        replace(cell)
+        return cell
+
+    monkeypatch.setattr(harness, "_form", form)
+
+
+def coherent_channel_at_trial_3(cell):
+    """Trial 3's channel made one Haar unitary: complete, and coherent."""
+    cell.kraus[3] = 0.0
+    cell.kraus[3, 0] = haar_unitary(cell.kraus.shape[-1], substream(43))
+
+
+def assert_only_trial_3_changed(new, old, error):
+    """new is old except that trial 3's one record is an error record carrying `error`'s class and message."""
+    assert [repr(r) for r in new[:3] + new[4:]] == [repr(r) for r in old[:3] + old[4:]]
+    assert new[3].error == f"{type(error).__name__}: {error}"
+    assert (new[3].trial, old[3].trial, old[3].error) == (3, 3, "")
+
+
+def public_error(call) -> Exception:
+    """The exception a public check call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
 
 
 class TestStackedCell:
@@ -1219,55 +1287,66 @@ class TestStackedCell:
         )
         self.assert_same_records(run_suite(cfg).records, per_trial_records(cfg))
 
-    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
-    def test_a_draw_that_raises_keeps_its_place(self, check, monkeypatch):
+    def test_one_formation_per_cell(self, monkeypatch):
+        # trials draw their numbers alone; the cell forms and gates them once, and builds no KrausChannel
         import alphacoh.harness as harness
 
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=10, checks=("strong_monotonicity",), master_seed=44)
+        draws = [harness._draw(cfg, "strong_monotonicity", 3, substream(44, 0, t)) for t in range(10)]
+        ranks = {draw.factors[0].shape[1] for draw in draws}
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("kraus_stack", "state_from_factor", "completeness_refusals"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        monkeypatch.setattr(KrausChannel, "__post_init__", counting("KrausChannel", KrausChannel.__post_init__))
+        summary = run_suite(cfg)
+        assert len(summary.records) == 10 and not any(r.error for r in summary.records)
+        assert len(ranks) > 1  # the mixed ranks make more than one formation group
+        assert sorted(calls) == sorted(["kraus_stack", "completeness_refusals"] + ["state_from_factor"] * len(ranks))
+
+    @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
+    def test_a_draw_that_raises_keeps_its_place(self, check, monkeypatch):
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=22)
-        name = "random_density" if check == "convexity" else "random_incoherent_channel"
-        original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, raising_on_call(original, 3))
+        in_the_samplers = raising_draw(monkeypatch, "density_factor" if check == "convexity" else "incoherent_draw", 3)
         new = run_suite(cfg).records
-        monkeypatch.setattr(harness, name, raising_on_call(original, 3))
+        in_the_samplers()
         self.assert_same_records(new, per_trial_records(cfg))
         assert [r.error for r in new].count("RuntimeError: synthetic draw failure") == 1
 
     @pytest.mark.parametrize("check", ["strong_monotonicity", "monotonicity"])
     def test_a_coherent_draw_gets_the_scalar_error(self, check, monkeypatch):
-        import alphacoh.harness as harness
-
-        def coherent_on_call(call):
-            calls = []
-
-            def draw(d, n_kraus, rng):
-                calls.append(None)
-                return (random_channel if len(calls) - 1 == call else random_incoherent_channel)(d, n_kraus, rng)
-
-            return draw
-
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=23)
-        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
+        old = run_suite(cfg).records
+        self.assert_same_records(old, per_trial_records(cfg))
+        replaced_at_trial_3(monkeypatch, coherent_channel_at_trial_3)
         new = run_suite(cfg).records
-        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
-        self.assert_same_records(new, per_trial_records(cfg))
+        rho = sampled_inputs(cfg, check, 3, substream(cfg.master_seed, 0, 3))[0]
+        ch = KrausChannel(haar_unitary(3, substream(43))[None])
+        public = {"strong_monotonicity": check_strong_monotonicity, "monotonicity": check_monotonicity}[check]
+        assert_only_trial_3_changed(new, old, public_error(lambda: public(cfg.kind, rho, ch, 0.5)))
         assert new[3].error.startswith("NotIncoherentChannelError: ")
 
     def test_an_image_the_gate_refuses_gets_the_scalar_error(self, monkeypatch):
-        import alphacoh.harness as harness
-
         rho, ch = image_refused_by_the_gate()
-        draws = {"_draw_state": rho, "random_incoherent_channel": ch}
-        originals = {name: getattr(harness, name) for name in draws}
 
-        def refused_draw_at_trial_3():
-            for name, value in draws.items():
-                monkeypatch.setattr(harness, name, returning_on_call(originals[name], 3, value))
+        def refused_inputs_at_trial_3(cell):
+            assert cell.kraus.shape[1] >= ch.n_kraus  # room for its three operators beside the zero padding
+            cell.states[3, 0] = rho
+            cell.kraus[3] = 0.0
+            cell.kraus[3, : ch.n_kraus] = ch.kraus
 
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("monotonicity",), master_seed=26)
-        refused_draw_at_trial_3()
+        old = run_suite(cfg).records
+        replaced_at_trial_3(monkeypatch, refused_inputs_at_trial_3)
         new = run_suite(cfg).records
-        refused_draw_at_trial_3()
-        self.assert_same_records(new, per_trial_records(cfg))
+        assert_only_trial_3_changed(new, old, public_error(lambda: check_monotonicity(cfg.kind, rho, ch, 0.5)))
         assert new[3].error.startswith("NotHermitianError: not Hermitian")
         assert [bool(r.error) for r in new] == [False, False, False, True, False, False]
 
@@ -1338,43 +1417,6 @@ class TestStackedCell:
             assert len(calls) == 2 and calls[0][1] >= 14 and calls[1] == ("measure_values", 7)
 
 
-def per_trial_functional_records(cfg):
-    """run_suite's records for the functional checks, one trial and one scalar reference at a time.
-
-    The loop run_suite ran before it scored functional-check cells as stacks,
-    kept as the reference: the same draws in the same order, each trial
-    scored by reference_records, and any exception turned into an error record.
-    """
-    import alphacoh.harness as harness
-
-    lo, hi = cfg.n_kraus_range
-    cells = [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
-    records = []
-    for cell_index, (check, dim, alpha) in enumerate(cells):
-        for trial in range(cfg.trials_per_cell):
-            rng = substream(cfg.master_seed, cell_index, trial)
-            try:
-                if check == "holder":
-                    inputs = _draw_state_channel(cfg, dim, rng)
-                else:
-                    rho, sigma = _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)
-                    ch = harness.random_channel(dim, int(rng.integers(lo, hi + 1)), rng)
-                    inputs = (rho, sigma, ch)
-                if check == "observations":
-                    unitary = harness.haar_unitary(dim, rng)
-                    delta_diag = rng.dirichlet(np.ones(max(1, min(3, 12 // dim))))
-                    weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
-                    ensemble = [(float(w), _draw_state(cfg, dim, rng), _draw_state(cfg, dim, rng)) for w in weights]
-                    inputs += (unitary, delta_diag, ensemble)
-                records.extend(
-                    reference_records(check, cfg.kind, inputs, alpha, cfg.tolerance, cfg.master_seed, trial)
-                )
-            except Exception as exc:
-                records.append(error_record(cfg, check, dim, alpha, trial, exc))
-    return records
-
-
-
 class TestStackedFunctionalCell:
     """Functional-check cells scored as stacks give the per-trial loop's records, bit for bit."""
 
@@ -1388,37 +1430,26 @@ class TestStackedFunctionalCell:
             dims=(2, 3, 4), alphas=(0.25, 0.75, 1.5, 2.0), trials_per_cell=trials,
             checks=(check,), rank_policy=rank_policy, master_seed=31,
         )
-        self.assert_same_records(run_suite(cfg).records, per_trial_functional_records(cfg))
+        self.assert_same_records(run_suite(cfg).records, per_trial_records(cfg))
 
     @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
     def test_a_draw_that_raises_keeps_its_place(self, check, monkeypatch):
-        import alphacoh.harness as harness
-
         cfg = TrialConfig(dims=(3,), alphas=(1.5,), trials_per_cell=6, checks=(check,), master_seed=32)
-        original = harness.random_density
-        monkeypatch.setattr(harness, "random_density", raising_on_call(original, 3))
+        in_the_samplers = raising_draw(monkeypatch, "density_factor", 3)
         new = run_suite(cfg).records
-        monkeypatch.setattr(harness, "random_density", raising_on_call(original, 3))
-        self.assert_same_records(new, per_trial_functional_records(cfg))
+        in_the_samplers()
+        self.assert_same_records(new, per_trial_records(cfg))
         assert [r.error for r in new].count("RuntimeError: synthetic draw failure") == 1
 
     def test_a_coherent_holder_channel_gets_the_scalar_error(self, monkeypatch):
-        import alphacoh.harness as harness
-
-        def coherent_on_call(call):
-            calls = []
-
-            def draw(d, n_kraus, rng):
-                calls.append(None)
-                return (random_channel if len(calls) - 1 == call else random_incoherent_channel)(d, n_kraus, rng)
-
-            return draw
-
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("holder",), master_seed=33)
-        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
+        old = run_suite(cfg).records
+        self.assert_same_records(old, per_trial_records(cfg))
+        replaced_at_trial_3(monkeypatch, coherent_channel_at_trial_3)
         new = run_suite(cfg).records
-        monkeypatch.setattr(harness, "random_incoherent_channel", coherent_on_call(3))
-        self.assert_same_records(new, per_trial_functional_records(cfg))
+        rho = sampled_inputs(cfg, "holder", 3, substream(cfg.master_seed, 0, 3))[0]
+        ch = KrausChannel(haar_unitary(3, substream(43))[None])
+        assert_only_trial_3_changed(new, old, public_error(lambda: check_holder_step(rho, ch, 0.5)))
         assert new[3].error.startswith("NotIncoherentChannelError: ")
 
     @staticmethod
@@ -1442,7 +1473,7 @@ class TestStackedFunctionalCell:
     @pytest.mark.parametrize("poison", [math.nan])
     def test_a_non_finite_value_is_scored_alone(self, check, poison, monkeypatch):
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
-        old = per_trial_functional_records(cfg)
+        old = per_trial_records(cfg)
         poisoned = self.poison_2_of_the_first_stack(monkeypatch, poison)
         new = run_suite(cfg).records
         assert poisoned and poisoned[0] >= 6
@@ -1454,7 +1485,7 @@ class TestStackedFunctionalCell:
         import alphacoh.harness as harness
 
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
-        old = per_trial_functional_records(cfg)
+        old = per_trial_records(cfg)
         poisoned = self.poison_2_of_the_first_stack(monkeypatch, math.inf)
         scalar_calls = []
         original_trial = harness._one_trial
@@ -1479,7 +1510,7 @@ class TestStackedFunctionalCell:
         import alphacoh.harness as harness
 
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("holder",), master_seed=37)
-        old = per_trial_functional_records(cfg)
+        old = per_trial_records(cfg)
         original, poisoned = harness.closed_form, []
 
         def nan_delta_at_2_of_the_first_stack(kind, lam, vecs, alpha):
@@ -1508,7 +1539,7 @@ class TestStackedFunctionalCell:
             return original(a_mats, b_mats, alpha)
 
         cfg = TrialConfig(dims=(2,), alphas=(0.25, 2.0), trials_per_cell=5, checks=(check,), master_seed=35)
-        old = per_trial_functional_records(cfg)
+        old = per_trial_records(cfg)
         monkeypatch.setattr(harness, "functional_values", first_stack_of_each_cell_raises)
         self.assert_same_records(run_suite(cfg).records, old)
         assert raised == [0.25, 2.0]
@@ -1555,19 +1586,17 @@ class TestStackedFunctionalCell:
         assert all(len(shape) == 3 and shape[0] >= 7 for shape in calls)
 
     def test_error_records_carry_the_functional_kind(self, monkeypatch):
-        import alphacoh.harness as harness
-
         cfg = TrialConfig(
             dims=(3,), alphas=(0.5,), trials_per_cell=3, checks=("lemma1",), kind="tsallis", master_seed=38
         )
-        monkeypatch.setattr(harness, "random_channel", raising_on_call(harness.random_channel, 1))
+        raising_draw(monkeypatch, "channel_draw", 1)
         records = run_suite(cfg).records
         assert [r.kind for r in records] == ["f_alpha"] * 3
         assert [r.error for r in records] == ["", "RuntimeError: synthetic draw failure", ""]
 
 
 def public_check_call(check, kind, inputs, alpha, tolerance=DEFAULT_TOLERANCE):
-    """The public check of `check` on one drawn trial (inputs in _draw_inputs order), as a list of records."""
+    """The public check of `check` on one drawn trial (inputs in sampled_inputs order), as a list of records."""
     if check == "observations":
         return check_observations(*inputs[:-1], alpha, ensemble=inputs[-1], tolerance=tolerance)
     if check in FUNCTIONAL_CHECK_NAMES:
@@ -1589,13 +1618,13 @@ class TestStackOfOne:
 
         calls, original = [], harness._stacked_sides
 
-        def counting(check, kind, inputs, alpha):
-            calls.append(len(inputs))
-            return original(check, kind, inputs, alpha)
+        def counting(check, kind, cell, alpha):
+            calls.append(len(cell.states))
+            return original(check, kind, cell, alpha)
 
         monkeypatch.setattr(harness, "_stacked_sides", counting)
         cfg = TrialConfig(dims=(3,), checks=(check,))
-        inputs = harness._draw_inputs(cfg, check, 3, substream(39))
+        inputs = sampled_inputs(cfg, check, 3, substream(39))
         assert public_check_call(check, "tsallis", inputs, 1.5)
         assert calls == [1]
 
@@ -1607,7 +1636,7 @@ class TestStackOfOne:
         cfg = TrialConfig(dims=(d,), checks=(check,))
         kinds = MEASURE_KINDS if check in MEASURE_CHECK_NAMES else ("alpha",)
         for trial in range(6):
-            inputs = harness._draw_inputs(cfg, check, d, substream(40, d, trial))
+            inputs = sampled_inputs(cfg, check, d, substream(40, d, trial))
             for kind in kinds:
                 # the kinds outside the families take no alpha or ignore a given one
                 for alpha in (0.25, 1.5, 2.0) if kind in ("alpha", "tsallis", "relent") else (None, 0.5):
@@ -1647,7 +1676,7 @@ class TestStackOfOne:
         monkeypatch.setattr(harness, "measure_values", raising)
         monkeypatch.setattr(harness, "functional_values", raising)
         cfg = TrialConfig(dims=(3,), checks=(check,))
-        inputs = harness._draw_inputs(cfg, check, 3, substream(42))
+        inputs = sampled_inputs(cfg, check, 3, substream(42))
         with pytest.raises(np.linalg.LinAlgError, match="synthetic stack failure"):
             public_check_call(check, "tsallis", inputs, 1.5)
 
@@ -1780,7 +1809,8 @@ class TestInputGates:
     TOLERANCE_ENTRIES = [pytest.param(lambda t: TrialConfig(tolerance=t), id="TrialConfig")] + [
         pytest.param(
             lambda t, check=check: public_check_call(
-                check, "tsallis", _draw_inputs(TrialConfig(dims=(3,), checks=(check,)), check, 3, substream(39)), 0.5, t
+                check, "tsallis", sampled_inputs(TrialConfig(dims=(3,), checks=(check,)), check, 3, substream(39)),
+                0.5, t,
             ),
             id=check,
         )

@@ -33,6 +33,7 @@ from alphacoh.linalg import (
     powered_eigenvalues,
     spectral_decompose,
     spectrum_memo,
+    spectrum_power,
     validated_spectrum,
 )
 from alphacoh.states import random_density, save_state
@@ -163,6 +164,16 @@ class TestSpectrumMemo:
         optimal_incoherent_state(rho, 0.5), alpha_diagonal(rho, 1.5), skew_info_sum(rho)
         assert calls == [(4, 4)]
 
+    def test_matrix_power_reads_the_memo(self, rng, monkeypatch):
+        rho = random_density(3, 2, rng(37))
+        expected = [spectrum_power(*eigh_clamped(rho.copy()), p) for p in (0.5, 0.0, 1.5)]  # before the count starts
+        calls = self._count_eigh(monkeypatch)
+        measure_value("alpha", rho, 0.5)
+        powers = [matrix_power(rho, p) for p in (0.5, 0.0, 1.5)]
+        assert calls == [(3, 3)]
+        for power, value in zip(powers, expected):
+            np.testing.assert_array_equal(power, value)
+
     def test_a_sweep_decomposes_its_state_once(self, rng, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.json"
         save_state(path, random_density(4, 3, rng(25)))
@@ -276,6 +287,21 @@ class TestMatrixPower:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError, match="p >= 0"):
             matrix_power(np.diag([4.0, 1.0]), -0.5)
+
+    @pytest.mark.parametrize(
+        "p, error, match",
+        [
+            (float("nan"), ValueError, "^matrix_power takes finite exponents p >= 0, got nan$"),
+            (float("inf"), ValueError, "^matrix_power takes finite exponents p >= 0, got inf$"),
+            (-0.5, ValueError, "^matrix_power takes finite exponents p >= 0, got -0.5$"),
+            (True, TypeError, "^p must be a real number, got True$"),
+            ("1", TypeError, "^p must be a real number, got '1'$"),
+        ],
+    )
+    def test_one_exponent_gate(self, p, error, match):
+        # NaN used to give an all-NaN matrix with no warning, True exponent 1, and "1" a comparison TypeError
+        with pytest.raises(error, match=match):
+            matrix_power(np.diag([0.25, 0.75]), p)
 
     def test_rejects_genuinely_negative_eigenvalue(self):
         with pytest.raises(NegativeEigenvalueError):

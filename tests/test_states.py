@@ -13,6 +13,8 @@ from alphacoh.states import (
     BadWeightsError,
     dephase,
     embed_diagonal,
+    ginibre,
+    haar_from_ginibre,
     haar_unitary,
     load_state,
     maximally_coherent,
@@ -159,6 +161,30 @@ def test_validate_probability_vector_refuses_imaginary_parts():
 def test_haar_unitary_is_unitary(rng):
     u = haar_unitary(5, rng(12))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, error, match",
+    [(0, ValueError, "^d must be >= 1, got 0$"), (2.0, TypeError, "^d must be an integer, got 2.0$"),
+     (True, TypeError, "^d must be an integer, got True$")],
+)
+def test_haar_unitary_takes_a_count(d, error, match):
+    # 0 gave a 0 x 0 array, and 2.0 and True numpy's TypeErrors, which did not name d
+    with pytest.raises(error, match=match):
+        haar_unitary(d, substream(14))
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_a_stacked_qr_has_the_bits_of_one_matrix_at_a_time(d):
+    # the suite forms every Haar unitary of a cell and size in one call; sizes d * n_kraus reach 16
+    g = ginibre((6, d, d), substream(13, d))
+    q, r = np.linalg.qr(g)
+    unitaries = haar_from_ginibre(g)
+    for b in range(len(g)):
+        q_b, r_b = np.linalg.qr(g[b])
+        np.testing.assert_array_equal(q[b], q_b)
+        np.testing.assert_array_equal(r[b], r_b)
+        np.testing.assert_array_equal(unitaries[b], haar_from_ginibre(g[b]))
 
 
 class TestStreams:
