@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import check_count
-from .linalg import DimMismatchError, as_square_matrix
+from .linalg import DimMismatchError, as_square_matrix, raise_first, refusals_where
 from .states import ginibre, haar_from_ginibre, load_entries, save_entries
 
 COMPLETENESS_TOL = 1e-9
@@ -44,9 +44,7 @@ class KrausChannel:
             raise ValueError(f"Kraus operators must share one square shape, got {ops.shape[1:]}")
         if not np.all(np.isfinite(ops)):
             raise ValueError("Kraus entries must be finite")
-        refusal = completeness_refusals(ops[None]).get(0)
-        if refusal is not None:
-            raise refusal
+        raise_first(completeness_refusals(ops[None]))
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
@@ -67,10 +65,8 @@ def completeness_refusals(kraus: np.ndarray) -> dict[int, ValueError]:
     """
     complete = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
     deviation = np.abs(complete - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
-    return {
-        int(t): ValueError(f"completeness violated: max |sum K^dag K - I| = {deviation[t]:.3e}")
-        for t in np.flatnonzero(deviation > COMPLETENESS_TOL)
-    }
+    message = "completeness violated: max |sum K^dag K - I| = {:.3e}"
+    return refusals_where(deviation > COMPLETENESS_TOL, lambda t: ValueError(message.format(deviation[t])))
 
 
 @dataclass(frozen=True, eq=False)

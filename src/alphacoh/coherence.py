@@ -14,11 +14,12 @@ power-mean S = sum_j a_j^(1/alpha):
 
 Both are evaluated by one kernel, ``closed_form``: a kind-free power mean and
 the kind's readout of it. ``measure_values`` is the one evaluation path of every
-measure kind over a stack, shared with the harness. The scalar API reads the
-spectrum from ``linalg.spectrum_memo``, with its alpha-free terms max(lam, 0) and
-|V|^2, and keeps one power mean per gated alpha there, so every kind, alpha,
-minimizer and oracle call on one state shares one eigendecomposition, and each
-(state, alpha) pair is evaluated once.
+measure kind over a stack, shared with the harness; beside its values it returns
+each refused entry's error, and the scalar API raises its state's. The scalar
+API reads the spectrum from ``linalg.spectrum_memo``, with its alpha-free terms
+max(lam, 0) and |V|^2, and keeps one power mean per gated alpha there, so every
+kind, alpha, minimizer and oracle call on one state shares one
+eigendecomposition, and each (state, alpha) pair is evaluated once.
 
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
@@ -34,7 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import check_count, near_one, shannon_entropy, validate_alpha
-from .linalg import as_hermitian, as_square_matrix, diagonal_terms, eigh_clamped, spectrum_memo, spectrum_power
+from .linalg import as_hermitian, as_square_matrix, diagonal_terms, eigh_clamped, psd_refusals
+from .linalg import raise_first, refusals_where, spectrum_memo, spectrum_power
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
 # the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,
@@ -76,38 +78,41 @@ def _diagonal(weights: np.ndarray, overlaps: np.ndarray, alpha: float) -> np.nda
 
 
 def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
-    """C_alpha (kind "alpha") or Ct_alpha (kind "tsallis") and the optimal delta.
+    """C_alpha (kind "alpha") or Ct_alpha (kind "tsallis"), the optimal delta, and the refusals.
 
-    Takes one spectrum (lam (d,), vecs (d, d)) or a stack ((..., d), (..., d, d))
-    and returns (value, delta) with matching leading shape. Eigenvalues within
-    1e-12 of zero must already be exact zeros, as spectral_decompose leaves
-    them. It is the kind's readout of the kind-free power mean (_power_mean).
-
-    One spectrum whose largest a_j is below DEGENERATE_DIAGONAL_TOL (no state can
-    get there) raises DegenerateDiagonalError, at every alpha. In a stack such entries
-    come out NaN, silenced by measure_values under np.errstate. No alpha is
-    checked here: the scalar API and the search gate it first.
+    Takes one spectrum (lam (d,), vecs (d, d)) or a stack ((n, d), (n, d, d)),
+    clamped as spectral_decompose leaves it, and returns (value, delta, refusals)
+    with value and delta of matching leading shape: the kind's readout of the
+    kind-free power mean (_power_mean). An entry whose largest a_j is below
+    DEGENERATE_DIAGONAL_TOL (no state gets there) is refused at every alpha:
+    refusals maps its index to a DegenerateDiagonalError, and its value and delta
+    are NaN, with no warning. The scalar API raises the refusal of its one state.
+    No alpha is checked here: the scalar API and the search gate it first.
     """
-    return _readout(kind, alpha, _power_mean(*diagonal_terms(lam, vecs), alpha))
+    terms, refusals = _power_mean(*diagonal_terms(lam, vecs), alpha)
+    return (*_readout(kind, alpha, terms), refusals)
 
 
-def _power_mean(weights: np.ndarray, overlaps: np.ndarray, alpha: float) -> tuple:
-    """closed_form's kind-free terms: (peak, total, delta), or (value, populations) at alpha ~ 1.
+def _power_mean(weights: np.ndarray, overlaps: np.ndarray, alpha: float) -> tuple[tuple, dict]:
+    """closed_form's kind-free terms, (peak, total, delta) or (value, populations) at alpha ~ 1, and its refusals.
 
     S = sum_j a_j^(1/alpha) = peak^(1/alpha) total with total = sum_j (a_j/peak)^(1/alpha),
     which never loses S to underflow at small alpha, and delta_j = a_j^(1/alpha) / S.
     At alpha ~ 1 both kinds are S(diag rho) - S(rho), with the dephased populations.
+    The one site of the vanished-diagonal rule: a refused entry's a_j are NaN, so its terms are too.
     """
     diag = _diagonal(weights, overlaps, 1.0 if near_one(alpha) else alpha)
     peak = diag.max(axis=-1, keepdims=True)
-    if diag.ndim == 1 and peak[0] < DEGENERATE_DIAGONAL_TOL:
-        raise DegenerateDiagonalError("diagonal of rho^alpha vanished entirely")
+    vanished = peak < DEGENERATE_DIAGONAL_TOL
+    refusals = refusals_where(vanished, lambda t: DegenerateDiagonalError("diagonal of rho^alpha vanished entirely"))
+    if refusals:
+        diag, peak = (np.where(vanished, np.nan, v) for v in (diag, peak))
     if near_one(alpha):
         pops = diag / diag.sum(axis=-1, keepdims=True)
-        return shannon_entropy(pops) - shannon_entropy(weights), pops
+        return (shannon_entropy(pops) - shannon_entropy(weights), pops), refusals
     roots = (diag / peak) ** (1.0 / alpha)
     total = roots.sum(axis=-1, keepdims=True)
-    return peak[..., 0], total[..., 0], roots / total
+    return (peak[..., 0], total[..., 0], roots / total), refusals
 
 
 def _readout(kind: str, alpha: float, terms: tuple) -> tuple:
@@ -123,8 +128,9 @@ def _readout(kind: str, alpha: float, terms: tuple) -> tuple:
 def _memo_power_mean(rho, alpha: float) -> tuple:
     """_power_mean of rho's validated spectrum, kept in the spectrum's memo per gated alpha."""
     memo = spectrum_memo(rho)
-    if alpha not in memo.derived:  # a raising evaluation stores nothing
-        terms = _power_mean(memo.weights, memo.overlaps, alpha)
+    if alpha not in memo.derived:  # a refused evaluation stores nothing
+        terms, refusals = _power_mean(memo.weights, memo.overlaps, alpha)
+        raise_first(refusals)
         terms[-1].flags.writeable = False  # the delta leaves only as a copy
         memo.derived[alpha] = terms
     return memo.derived[alpha]
@@ -355,8 +361,11 @@ def measure_value(kind: str, rho, alpha: float | None = None) -> float:
         return float(_readout(kind, alpha, _memo_power_mean(rho, alpha))[0])
     if kind == "skew":
         spectrum = spectrum_memo(rho).spectrum  # the gate, before rho is read
-        return float(_skew(np.asarray(rho, dtype=complex), *spectrum))
-    return float(measure_values(kind, as_hermitian(rho), alpha))
+        value, refusals = _skew(np.asarray(rho, dtype=complex), *spectrum)
+    else:
+        value, refusals = measure_values(kind, as_hermitian(rho), alpha)
+    raise_first(refusals)
+    return float(value)
 
 
 def check_measure_alpha(kind: str, alpha: float | None) -> float | None:
@@ -368,35 +377,41 @@ def check_measure_alpha(kind: str, alpha: float | None) -> float | None:
     return None
 
 
-def measure_values(kind: str, states: np.ndarray, alpha: float | None = None) -> np.ndarray:
-    """Any measure kind over one state (d, d) or a stack (..., d, d), with no input checks.
+def measure_values(kind: str, states: np.ndarray, alpha: float | None = None) -> tuple[np.ndarray, dict]:
+    """Any measure kind over one state (d, d) or a stack (n, d, d), with no input checks, and its refusals.
 
-    Each entry has the bits measure_value gives that state, and one state raises
-    what it raises. A stack's family entry with a vanished diagonal is NaN, silently.
+    Each entry has the bits measure_value gives that state. The refusals map each entry a kind's rule refuses
+    to the error measure_value raises on that state: a vanished diagonal for the families (their entry is NaN),
+    a negative eigenvalue or disagreeing forms for skew.
     """
     if kind in ("alpha", "tsallis", "relent"):
         family, order = ("alpha", 1.0) if kind == "relent" else (kind, alpha)
-        lam, vecs = eigh_clamped(states)
-        with np.errstate(divide="ignore", invalid="ignore"):  # one state raises before any division
-            return closed_form(family, lam, vecs, order)[0]
+        value, _, refusals = closed_form(family, *eigh_clamped(states), order)
+        return value, refusals
     if kind == "l1":
         mods = np.abs(states)
-        return mods.sum(axis=(-2, -1)) - np.trace(mods, axis1=-2, axis2=-1)
+        return mods.sum(axis=(-2, -1)) - np.trace(mods, axis1=-2, axis2=-1), {}
     if kind == "c2":
         diag_sq = np.clip(np.diagonal(states @ states, axis1=-2, axis2=-1).real, 0.0, None)
-        return np.sum(np.sqrt(diag_sq), axis=-1) - 1.0
+        return np.sum(np.sqrt(diag_sq), axis=-1) - 1.0, {}
     if kind == "skew":
         return _skew(states, *eigh_clamped(states))
     raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")
 
 
-def _skew(states: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """skew_info_sum of one state or a stack from its clamped spectrum; both forms must agree."""
+def _skew(states: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """skew_info_sum of one state or a stack from its clamped spectrum, and its refusals by index.
+
+    A state is refused when it is not PSD (psd_refusals), then when the two forms differ beyond 1e-10.
+    """
     root = spectrum_power(lam, vecs, 0.5)
     diag_root_sq = np.diagonal(root, axis1=-2, axis2=-1).real ** 2
     values = np.sum(np.diagonal(states, axis1=-2, axis2=-1).real - diag_root_sq, axis=-1)
     # -(1/2) sum_i Tr [root, |i><i|]^2 = sum_i ((root^2)_ii - root_ii^2)
     commutator = np.einsum("...ij,...ji->...", root, root).real - np.sum(diag_root_sq, axis=-1)
-    if not np.all(np.abs(values - commutator) <= 1e-10):
-        raise SkewFormsDisagreeError(f"skew information forms disagree: {values} vs {commutator}")
-    return values
+    flat, other = values.reshape(-1), commutator.reshape(-1)
+    disagree = refusals_where(
+        ~(np.abs(flat - other) <= 1e-10),
+        lambda t: SkewFormsDisagreeError(f"skew information forms disagree: {flat[t]} vs {other[t]}"),
+    )
+    return values, {**disagree, **psd_refusals(lam)}

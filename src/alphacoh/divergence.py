@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .linalg import DimMismatchError, as_hermitian, eigh_clamped, powered_eigenvalues, real_number, validated_spectrum
+from .linalg import as_hermitian, eigh_clamped, powered_eigenvalues, real_number, size_mismatch, validated_spectrum
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -69,10 +69,10 @@ def sgn1(alpha: float) -> float:
 
 
 def _gated_pair(a_mat, b_mat):
-    """Two operands as as_hermitian returns them, or DimMismatchError when their sizes differ."""
+    """Two operands as as_hermitian returns them, or size_mismatch's DimMismatchError when their sizes differ."""
     a_mat, b_mat = as_hermitian(a_mat), as_hermitian(b_mat)
     if a_mat.shape != b_mat.shape:
-        raise DimMismatchError(f"operands differ in dimension: {len(a_mat)} vs {len(b_mat)}")
+        raise size_mismatch(len(a_mat), len(b_mat))
     return a_mat, b_mat
 
 

@@ -44,10 +44,10 @@ from .coherence import (
     closed_form,
     measure_value,
     measure_values,
-    optimal_incoherent_state,
 )
-from .divergence import _gated_pair, check_count, functional_values, near_one, sgn1
-from .linalg import DimMismatchError, as_square_matrix, eigh_clamped, hermitian_mask, real_number
+from .divergence import check_count, functional_values, near_one, sgn1
+from .linalg import as_square_matrix, eigh_clamped, matrix_refusals, raise_first, real_number
+from .linalg import size_mismatch
 from .states import BadWeightsError, density_factor, ginibre, haar_from_ginibre, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -83,11 +83,18 @@ def _check_kraus_range(n_kraus_range) -> tuple[int, int]:
 
 
 def _check_alphas(alphas) -> tuple[float, ...]:
-    """A nonempty tuple of alphas, each through check_alpha_floor."""
+    """A nonempty tuple of distinct alphas, each through check_alpha_floor."""
     alphas = tuple(check_alpha_floor(a) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
-    return alphas
+    return _distinct(alphas, "alphas")
+
+
+def _distinct(values: tuple, name: str) -> tuple:
+    """values, or a ValueError naming them if one repeats: rebuild_witness finds a record's cell by its key."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat, got {values}")
+    return values
 
 
 def _check_tolerance(tolerance) -> float:
@@ -113,7 +120,7 @@ class TrialConfig:
     kind: str = "alpha"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(check_count(d, "dims", 2) for d in self.dims))
+        object.__setattr__(self, "dims", _distinct(tuple(check_count(d, "dims", 2) for d in self.dims), "dims"))
         if not self.dims:
             raise ValueError("dims must be nonempty")
         object.__setattr__(self, "alphas", _check_alphas(self.alphas))
@@ -121,7 +128,7 @@ class TrialConfig:
         object.__setattr__(self, "n_kraus_range", _check_kraus_range(self.n_kraus_range))
         object.__setattr__(self, "master_seed", check_count(self.master_seed, "master_seed", 0))
         object.__setattr__(self, "tolerance", _check_tolerance(self.tolerance))
-        object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
+        object.__setattr__(self, "checks", _distinct(tuple(str(c) for c in self.checks), "checks"))
         if self.rank_policy not in ("full", "mixed-ranks"):
             raise ValueError(f"rank_policy must be 'full' or 'mixed-ranks', got {self.rank_policy!r}")
         if not self.checks:
@@ -131,13 +138,11 @@ class TrialConfig:
                 raise ValueError(f"unknown check {check!r}; choose from {ALL_CHECKS}")
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; choose from {MEASURE_KINDS}")
-        if DIVERGENCE_CHECKS.intersection(self.checks):
-            for a in self.alphas:
-                if near_one(a):
-                    raise ValueError(
-                        "alpha values within 1e-6 of 1 are not valid for the "
-                        "divergence-based checks (lemma1/holder/observations)"
-                    )
+        if DIVERGENCE_CHECKS.intersection(self.checks) and any(map(near_one, self.alphas)):
+            raise ValueError(
+                "alpha values within 1e-6 of 1 are not valid for the "
+                "divergence-based checks (lemma1/holder/observations)"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,7 @@ DIVERGED = (math.inf, math.inf)
 
 
 def _diverged(*values) -> bool:
-    """Whether an F value is +inf and none is NaN (a stacked gate's refusal, which must reach the sides)."""
+    """Whether an F value is +inf and none is NaN (a NaN no rule names is recorded as it is)."""
     return any(map(math.isinf, values)) and not any(map(math.isnan, values))
 
 
@@ -234,9 +239,7 @@ def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
         return TrialRecord(check, dim, alpha, kind, lhs, rhs, math.inf, True, seed, trial, True)
     margin = lhs - rhs
     scale = max(1.0, abs(lhs), abs(rhs))
-    return TrialRecord(
-        check, dim, alpha, kind, lhs, rhs, margin, margin >= -tolerance * scale, seed, trial
-    )
+    return TrialRecord(check, dim, alpha, kind, lhs, rhs, margin, margin >= -tolerance * scale, seed, trial)
 
 
 class _Cell(NamedTuple):
@@ -255,10 +258,6 @@ class _Cell(NamedTuple):
     members: np.ndarray | None = None  # (T, s, 2, d, d): the observations ensemble's pairs
     unitaries: np.ndarray | None = None  # (T, d, d)
     populations: np.ndarray | None = None  # (T, k): the observations ancilla's diagonal
-
-    def take(self, index) -> "_Cell":
-        """The cell of the trials at a list of indices, its padding kept."""
-        return _Cell(*(None if v is None else v[index] for v in self))
 
 
 def _input_gate(check: str, cell: _Cell) -> dict[int, Exception]:
@@ -303,7 +302,7 @@ def _cell_of(check: str, inputs) -> _Cell:
         if len(shape) != 2 or shape[0] != shape[1]:
             as_square_matrix(mat)  # raises its DimMismatchError
         elif shape != np.shape(operands[0]):  # _gated_pair's refusal
-            raise DimMismatchError(f"operands differ in dimension: {len(operands[0])} vs {shape[0]}")
+            raise size_mismatch(len(operands[0]), shape[0])
     if check == "convexity":
         return _assemble(check, [operands], weights=[weights])
     kraus = _padded([(inputs[1] if check in CHANNEL_CHECKS else inputs[2]).kraus])
@@ -319,17 +318,17 @@ def check_strong_monotonicity(kind, rho, ch: KrausChannel, alpha, *, tolerance=D
     contribute 0 to the average, biasing the right side down, i.e. toward
     pass; their mass is negligible by construction of the drop threshold.
     """
-    return _trial_records("strong_monotonicity", kind, (rho, ch), alpha, tolerance, -1, -1)[0]
+    return _trial_records("strong_monotonicity", kind, (rho, ch), alpha, tolerance)[0]
 
 
 def check_monotonicity(kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """C(rho) >= C(E(rho)) for the non-selective action of an incoherent channel."""
-    return _trial_records("monotonicity", kind, (rho, ch), alpha, tolerance, -1, -1)[0]
+    return _trial_records("monotonicity", kind, (rho, ch), alpha, tolerance)[0]
 
 
 def check_convexity(kind, weights, states, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
     """sum_i w_i C(rho_i) >= C(sum_i w_i rho_i)."""
-    return _trial_records("convexity", kind, (weights, states), alpha, tolerance, -1, -1)[0]
+    return _trial_records("convexity", kind, (weights, states), alpha, tolerance)[0]
 
 
 def check_lemma1(rho, sigma, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
@@ -343,7 +342,7 @@ def check_lemma1(rho, sigma, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLER
     A divergent term (alpha > 1, branch support mismatch) makes the direction
     unfalsifiable, so the trial is recorded as passed-degenerate.
     """
-    return _trial_records("lemma1", None, (rho, sigma, ch), alpha, tolerance, -1, -1)[0]
+    return _trial_records("lemma1", None, (rho, sigma, ch), alpha, tolerance)[0]
 
 
 def _lemma1_sides(sign, base, terms):
@@ -365,7 +364,7 @@ def check_holder_step(rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERAN
     channel must achieve equality. The record's lhs is whichever side the
     inequality bounds from above.
     """
-    return _trial_records("holder", None, (rho, ch), alpha, tolerance, -1, -1)[0]
+    return _trial_records("holder", None, (rho, ch), alpha, tolerance)[0]
 
 
 def _holder_sides(a, p, q, f_vals):
@@ -410,7 +409,7 @@ def check_observations(
     """
     ensemble = [(0.5, rho, sigma), (0.5, sigma, rho)] if ensemble is None else ensemble
     inputs = (rho, sigma, ch, unitary, delta_diag, ensemble)
-    return _trial_records("observations", None, inputs, alpha, tolerance, -1, -1)
+    return _trial_records("observations", None, inputs, alpha, tolerance)
 
 
 def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tensored):
@@ -430,10 +429,11 @@ def _observation_sides(sign, base, rotated, mapped, weights, parts, mixed, tenso
     ]
 
 
-def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> list[TrialRecord]:
-    """A public check's records: its gates, then _scored on the cell of its trial alone (_cell_of).
+def _trial_records(check: str, kind, inputs, alpha, tolerance) -> list[TrialRecord]:
+    """A public check's records: its gates, then _stacked_sides on the cell of its trial alone (_cell_of).
 
-    Alpha is gated first for the functional checks (check_alpha_floor), after the inputs for the measure checks.
+    Alpha is gated first for the functional checks (check_alpha_floor), after
+    the inputs for the measure checks. A refusal of the stack is raised.
     """
     if check in DIVERGENCE_CHECKS:
         alpha, kind = check_alpha_floor(alpha), "f_alpha"
@@ -442,44 +442,11 @@ def _trial_records(check: str, kind, inputs, alpha, tolerance, seed, trial) -> l
         sgn1(alpha)
     tolerance = _check_tolerance(tolerance)
     cell = _cell_of(check, inputs)
-    for refusal in _input_gate(check, cell).values():
-        raise refusal
+    raise_first(_input_gate(check, cell))
     alpha = alpha if check in DIVERGENCE_CHECKS else check_measure_alpha(kind, alpha)
-    return _scored(check, kind, cell, alpha, tolerance, seed, trial)
-
-
-def _scored(check: str, kind, cell: _Cell, alpha, tolerance, seed, trial) -> list[TrialRecord]:
-    """The records of a gated cell of one trial, from one _stacked_sides call.
-
-    A NaN side or a raising stack runs _refuse on what the stack formed, or on the cell's states if it raised.
-    """
-    try:
-        (sides,), formed = _stacked_sides(check, kind, cell, alpha)
-    except Exception as exc:  # the scalar gates name the refusal first; with none, the stack's error stands
-        sides, error = None, exc
-    if sides is None:
-        states = cell.states[cell.real_weights] if check == "convexity" else cell.states
-        _refuse(check, kind, alpha, [states[0] if check in CHANNEL_CHECKS else states])
-        raise error
-    if np.isnan(sides).any():  # a NaN no gate names is recorded as it is
-        _refuse(check, kind, alpha, formed)
-    return _records(check, formed[0].shape[-1], alpha, kind, sides, tolerance, seed, trial)
-
-
-def _refuse(check: str, kind, alpha, formed) -> None:
-    """Raise the first refusal of the scalar gates over a trial's matrix stacks, met in the scalar checks' order.
-
-    measure_value on each state, channel image or mixture; _gated_pair on each
-    pair; for holder, first optimal_incoherent_state on rho.
-    """
-    for i, stack in enumerate(formed):
-        for mat in stack:
-            if check not in DIVERGENCE_CHECKS:
-                measure_value(kind, mat, alpha)
-            elif check == "holder" and i == 0:
-                optimal_incoherent_state(mat, alpha)
-            else:
-                _gated_pair(*mat)
+    (sides,), refusals = _stacked_sides(check, kind, cell, alpha)
+    raise_first(refusals)
+    return _records(check, cell.states.shape[-1], alpha, kind, sides, tolerance, -1, -1)
 
 
 def _records(check: str, dim: int, alpha, kind, sides, tolerance, seed, trial) -> list[TrialRecord]:
@@ -572,69 +539,45 @@ def _by_shape(form, arrays: list) -> list:
     return formed
 
 
-def _one_trial(cfg: TrialConfig, check: str, alpha: float, cell: _Cell, trial: int) -> list[TrialRecord]:
-    """A gated trial a cell's stack left, scored alone: the cell of it alone, as its public check scores it."""
-    kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
-    return _scored(check, kind, cell, alpha, cfg.tolerance, cfg.master_seed, trial)
+def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, trial: int, outcome) -> list[TrialRecord]:
+    """A suite trial's records from its outcome: its list of (lhs, rhs), or the error of its draw, gate or stack."""
+    kind, seed = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind, cfg.master_seed
+    if not isinstance(outcome, Exception):
+        return _records(check, dim, alpha, kind, outcome, cfg.tolerance, seed, trial)
+    error = f"{type(outcome).__name__}: {outcome}"
+    return [TrialRecord(check, dim, alpha, kind, math.nan, math.nan, -math.inf, False, seed, trial, False, error)]
 
 
 def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
     # single source of the cell ordering; rebuild_witness depends on it
-    return [
-        (check, dim, alpha)
-        for check in cfg.checks
-        for dim in cfg.dims
-        for alpha in cfg.alphas
-    ]
-
-
-def _error_record(cfg: TrialConfig, check: str, dim: int, alpha: float, kind: str, trial: int, exc: Exception):
-    return TrialRecord(
-        check, dim, alpha, kind, math.nan, math.nan, -math.inf,
-        False, cfg.master_seed, trial, False, f"{type(exc).__name__}: {exc}",
-    )
+    return [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
 
 
 def _run_cell(task) -> list[TrialRecord]:
-    """One (check, dim, alpha) cell, formed and scored as stacks.
+    """One (check, dim, alpha) cell, formed and scored as stacks; _one_trial makes each trial's records.
 
-    Every trial draws from its own stream (_draw); a draw that raises gives
-    that error record. _form makes the cell of the rest at once, and one
-    _input_gate call refuses trials with their public check's error. One
-    _stacked_sides call scores the others. A trial with a NaN side, or every
-    trial if that call raised, goes to _one_trial: the stack of it alone, as its
-    public check scores it. So every record keeps the bits and error text of a
-    trial-at-a-time run.
+    Every trial draws from its own stream (_draw); a draw that raises gives that error record. _form makes
+    the cell of the rest at once, and one _stacked_sides call scores it beside each trial's first refusal;
+    a stacked call that raises gives each of them that error's record. One _input_gate call refuses trials
+    with their public check's error first. So every record has the bits and text of its public check's.
     """
     cfg, cell_index, check, dim, alpha = task
-    kind = "f_alpha" if check in DIVERGENCE_CHECKS else cfg.kind
-    records: list[list[TrialRecord] | None] = [None] * cfg.trials_per_cell
-    draws = {}
+    outcomes: dict[int, object] = {}  # each trial's draw, then its sides or the error that refused it
     for trial in range(cfg.trials_per_cell):
         try:
-            draws[trial] = _draw(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
+            outcomes[trial] = _draw(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
         except Exception as exc:  # aggregate, never abort the suite
-            records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
-    if draws:
-        trials, cell = list(draws), _form(check, list(draws.values()))
-        refusals = _input_gate(check, cell)
-        for i, refusal in refusals.items():
-            records[trials[i]] = [_error_record(cfg, check, dim, alpha, kind, trials[i], refusal)]
-        if refusals:
-            kept = [i for i in range(len(trials)) if i not in refusals]
-            trials, cell = [trials[i] for i in kept], cell.take(kept)
+            outcomes[trial] = exc
+    trials = [trial for trial, draw in outcomes.items() if isinstance(draw, _Draw)]
+    if trials:
+        cell = _form(check, [outcomes[trial] for trial in trials])
         try:
-            scored = _stacked_sides(check, cfg.kind, cell, alpha)[0] if trials else []
-        except Exception:  # left to the stacks of one below, which raise or score trial by trial
-            scored = [[(math.nan, math.nan)]] * len(trials)
-        for i, (trial, sides) in enumerate(zip(trials, scored)):
-            try:
-                records[trial] = (
-                    _one_trial(cfg, check, alpha, cell.take([i]), trial) if np.isnan(sides).any()
-                    else _records(check, dim, alpha, kind, sides, cfg.tolerance, cfg.master_seed, trial)
-                )
-            except Exception as exc:  # aggregate, never abort the suite
-                records[trial] = [_error_record(cfg, check, dim, alpha, kind, trial, exc)]
+            scored, refusals = _stacked_sides(check, cfg.kind, cell, alpha)
+        except Exception as exc:  # aggregate, never abort the suite
+            scored, refusals = [exc] * len(trials), {}
+        refusals.update(_input_gate(check, cell))  # a trial's channel is refused before its matrices
+        outcomes.update((trial, refusals.get(i, sides)) for i, (trial, sides) in enumerate(zip(trials, scored)))
+    records = (_one_trial(cfg, check, dim, alpha, trial, outcomes[trial]) for trial in range(cfg.trials_per_cell))
     return [record for trial_records in records for record in trial_records]
 
 
@@ -653,48 +596,61 @@ def _padded(ragged) -> tuple[np.ndarray, np.ndarray]:
     return padded, real
 
 
-def _stacked_sides(check: str, kind, cell: _Cell, alpha) -> tuple[list, list]:
-    """Each trial's list of (lhs, rhs), one per record its check writes, and the matrix stacks they came from.
+def _stacked_sides(check: str, kind, cell: _Cell, alpha) -> tuple[list, dict[int, Exception]]:
+    """Each trial's list of (lhs, rhs), one per record its check writes, and each refused trial's refusal.
 
     The one scoring body of a cell and of a public check (its cell of one), with one kernel call per side
     or matrix size and no alpha gate. Entry t has the bits of the scalar arithmetic on trial t's inputs,
-    divergent (+inf) values' degenerate sides included, NaN where a stacked gate refused a matrix. Stacks
-    come in the gates' order.
+    divergent (+inf) values' degenerate sides included. A trial's refusal is the first a gate rule gives
+    over the matrices its stacks formed: stacks in order, matrices in order, and per matrix the finite
+    rule, the Hermitian rule (matrix_refusals), then its kernel's rule (a vanished diagonal, or skew's).
     """
-    if check not in DIVERGENCE_CHECKS:
-        return _measure_sides(check, kind, cell, alpha)
-    return FUNCTIONAL_STACKS[check](cell, alpha, sgn1(alpha))
+    if check in DIVERGENCE_CHECKS:
+        sides, formed = FUNCTIONAL_STACKS[check](cell, alpha, sgn1(alpha))
+    else:
+        sides, formed = _measure_sides(check, kind, cell, alpha)
+    first: dict[int, Exception] = {}
+    for refusals, owners in formed:  # a stack's refusals by matrix, and the trial of each matrix
+        for row, refusal in sorted(refusals.items()):
+            first.setdefault(int(owners[row]), refusal)
+    return sides, first
+
+
+def _gate(stack: np.ndarray) -> tuple[np.ndarray, dict]:
+    """A square stack (n, d, d) with what as_hermitian refuses zeroed, so no kernel decomposes it, and the refusals."""
+    refusals = matrix_refusals(stack)
+    if refusals:
+        stack = stack.copy()
+        stack[list(refusals)] = 0.0
+    return stack, refusals
 
 
 def _lemma1_stack(cell: _Cell, a, sign):
-    """The sides of every lemma1 trial of a cell, and its pair stacks (rho, sigma), then each branch's."""
+    """The sides of every lemma1 trial of a cell, and its formed stacks: the pairs (rho, sigma), then each branch's."""
     pair, real = cell.states, cell.real_kraus  # (trials, 2, d, d)
-    formed = [pair, branches(cell.kraus[:, None], pair)[1].swapaxes(1, 2)[real]]
-    base, terms = _functional_stacks(formed, a)
-    return [[_lemma1_sides(sign, b, t)] for b, t in zip(base.tolist(), _by_trial(terms, real.sum(axis=1)))], formed
+    (base, terms), refusals = _functional_stacks([pair, branches(cell.kraus[:, None], pair)[1].swapaxes(1, 2)[real]], a)
+    sides = [[_lemma1_sides(sign, b, t)] for b, t in zip(base.tolist(), _by_trial(terms, real.sum(axis=1)))]
+    return sides, list(zip(refusals, [np.arange(len(pair)).repeat(2), np.nonzero(real)[0].repeat(2)]))
 
 
 def _holder_stack(cell: _Cell, a, sign):
-    """The sides of every holder trial of a cell, and its stacks: the states, then the kept branch pairs."""
-    rhos = cell.states[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a vanished diagonal is NaN, gated next
-        deltas = closed_form("alpha", *eigh_clamped(rhos), a)[1]
-    # the gate of spectral_decompose on rho; a finite delta is a distribution (closed_form's largest root is 1)
-    usable = hermitian_mask(rhos) & np.isfinite(deltas).all(axis=-1)
-    deltas = np.where(usable[:, None], deltas, 0.0)[..., None] * np.eye(rhos.shape[-1])
+    """The sides of every holder trial of a cell, and its formed stacks: the states, then the kept branch pairs."""
+    rhos, refused = _gate(cell.states[:, 0])
+    _, deltas, vanished = closed_form("alpha", *eigh_clamped(rhos), a)
+    refused = {**vanished, **refused}  # optimal_incoherent_state's rules on rho
+    # only a refused rho's delta is NaN, and a finite one is a distribution (closed_form's largest root is 1)
+    deltas = np.where(np.isnan(deltas), 0.0, deltas)[..., None] * np.eye(rhos.shape[-1])
     probs, products, kept = branches(cell.kraus[:, None], np.stack([rhos, deltas], 1))
     pairs = kept[:, 0] & kept[:, 1]  # a branch counts when both sides keep it
     p, q = probs[:, 0][pairs], probs[:, 1][pairs]
     normalized = products.swapaxes(1, 2)[pairs] / np.stack([p, q], 1)[..., None, None]
-    (f,) = _functional_stacks([normalized], a)
-    return [
-        [_holder_sides(a, p_t, q_t, f_t) if ok else (math.nan, math.nan)]
-        for ok, p_t, q_t, f_t in zip(usable, *(_by_trial(v, pairs.sum(axis=1)) for v in (p, q, f)))
-    ], [rhos, normalized]
+    (f,), (branch_refused,) = _functional_stacks([normalized], a)
+    sides = [[_holder_sides(a, *terms)] for terms in zip(*(_by_trial(v, pairs.sum(axis=1)) for v in (p, q, f)))]
+    return sides, [(refused, range(len(rhos))), (branch_refused, np.nonzero(pairs)[0].repeat(2))]
 
 
 def _observations_stack(cell: _Cell, a, sign):
-    """The five sides of every observations trial of a cell, and its six pair stacks in OBSERVATIONS order."""
+    """The five sides of every observations trial of a cell, and its six formed pair stacks in OBSERVATIONS order."""
     pair, populations = cell.states, cell.populations  # (trials, 2, d, d) and (trials, k)
     trials, d, k = len(pair), pair.shape[-1], populations.shape[-1]
     us = cell.unitaries[:, None]
@@ -709,14 +665,13 @@ def _observations_stack(cell: _Cell, a, sign):
         # np.kron(rho, ancilla) of each matrix: entry (i k + a, j k + b) is rho_ij ancilla_ab
         (pair[..., :, None, :, None] * ancillas).reshape(trials, 2, d * k, d * k),
     ]
-    base, rotated, mapped, parts, mixed, tensored = (v.tolist() for v in _functional_stacks(stacks, a))
+    values, refusals = _functional_stacks(stacks, a)
+    base, rotated, mapped, parts, mixed, tensored = (v.tolist() for v in values)
     counts = drawn.sum(axis=1)
-    return [
-        _observation_sides(sign, b, r, m, w, part, mx, t)
-        for b, r, m, w, part, mx, t in zip(
-            base, rotated, mapped, _by_trial(weights[drawn], counts), _by_trial(parts, counts), mixed, tensored
-        )
-    ], stacks
+    per_trial = zip(base, rotated, mapped, _by_trial(weights[drawn], counts), _by_trial(parts, counts), mixed, tensored)
+    sides = [_observation_sides(sign, *terms) for terms in per_trial]
+    owners = np.arange(trials).repeat(2)
+    return sides, list(zip(refusals, [owners, owners, owners, np.nonzero(drawn)[0].repeat(2), owners, owners]))
 
 
 FUNCTIONAL_STACKS = {"lemma1": _lemma1_stack, "holder": _holder_stack, "observations": _observations_stack}
@@ -728,54 +683,52 @@ def _by_trial(values, counts) -> list[list]:
     return [flat[end - count : end] for count, end in zip(counts, ends)]
 
 
-def _functional_stacks(pairs, alpha) -> list[np.ndarray]:
-    """F_alpha(A, B) of every pair of each (n, 2, d, d) stack, one kernel call per matrix size.
+def _functional_stacks(pairs, alpha) -> tuple[list[np.ndarray], list[dict]]:
+    """F_alpha(A, B) of every pair of each (n, 2, d, d) stack, one kernel call per matrix size, and its refusals.
 
-    A pair that fails trace_functional's Hermitian gate on either side is NaN.
+    A stack's refusals are _gated_pair's rules (_gate) on its matrices: pair t's A is matrix 2 t, its B 2 t + 1.
     """
-    values = [None] * len(pairs)
+    gated, values = [_gate(stack.reshape(-1, *stack.shape[-2:])) for stack in pairs], [None] * len(pairs)
     for size in sorted({stack.shape[-1] for stack in pairs}):
         members = [i for i, stack in enumerate(pairs) if stack.shape[-1] == size]
-        stack = np.concatenate([pairs[i] for i in members])
-        ok = hermitian_mask(stack).all(axis=1)
-        stack = np.where(ok[:, None, None, None], stack, 0.0)  # a pair the gate refuses is not decomposed
+        stack = np.concatenate([gated[i][0] for i in members]).reshape(-1, 2, size, size)
         f = functional_values(stack[:, 0], stack[:, 1], alpha)
-        ends = np.cumsum([len(pairs[i]) for i in members])
-        for i, part in zip(members, np.split(np.where(ok, f, math.nan), ends[:-1])):
+        for i, part in zip(members, np.split(f, np.cumsum([len(pairs[i]) for i in members])[:-1])):
             values[i] = part
-    return values
+    return values, [refusals for _, refusals in gated]
+
+
+def _measured(kind: str, stack: np.ndarray, alpha) -> tuple[np.ndarray, dict]:
+    """measure_value on each matrix of a square stack (n, d, d): the values, and each refused one's first refusal."""
+    stack, refusals = _gate(stack)
+    values, rules = measure_values(kind, stack, alpha)
+    return values, {**rules, **refusals}
 
 
 def _measure_sides(check: str, kind: str, cell: _Cell, alpha):
-    """The sides of every measure-check trial of a cell, one kernel call per side, and the stacks measured.
+    """The sides of every measure-check trial of a cell, one kernel call per side, and its formed stacks.
 
-    Entry t has the bits of the scalar arithmetic's sides on trial t, and is
-    NaN where a matrix that check measures fails its as_hermitian gate. Channels
-    and convex mixtures are padded to the cell's largest size (_padded).
+    Entry t has the bits of the scalar arithmetic's sides on trial t. The stacks, each with measure_value's
+    refusals, are the states, then the channel images, the mixtures or the measured branches (_padded).
     """
+    trials = range(len(cell.states))
     if check == "convexity":
         weights, real, states = cell.weights, cell.real_weights, cell.states
         values = np.zeros(real.shape)
-        values[real] = measure_values(kind, states[real], alpha)
+        values[real], refused = _measured(kind, states[real], alpha)
         lhs = sum(np.moveaxis(weights * values, -1, 0))
-        mixtures = sum(np.moveaxis(weights[..., None, None] * states, -3, 0))
-        rhs = measure_values(kind, mixtures, alpha)
-        gated = hermitian_mask(states).all(axis=-1) & hermitian_mask(mixtures)  # a zero pad passes
-        formed = [states[real], mixtures]
+        rhs, mixed = _measured(kind, sum(np.moveaxis(weights[..., None, None] * states, -3, 0)), alpha)
+        formed = [(refused, np.nonzero(real)[0]), (mixed, trials)]
     else:
-        rhos, kraus = cell.states[:, 0], cell.kraus
-        lhs = measure_values(kind, rhos, alpha)
-        gated = hermitian_mask(rhos)
-        formed = [rhos]
+        rhos = cell.states[:, 0]
+        lhs, refused = _measured(kind, rhos, alpha)
         if check == "strong_monotonicity":
-            rhs = _branch_average(kind, kraus, rhos, alpha)
+            rhs, measured = _branch_average(kind, cell.kraus, rhos, alpha)
         else:
-            images = apply_channel(kraus, rhos)
-            rhs = measure_values(kind, images, alpha)
-            gated &= hermitian_mask(images)
-            formed.append(images)
-    lhs, rhs = (np.where(gated, side, math.nan).tolist() for side in (lhs, rhs))
-    return [[side] for side in zip(lhs, rhs)], formed
+            rhs, imaged = _measured(kind, apply_channel(cell.kraus, rhos), alpha)
+            measured = (imaged, trials)
+        formed = [(refused, trials), measured]
+    return [[side] for side in zip(lhs.tolist(), rhs.tolist())], formed
 
 
 def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:
@@ -829,7 +782,7 @@ def rebuild_witness(cfg: TrialConfig, record: TrialRecord):
 def _strong_mono_stats(kind: str, rho, kraus, alpha: float):
     """(C(rho), sum_n p_n C(rho_n), gap) for one state and Kraus stack, as _batch_gaps computes it."""
     before = float(measure_value(kind, rho, alpha))
-    after = float(_branch_average(kind, kraus, rho, alpha))
+    after = float(_branch_average(kind, kraus, rho, alpha)[0])
     return before, after, after - before
 
 
@@ -842,17 +795,18 @@ def reverify_violation(report: ViolationReport) -> float:
 
 
 def _branch_average(kind: str, kraus, rho, alpha: float):
-    """sum_n p_n C(K_n rho K_n† / p_n) over the kept branches, for one state or a stack.
+    """sum_n p_n C(K_n rho K_n† / p_n) over the kept branches, for one state or a stack, and the branches' refusals.
 
     Only kept branches are normalized and measured. The sum runs over the
     operators in order, as a Python sum of floats does, so one state and a
-    stack give the same bits.
+    stack give the same bits. The refusals are measure_values' on the measured
+    branches, beside the leading index of each (for a stack, its state's).
     """
     probs, products, kept = branches(kraus, rho)
-    posts = products[kept] / probs[kept][:, None, None]
+    values, refusals = measure_values(kind, products[kept] / probs[kept][:, None, None], alpha)
     terms = np.zeros(probs.shape)
-    terms[kept] = probs[kept] * measure_values(kind, posts, alpha)
-    return sum(np.moveaxis(terms, -1, 0))
+    terms[kept] = probs[kept] * values
+    return sum(np.moveaxis(terms, -1, 0)), (refusals, np.nonzero(kept)[0])
 
 
 def _batch_states(rng, count: int, d: int, rank: int):
@@ -977,8 +931,8 @@ def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) ->
 
     Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2].
     """
-    before = measure_values(kind, rhos, alpha)
-    return _branch_average(kind, kraus, rhos, alpha) - before
+    before = measure_values(kind, rhos, alpha)[0]
+    return _branch_average(kind, kraus, rhos, alpha)[0] - before
 
 
 def _refine_witness(kind, g, params: _SearchParams, alpha):

@@ -48,13 +48,13 @@ def real_number(value, name: str) -> float:
 
 
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D square complex array with finite entries."""
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimMismatchError(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
+    """Coerce to a 2-D square complex array with finite entries (matrix_refusals' first rule)."""
+    return _gated(mat, name, hermitian=False)
+
+
+def size_mismatch(first: int, other: int) -> DimMismatchError:
+    """The refusal of two operands whose sizes differ, the rule every pair of operands meets."""
+    return DimMismatchError(f"operands differ in dimension: {first} vs {other}")
 
 
 def max_asymmetry(mat: np.ndarray) -> float | np.ndarray:
@@ -114,18 +114,47 @@ def _last_spectrum(shape: tuple, data: bytes) -> SpectrumMemo:
 
 def as_hermitian(h) -> np.ndarray:
     """as_square_matrix, plus NotHermitianError when max |H - H†| exceeds HERMITICITY_TOL."""
-    mat = as_square_matrix(h)
-    asym = max_asymmetry(mat)
-    if asym > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"not Hermitian: max |H - H^dag| = {asym:.3e} exceeds {HERMITICITY_TOL:.1e}"
-        )
-    return mat
+    return _gated(h, "matrix", hermitian=True)
 
 
-def hermitian_mask(mats) -> np.ndarray:
-    """Which matrices of a square stack (..., d, d) as_hermitian accepts: finite, max |H - H†| <= 1e-10."""
-    return np.isfinite(mats).all(axis=(-2, -1)) & (max_asymmetry(mats) <= HERMITICITY_TOL)
+def _gated(mat, name: str, hermitian: bool) -> np.ndarray:
+    """mat as a square complex array, or the first refusal matrix_refusals gives it as a stack of one."""
+    arr = np.asarray(mat, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimMismatchError(f"{name}: expected a square matrix, got shape {arr.shape}")
+    raise_first(matrix_refusals(arr[None], name, hermitian))
+    return arr
+
+
+def matrix_refusals(mats: np.ndarray, name: str = "matrix", hermitian: bool = True) -> dict[int, ValueError]:
+    """as_hermitian's rules on each matrix of a square stack (n, d, d): the refused ones' errors, by index.
+
+    The one site of both rules, which the scalar gates run on a stack of one:
+    entries must be finite (a ValueError naming `name`), then, when hermitian,
+    max |H - H†| must not exceed HERMITICITY_TOL (NotHermitianError).
+    """
+    if hermitian:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            asym = max_asymmetry(mats)
+        # a non-finite entry makes the deviation NaN or inf, so one comparison finds both rules' matrices
+        refused = ~(asym <= HERMITICITY_TOL)
+    else:
+        refused = ~np.isfinite(mats).all(axis=(-2, -1))
+    return refusals_where(refused, lambda t: (
+        NotHermitianError(f"not Hermitian: max |H - H^dag| = {asym[t]:.3e} exceeds {HERMITICITY_TOL:.1e}")
+        if np.isfinite(mats[t]).all() else ValueError(f"{name}: entries must be finite")))
+
+
+def refusals_where(refused: np.ndarray, error) -> dict:
+    """A refusal map, {index: error(index)}, at each refused entry of a stack's (n,) or (n, 1) mask."""
+    rows = refused.nonzero()[0]
+    return {t: error(t) for t in rows.tolist()} if len(rows) else {}  # the common case skips the comprehension
+
+
+def raise_first(refusals: dict) -> None:
+    """Raise the error of the lowest index of a refusal map, {index: error}, if it holds one."""
+    if refusals:
+        raise refusals[min(refusals)]
 
 
 def eigh_clamped(mats) -> Spectrum:
@@ -163,14 +192,19 @@ def matrix_power(h, p: float) -> np.ndarray:
     p = real_number(p, "p")
     if not 0.0 <= p < math.inf:  # NaN fails here too, where it would power every eigenvalue to NaN
         raise ValueError(f"matrix_power takes finite exponents p >= 0, got {p}")
-    return spectrum_power(*spectrum_memo(h).spectrum, p)
+    spectrum = spectrum_memo(h).spectrum
+    raise_first(psd_refusals(spectrum.eigenvalues))
+    return spectrum_power(*spectrum, p)
+
+
+def psd_refusals(eigenvalues: np.ndarray) -> dict[int, NegativeEigenvalueError]:
+    """The PSD rule on a clamped ascending spectrum (d,) or a stack (n, d): each negative one's error, by index."""
+    lowest = eigenvalues[..., 0].reshape(-1)
+    below = f"below -{EIGENVALUE_CLAMP:.0e}; matrix is not PSD"
+    return refusals_where(lowest < 0.0, lambda t: NegativeEigenvalueError(f"eigenvalue {lowest[t]:.3e} {below}"))
 
 
 def spectrum_power(eigenvalues: np.ndarray, eigenvectors: np.ndarray, p: float) -> np.ndarray:
-    """H**p of one clamped spectrum or a stack, with no input checks; NegativeEigenvalueError when H is not PSD."""
-    if eigenvalues[..., 0].min(initial=0.0) < 0.0:
-        raise NegativeEigenvalueError(
-            f"eigenvalue {eigenvalues.min():.3e} below -{EIGENVALUE_CLAMP:.0e}; matrix is not PSD"
-        )
+    """H**p of one clamped spectrum or a stack, with no input checks: negative eigenvalues count as 0 (psd_refusals)."""
     powered = powered_eigenvalues(eigenvalues, p)
     return (eigenvectors * powered[..., None, :]) @ eigenvectors.conj().swapaxes(-1, -2)

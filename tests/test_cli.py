@@ -272,6 +272,19 @@ class TestVerify:
     def test_bad_alpha_is_usage_error(self, capsys):
         assert main(["verify", "--alpha", "2.5", "--trials", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "repeated, field",
+        [
+            (["--dim", "2", "--dim", "2", "--alpha", "0.5"], "dims"),
+            (["--dim", "2", "--alpha", "0.5", "--alpha", "0.5"], "alphas"),
+            (["--dim", "2", "--alpha", "0.5", "--check", "monotonicity"], "checks"),
+        ],
+    )
+    def test_a_repeated_grid_entry_is_usage_error(self, repeated, field, capsys):
+        args = ["verify", "--trials", "2", "--check", "monotonicity", *repeated]
+        assert main(args) == EXIT_USAGE
+        assert f"{field} must not repeat" in capsys.readouterr().err
+
     def test_alpha_below_floor_is_usage_error(self, capsys):
         args = [
             "verify", "--dim", "2", "--alpha", "1e-12", "--trials", "2",

@@ -20,6 +20,7 @@ from alphacoh.coherence import (
     ALPHA_FLOOR,
     MEASURE_KINDS,
     AlphaBelowFloorError,
+    DegenerateDiagonalError,
     SkewFormsDisagreeError,
     coherence_alpha,
     max_coherence,
@@ -114,20 +115,27 @@ def test_batched_path_agrees_with_scalar_api(kind, alpha):
     gen = substream(7103, 0)
     for d in (2, 3, 4):
         states = np.array([random_density(d, 1 + i % d, gen) for i in range(12)])
-        batched = measure_values(kind, states, alpha)
+        batched, refusals = measure_values(kind, states, alpha)
+        assert refusals == {}
         scalar = [measure_value(kind, rho, alpha) for rho in states]
         assert_allclose(batched, scalar, rtol=0.0, atol=0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_batched_path_is_silent_on_vanished_entries(alpha):
-    # a dropped branch can be the zero matrix; it must come back NaN without a warning
-    stack = np.zeros((2, 2, 2), dtype=complex)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_batched_path_refuses_what_the_scalar_api_refuses(alpha):
+    # a zero matrix, and above alpha 1 a state scaled under the 1e-14 peak, come back NaN and refused, without a warning
+    stack = np.zeros((3, 2, 2), dtype=complex)
     stack[1] = np.diag([0.5, 0.5])
+    stack[2] = 3e-11 * random_density(2, 2, substream(7105))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = measure_values("tsallis", stack, alpha)
-    assert np.isnan(values[0]) and values[1] == pytest.approx(0.0, abs=1e-15)
+        values, refusals = measure_values("tsallis", stack, alpha)
+    assert list(refusals) == ([0, 2] if alpha > 1.0 else [0])
+    assert np.isnan(values[list(refusals)]).all() and values[1] == pytest.approx(0.0, abs=1e-15)
+    for t, refusal in refusals.items():
+        with pytest.raises(DegenerateDiagonalError) as info:
+            measure_value("tsallis", stack[t], alpha)
+        assert type(refusal) is DegenerateDiagonalError and str(refusal) == str(info.value)
 
 
 class TestAlphaFloor:

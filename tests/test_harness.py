@@ -5,6 +5,7 @@ search tests keep budgets small enough for the default batch schedule to hit
 the structured channels quickly.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -149,6 +150,25 @@ class TestTrialConfigValidation:
     def test_near_one_alpha_fine_for_measure_checks(self):
         cfg = TrialConfig(alphas=(1.0,), checks=("strong_monotonicity", "convexity"))
         assert cfg.alphas == (1.0,)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"dims": (3, 2, 3)}, r"^dims must not repeat, got \(3, 2, 3\)$"),
+            ({"alphas": (0.5, 0.5)}, r"^alphas must not repeat, got \(0\.5, 0\.5\)$"),
+            ({"alphas": (0.5, np.float64(0.5))}, r"^alphas must not repeat"),
+            ({"checks": ("convexity", "lemma1", "convexity")}, r"^checks must not repeat"),
+        ],
+    )
+    def test_rejects_a_repeated_grid_entry(self, kwargs, match):
+        # two cells of one (check, dim, alpha) key draw differently, and rebuild_witness
+        # would replay the first of them for the records of both
+        with pytest.raises(ValueError, match=match):
+            TrialConfig(**{"dims": (3,), "alphas": (0.5,), "trials_per_cell": 3, **kwargs})
+
+    def test_search_rejects_a_repeated_alpha(self):
+        with pytest.raises(ValueError, match="^alphas must not repeat"):
+            search_violation(3, 10, alphas=(2.0, 0.5, 2.0))
 
 
 class TestStrongMonotonicity:
@@ -362,6 +382,7 @@ ZERO = np.zeros((2, 2), dtype=complex)
 NOT_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
 NOT_PSD = np.diag([1.5, -0.5]).astype(complex)
 COMPLEX_WEIGHTS = np.array([0.5 + 0.3j, 0.5 - 0.3j])
+VANISHED = 3e-11 * random_density(3, 3, substream(5))
 
 
 def _qubit():
@@ -393,6 +414,15 @@ class TestErrorContract:
             pytest.param(
                 lambda: check_convexity("alpha", [1.0], [ZERO], 0.5),
                 DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="zero-convexity",
+            ),
+            # under the 1e-14 peak of rho^2 as the scalar API's rule has it, not only at an exact zero
+            pytest.param(
+                lambda: check_monotonicity("alpha", VANISHED, identity_channel(3), 2.0),
+                DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="vanished-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(VANISHED, identity_channel(3), 1.5),
+                DegenerateDiagonalError, "diagonal of rho^alpha vanished entirely", id="vanished-holder",
             ),
             pytest.param(
                 lambda: check_lemma1(_qubit(), _qutrit(), identity_channel(2), 0.5),
@@ -1271,6 +1301,30 @@ def public_error(call) -> Exception:
     return info.value
 
 
+SCALAR_GATES = ("measure_value", "optimal_incoherent_state", "_gated_pair", "as_hermitian")
+
+
+def counting_scalar_gates(monkeypatch) -> list:
+    """Log each call of a scalar gate, under every package module that binds one; returns the log."""
+    import importlib
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in ("linalg", "states", "divergence", "coherence", "channels", "harness", "cli"):
+        module = importlib.import_module(f"alphacoh.{module}")
+        for name in SCALAR_GATES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 class TestStackedCell:
     """Measure-check cells scored as stacks give the per-trial loop's records, bit for bit."""
 
@@ -1351,7 +1405,7 @@ class TestStackedCell:
         assert [bool(r.error) for r in new] == [False, False, False, True, False, False]
 
     @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
-    def test_a_nan_side_is_scored_alone(self, check, monkeypatch):
+    def test_a_nan_no_rule_names_is_recorded_as_it_is(self, check, monkeypatch):
         import alphacoh.harness as harness
 
         cfg = TrialConfig(dims=(3,), alphas=(1.5,), trials_per_cell=6, checks=(check,), master_seed=24)
@@ -1359,34 +1413,46 @@ class TestStackedCell:
         original, poisoned = harness.measure_values, []
 
         def nan_at_2_of_the_first_stack(kind, states, alpha=None):
-            values = original(kind, states, alpha)
+            values, refusals = original(kind, states, alpha)
             if not poisoned:
                 poisoned.append(states.shape)
                 values = values.copy()
                 values[2] = math.nan
-            return values
+            return values, refusals
 
         monkeypatch.setattr(harness, "measure_values", nan_at_2_of_the_first_stack)
+        gates = counting_scalar_gates(monkeypatch)
         new = run_suite(cfg).records
-        assert poisoned and poisoned[0][0] >= 6
-        self.assert_same_records(new, old)
-        assert not any(r.error for r in new)
+        assert poisoned and poisoned[0][0] >= 6 and not gates
+        # the first stack is the states: only the lhs of the trial that owns entry 2 moves
+        changed = [(r, o) for r, o in zip(new, old) if repr(r) != repr(o)]
+        assert len(changed) == 1
+        (r, o), = changed
+        assert math.isnan(r.lhs) and math.isnan(r.margin) and r.rhs == o.rhs
+        assert not (r.passed or r.degenerate or r.error)
 
     @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
-    def test_a_stacked_call_that_raises_leaves_the_scalar_checks(self, check, monkeypatch):
+    def test_a_stacked_call_that_raises_gives_its_cell_that_error(self, check, monkeypatch):
         import alphacoh.harness as harness
 
-        cfg = TrialConfig(dims=(2,), alphas=(0.25,), trials_per_cell=5, checks=(check,), kind="skew", master_seed=25)
-        old = per_trial_records(cfg)
-        original = harness.measure_values
+        cfg = TrialConfig(
+            dims=(2,), alphas=(0.25, 1.5), trials_per_cell=5, checks=(check,), kind="skew", master_seed=25
+        )
+        old = run_suite(cfg).records
+        original, raised = harness.measure_values, []
 
-        def stacks_raise(kind, states, alpha=None):
-            if states.ndim == 3 and len(states) >= cfg.trials_per_cell:
+        def the_first_stack_raises(kind, states, alpha=None):
+            if not raised:
+                raised.append(len(states))
                 raise SkewFormsDisagreeError("synthetic stack failure")
             return original(kind, states, alpha)
 
-        monkeypatch.setattr(harness, "measure_values", stacks_raise)
-        self.assert_same_records(run_suite(cfg).records, old)
+        monkeypatch.setattr(harness, "measure_values", the_first_stack_raises)
+        new = run_suite(cfg).records
+        assert raised and raised[0] >= cfg.trials_per_cell
+        expected = error_record(cfg, check, 2, 0.25, 0, SkewFormsDisagreeError("synthetic stack failure"))
+        assert [repr(r) for r in new[:5]] == [repr(dataclasses.replace(expected, trial=t)) for t in range(5)]
+        self.assert_same_records(new[5:], old[5:])  # the other cell
 
     @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
     def test_one_kernel_call_per_side(self, check, monkeypatch):
@@ -1470,15 +1536,19 @@ class TestStackedFunctionalCell:
         return poisoned
 
     @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
-    @pytest.mark.parametrize("poison", [math.nan])
-    def test_a_non_finite_value_is_scored_alone(self, check, poison, monkeypatch):
+    def test_a_nan_value_is_recorded_as_it_is(self, check, monkeypatch):
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
         old = per_trial_records(cfg)
-        poisoned = self.poison_2_of_the_first_stack(monkeypatch, poison)
+        poisoned = self.poison_2_of_the_first_stack(monkeypatch, math.nan)
+        gates = counting_scalar_gates(monkeypatch)
         new = run_suite(cfg).records
-        assert poisoned and poisoned[0] >= 6
-        self.assert_same_records(new, old)
-        assert not any(r.error or r.degenerate for r in new)
+        assert poisoned and poisoned[0] >= 6 and not gates
+        assert [(r.check_name, r.trial) for r in new] == [(r.check_name, r.trial) for r in old]
+        changed = [r for r, o in zip(new, old) if repr(r) != repr(o)]
+        # only the trial that owns the poisoned pair moves, and each record it changes carries the NaN
+        assert changed and len({r.trial for r in changed}) == 1
+        for r in changed:
+            assert math.isnan(r.margin) and not (r.passed or r.degenerate or r.error)
 
     @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
     def test_a_divergent_value_is_degenerate(self, check, monkeypatch):
@@ -1487,17 +1557,10 @@ class TestStackedFunctionalCell:
         cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=34)
         old = per_trial_records(cfg)
         poisoned = self.poison_2_of_the_first_stack(monkeypatch, math.inf)
-        scalar_calls = []
-        original_trial = harness._one_trial
-
-        def counting_trial(*args):
-            scalar_calls.append(args)
-            return original_trial(*args)
-
-        monkeypatch.setattr(harness, "_one_trial", counting_trial)
+        gates = counting_scalar_gates(monkeypatch)
         new = run_suite(cfg).records
         assert poisoned and poisoned[0] >= 6
-        assert not scalar_calls
+        assert not gates
         assert [(r.check_name, r.trial) for r in new] == [(r.check_name, r.trial) for r in old]
         changed = [(r, o) for r, o in zip(new, old) if repr(r) != repr(o)]
         # only the trial that owns the poisoned pair moves, and each record it changes is degenerate
@@ -1506,43 +1569,40 @@ class TestStackedFunctionalCell:
             assert r.degenerate and r.passed and r.margin == math.inf and not r.error
             assert math.inf in (r.lhs, r.rhs) and not o.degenerate
 
-    def test_a_holder_delta_the_weight_gate_refuses_is_scored_alone(self, monkeypatch):
-        import alphacoh.harness as harness
+    def test_a_holder_state_whose_diagonal_vanishes_gets_the_scalar_error(self, monkeypatch):
+        cfg = TrialConfig(dims=(3,), alphas=(2.0,), trials_per_cell=6, checks=("holder",), master_seed=37)
+        old = run_suite(cfg).records
+        self.assert_same_records(old, per_trial_records(cfg))
+        rho, ch = sampled_inputs(cfg, "holder", 3, substream(cfg.master_seed, 0, 3))
 
-        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=("holder",), master_seed=37)
-        old = per_trial_records(cfg)
-        original, poisoned = harness.closed_form, []
+        def vanished_at_trial_3(cell):
+            cell.states[3, 0] *= 3e-11  # the largest a_j of rho^2 is then under 1e-14
 
-        def nan_delta_at_2_of_the_first_stack(kind, lam, vecs, alpha):
-            value, delta = original(kind, lam, vecs, alpha)
-            if not poisoned:
-                poisoned.append(len(delta))
-                delta[2] = math.nan
-            return value, delta
-
-        monkeypatch.setattr(harness, "closed_form", nan_delta_at_2_of_the_first_stack)
+        replaced_at_trial_3(monkeypatch, vanished_at_trial_3)
         new = run_suite(cfg).records
-        assert poisoned == [6]
-        self.assert_same_records(new, old)
-        assert not any(r.error or r.degenerate for r in new)
+        assert_only_trial_3_changed(new, old, public_error(lambda: check_holder_step(3e-11 * rho, ch, 2.0)))
+        assert new[3].error == "DegenerateDiagonalError: diagonal of rho^alpha vanished entirely"
 
     @pytest.mark.parametrize("check", FUNCTIONAL_CHECK_NAMES)
-    def test_a_stacked_call_that_raises_leaves_the_scalar_checks(self, check, monkeypatch):
+    def test_a_stacked_call_that_raises_gives_its_cell_that_error(self, check, monkeypatch):
         import alphacoh.harness as harness
 
         original, raised = harness.functional_values, []
 
-        def first_stack_of_each_cell_raises(a_mats, b_mats, alpha):
-            if alpha not in raised:  # each cell has its own alpha here
+        def the_first_stack_raises(a_mats, b_mats, alpha):
+            if not raised:
                 raised.append(alpha)
                 raise np.linalg.LinAlgError("synthetic stack failure")
             return original(a_mats, b_mats, alpha)
 
         cfg = TrialConfig(dims=(2,), alphas=(0.25, 2.0), trials_per_cell=5, checks=(check,), master_seed=35)
-        old = per_trial_records(cfg)
-        monkeypatch.setattr(harness, "functional_values", first_stack_of_each_cell_raises)
-        self.assert_same_records(run_suite(cfg).records, old)
-        assert raised == [0.25, 2.0]
+        old = run_suite(cfg).records
+        monkeypatch.setattr(harness, "functional_values", the_first_stack_raises)
+        new = run_suite(cfg).records
+        assert raised == [0.25]
+        expected = error_record(cfg, check, 2, 0.25, 0, np.linalg.LinAlgError("synthetic stack failure"))
+        assert [repr(r) for r in new[:5]] == [repr(dataclasses.replace(expected, trial=t)) for t in range(5)]
+        self.assert_same_records(new[5:], old[len(old) // 2 :])  # the other cell
 
     def test_a_refused_value_beside_a_divergent_one_reaches_the_sides(self):
         # a NaN (a pair a stacked gate refused) sends its trial to the public check only through a NaN side
@@ -1553,19 +1613,11 @@ class TestStackedFunctionalCell:
         assert all(any(map(math.isnan, side)) for side in sides[1:])
 
     def test_divergent_trials_never_reach_the_scalar_checks(self, monkeypatch):
-        import alphacoh.harness as harness
-
-        calls, original = [], harness._one_trial
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(harness, "_one_trial", counting)
+        gates = counting_scalar_gates(monkeypatch)
         # at alpha > 1 with mixed ranks most of these trials hold a divergent F value
         cfg = TrialConfig(alphas=(1.5, 2.0), trials_per_cell=10, checks=FUNCTIONAL_CHECK_NAMES, master_seed=5)
         summary = run_suite(cfg)
-        assert not calls
+        assert not gates
         assert summary.stats["lemma1"].degenerate and summary.stats["obs1_one_sided"].degenerate
 
     @pytest.mark.parametrize("check, sizes", [("lemma1", [3]), ("holder", [3]), ("observations", [3, 9])])
@@ -1679,6 +1731,155 @@ class TestStackOfOne:
         inputs = sampled_inputs(cfg, check, 3, substream(42))
         with pytest.raises(np.linalg.LinAlgError, match="synthetic stack failure"):
             public_check_call(check, "tsallis", inputs, 1.5)
+
+
+class TestOneRefusalPerRule:
+    """Each gate rule a formed matrix meets has one stacked site; a scalar gate raises its stack of one's refusal."""
+
+    ALPHA = 2.0
+    # the rule each refused row of rows() breaks, and the kinds whose measure_value applies it
+    RULES = {
+        1: (ValueError, MEASURE_KINDS),
+        2: (NotHermitianError, MEASURE_KINDS),
+        3: (DegenerateDiagonalError, ("alpha", "tsallis")),
+        4: (NegativeEigenvalueError, ("skew",)),
+        5: (SkewFormsDisagreeError, ("skew",)),
+    }
+
+    @staticmethod
+    def rows() -> np.ndarray:
+        """Qutrit rows: fine, non-finite, not Hermitian, vanished diagonal at alpha 2, not PSD, forms that disagree."""
+        gen = substream(45)
+        fine, scaled, forms = (random_density(3, 3, gen) for _ in range(3))
+        u = haar_unitary(3, gen)
+        nan, skew = fine.copy(), fine.copy()
+        nan[2, 2] = math.nan
+        skew[0, 1] += 1e-9
+        skew[1, 0] -= 1e-9
+        not_psd = u @ np.diag([1.2, 0.3, -0.5]) @ u.conj().T
+        return np.stack([fine, nan, skew, 3e-11 * scaled, not_psd, forms])
+
+    @pytest.fixture(autouse=True)
+    def off_root_of_row_5(self, monkeypatch):
+        """A wrong square root of row 5 alone, so its two skew forms disagree, stacked and scalar alike."""
+        import alphacoh.coherence as coherence
+
+        target, true_power = np.linalg.eigvalsh(self.rows()[5]), coherence.spectrum_power
+
+        def off_root(lam, vecs, p):
+            hit = np.isclose(lam, target, rtol=0.0, atol=1e-12).all(axis=-1)
+            return true_power(lam, vecs, p) * np.where(hit, 0.9, 1.0)[..., None, None]
+
+        monkeypatch.setattr(coherence, "spectrum_power", off_root)
+
+    @staticmethod
+    def assert_same_refusals(refusals: dict, mats, scalar_gate):
+        """refusals holds, at each index, the class and message scalar_gate raises on that matrix, and nothing else."""
+        raised = {}
+        for t, mat in enumerate(mats):
+            try:
+                scalar_gate(mat)
+            except ValueError as exc:
+                raised[t] = (type(exc), str(exc))
+        assert {t: (type(e), str(e)) for t, e in refusals.items()} == raised
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_a_measured_stack_refuses_what_measure_value_refuses(self, kind):
+        import alphacoh.harness as harness
+
+        rows = self.rows()
+        _, refusals = harness._measured(kind, rows, self.ALPHA)
+        assert {t: type(e) for t, e in refusals.items()} == {
+            t: error for t, (error, kinds) in self.RULES.items() if kind in kinds
+        }
+        self.assert_same_refusals(refusals, rows, lambda mat: measure_value(kind, mat, self.ALPHA))
+
+    def test_a_pair_stack_refuses_what_the_pair_gate_refuses(self):
+        import alphacoh.harness as harness
+        from alphacoh.divergence import _gated_pair
+
+        rows = self.rows()
+        pairs = np.array([(m, rows[0]) for m in rows] + [(rows[0], m) for m in rows])
+        _, (by_matrix,) = harness._functional_stacks([pairs], self.ALPHA)
+        refusals = {}
+        for row, refusal in by_matrix.items():  # pair t holds matrices 2 t and 2 t + 1, gated in that order
+            refusals.setdefault(row // 2, refusal)
+        assert sorted(refusals) == [1, 2, 7, 8]
+        self.assert_same_refusals(refusals, pairs, lambda pair: _gated_pair(*pair))
+
+    def test_the_holder_state_refuses_what_optimal_incoherent_state_refuses(self):
+        import alphacoh.harness as harness
+
+        rows = self.rows()
+        cell = harness._Cell(rows[:, None], np.eye(3)[None, None].repeat(6, 0), np.ones((6, 1), dtype=bool))
+        sides, refusals = harness._stacked_sides("holder", None, cell, self.ALPHA)
+        assert len(sides) == 6 and sorted(refusals) == [1, 2, 3]
+        self.assert_same_refusals(refusals, rows, lambda mat: optimal_incoherent_state(mat, self.ALPHA))
+
+    @pytest.mark.parametrize(
+        "row, kind, check",
+        [(row, kinds[0], "monotonicity") for row, (_, kinds) in RULES.items()]
+        + [(row, "alpha", "holder") for row in (1, 2, 3)],
+    )
+    def test_a_cell_refuses_only_the_trial_that_holds_the_row(self, row, kind, check, monkeypatch):
+        rho = self.rows()[row]
+        cfg = TrialConfig(dims=(3,), alphas=(self.ALPHA,), trials_per_cell=6, checks=(check,), kind=kind, master_seed=46)
+        old = run_suite(cfg).records
+
+        def row_at_trial_3(cell):
+            cell.states[3, 0] = rho
+
+        replaced_at_trial_3(monkeypatch, row_at_trial_3)
+        new = run_suite(cfg).records
+        if check == "holder":
+            error = public_error(lambda: check_holder_step(rho, identity_channel(3), self.ALPHA))
+        else:
+            error = public_error(lambda: check_monotonicity(kind, rho, identity_channel(3), self.ALPHA))
+        assert type(error) is self.RULES[row][0]
+        assert_only_trial_3_changed(new, old, error)
+
+
+class TestNoScalarGateOnFormedMatrices:
+    """The stacks name every refusal: no package code walks a scalar gate over what a stack formed."""
+
+    def test_run_suite(self, monkeypatch):
+        gates = counting_scalar_gates(monkeypatch)
+        cfg = TrialConfig(dims=(2, 3), alphas=(0.5, 2.0), trials_per_cell=4, master_seed=5)
+        assert len(run_suite(cfg).records) > 4 * 4 * len(ALL_CHECKS) and not gates
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_each_public_check(self, check, monkeypatch):
+        cfg = TrialConfig(dims=(3,), checks=(check,))
+        inputs = list(sampled_inputs(cfg, check, 3, substream(44)))
+        gates = counting_scalar_gates(monkeypatch)
+        assert public_check_call(check, "alpha", inputs, 2.0)
+        skew = np.zeros((3, 3))
+        skew[0, 1], skew[1, 0] = 1e-9, -1e-9
+        if check == "convexity":
+            inputs[1] = [inputs[1][0] + skew, *inputs[1][1:]]
+        else:
+            inputs[0] = inputs[0] + skew
+        with pytest.raises(NotHermitianError, match=r"^not Hermitian: max \|H - H\^dag\| = 2\.000e-09"):
+            public_check_call(check, "alpha", inputs, 2.0)
+        assert not gates
+
+    def test_one_trial_makes_the_records_of_each_suite_trial_once(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        calls, original = [], harness._one_trial
+
+        def counting(cfg, check, dim, alpha, trial, outcome):
+            calls.append((check, dim, alpha, trial))
+            return original(cfg, check, dim, alpha, trial, outcome)
+
+        monkeypatch.setattr(harness, "_one_trial", counting)
+        raising_draw(monkeypatch, "density_factor", 5)  # a draw error is one of the outcomes it turns into records
+        cfg = TrialConfig(dims=(2, 3), alphas=(0.5, 2.0), trials_per_cell=3, checks=("convexity", "lemma1"))
+        records = run_suite(cfg).records
+        assert sorted(calls) == sorted(
+            (check, dim, alpha, t) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas for t in range(3)
+        )
+        assert sum(bool(r.error) for r in records) == 1
 
 
 class TestFrozenWitness:

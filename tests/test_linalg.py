@@ -27,8 +27,8 @@ from alphacoh.linalg import (
     NotHermitianError,
     as_hermitian,
     eigh_clamped,
-    hermitian_mask,
     matrix_power,
+    matrix_refusals,
     max_asymmetry,
     powered_eigenvalues,
     spectral_decompose,
@@ -69,21 +69,26 @@ def test_max_asymmetry_hand_value():
     assert max_asymmetry(np.zeros((0, 0))) == 0.0
 
 
-def test_hermitian_mask_is_the_as_hermitian_gate_per_matrix(rng):
+def test_matrix_refusals_are_the_as_hermitian_gate_per_matrix(rng):
     h = random_hermitian(3, rng(1))
     skew = h.copy()
     skew[0, 1] += 2e-10
     nan = h.copy()
     nan[2, 2] = np.nan
-    stack = np.stack([h, skew, nan, h + 6e-11j * np.eye(3)])
-    accepted = []
-    for mat in stack:
+    inf = h.copy()
+    inf[0, 2] = np.inf
+    stack = np.stack([h, skew, nan, h + 6e-11j * np.eye(3), inf])
+    raised = {}
+    for t, mat in enumerate(stack):
         try:
             as_hermitian(mat)
-            accepted.append(True)
-        except ValueError:
-            accepted.append(False)
-    assert hermitian_mask(stack).tolist() == accepted == [True, False, False, False]
+        except ValueError as exc:
+            raised[t] = exc
+    refusals = matrix_refusals(stack)
+    assert list(refusals) == list(raised) == [1, 2, 3, 4]
+    for t, exc in raised.items():
+        assert (type(refusals[t]), str(refusals[t])) == (type(exc), str(exc))
+    assert isinstance(refusals[1], NotHermitianError) and str(refusals[2]) == "matrix: entries must be finite"
     assert max_asymmetry(stack[:2]).tolist() == [max_asymmetry(h), max_asymmetry(skew)]
 
 
@@ -96,7 +101,7 @@ class TestSpectrumMemo:
         before = measure_value("alpha", rho, 0.5)
         rho[...] = other
         fresh = eigh_clamped(other.copy())  # never through the memo
-        assert measure_value("alpha", rho, 0.5) == float(measure_values("alpha", other.copy(), 0.5)) != before
+        assert measure_value("alpha", rho, 0.5) == float(measure_values("alpha", other.copy(), 0.5)[0]) != before
         np.testing.assert_array_equal(spectral_decompose(rho).eigenvalues, fresh.eigenvalues)
         assert von_neumann_entropy(rho) == float(shannon_entropy(np.clip(fresh.eigenvalues, 0.0, None)))
 
@@ -218,7 +223,7 @@ class TestSpectrumMemo:
         other = random_density(3, 2, rng(29))
         before = tsallis_coherence(rho, 0.5)
         rho[...] = other
-        value, delta = closed_form("tsallis", *eigh_clamped(other.copy()), 0.5)  # never through the memo
+        value, delta, _ = closed_form("tsallis", *eigh_clamped(other.copy()), 0.5)  # never through the memo
         after = tsallis_coherence(rho, 0.5)
         assert after.value == float(value) != before.value
         np.testing.assert_array_equal(after.optimal_delta, delta)
@@ -236,7 +241,7 @@ class TestSpectrumMemo:
         relent = measure_value("relent", rho)
         spectral_decompose(np.eye(2))  # a fresh memo, so the families evaluate the limit themselves
         assert measure_value("alpha", rho, 1.0) == relent == measure_value("tsallis", rho, 1.0)
-        assert relative_entropy_coherence(rho).value == relent == float(measure_values("relent", rho.copy()))
+        assert relative_entropy_coherence(rho).value == relent == float(measure_values("relent", rho.copy())[0])
 
     @staticmethod
     def _count_power_means(monkeypatch) -> list:
