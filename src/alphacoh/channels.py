@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import check_count
-from .linalg import DimMismatchError, as_square_matrix, raise_first, refusals_where
+from .linalg import DimMismatchError, as_square_matrix, matrix_refusals, raise_first, refusals_where
 from .states import ginibre, haar_from_ginibre, load_entries, save_entries
 
 COMPLETENESS_TOL = 1e-9
@@ -40,11 +40,10 @@ class KrausChannel:
             raise ValueError(f"Kraus operators must share one square shape: {exc}") from None
         if ops.ndim and not len(ops):
             raise ValueError("channel needs at least one Kraus operator")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError(f"Kraus operators must share one square shape, got {ops.shape[1:]}")
-        if not np.all(np.isfinite(ops)):
-            raise ValueError("Kraus entries must be finite")
-        raise_first(completeness_refusals(ops[None]))
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size:
+            raise DimMismatchError(f"Kraus operators must share one nonempty square shape, got {ops.shape[1:]}")
+        # a non-finite operator is refused before the completeness sum meets it
+        raise_first(matrix_refusals(ops, "Kraus operator", hermitian=False) or completeness_refusals(ops[None]))
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 

@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .linalg import as_hermitian, eigh_clamped, powered_eigenvalues, real_number, size_mismatch, validated_spectrum
+from .linalg import as_hermitian, eigh_clamped, real_number, size_mismatch, spectrum_memo, spectrum_power
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -97,8 +97,7 @@ def functional_values(a_mats, b_mats, alpha: float) -> np.ndarray:
     """
     lam_a, vecs_a = _clipped_spectrum(a_mats)
     lam_b, vecs_b = _clipped_spectrum(b_mats)
-    a_pow = (vecs_a * powered_eigenvalues(lam_a, alpha)[..., None, :]) @ vecs_a.conj().swapaxes(-1, -2)
-    b_pow = (vecs_b * powered_eigenvalues(lam_b, 1.0 - alpha)[..., None, :]) @ vecs_b.conj().swapaxes(-1, -2)
+    a_pow, b_pow = spectrum_power(lam_a, vecs_a, alpha), spectrum_power(lam_b, vecs_b, 1.0 - alpha)
     values = np.einsum("...ij,...ji->...", a_pow, b_pow).real
     if alpha > 1.0:
         return np.where(_support_diverges(lam_a, vecs_a, lam_b, vecs_b), np.inf, values)
@@ -142,7 +141,7 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho in nats, with 0 ln 0 = 0."""
-    return float(shannon_entropy(np.clip(validated_spectrum(rho).eigenvalues, 0.0, None)))
+    return float(shannon_entropy(np.clip(spectrum_memo(rho).spectrum.eigenvalues, 0.0, None)))
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -500,18 +500,18 @@ def _form(check: str, draws: list[_Draw]) -> _Cell:
     One state_from_factor per factor rank; then one kraus_stack of the
     zero-padded incoherent draws, or one haar_from_ginibre per unitary size.
     """
-    formed = iter(_by_shape(state_from_factor, [g for draw in draws for g in draw.factors]))
-    states = [[next(formed) for _ in draw.factors] for draw in draws]
+    formed = iter(_by_shape(state_from_factor, [g[None] for draw in draws for g in draw.factors]))
+    states = [[next(formed)[0] for _ in draw.factors] for draw in draws]
     if check == "convexity":
         return _assemble(check, states, weights=[draw.weights for draw in draws])
     if check in CHANNEL_CHECKS:
         (rows, real), (amps, _) = (_padded(part) for part in zip(*(draw.channel for draw in draws)))
         return _assemble(check, states, (kraus_stack(rows, amps), real))
     ginibres = [draw.channel for draw in draws] + [draw.unitary for draw in draws if draw.unitary is not None]
-    unitaries = iter(_by_shape(haar_from_ginibre, ginibres))  # each channel's, then each observation's U
-    kraus = _padded([isometry_kraus(next(unitaries), len(draw.factors[0])) for draw in draws])
+    unitaries = iter(_by_shape(haar_from_ginibre, [g[None] for g in ginibres]))  # each channel's, then each U
+    kraus = _padded([isometry_kraus(next(unitaries)[0], len(draw.factors[0])) for draw in draws])
     weights, populations = [draw.weights for draw in draws], [draw.populations for draw in draws]
-    return _assemble(check, states, kraus, weights, list(unitaries), populations)
+    return _assemble(check, states, kraus, weights, [u[0] for u in unitaries], populations)
 
 
 def _assemble(check: str, states, kraus=None, weights=None, unitaries=None, populations=None) -> _Cell:
@@ -527,15 +527,16 @@ def _assemble(check: str, states, kraus=None, weights=None, unitaries=None, popu
     return _Cell(pairs, *kraus, *_padded(weights), members, np.array(unitaries, dtype=complex), np.array(populations))
 
 
-def _by_shape(form, arrays: list) -> list:
-    """form called once on the stack of each shape's arrays; the formed entries in the order of arrays."""
+def _by_shape(form, stacks: list) -> list:
+    """form called once on the concatenated stacks (n, ...) of each entry shape; each stack's formed rows, in order."""
     groups: dict[tuple, list[int]] = {}
-    for i, arr in enumerate(arrays):
-        groups.setdefault(arr.shape, []).append(i)
-    formed = [None] * len(arrays)
+    for i, stack in enumerate(stacks):
+        groups.setdefault(stack.shape[1:], []).append(i)
+    formed = [None] * len(stacks)
     for members in groups.values():
-        for i, entry in zip(members, form(np.array([arrays[i] for i in members]))):
-            formed[i] = entry
+        whole, end = form(np.concatenate([stacks[i] for i in members])), 0
+        for i in members:
+            formed[i], end = whole[end : end + len(stacks[i])], end + len(stacks[i])
     return formed
 
 
@@ -688,13 +689,9 @@ def _functional_stacks(pairs, alpha) -> tuple[list[np.ndarray], list[dict]]:
 
     A stack's refusals are _gated_pair's rules (_gate) on its matrices: pair t's A is matrix 2 t, its B 2 t + 1.
     """
-    gated, values = [_gate(stack.reshape(-1, *stack.shape[-2:])) for stack in pairs], [None] * len(pairs)
-    for size in sorted({stack.shape[-1] for stack in pairs}):
-        members = [i for i, stack in enumerate(pairs) if stack.shape[-1] == size]
-        stack = np.concatenate([gated[i][0] for i in members]).reshape(-1, 2, size, size)
-        f = functional_values(stack[:, 0], stack[:, 1], alpha)
-        for i, part in zip(members, np.split(f, np.cumsum([len(pairs[i]) for i in members])[:-1])):
-            values[i] = part
+    gated = [_gate(stack.reshape(-1, *stack.shape[-2:])) for stack in pairs]
+    stacks = [stack.reshape(-1, 2, *stack.shape[-2:]) for stack, _ in gated]
+    values = _by_shape(lambda stack: functional_values(stack[:, 0], stack[:, 1], alpha), stacks)
     return values, [refusals for _, refusals in gated]
 
 

@@ -48,7 +48,7 @@ def real_number(value, name: str) -> float:
 
 
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D square complex array with finite entries (matrix_refusals' first rule)."""
+    """Coerce to a nonempty 2-D square complex array with finite entries (matrix_refusals' first rule)."""
     return _gated(mat, name, hermitian=False)
 
 
@@ -72,12 +72,7 @@ def spectral_decompose(h) -> Spectrum:
     Raises NotHermitianError when max |H - H†| exceeds 1e-10, reporting the
     offending deviation. The arrays are copies, the caller's to write.
     """
-    return Spectrum(*(arr.copy() for arr in validated_spectrum(h)))
-
-
-def validated_spectrum(h) -> Spectrum:
-    """spectral_decompose without the copies: read-only arrays, shared while h keeps its exact bytes."""
-    return spectrum_memo(h).spectrum
+    return Spectrum(*(arr.copy() for arr in spectrum_memo(h).spectrum))
 
 
 class SpectrumMemo(NamedTuple):
@@ -93,7 +88,7 @@ class SpectrumMemo(NamedTuple):
 
 
 def spectrum_memo(h) -> SpectrumMemo:
-    """validated_spectrum with its alpha-free diagonal terms and a dict for terms derived from it.
+    """spectral_decompose's spectrum, uncopied, with its alpha-free diagonal terms and a dict for derived terms.
 
     One entry, the last matrix that passed as_hermitian, keyed by its shape and
     the bytes of its complex coercion. A matrix edited in place is a new key;
@@ -120,8 +115,9 @@ def as_hermitian(h) -> np.ndarray:
 def _gated(mat, name: str, hermitian: bool) -> np.ndarray:
     """mat as a square complex array, or the first refusal matrix_refusals gives it as a stack of one."""
     arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimMismatchError(f"{name}: expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        kind = "square" if arr.size else "nonempty square"
+        raise DimMismatchError(f"{name}: expected a {kind} matrix, got shape {arr.shape}")
     raise_first(matrix_refusals(arr[None], name, hermitian))
     return arr
 

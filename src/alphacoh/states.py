@@ -17,7 +17,8 @@ import os
 import numpy as np
 
 from .divergence import check_count
-from .linalg import EIGENVALUE_CLAMP, HERMITICITY_TOL, as_square_matrix, max_asymmetry, validated_spectrum
+from .linalg import NegativeEigenvalueError, NotHermitianError, as_square_matrix, psd_refusals, raise_first
+from .linalg import spectrum_memo
 
 TRACE_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
@@ -34,16 +35,15 @@ class BadWeightsError(ValueError):
 def validate_density(rho, name: str = "state") -> np.ndarray:
     """Check the density-matrix invariants and return the coerced array.
 
-    Invariants, each reported by name on failure: square and finite,
-    Hermitian within 1e-10, eigenvalues >= -1e-12, trace within 1e-10 of 1.
+    Invariants, each reported after `name` on failure: square, nonempty and
+    finite, Hermitian within 1e-10 (NotHermitianError), PSD as matrix_power
+    has it (NegativeEigenvalueError), trace within 1e-10 of 1.
     """
     mat = as_square_matrix(rho, name=name)
-    asym = max_asymmetry(mat)
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"{name}: hermiticity violated, max |M - M^dag| = {asym:.3e}")
-    eigenvalues = validated_spectrum(mat).eigenvalues  # the spectrum the measures of the state then reuse
-    if eigenvalues[0] < -EIGENVALUE_CLAMP:
-        raise ValueError(f"{name}: positivity violated, lowest eigenvalue {eigenvalues[0]:.3e}")
+    try:  # the spectrum the measures of the state then reuse
+        raise_first(psd_refusals(spectrum_memo(mat).spectrum.eigenvalues))
+    except (NotHermitianError, NegativeEigenvalueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
     trace = mat.trace()
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"{name}: trace violated, Tr = {trace:.12g}")

@@ -623,6 +623,22 @@ class TestInputBoundary:
         assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entries, rule",
+        [
+            ([[0.5, 0], [0.3, 0], [0, 0], [0.5, 0]], "not Hermitian: max |H - H^dag| = 3.000e-01"),
+            ([[0.9, 0], [0.5, 0], [0.5, 0], [0.1, 0]], "eigenvalue -1.403e-01 below -1e-12"),
+            # outside the clamp window |lam| < 1e-12: load_state took it and the skew kind then refused it unnamed
+            ([[1 + 1e-12, 0], [0, 0], [0, 0], [-1e-12, 0]], "eigenvalue -1.000e-12 below -1e-12"),
+        ],
+        ids=["not_hermitian", "not_psd", "psd_boundary"],
+    )
+    def test_invalid_state(self, entries, rule, tmp_path, capsys):
+        path = self._write(tmp_path, "state.json", json.dumps({"dim": 2, "entries": entries}))
+        assert main(["compute", path, "--kind", "skew"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {path}: {rule}" in captured.err
+
     def test_undecodable_state(self, tmp_path, capsys):
         path = tmp_path / "state.json"
         path.write_bytes(b"\xff\xfe{")

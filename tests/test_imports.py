@@ -91,6 +91,18 @@ def test_every_constant_is_read():
     assert dead_constants() == set()
 
 
+# each has one site: the Hermitian test (max_asymmetry), the 0**p power convention and the eigendecomposition
+LINALG_ONLY = {"max_asymmetry", "powered_eigenvalues", "eigh"}
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "linalg"])
+def test_the_linalg_rules_are_called_only_in_linalg(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    # the called name's last part, so an alias such as np.linalg.eigh or a bare eigh import both count
+    called = {ast.unparse(node.func).split(".")[-1] for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & LINALG_ONLY == set()
+
+
 def test_all_is_every_public_name_the_package_binds():
     import alphacoh
 

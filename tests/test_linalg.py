@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphacoh.channels import KrausChannel
 from alphacoh.cli import EXIT_OK, main
 import alphacoh.coherence as coherence
 from alphacoh.coherence import (
@@ -13,6 +14,7 @@ from alphacoh.coherence import (
     alpha_diagonal,
     closed_form,
     coherence_alpha,
+    l1_coherence,
     measure_value,
     measure_values,
     optimal_incoherent_state,
@@ -20,9 +22,10 @@ from alphacoh.coherence import (
     skew_info_sum,
     tsallis_coherence,
 )
-from alphacoh.divergence import shannon_entropy, von_neumann_entropy
+from alphacoh.divergence import shannon_entropy, trace_functional, von_neumann_entropy
 from alphacoh.linalg import (
     EIGENVALUE_CLAMP,
+    DimMismatchError,
     NegativeEigenvalueError,
     NotHermitianError,
     as_hermitian,
@@ -34,9 +37,8 @@ from alphacoh.linalg import (
     spectral_decompose,
     spectrum_memo,
     spectrum_power,
-    validated_spectrum,
 )
-from alphacoh.states import random_density, save_state
+from alphacoh.states import random_density, save_state, validate_density
 from conftest import random_hermitian
 
 ROT = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -67,6 +69,25 @@ def test_max_asymmetry_hand_value():
     mat = np.array([[1.0, 2.0], [2.5, 3.0]])
     assert max_asymmetry(mat) == pytest.approx(0.5)
     assert max_asymmetry(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        validate_density,
+        lambda z: matrix_power(z, 0.5),
+        lambda z: coherence_alpha(z, 0.5),
+        l1_coherence,
+        lambda z: trace_functional(z, z, 0.5),
+        von_neumann_entropy,
+        lambda z: KrausChannel(z[None]),
+    ],
+    ids=["validate_density", "matrix_power", "coherence_alpha", "l1_coherence", "trace_functional", "entropy", "kraus"],
+)
+def test_an_empty_operand_is_refused(call):
+    # it crashed with an IndexError or a zero-size reduction, or scored a zero-dimensional "state" as 0
+    with pytest.raises(DimMismatchError, match=r"nonempty square .*\(0, 0\)$"):
+        call(np.zeros((0, 0)))
 
 
 def test_matrix_refusals_are_the_as_hermitian_gate_per_matrix(rng):
@@ -119,7 +140,7 @@ class TestSpectrumMemo:
 
     def test_the_shared_arrays_are_read_only(self, rng):
         rho = random_density(2, 2, rng(23))
-        for arr in validated_spectrum(rho):
+        for arr in spectrum_memo(rho).spectrum:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphacoh.linalg import DimMismatchError
+from alphacoh.coherence import skew_info_sum
+from alphacoh.linalg import DimMismatchError, NegativeEigenvalueError, NotHermitianError, matrix_power
 from alphacoh.states import (
     BadRankError,
     BadWeightsError,
@@ -42,12 +43,20 @@ class TestValidateDensity:
             validate_density(np.diag([0.7, 0.4]))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="hermiticity violated"):
+        with pytest.raises(NotHermitianError, match=r"^state: not Hermitian: max \|H - H\^dag\| = 3\.000e-01 exceeds"):
             validate_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="positivity violated"):
+        message = r"^state: eigenvalue -1\.403e-01 below -1e-12; matrix is not PSD$"
+        with pytest.raises(NegativeEigenvalueError, match=message):
             validate_density(np.array([[0.9, 0.5], [0.5, 0.1]]))
+
+    def test_the_psd_boundary_is_refused_as_matrix_power_and_skew_refuse_it(self):
+        # -1e-12 lies outside the clamp window |lam| < 1e-12, so it stays negative for every PSD gate
+        boundary = np.diag([1 + 1e-12, -1e-12])
+        for refuse in (validate_density, lambda rho: matrix_power(rho, 0.5), skew_info_sum):
+            with pytest.raises(NegativeEigenvalueError, match="eigenvalue -1.000e-12 below -1e-12; matrix is not PSD$"):
+                refuse(boundary)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
