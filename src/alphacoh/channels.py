@@ -179,8 +179,7 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
     projection: see _structurally_infeasible. Rows, weights and phases are
     drawn in the same order either way, so the stream is the same.
 
-    The draw is incoherent_draw's and the formation kraus_stack's, which the
-    suite runs once per cell on the zero-padded draws of all its trials.
+    The draw is incoherent_draw's, projected once per suite row, and the formation kraus_stack's, once per cell.
     """
     return KrausChannel(kraus_stack(*incoherent_draw(d, n_kraus, rng)))
 
@@ -188,19 +187,25 @@ def random_incoherent_channel(d: int, n_kraus: int, rng: np.random.Generator) ->
 def incoherent_draw(d: int, n_kraus: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """random_incoherent_channel's rows and amplitudes, each (n_kraus, d), for kraus_stack.
 
-    Operator n puts amps[n, c] at (rows[n, c], c).
+    Operator n puts amps[n, c] at (rows[n, c], c). It is unprojected_draw and _cancel_merge_terms on a stack of
+    one, redrawn while that wipes a column out; the suite projects a (check, dim) row's draws per operator count.
     """
-    d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
     while True:  # ends: a draw with injective rows in every operator needs no projection
+        rows, amplitudes = unprojected_draw(d, n_kraus, rng)
+        columns, wiped = _cancel_merge_terms(rows[None], amplitudes[None])
+        if not wiped[0]:
+            return rows, columns[0]
+
+
+def unprojected_draw(d: int, n_kraus: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """incoherent_draw's rows and amplitudes before projection, drawn until the rows pass _structurally_infeasible."""
+    d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
+    while True:
         rows = rng.integers(0, d, size=(n_kraus, d))
         weights = rng.dirichlet(np.ones(n_kraus), size=d).T  # (n_kraus, d), columns sum to 1
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_kraus, d))
-        if _structurally_infeasible(rows):
-            continue
-        amplitudes = np.sqrt(weights) * np.exp(1j * phases)
-        columns = _cancel_merge_terms(rows, amplitudes)
-        if columns is not None:
-            return rows, np.array(columns).T
+        if not _structurally_infeasible(rows):
+            return rows, np.sqrt(weights) * np.exp(1j * phases)
 
 
 def _structurally_infeasible(rows: np.ndarray) -> bool:
@@ -219,31 +224,34 @@ def _structurally_infeasible(rows: np.ndarray) -> bool:
     return False
 
 
-def _cancel_merge_terms(rows: np.ndarray, amplitudes: np.ndarray):
-    """Orthogonalize column amplitude vectors against merge-masked predecessors.
+def _cancel_merge_terms(rows: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonalize column amplitude vectors against merge-masked predecessors, for a stack of draws.
 
-    Returns the list of unit column vectors, or None when a projection wipes
-    a column out (norm below 1e-6; the row draw is infeasible).
+    rows and amplitudes are (T, n_kraus, d). Returns the unit columns (T, n_kraus, d) and the mask (T,) of the
+    draws a projection wipes out (a norm below 1e-6: the row draw is infeasible), whose columns are unfinished.
+    Per column, the draws with m constraints share one stacked QR; each draw gets the bits of its stack of one.
     """
-    n_kraus, d = rows.shape
-    columns: list[np.ndarray] = []
-    for j in range(d):
-        vec = amplitudes[:, j].copy()
-        constraints = []
-        for k in range(j):
-            mask = rows[:, k] == rows[:, j]
-            if mask.any():
-                constraints.append(np.where(mask, columns[k], 0.0))
-        if constraints:
+    columns = np.zeros(amplitudes.shape, dtype=complex)
+    wiped = np.zeros(len(rows), dtype=bool)
+    for j in range(rows.shape[-1]):
+        vecs = amplitudes[..., j].copy()
+        shared = rows[..., :j] == rows[..., j, None]  # (T, n_kraus, j): operator n maps column k < j to j's row
+        merged = shared.any(axis=-2)  # (T, j): column k is a constraint of column j
+        counts = np.where(wiped, 0, merged.sum(axis=-1))
+        for m in set(counts.tolist()) - {0}:  # np.unique would cost 1.5 MB of resident memory on first use
+            group = np.flatnonzero(counts == m)
+            earlier = np.nonzero(merged[group])[1].reshape(len(group), 1, m)  # each draw's constraint columns
+            masked = np.take_along_axis(shared[group], earlier, axis=-1)
+            constraints = np.where(masked, np.take_along_axis(columns[group], earlier, axis=-1), 0.0)
             # cross term (k, j) is vdot(masked column k, column j); project onto
             # the orthogonal complement of the span of those masked vectors
-            basis, _ = np.linalg.qr(np.array(constraints).T)
-            vec = vec - basis @ (basis.conj().T @ vec)
-        norm = np.linalg.norm(vec)
-        if norm < 1e-6:
-            return None
-        columns.append(vec / norm)
-    return columns
+            basis, _ = np.linalg.qr(constraints)
+            vecs[group] -= (basis @ (basis.conj().swapaxes(-1, -2) @ vecs[group, :, None]))[..., 0]
+        re, im = vecs.real[:, None], vecs.imag[:, None]  # a 1-D np.linalg.norm's dots; its axis=-1 form rounds apart
+        norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+        wiped |= norms < 1e-6
+        columns[~wiped, :, j] = vecs[~wiped] / norms[~wiped, None]
+    return columns, wiped
 
 
 def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:

@@ -26,6 +26,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     NotIncoherentChannelError,
+    _cancel_merge_terms,
     apply_channel,
     branches,
     channel_draw,
@@ -35,6 +36,7 @@ from .channels import (
     isometry_kraus,
     kraus_stack,
     select,  # unused here; the benchmark reads and patches it under this module too
+    unprojected_draw,
 )
 from .coherence import (
     ALPHA_KINDS,
@@ -463,7 +465,7 @@ class _Draw(NamedTuple):
     """One trial's random numbers, everything _form makes its inputs from."""
 
     factors: list  # density_factor of each state: rho[, sigma[, then each ensemble pair]], or the convexity states
-    channel: object = None  # incoherent_draw's (rows, amps), or channel_draw's Ginibre matrix
+    channel: object = None  # incoherent_draw's (rows, amps), projected by _drawn, or channel_draw's Ginibre matrix
     unitary: np.ndarray | None = None  # observations: the Ginibre matrix of U
     weights: np.ndarray | None = None  # the convexity weights, or the observations ensemble's
     populations: np.ndarray | None = None  # observations: the ancilla's diagonal
@@ -475,14 +477,14 @@ def _draw_state(cfg: TrialConfig, d: int, rng) -> np.ndarray:
 
 
 def _draw(cfg: TrialConfig, check: str, d: int, rng) -> _Draw:
-    """A trial's draw, in its stream's order: the generator calls of the public samplers, nothing formed."""
+    """A trial's draw, in its stream's order: the public samplers' generator calls, nothing formed or projected."""
     lo, hi = cfg.n_kraus_range
     if check == "convexity":
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
         return _Draw([_draw_state(cfg, d, rng) for _ in weights], weights=weights)
     rho = _draw_state(cfg, d, rng)
     if check in CHANNEL_CHECKS:  # the draw order rebuild_witness replays
-        return _Draw([rho], incoherent_draw(d, int(rng.integers(lo, hi + 1)), rng))
+        return _Draw([rho], unprojected_draw(d, int(rng.integers(lo, hi + 1)), rng))
     factors = [rho, _draw_state(cfg, d, rng)]
     channel = channel_draw(d, int(rng.integers(lo, hi + 1)), rng)
     if check == "lemma1":
@@ -550,25 +552,54 @@ def _one_trial(cfg: TrialConfig, check: str, dim: int, alpha: float, trial: int,
 
 
 def _grid(cfg: TrialConfig) -> list[tuple[str, int, float]]:
-    # single source of the cell ordering; rebuild_witness depends on it
+    # single source of the cell ordering, alpha innermost so a (check, dim) row is consecutive; rebuild_witness reads it
     return [(check, dim, alpha) for check in cfg.checks for dim in cfg.dims for alpha in cfg.alphas]
 
 
-def _run_cell(task) -> list[TrialRecord]:
-    """One (check, dim, alpha) cell, formed and scored as stacks; _one_trial makes each trial's records.
+def _drawn(cfg: TrialConfig, check: str, dim: int, keys) -> dict:
+    """Each (cell, trial) key's _Draw from substream(seed, cell, trial), in key order, or the error its draw raised.
 
-    Every trial draws from its own stream (_draw); a draw that raises gives that error record. _form makes
-    the cell of the rest at once, and one _stacked_sides call scores it beside each trial's first refusal;
-    a stacked call that raises gives each of them that error's record. One _input_gate call refuses trials
-    with their public check's error first. So every record has the bits and text of its public check's.
+    The channel checks' incoherent draws are projected by one _cancel_merge_terms call per operator count. A
+    draw it wipes out replays its stream to where it stopped and goes on as incoherent_draw, as the sampler would.
     """
-    cfg, cell_index, check, dim, alpha = task
-    outcomes: dict[int, object] = {}  # each trial's draw, then its sides or the error that refused it
-    for trial in range(cfg.trials_per_cell):
+    drawn: dict[tuple[int, int], object] = {}
+    groups: dict[int, list] = {}  # the incoherent draws by operator count
+    for key in keys:
         try:
-            outcomes[trial] = _draw(cfg, check, dim, substream(cfg.master_seed, cell_index, trial))
+            drawn[key] = _draw(cfg, check, dim, substream(cfg.master_seed, *key))
+            if check in CHANNEL_CHECKS:
+                groups.setdefault(len(drawn[key].channel[0]), []).append(key)
         except Exception as exc:  # aggregate, never abort the suite
-            outcomes[trial] = exc
+            drawn[key] = exc
+    for group in groups.values():
+        rows, amps = (np.array(part) for part in zip(*(drawn[key].channel for key in group)))
+        for key, *projected, gone in zip(group, rows, *_cancel_merge_terms(rows, amps)):
+            try:
+                if gone:  # no stream is kept: at about 0.9 KB each, a 26,672-trial row's would hold 23 MB
+                    _draw(cfg, check, dim, rng := substream(cfg.master_seed, *key))
+                    projected = incoherent_draw(dim, len(rows[0]), rng)
+                drawn[key] = drawn[key]._replace(channel=tuple(projected))
+            except Exception as exc:  # aggregate, never abort the suite
+                drawn[key] = exc
+    return drawn
+
+
+def _run_row(task) -> list[TrialRecord]:
+    """A (check, dim) row of the grid: its alpha cells, consecutive in _grid order, drawn at once, run by _run_cell."""
+    cfg, first, check, dim = task
+    n = cfg.trials_per_cell
+    drawn = list(_drawn(cfg, check, dim, [(first + i // n, i % n) for i in range(len(cfg.alphas) * n)]).values())
+    return [r for i, a in enumerate(cfg.alphas) for r in _run_cell(cfg, check, dim, a, drawn[i * n : i * n + n])]
+
+
+def _run_cell(cfg: TrialConfig, check: str, dim: int, alpha: float, draws: list) -> list[TrialRecord]:
+    """One (check, dim, alpha) cell from its trials' draws, formed and scored as stacks; _one_trial makes the records.
+
+    A draw that raised gives that error record. _form makes the cell of the rest, one _stacked_sides call scores
+    it beside each trial's first refusal (a stacked call that raises gives each that error's record), and
+    _input_gate refuses trials first. So every record has the bits and text of its public check's.
+    """
+    outcomes = dict(enumerate(draws))  # each trial's draw, then its sides or the error that refused it
     trials = [trial for trial, draw in outcomes.items() if isinstance(draw, _Draw)]
     if trials:
         cell = _form(check, [outcomes[trial] for trial in trials])
@@ -733,23 +764,22 @@ def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:
 
     The per-trial stream is substream(master_seed, cell_index, trial), so the
     record stream is identical for any worker count; workers only change who
-    computes which cell.
+    computes which (check, dim) row (_run_row).
     """
     import time
 
     start = time.perf_counter()
     workers = check_count(workers, "workers", 1)
-    cells = _grid(cfg)
-    tasks = [(cfg, i, check, dim, alpha) for i, (check, dim, alpha) in enumerate(cells)]
+    tasks = [(cfg, i, check, dim) for i, (check, dim, _) in enumerate(_grid(cfg))][:: len(cfg.alphas)]  # row starts
     if workers == 1 or len(tasks) == 1:
-        per_cell = [_run_cell(t) for t in tasks]
+        per_row = [_run_row(t) for t in tasks]
     else:
         # imported here: concurrent.futures.process pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            per_cell = list(pool.map(_run_cell, tasks))
-    records = [r for cell_records in per_cell for r in cell_records]
+            per_row = list(pool.map(_run_row, tasks))
+    records = [r for row_records in per_row for r in row_records]
     stats: dict[str, CheckStats] = {}
     for record in records:
         stats.setdefault(record.check_name, CheckStats()).absorb(record)
@@ -766,8 +796,10 @@ def rebuild_witness(cfg: TrialConfig, record: TrialRecord):
     """
     if record.check_name not in ("strong_monotonicity", "monotonicity"):
         raise ValueError(f"no state/channel witness for check {record.check_name!r}")
-    cell_index = _grid(cfg).index((record.check_name, record.dim, record.alpha))
-    draw = _draw(cfg, record.check_name, record.dim, substream(cfg.master_seed, cell_index, record.trial))
+    key = (_grid(cfg).index((record.check_name, record.dim, record.alpha)), record.trial)
+    draw = _drawn(cfg, record.check_name, record.dim, [key])[key]
+    if isinstance(draw, Exception):
+        raise draw
     cell = _form(record.check_name, [draw])  # a cell of one: no padding
     return cell.states[0, 0], KrausChannel(cell.kraus[0])
 

@@ -24,6 +24,7 @@ from alphacoh.channels import (
     random_incoherent_channel,
     save_channel,
     select,
+    unprojected_draw,
 )
 from alphacoh.linalg import DimMismatchError
 from alphacoh.states import (
@@ -33,6 +34,7 @@ from alphacoh.states import (
     random_density,
     substream,
 )
+from conftest import wiped_at_column_1
 
 DATA = pathlib.Path(__file__).parent / "data"
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -313,7 +315,7 @@ class TestFeasibilityRule:
             amplitudes = gen.standard_normal((n_kraus, d)) + 1j * gen.standard_normal((n_kraus, d))
             if _structurally_infeasible(rows):
                 rejected += 1
-                assert _cancel_merge_terms(rows, amplitudes) is None
+                assert _cancel_merge_terms(rows[None], amplitudes[None])[1].tolist() == [True]
         if n_kraus >= d:  # m_j <= j < d: the rule never fires
             assert rejected == 0
         else:
@@ -325,6 +327,46 @@ class TestFeasibilityRule:
         for _ in range(300):
             rows = gen.integers(0, d, size=(1, d))
             assert _structurally_infeasible(rows) == (len(set(rows[0].tolist())) < d)
+
+
+def unprojected_stack(d, n_kraus, gen, draws):
+    """rows and amplitudes (draws, n_kraus, d) of that many unprojected_draw calls on gen."""
+    return (np.array(part) for part in zip(*(unprojected_draw(d, n_kraus, gen) for _ in range(draws))))
+
+
+class TestStackedProjection:
+    """One _cancel_merge_terms call over a stack of draws gives each draw the bits of its own stack of one."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_kraus", [1, 2, 3, 4])
+    def test_each_draw_has_the_bits_of_its_own_call(self, d, n_kraus):
+        rows, amplitudes = unprojected_stack(d, n_kraus, substream(19, d, n_kraus), 130)  # 2,080 draws in all
+        columns, wiped = _cancel_merge_terms(rows, amplitudes)
+        for t in range(len(rows)):
+            own_columns, own_wiped = _cancel_merge_terms(rows[t : t + 1], amplitudes[t : t + 1])
+            assert (wiped[t], columns[t].tobytes()) == (own_wiped[0], own_columns[0].tobytes())
+        assert not wiped.any()
+
+    @pytest.mark.parametrize("n_kraus", [1, 2, 3, 4])
+    def test_a_column_is_divided_by_its_1d_norm(self, n_kraus):
+        # with no merge a column is its amplitudes over their np.linalg.norm, bit for bit: 5,000 vectors per count
+        gen = substream(21, n_kraus)
+        shape = (1250, n_kraus, 4)
+        amplitudes = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * 10.0 ** gen.uniform(-2, 2, shape)
+        columns, wiped = _cancel_merge_terms(np.broadcast_to(np.arange(4), shape).copy(), amplitudes)
+        expected = [vec / np.linalg.norm(vec) for vecs in amplitudes.transpose(0, 2, 1) for vec in vecs]
+        assert not wiped.any()
+        assert columns.transpose(0, 2, 1).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n_kraus", [2, 3])
+    def test_a_column_in_its_constraints_span_flags_only_its_draw(self, n_kraus):
+        rows, amplitudes = unprojected_stack(4, n_kraus, substream(20, n_kraus), 6)
+        wiped_at_column_1(rows, amplitudes, 2)
+        assert not _structurally_infeasible(rows[2])
+        columns, wiped = _cancel_merge_terms(rows, amplitudes)
+        assert wiped.tolist() == [False, False, True, False, False, False]
+        kept = [0, 1, 3, 4, 5]
+        assert columns[kept].tobytes() == _cancel_merge_terms(rows[kept], amplitudes[kept])[0].tobytes()
 
 
 @pytest.mark.parametrize(

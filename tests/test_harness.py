@@ -84,6 +84,7 @@ from alphacoh.states import (
     substream,
     validate_density,
 )
+from conftest import wiped_at_column_1
 
 DATA = pathlib.Path(__file__).parent / "data"
 HADAMARD_CH = KrausChannel(
@@ -656,9 +657,9 @@ class TestRunSuite:
         )
         assert run_suite(cfg, workers=1).records == run_suite(cfg, workers=2).records
 
-    def test_pool_is_capped_at_the_cell_count(self, monkeypatch):
+    def test_pool_is_capped_at_the_row_count(self, monkeypatch):
         # the pool forks every worker up front, so an oversized request must
-        # shrink to one worker per cell; the stand-in pool runs inline
+        # shrink to one worker per (check, dim) row; the stand-in pool runs inline
         import concurrent.futures
 
         sizes = []
@@ -677,13 +678,13 @@ class TestRunSuite:
                 return map(fn, tasks)
 
         cfg = TrialConfig(
-            dims=(2, 3), alphas=(0.5,), trials_per_cell=2, master_seed=3,
+            dims=(2, 3), alphas=(0.5, 1.5), trials_per_cell=2, master_seed=3,
             checks=("strong_monotonicity",),
         )
         serial = run_suite(cfg, workers=1).records
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # run_suite imports it per pool
         assert run_suite(cfg, workers=5000).records == serial
-        assert sizes == [2]
+        assert len(serial) == 4 * 2 and sizes == [2]  # four cells in two rows
 
     @pytest.mark.parametrize(
         "workers, error", [(0, ValueError), (-1, ValueError), (True, TypeError), (2.5, TypeError)]
@@ -1247,7 +1248,7 @@ def raising_on_call(fn, call, exc_type=RuntimeError):
 
 
 def raising_draw(monkeypatch, name, call):
-    """Patch the draw `name` (density_factor, incoherent_draw or channel_draw) so its `call`-th call raises.
+    """Patch the draw `name` (density_factor, unprojected_draw or channel_draw) so its `call`-th call raises.
 
     Returns the function that does the same to the public samplers, whose module calls the draw;
     a suite run and the per-trial loop then meet the failure on the same draw.
@@ -1367,12 +1368,93 @@ class TestStackedCell:
 
     @pytest.mark.parametrize("check", MEASURE_CHECK_NAMES)
     def test_a_draw_that_raises_keeps_its_place(self, check, monkeypatch):
-        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=6, checks=(check,), master_seed=22)
-        in_the_samplers = raising_draw(monkeypatch, "density_factor" if check == "convexity" else "incoherent_draw", 3)
+        # the failing draw is trial 3 of the row's second cell
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5, 1.5), trials_per_cell=6, checks=(check,), master_seed=22)
+        before = [(0, trial) for trial in range(6)] + [(1, trial) for trial in range(3)]
+        if check == "convexity":  # one density_factor call per state
+            factors = [harness._draw(cfg, check, 3, substream(22, *key)).factors for key in before]
+            name, call = "density_factor", sum(map(len, factors))
+        else:  # one unprojected_draw call per trial
+            name, call = "unprojected_draw", len(before)
+        in_the_samplers = raising_draw(monkeypatch, name, call)
         new = run_suite(cfg).records
         in_the_samplers()
         self.assert_same_records(new, per_trial_records(cfg))
-        assert [r.error for r in new].count("RuntimeError: synthetic draw failure") == 1
+        errors = [r.error for r in new]
+        assert errors == [""] * 9 + ["RuntimeError: synthetic draw failure"] + [""] * 2
+
+    def test_one_projection_per_operator_count_in_a_row(self, monkeypatch):
+        # a row's 30 incoherent draws share one _cancel_merge_terms call per operator count
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5, 1.5, 2.0), trials_per_cell=10, checks=("strong_monotonicity",),
+                          master_seed=45)
+        keys = [(cell, trial) for cell in range(3) for trial in range(10)]
+        counts = {len(harness._draw(cfg, "strong_monotonicity", 3, substream(45, *key)).channel[0]) for key in keys}
+        original, calls = harness._cancel_merge_terms, []
+
+        def counting(rows, amplitudes):
+            columns, wiped = original(rows, amplitudes)
+            calls.append((rows.shape[1], len(rows), int(wiped.sum())))
+            return columns, wiped
+
+        monkeypatch.setattr(harness, "_cancel_merge_terms", counting)
+        summary = run_suite(cfg)
+        assert len(summary.records) == 30 and not any(r.error for r in summary.records)
+        assert len(counts) > 1
+        assert sorted(n for n, _, _ in calls) == sorted(counts)
+        assert sum(size for _, size, _ in calls) == 30 and not any(wiped for _, _, wiped in calls)
+
+    def test_a_wiped_draw_draws_again_from_its_own_stream(self, monkeypatch):
+        # trial 1 of the row's second cell gets a column its constraints wipe out: it draws again, as the
+        # sampler does, and ends with the sampler's rows, amplitudes and next random()
+        import alphacoh.channels as channels
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(4,), alphas=(0.5, 1.5), trials_per_cell=4, n_kraus_range=(2, 3),
+                          checks=("monotonicity",), master_seed=31)
+        original, calls = channels.unprojected_draw, []
+
+        def wiping_on_call(call):
+            """unprojected_draw, except that its `call`-th call (counting from 0) returns a draw that is wiped out."""
+            made = []
+
+            def draw(d, n_kraus, rng):
+                made.append(None)
+                calls.append(call)
+                rows, amplitudes = original(d, n_kraus, rng)
+                if len(made) - 1 == call:
+                    rows, amplitudes = rows[None].copy(), amplitudes[None].copy()
+                    wiped_at_column_1(rows, amplitudes, 0)
+                    return rows[0], amplitudes[0]
+                return rows, amplitudes
+
+            return draw
+
+        streams = {}  # the last stream made for each key
+
+        def recorded(*key):
+            streams[key] = substream(*key)
+            return streams[key]
+
+        monkeypatch.setattr(harness, "substream", recorded)
+        sixth_wiped = wiping_on_call(5)
+        for module in (harness, channels):  # a first draw, and a redraw through incoherent_draw
+            monkeypatch.setattr(module, "unprojected_draw", sixth_wiped)
+        keys = [(cell, trial) for cell in range(2) for trial in range(4)]
+        drawn = harness._drawn(cfg, "monotonicity", 4, keys)
+        assert calls == [5] * 10  # eight draws; trial (1, 1) replays its first and draws again
+        for key in keys:
+            rng = substream(31, *key)
+            sampled_state(cfg, 4, rng)
+            monkeypatch.setattr(channels, "unprojected_draw", wiping_on_call(0) if key == (1, 1) else original)
+            rows, amplitudes = channels.incoherent_draw(4, int(rng.integers(2, 4)), rng)
+            seen_rows, seen_amplitudes = drawn[key].channel
+            assert (seen_rows.tobytes(), seen_amplitudes.tobytes()) == (rows.tobytes(), amplitudes.tobytes())
+            assert streams[(31, *key)].random() == rng.random()
+        assert calls == [5] * 10 + [0] * 2
 
     @pytest.mark.parametrize("check", ["strong_monotonicity", "monotonicity"])
     def test_a_coherent_draw_gets_the_scalar_error(self, check, monkeypatch):
@@ -1481,6 +1563,30 @@ class TestStackedCell:
             assert calls == [("measure_values", 7), ("measure_values", 7)]
         else:  # every drawn state of the cell, then the seven mixtures
             assert len(calls) == 2 and calls[0][1] >= 14 and calls[1] == ("measure_values", 7)
+
+
+class TestSuiteRows:
+    """A (check, dim) row, its alpha cells drawn and projected at once, gives the per-trial loop's records."""
+
+    CFG = TrialConfig(dims=(2, 3), alphas=(0.5, 1.5, 2.0), trials_per_cell=4,
+                      checks=("strong_monotonicity", "monotonicity", "holder"), master_seed=46)
+
+    def test_rows_match_the_per_trial_loop_for_any_worker_count(self):
+        records = [repr(r) for r in per_trial_records(self.CFG)]
+        assert len(records) == 3 * 2 * 3 * 4
+        for workers in (1, 2, 3):
+            assert [repr(r) for r in run_suite(self.CFG, workers=workers).records] == records
+
+    def test_rebuild_witness_replays_every_record(self):
+        public = {"strong_monotonicity": check_strong_monotonicity, "monotonicity": check_monotonicity}
+        replayed = 0
+        for record in run_suite(self.CFG).records:
+            if record.check_name in public:
+                rho, ch = rebuild_witness(self.CFG, record)
+                replay = public[record.check_name](self.CFG.kind, rho, ch, record.alpha, tolerance=self.CFG.tolerance)
+                assert repr(dataclasses.replace(replay, seed=record.seed, trial=record.trial)) == repr(record)
+                replayed += 1
+        assert replayed == 2 * 2 * 3 * 4
 
 
 class TestStackedFunctionalCell:
