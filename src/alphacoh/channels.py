@@ -200,9 +200,10 @@ def incoherent_draw(d: int, n_kraus: int, rng: np.random.Generator) -> tuple[np.
 def unprojected_draw(d: int, n_kraus: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """incoherent_draw's rows and amplitudes before projection, drawn until the rows pass _structurally_infeasible."""
     d, n_kraus = check_count(d, "d", 1), check_count(n_kraus, "n_kraus", 1)
+    concentration = np.ones(n_kraus)
     while True:
         rows = rng.integers(0, d, size=(n_kraus, d))
-        weights = rng.dirichlet(np.ones(n_kraus), size=d).T  # (n_kraus, d), columns sum to 1
+        weights = rng.dirichlet(concentration, size=d).T  # (n_kraus, d), columns sum to 1
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_kraus, d))
         if not _structurally_infeasible(rows):
             return rows, np.sqrt(weights) * np.exp(1j * phases)

@@ -976,18 +976,24 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
     four stalls in a row.
 
     A sweep is scored as stacks: every remaining (knob, candidate) move from
-    the current point is one entry of a stack, one _batch_gaps call scores
-    them all, the first entry in sweep order that raises the gap is accepted,
-    and the next stack starts at the following knob. Each entry has the bits
-    of its own scalar evaluation and a rejected move leaves the point as it
-    was, so the trajectory is the one a move-at-a-time loop takes.
+    the current point is one entry of a stack, the first entry in sweep order
+    that raises the gap is accepted, and the next stack starts at the
+    following knob. A move changes the state or the channel, never both, so
+    the point is held as its state rho, Kraus stack and C(rho), and a stack is
+    scored in two parts: the factor moves' new states against the held Kraus
+    stack, then, only when none of them improves, the channel moves' new
+    Kraus stacks against the held rho and C(rho). An accepted row's state (and
+    its C) or Kraus stack becomes the held one. Each entry has the bits of its
+    own scalar evaluation and a rejected move leaves the point as it was, so
+    the trajectory is the one a move-at-a-time loop takes.
     """
     g = g.copy()
     params = params[...]
     point = {"g": g, **vars(params)}  # the knob arrays by name, shared with g and params
     # only the start goes through the scalar path, and only the returned witness is
     # built (and validated) as a KrausChannel: the stacked channels are complete by construction
-    gap = _strong_mono_stats(kind, state_from_factor(g), params.ops(), alpha)[2]
+    rho, kraus = state_from_factor(g), params.ops()
+    before, _, gap = _strong_mono_stats(kind, rho, kraus, alpha)
     step = 0.05
     scale = max(float(np.max(np.abs(g))), 1.0)
 
@@ -1021,6 +1027,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
         comp_cols = [c for c in range(params.raw.shape[1]) if c not in merged]
         knobs += [("comp_phases", (t, c), shift) for t in range(2) for c in comp_cols]
 
+    channel_names = [name for name, v in vars(params).items() if v is not None]
     stalls = 0
     for _ in range(REFINE_SWEEPS):
         improved = False
@@ -1032,17 +1039,34 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
                 for new in candidates(point[name][idx], step)
                 if new != point[name][idx]
             ]
-            stack = {name: np.repeat(v[None], len(moves), axis=0) for name, v in point.items() if v is not None}
-            for row, (name, idx, new, _) in enumerate(moves):
-                stack[name][(row, *idx)] = new
-            factors = stack.pop("g")
-            gaps = _batch_gaps(kind, state_from_factor(factors), _SearchParams(**stack).ops(), alpha)
-            better = np.flatnonzero(gaps > gap)
+            split = sum(name == "g" for name, *_ in moves)  # the factor knobs lead the sweep order
+            for names, part in ((["g"], moves[:split]), (channel_names, moves[split:])):
+                if not part:
+                    continue
+                stack = {name: np.repeat(point[name][None], len(part), axis=0) for name in names}
+                for row, (name, idx, new, _) in enumerate(part):
+                    stack[name][(row, *idx)] = new
+                # _batch_gaps' two kernels, apart, so that an accepted state's C is held, not measured again
+                if "g" in stack:  # new states against the held Kraus stack
+                    rhos = state_from_factor(stack["g"])
+                    befores = measure_values(kind, rhos, alpha)[0]
+                    gaps = _branch_average(kind, kraus, rhos, alpha)[0] - befores
+                else:  # new Kraus stacks against the held state and its C(rho)
+                    ops = _SearchParams(**stack).ops()
+                    gaps = _branch_average(kind, ops, rho, alpha)[0] - before
+                better = np.flatnonzero(gaps > gap)
+                if better.size:
+                    break
             if not better.size:
                 break
-            name, idx, new, k = moves[better[0]]
+            row = better[0]
+            if "g" in stack:
+                rho, before = rhos[row], float(befores[row])
+            else:
+                kraus = ops[row]
+            name, idx, new, k = part[row]
             point[name][idx] = new
-            gap = float(gaps[better[0]])
+            gap = float(gaps[row])
             improved = True
             first = k + 1
         if gap >= REFINE_TARGET:
@@ -1054,7 +1078,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
             if stalls >= 4:
                 break
             step *= 0.5
-    return gap, state_from_factor(g), params.build()
+    return gap, rho, KrausChannel(kraus)
 
 
 def search_violation(

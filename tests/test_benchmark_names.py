@@ -85,8 +85,12 @@ def test_refine_call_pattern(monkeypatch):
     # directly under _refine_witness, reads the first one's gap as the start
     # gap, and counts channel validations as KrausChannel.__post_init__ calls;
     # the name check above cannot see any of it. Refinement scores the start
-    # alone through _strong_mono_stats and every candidate through _batch_gaps.
+    # alone through _strong_mono_stats and every candidate under its own span:
+    # factor moves through the state-stack branch average, channel moves through
+    # the Kraus-stack one, and never through _batch_gaps, whose span holds only
+    # the search's batch scoring.
     from alphacoh import harness
+    from alphacoh.coherence import measure_values
     from alphacoh.states import substream
 
     rng = substream(3, 5)
@@ -95,8 +99,9 @@ def test_refine_call_pattern(monkeypatch):
     gaps = harness._batch_gaps("tsallis", rhos, ops, 0.3)
     top = int(gaps.argmax())
 
-    evaluated, scored, built = [], [], []
+    evaluated, scored, averaged, built = [], [], [], []
     stats, batch_gaps, post_init = harness._strong_mono_stats, harness._batch_gaps, harness.KrausChannel.__post_init__
+    branch_average = harness._branch_average
 
     def counting_stats(*args):
         result = stats(*args)
@@ -108,18 +113,29 @@ def test_refine_call_pattern(monkeypatch):
         scored.append(result)
         return result
 
+    def counting_branch_average(kind, kraus, rho, alpha):
+        # a stack of Kraus stacks meets one state, a Kraus stack meets one state or a stack
+        result = branch_average(kind, kraus, rho, alpha)
+        averaged.append(((kraus.ndim, rho.ndim), result[0] - measure_values(kind, rho, alpha)[0]))
+        return result
+
     def counting_post_init(self):
         built.append(self)
         post_init(self)
 
     monkeypatch.setattr(harness, "_strong_mono_stats", counting_stats)
     monkeypatch.setattr(harness, "_batch_gaps", counting_batch_gaps)
+    monkeypatch.setattr(harness, "_branch_average", counting_branch_average)
     monkeypatch.setattr(harness.KrausChannel, "__post_init__", counting_post_init)
     monkeypatch.setattr(harness, "REFINE_SWEEPS", 2)
     gap, rho, ch = harness._refine_witness("tsallis", factors[top], params[top], 0.3)
-    # one scalar evaluation, of the start draw; the candidates went through the stacked kernel
+    # one scalar evaluation, of the start draw; the candidates went through the two stacked broadcasts
     assert evaluated == [gaps[top]]
-    assert scored and len(scored[0]) > 1 and all(s.ndim == 1 for s in scored)
+    assert scored == []
+    shapes = [shape for shape, _ in averaged]
+    assert shapes[0] == (3, 2)  # the start
+    assert set(shapes[1:]) == {(3, 3), (4, 2)}  # factor moves, then channel moves
     assert built == [ch]
     assert type(gap) is float and gap >= evaluated[0]
-    assert gap in [evaluated[0], *(float(v) for s in scored for v in s)]
+    assert gap in [evaluated[0], *(float(v) for _, rows in averaged[1:] for v in rows)]
+    assert gap == stats("tsallis", rho, ch.kraus, 0.3)[2]  # the returned pair's own scalar gap

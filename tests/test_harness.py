@@ -53,6 +53,7 @@ from alphacoh.harness import (
     _batch_gaps,
     _batch_incoherent_channels,
     _batch_states,
+    _branch_average,
     _cell_of,
     _holder_sides,
     _input_gate,
@@ -1072,6 +1073,94 @@ class TestRefinementTrajectory:
         monkeypatch.setattr("alphacoh.harness.REFINE_SWEEPS", 2)
         new = _refine_witness("tsallis", g, params, 0.3)
         self.assert_same(new, sequential_refine("tsallis", g, params, 0.3, max_sweeps=2))
+
+    def test_stacks_hold_one_kind_of_move(self, monkeypatch):
+        # factor stacks rebuild only states and channel stacks only Kraus stacks, and
+        # the held state is measured once, at the start, never again inside the loop
+        import alphacoh.harness as harness
+
+        g, params = self.start(3, 3, True, "alpha", 0.5, 102)
+        events, measured, depth = [], [], []
+        ops, from_factor = _SearchParams.ops, harness.state_from_factor
+        branch_average, values, value = harness._branch_average, harness.measure_values, harness.measure_value
+
+        def recording_ops(self):
+            arrays = [v.copy() for v in vars(self).values() if v is not None]  # the point's arrays move on
+            events.append(("params", arrays) if self.raw.ndim == 3 else ("start params", arrays))
+            return ops(self)
+
+        def recording_from_factor(factors):
+            rhos = from_factor(factors)
+            events.append(("g" if factors.ndim == 3 else "start g", [factors.copy()], rhos))
+            return rhos
+
+        def nested_branch_average(*args):
+            depth.append(1)
+            try:
+                return branch_average(*args)
+            finally:
+                depth.pop()
+
+        def recording_values(kind, states, alpha):
+            if not depth:
+                measured.append(states)
+            return values(kind, states, alpha)
+
+        def counting_value(*args):
+            measured.append("scalar")
+            return value(*args)
+
+        monkeypatch.setattr(_SearchParams, "ops", recording_ops)
+        monkeypatch.setattr(harness, "state_from_factor", recording_from_factor)
+        monkeypatch.setattr(harness, "_branch_average", nested_branch_average)
+        monkeypatch.setattr(harness, "measure_values", recording_values)
+        monkeypatch.setattr(harness, "measure_value", counting_value)
+        gap, rho, ch = _refine_witness("alpha", g, params, 0.5)
+
+        def moved_entries(rows, held):  # per row, the entries that differ from the held point
+            return set(sum((r != h).reshape(len(r), -1).sum(axis=1) for r, h in zip(rows, held)).tolist())
+
+        # the start is built once; then every stack row is one move from the point
+        # held at that time, which is the last stack's matching entry or one of its rows
+        assert [e[0] for e in events[:2]] == ["start g", "start params"]
+        assert all(e[0] in ("g", "params") for e in events[2:])
+        candidates = {"g": [events[0][1]], "params": [events[1][1]]}
+        rows_of = {"g": 0, "params": 0}
+        for name, rows, *_ in events[2:]:
+            held = [h for h in candidates[name] if moved_entries(rows, h) == {1}]
+            assert held, f"a {name} stack row is not one {name} move"
+            candidates[name] = held[:1] + [[r[i] for r in rows] for i in range(len(rows[0]))]
+            rows_of[name] += len(rows[0])
+        assert rows_of["g"] and rows_of["params"]
+        # the scalar start, then one before-side measurement per factor stack: that stack's own new states
+        factor_states = [e[2] for e in events[2:] if e[0] == "g"]
+        assert measured[0] == "scalar" and len(measured) == 1 + len(factor_states)
+        assert all(m is s for m, s in zip(measured[1:], factor_states))
+        assert _strong_mono_stats("alpha", rho, ch.kraus, 0.5)[2] == gap
+
+
+class TestHeldSideGaps:
+    """Refinement's two broadcasts give every row the bits of its own scalar evaluation.
+
+    A stack of states against one held Kraus stack goes through _batch_gaps
+    (refinement calls its two kernels apart); a stack of Kraus stacks against
+    one held state is its branch average minus the held C(rho). Search structures, both kinds, every search alpha, and
+    rank-one as well as full-rank factors.
+    """
+
+    @pytest.mark.parametrize("d, n_kraus, pair", TestRefinementTrajectory.STRUCTURES)
+    def test_rows_are_the_scalar_gaps(self, d, n_kraus, pair):
+        rng = substream(17, d, n_kraus, int(pair))
+        for rank in (1, d):
+            _, rhos = _batch_states(rng, 5, d, rank)
+            _, ops = _batch_incoherent_channels(rng, 5, d, n_kraus, pair)
+            for kind in ("tsallis", "alpha"):
+                for alpha in SEARCH_ALPHAS:
+                    state_rows = _batch_gaps(kind, rhos, ops[0], alpha)
+                    assert state_rows.tolist() == [_strong_mono_stats(kind, rho, ops[0], alpha)[2] for rho in rhos]
+                    before = _strong_mono_stats(kind, rhos[0], ops[0], alpha)[0]
+                    channel_rows = _branch_average(kind, ops, rhos[0], alpha)[0] - before
+                    assert channel_rows.tolist() == [_strong_mono_stats(kind, rhos[0], k, alpha)[2] for k in ops]
 
 
 def per_branch_average(kind, kraus, rho, alpha):
