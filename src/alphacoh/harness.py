@@ -247,17 +247,16 @@ def _record(check, dim, alpha, kind, lhs, rhs, tolerance, seed, trial):
 class _Cell(NamedTuple):
     """A cell's trials as stacks, one leading entry per trial; ragged parts are zero-padded beside their masks.
 
-    states (T, m, d, d) holds rho (m = 1), rho and sigma (m = 2), or the
-    convexity states (padded, masked by real_weights). A field the check has
-    no use for is None.
+    states (T, m, d, d) holds each trial's states in _Draw.factors order (rho; rho and sigma; the convexity
+    states; or rho, sigma, then each observations member's pair), masked by real_states as the weights are
+    (observations: by real_states[:, 2::2]). A field the check has no use for is None.
     """
 
     states: np.ndarray
     kraus: np.ndarray | None = None  # (T, n, d, d)
     real_kraus: np.ndarray | None = None  # (T, n)
+    real_states: np.ndarray | None = None  # (T, m)
     weights: np.ndarray | None = None  # (T, s): the convexity weights, or the observations ensemble's
-    real_weights: np.ndarray | None = None  # (T, s)
-    members: np.ndarray | None = None  # (T, s, 2, d, d): the observations ensemble's pairs
     unitaries: np.ndarray | None = None  # (T, d, d)
     populations: np.ndarray | None = None  # (T, k): the observations ancilla's diagonal
 
@@ -267,7 +266,10 @@ def _input_gate(check: str, cell: _Cell) -> dict[int, Exception]:
 
     Its channels must be complete (completeness_refusals: a KrausChannel met
     that when it was built, a formed cell meets it here) and, for the channel
-    checks, incoherent. A channel refused on both counts gets the completeness error.
+    checks, incoherent; an observations unitary U must meet U^dag U = I, the
+    completeness of U as a one-operator channel. A channel refused on two
+    counts gets the completeness error, and a trial whose channel and unitary
+    are both refused gets the channel's.
     """
     if cell.kraus is None:
         return {}
@@ -276,6 +278,8 @@ def _input_gate(check: str, cell: _Cell) -> dict[int, Exception]:
         stated = "the power-mean step is stated" if check == "holder" else f"{check.replace('_', ' ')} is defined"
         refusal = NotIncoherentChannelError(f"{stated} for incoherent channels")
         refusals = dict.fromkeys(np.flatnonzero(~incoherent_mask(cell.kraus)).tolist(), refusal)
+    elif check == "observations":
+        refusals = {t: ValueError(f"unitary: {e}") for t, e in completeness_refusals(cell.unitaries[:, None]).items()}
     return {**refusals, **completeness_refusals(cell.kraus)}
 
 
@@ -306,11 +310,12 @@ def _cell_of(check: str, inputs) -> _Cell:
         elif shape != np.shape(operands[0]):  # _gated_pair's refusal
             raise size_mismatch(len(operands[0]), shape[0])
     if check == "convexity":
-        return _assemble(check, [operands], weights=[weights])
+        return _assemble([operands], weights=[weights])
     kraus = _padded([(inputs[1] if check in CHANNEL_CHECKS else inputs[2]).kraus])
-    if check == "observations":  # rho, sigma, then each member's pair
-        return _assemble(check, [operands[:2] + operands[4:]], kraus, [weights], [inputs[3]], [populations])
-    return _assemble(check, [operands[: 1 if check in CHANNEL_CHECKS else 2]], kraus)
+    states = operands[: 1 if check in CHANNEL_CHECKS else 2] + operands[4:]  # observations: then each member's pair
+    if check == "observations":
+        return _assemble([states], kraus, [weights], [np.asarray(inputs[3], dtype=complex)], [populations])
+    return _assemble([states], kraus)
 
 
 def check_strong_monotonicity(kind, rho, ch: KrausChannel, alpha, *, tolerance=DEFAULT_TOLERANCE) -> TrialRecord:
@@ -505,28 +510,27 @@ def _form(check: str, draws: list[_Draw]) -> _Cell:
     formed = iter(_by_shape(state_from_factor, [g[None] for draw in draws for g in draw.factors]))
     states = [[next(formed)[0] for _ in draw.factors] for draw in draws]
     if check == "convexity":
-        return _assemble(check, states, weights=[draw.weights for draw in draws])
+        return _assemble(states, weights=[draw.weights for draw in draws])
     if check in CHANNEL_CHECKS:
         (rows, real), (amps, _) = (_padded(part) for part in zip(*(draw.channel for draw in draws)))
-        return _assemble(check, states, (kraus_stack(rows, amps), real))
+        return _assemble(states, (kraus_stack(rows, amps), real))
     ginibres = [draw.channel for draw in draws] + [draw.unitary for draw in draws if draw.unitary is not None]
     unitaries = iter(_by_shape(haar_from_ginibre, [g[None] for g in ginibres]))  # each channel's, then each U
     kraus = _padded([isometry_kraus(next(unitaries)[0], len(draw.factors[0])) for draw in draws])
+    if check == "lemma1":
+        return _assemble(states, kraus)
     weights, populations = [draw.weights for draw in draws], [draw.populations for draw in draws]
-    return _assemble(check, states, kraus, weights, [u[0] for u in unitaries], populations)
+    return _assemble(states, kraus, weights, [u[0] for u in unitaries], populations)
 
 
-def _assemble(check: str, states, kraus=None, weights=None, unitaries=None, populations=None) -> _Cell:
-    """The cell of formed trials: each one's states in _Draw.factors order, and the padded Kraus stack with its mask."""
-    if check == "convexity":
-        weights, real = _padded(weights)
-        return _Cell(_padded([np.array(s, dtype=complex) for s in states])[0], weights=weights, real_weights=real)
-    pairs = np.array([s[:2] for s in states], dtype=complex)  # (trials, 1 or 2, d, d): rho[, sigma]
-    if check != "observations":
-        return _Cell(pairs, *kraus)
-    d = pairs.shape[-1]
-    members = _padded([np.array(s[2:], dtype=complex).reshape(-1, 2, d, d) for s in states])[0]
-    return _Cell(pairs, *kraus, *_padded(weights), members, np.array(unitaries, dtype=complex), np.array(populations))
+def _assemble(states, kraus=(None, None), weights=None, unitaries=None, populations=None) -> _Cell:
+    """The one builder of a _Cell: each formed trial's states (_Draw.factors order) and parts, zero-padded stacks.
+
+    kraus is the padded Kraus stack with its mask; a part the check has none of is None.
+    """
+    states, real_states = _padded([np.array(s, dtype=complex) for s in states])
+    weights, unitaries, populations = (None if p is None else _padded(p)[0] for p in (weights, unitaries, populations))
+    return _Cell(states, *kraus, real_states, weights, unitaries, populations)
 
 
 def _by_shape(form, stacks: list) -> list:
@@ -683,10 +687,11 @@ def _holder_stack(cell: _Cell, a, sign):
 
 def _observations_stack(cell: _Cell, a, sign):
     """The five sides of every observations trial of a cell, and its six formed pair stacks in OBSERVATIONS order."""
-    pair, populations = cell.states, cell.populations  # (trials, 2, d, d) and (trials, k)
+    pair, populations = cell.states[:, :2], cell.populations  # (trials, 2, d, d) and (trials, k)
     trials, d, k = len(pair), pair.shape[-1], populations.shape[-1]
     us = cell.unitaries[:, None]
-    weights, drawn, members = cell.weights, cell.real_weights, cell.members
+    weights, drawn = cell.weights, cell.real_states[:, 2::2]
+    members = cell.states[:, 2:].reshape(trials, -1, 2, d, d)  # each member's pair
     ancillas = populations[:, None, None, :, None, None] * np.eye(k)[:, None, :]
     stacks = [
         pair,
@@ -741,7 +746,7 @@ def _measure_sides(check: str, kind: str, cell: _Cell, alpha):
     """
     trials = range(len(cell.states))
     if check == "convexity":
-        weights, real, states = cell.weights, cell.real_weights, cell.states
+        weights, real, states = cell.weights, cell.real_states, cell.states
         values = np.zeros(real.shape)
         values[real], refused = _measured(kind, states[real], alpha)
         lhs = sum(np.moveaxis(weights * values, -1, 0))
@@ -878,9 +883,6 @@ class _SearchParams:
         """Draw `index` of a batch as a copy; ``params[...]`` copies the whole struct."""
         return _SearchParams(**{k: None if v is None else v[index].copy() for k, v in vars(self).items()})
 
-    def build(self) -> KrausChannel:
-        return KrausChannel(self.ops())
-
     def ops(self) -> np.ndarray:
         """The Kraus stack (..., n_kraus, d, d) of one draw, or of every draw of a batch.
 
@@ -975,25 +977,25 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
     fixed step schedule, halve the step on a stalled sweep and give up after
     four stalls in a row.
 
-    A sweep is scored as stacks: every remaining (knob, candidate) move from
-    the current point is one entry of a stack, the first entry in sweep order
-    that raises the gap is accepted, and the next stack starts at the
-    following knob. A move changes the state or the channel, never both, so
-    the point is held as its state rho, Kraus stack and C(rho), and a stack is
-    scored in two parts: the factor moves' new states against the held Kraus
-    stack, then, only when none of them improves, the channel moves' new
-    Kraus stacks against the held rho and C(rho). An accepted row's state (and
-    its C) or Kraus stack becomes the held one. Each entry has the bits of its
-    own scalar evaluation and a rejected move leaves the point as it was, so
-    the trajectory is the one a move-at-a-time loop takes.
+    A sweep is scored in two phases, the factor knobs' moves, then the
+    channel knobs'. A phase scores stacks: every remaining (knob, candidate)
+    move of its knobs from the current point is one entry of a stack, the
+    first entry in sweep order that raises the gap is accepted, the next stack
+    starts at the following knob, and the phase ends at a stack with no such
+    entry. The point is held as its state rho, Kraus stack and C(rho): the
+    factor phase scores new states against the held Kraus stack, the channel
+    phase new Kraus stacks against the held rho and C(rho), and an accepted
+    row's state (and its C) or Kraus stack becomes the held one. Each entry
+    has the bits of its own scalar evaluation and a rejected move leaves the
+    point as it was, so the trajectory is the one a move-at-a-time loop takes.
     """
     g = g.copy()
     params = params[...]
     point = {"g": g, **vars(params)}  # the knob arrays by name, shared with g and params
     # only the start goes through the scalar path, and only the returned witness is
     # built (and validated) as a KrausChannel: the stacked channels are complete by construction
-    rho, kraus = state_from_factor(g), params.ops()
-    before, _, gap = _strong_mono_stats(kind, rho, kraus, alpha)
+    held = {"rho": state_from_factor(g), "kraus": params.ops()}
+    held["before"], _, gap = _strong_mono_stats(kind, held["rho"], held["kraus"], alpha)
     step = 0.05
     scale = max(float(np.max(np.abs(g))), 1.0)
 
@@ -1010,65 +1012,54 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
     def shift(v, step):
         return [v + step, v - step]
 
-    # (array name, index, candidates) for every knob, in sweep order. The pair
-    # operators' raw shares at the merged columns are dead (pair_s and the
+    # _batch_gaps' two kernels, apart, so that an accepted state's C is held, not measured again
+    def factor_rows(g):  # new states against the held Kraus stack
+        rhos = state_from_factor(g)
+        befores = measure_values(kind, rhos, alpha)[0]
+        return _branch_average(kind, held["kraus"], rhos, alpha)[0] - befores, {"rho": rhos, "before": befores}
+
+    def channel_rows(**arrays):  # new Kraus stacks against the held state and its C(rho)
+        ops = _SearchParams(**arrays).ops()
+        return _branch_average(kind, ops, held["rho"], alpha)[0] - held["before"], {"kraus": ops}
+
+    # (array name, index, candidates) for every knob of a phase, in sweep order. The
+    # pair operators' raw shares at the merged columns are dead (pair_s and the
     # angles govern those columns), so they get no knob.
     merged = set() if params.pair_cols is None else {int(c) for c in params.pair_cols}
-    knobs = [("g", idx, nudge) for idx in np.ndindex(g.shape)]
-    knobs += [
-        ("raw", (n, c), grow)
-        for n, c in np.ndindex(params.raw.shape)
-        if not (n < 2 and c in merged)
-    ]
+    factor_knobs = [("g", idx, nudge) for idx in np.ndindex(g.shape)]
+    channel_knobs = [("raw", (n, c), grow) for n, c in np.ndindex(params.raw.shape) if not (n < 2 and c in merged)]
     if merged:
-        knobs += [("pair_angles", (i,), shift) for i in range(3)]
+        channel_knobs += [("pair_angles", (i,), shift) for i in range(3)]
         if params.sing_phases.shape[0]:
-            knobs += [("pair_s", (i,), capped) for i in range(2)]
+            channel_knobs += [("pair_s", (i,), capped) for i in range(2)]
         comp_cols = [c for c in range(params.raw.shape[1]) if c not in merged]
-        knobs += [("comp_phases", (t, c), shift) for t in range(2) for c in comp_cols]
-
+        channel_knobs += [("comp_phases", (t, c), shift) for t in range(2) for c in comp_cols]
     channel_names = [name for name, v in vars(params).items() if v is not None]
+    phases = ((factor_knobs, ["g"], factor_rows), (channel_knobs, channel_names, channel_rows))
+
     stalls = 0
     for _ in range(REFINE_SWEEPS):
         improved = False
-        first = 0
-        while first < len(knobs):
-            moves = [
+        for knobs, names, score in phases:
+            first = 0
+            while moves := [
                 (name, idx, new, k)
                 for k, (name, idx, candidates) in enumerate(knobs[first:], first)
                 for new in candidates(point[name][idx], step)
                 if new != point[name][idx]
-            ]
-            split = sum(name == "g" for name, *_ in moves)  # the factor knobs lead the sweep order
-            for names, part in ((["g"], moves[:split]), (channel_names, moves[split:])):
-                if not part:
-                    continue
-                stack = {name: np.repeat(point[name][None], len(part), axis=0) for name in names}
-                for row, (name, idx, new, _) in enumerate(part):
+            ]:
+                stack = {name: np.repeat(point[name][None], len(moves), axis=0) for name in names}
+                for row, (name, idx, new, _) in enumerate(moves):
                     stack[name][(row, *idx)] = new
-                # _batch_gaps' two kernels, apart, so that an accepted state's C is held, not measured again
-                if "g" in stack:  # new states against the held Kraus stack
-                    rhos = state_from_factor(stack["g"])
-                    befores = measure_values(kind, rhos, alpha)[0]
-                    gaps = _branch_average(kind, kraus, rhos, alpha)[0] - befores
-                else:  # new Kraus stacks against the held state and its C(rho)
-                    ops = _SearchParams(**stack).ops()
-                    gaps = _branch_average(kind, ops, rho, alpha)[0] - before
+                gaps, rows = score(**stack)
                 better = np.flatnonzero(gaps > gap)
-                if better.size:
+                if not better.size:
                     break
-            if not better.size:
-                break
-            row = better[0]
-            if "g" in stack:
-                rho, before = rhos[row], float(befores[row])
-            else:
-                kraus = ops[row]
-            name, idx, new, k = part[row]
-            point[name][idx] = new
-            gap = float(gaps[row])
-            improved = True
-            first = k + 1
+                row = better[0]
+                held.update((key, value[row]) for key, value in rows.items())
+                name, idx, new, k = moves[row]
+                point[name][idx] = new
+                gap, improved, first = float(gaps[row]), True, k + 1
         if gap >= REFINE_TARGET:
             break
         if improved:
@@ -1078,7 +1069,7 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
             if stalls >= 4:
                 break
             step *= 0.5
-    return gap, rho, KrausChannel(kraus)
+    return gap, held["rho"], KrausChannel(held["kraus"])
 
 
 def search_violation(

@@ -596,6 +596,14 @@ class TestErrorContract:
                 lambda: check_lemma1(np.ones((2, 3)), _qubit(), identity_channel(2), 0.5),
                 DimMismatchError, "matrix: expected a square matrix, got shape (2, 3)", id="non_square-lemma1",
             ),
+            # U^dag U = I, the completeness rule on U as a one-operator channel: a scaled U is no isometry
+            pytest.param(
+                lambda: check_observations(
+                    _qutrit(), _qutrit(), identity_channel(3), 2 * haar_unitary(3, substream(3)), [1.0], 0.5
+                ),
+                ValueError, "unitary: completeness violated: max |sum K^dag K - I| = 3.000e+00",
+                id="non_unitary-observations",
+            ),
         ],
     )
     def test_raises(self, call, exc, prefix):
@@ -603,6 +611,17 @@ class TestErrorContract:
             call()
         assert type(info.value) is exc
         assert str(info.value).startswith(prefix)
+
+    def test_a_refused_channel_wins_over_a_refused_unitary(self):
+        import alphacoh.harness as harness
+
+        rho = _qubit()
+        cell = _cell_of("observations", (rho, rho, identity_channel(2), 2 * np.eye(2), [1.0], [(1.0, rho, rho)]))
+        assert str(_input_gate("observations", cell)[0]).startswith("unitary: completeness violated")
+        cell.kraus[0] *= 2  # no KrausChannel holds this; a formed cell could
+        (refusal,) = _input_gate("observations", cell).values()
+        assert type(refusal) is ValueError
+        assert str(refusal) == str(harness.completeness_refusals(cell.kraus)[0])
 
 
 class TestCheckStats:
@@ -897,7 +916,7 @@ class TestSearchSampler:
                 seen[name] = hashlib.sha256(stacked.tobytes()).hexdigest()
         assert seen == self.DIGESTS[f"d={d} n_kraus={n_kraus} pair={pair}"]
         for b, p in enumerate(draws):
-            assert np.array_equal(np.stack(p.build().kraus), ops[b])
+            assert np.array_equal(np.stack(KrausChannel(p.ops()).kraus), ops[b])
 
     @pytest.mark.parametrize("d, n_kraus, pair", CELLS)
     def test_batch_gaps_are_the_scalar_gaps(self, d, n_kraus, pair):
@@ -941,7 +960,7 @@ class TestSearchSampler:
         for name, value in vars(draw).items():
             assert np.array_equal(value, getattr(params, name)[4])
             assert not np.shares_memory(value, getattr(params, name))
-        ch = draw.build()
+        ch = KrausChannel(draw.ops())
         assert type(ch.kraus) is np.ndarray and ch.kraus.shape == (3, 3, 3)
         assert not ch.kraus.flags.writeable
         assert np.array_equal(ch.kraus, ops[4])
@@ -950,7 +969,7 @@ class TestSearchSampler:
         params, ops = _batch_incoherent_channels(substream(7, 3, 4), 8, 3, 4, True)
         params[2].raw[:] = 1.0
         params[2].pair_angles[:] = 0.0
-        assert np.array_equal(np.stack(params[2].build().kraus), ops[2])
+        assert np.array_equal(np.stack(KrausChannel(params[2].ops()).kraus), ops[2])
 
 
 def sequential_refine(kind, g, params, alpha, *, max_sweeps=40, target=1e-4, skipped=None):
@@ -1017,7 +1036,7 @@ def sequential_refine(kind, g, params, alpha, *, max_sweeps=40, target=1e-4, ski
             if stalls >= 4:
                 break
             step *= 0.5
-    return gap, state_from_factor(g), params.build()
+    return gap, state_from_factor(g), KrausChannel(params.ops())
 
 
 class TestRefinementTrajectory:
@@ -1890,6 +1909,28 @@ class TestStackOfOne:
                     new = public_check_call(check, kind, inputs, alpha)
                     old = reference_records(check, kind, inputs, alpha, DEFAULT_TOLERANCE, -1, -1)
                     assert [repr(r) for r in new] == [repr(r) for r in old]
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_the_public_cell_is_the_suite_cell(self, check):
+        # a suite trial formed alone, and its inputs handed back to the public check, give one cell, bit for bit
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), checks=(check,))
+        for draw in harness._drawn(cfg, check, 3, [(0, trial) for trial in range(4)]).values():
+            formed = harness._form(check, [draw])
+            states = list(formed.states[0])
+            if check == "convexity":
+                inputs = (formed.weights[0], states)
+            else:
+                ch = KrausChannel(formed.kraus[0][formed.real_kraus[0]])
+                inputs = (states[0], ch) if check in harness.CHANNEL_CHECKS else (*states[:2], ch)
+            if check == "observations":
+                ensemble = [(w, *pair) for w, pair in zip(formed.weights[0], zip(states[2::2], states[3::2]))]
+                inputs += (formed.unitaries[0], formed.populations[0], ensemble)
+            public = _cell_of(check, inputs)
+            for name, mine, theirs in zip(formed._fields, formed, public):
+                bits = [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in (mine, theirs)]
+                assert bits[0] == bits[1], name
 
     def test_real_arrays_score_as_their_complex_copies(self):
         # a real eigh and a complex one differ in the last bits (here relent and skew at d = 4)

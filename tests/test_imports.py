@@ -103,6 +103,17 @@ def test_the_linalg_rules_are_called_only_in_linalg(module):
     assert called & LINALG_ONLY == set()
 
 
+
+def test_a_cell_is_built_only_in_assemble():
+    # one builder of the suite's cells: every other site hands _assemble its parts
+    sites = []
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_Cell":
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("harness", "_assemble")]
+
 def test_all_is_every_public_name_the_package_binds():
     import alphacoh
 
