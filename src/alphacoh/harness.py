@@ -314,7 +314,7 @@ def _cell_of(check: str, inputs) -> _Cell:
     kraus = _padded([(inputs[1] if check in CHANNEL_CHECKS else inputs[2]).kraus])
     states = operands[: 1 if check in CHANNEL_CHECKS else 2] + operands[4:]  # observations: then each member's pair
     if check == "observations":
-        return _assemble([states], kraus, [weights], [np.asarray(inputs[3], dtype=complex)], [populations])
+        return _assemble([states], kraus, [weights], [as_square_matrix(inputs[3], "unitary")], [populations])
     return _assemble([states], kraus)
 
 
@@ -1072,6 +1072,42 @@ def _refine_witness(kind, g, params: _SearchParams, alpha):
     return gap, held["rho"], KrausChannel(held["kraus"])
 
 
+def _search_batch(kind: str, d: int, seed: int, batch_index: int, structure, size: int):
+    """One search batch, from its arguments alone: (batch_best, candidates).
+
+    Draws `size` states, then their channels, from substream(seed, batch_index)
+    under the structure (alpha, operator count, rank, merge pair) and scores
+    them. The first 3 draws above REFINE_TRIGGER are refined, then the best draw
+    whenever it comes within ASCEND_WINDOW of zero, because the violating set is
+    thin enough that raw sampling alone essentially never crosses it. A
+    candidate is (offset, refined, rho, channel, before, after, gap), the last
+    three confirmed by _strong_mono_stats on the refined witness; the list ends
+    at the first whose gap exceeds VIOLATION_GAP.
+    """
+    alpha, n_kraus, rank, with_pair = structure
+    rng = substream(seed, batch_index)
+    factors, rhos = _batch_states(rng, size, d, rank)
+    params, kraus = _batch_incoherent_channels(rng, size, d, n_kraus, with_pair)
+    gaps = _batch_gaps(kind, rhos, kraus, alpha)
+    batch_best = float(np.max(gaps))
+    offsets = [int(o) for o in np.nonzero(gaps > REFINE_TRIGGER)[0][:3]]
+    top = int(np.argmax(gaps))
+    # a single operator is a phased permutation: conjugating by it moves
+    # no coherence, the gap is identically zero, nothing to climb there
+    if n_kraus > 1 and batch_best > -ASCEND_WINDOW and top not in offsets:
+        offsets.append(top)
+    candidates = []
+    for offset in offsets:
+        # refinement starts from the batch's exact draw, its first evaluation gives
+        # gaps[offset] again, and it returns the draw unchanged when no move helps
+        refined_gap, rho, ch = _refine_witness(kind, factors[offset], params[offset], alpha)
+        before, after, gap = _strong_mono_stats(kind, rho, ch.kraus, alpha)
+        candidates.append((offset, bool(refined_gap > gaps[offset]), rho, ch, before, after, gap))
+        if gap > VIOLATION_GAP:
+            break
+    return batch_best, candidates
+
+
 def search_violation(
     d: int,
     max_trials: int,
@@ -1088,15 +1124,12 @@ def search_violation(
     the (alpha, operator count, rank, merge pair) combination cycles with the
     batch index so the budget covers the whole grid, and half the multi-
     operator batches carry a two-operator column merge, the only incoherent
-    structure whose selective branches can gain coherence. Raw draws landing
-    above REFINE_TRIGGER are refined directly; otherwise the best draw of a
-    batch seeds coordinate ascent whenever it comes within ASCEND_WINDOW of
-    zero, because the violating set is thin enough that raw sampling alone
-    essentially never crosses it. Refinement returns its witness as a
-    validated KrausChannel, and it only counts as found once _strong_mono_stats
-    on that channel confirms gap > VIOLATION_GAP. The report carries those
-    numbers, so reverify_violation and a serialized witness replay them
-    exactly.
+    structure whose selective branches can gain coherence. Each batch is a
+    _search_batch task of (seed, batch index, structure, size) alone, and this
+    loop commits them in order. A witness comes back as a validated
+    KrausChannel and counts as found once _strong_mono_stats confirms gap >
+    VIOLATION_GAP; the report carries those numbers, so reverify_violation and
+    a serialized witness replay them exactly.
     """
     d, max_trials = check_count(d, "dimension", 2), check_count(max_trials, "trial budget", 1)
     if kind not in ALPHA_KINDS:
@@ -1117,51 +1150,19 @@ def search_violation(
         for pair in ((False, True) if nk >= 2 and d > 2 else (False,))
     ]
     best_gap = -math.inf
-    trials_done = 0
-    batch_index = 0
-    while trials_done < max_trials:
-        size = min(batch_size, max_trials - trials_done)
-        alpha, n_kraus, rank, with_pair = combos[batch_index % len(combos)]
-        rng = substream(seed, batch_index)
-        factors, rhos = _batch_states(rng, size, d, rank)
-        params, kraus = _batch_incoherent_channels(rng, size, d, n_kraus, with_pair)
-        gaps = _batch_gaps(kind, rhos, kraus, alpha)
-        batch_best = float(np.max(gaps))
+    for batch_index, done in enumerate(range(0, max_trials, batch_size)):
+        structure = combos[batch_index % len(combos)]
+        size = min(batch_size, max_trials - done)
+        batch_best, candidates = _search_batch(kind, d, seed, batch_index, structure, size)
         if batch_best > best_gap:
             best_gap = batch_best
-        candidates = [int(o) for o in np.nonzero(gaps > REFINE_TRIGGER)[0][:3]]
-        top = int(np.argmax(gaps))
-        # a single operator is a phased permutation: conjugating by it moves
-        # no coherence, the gap is identically zero, nothing to climb there
-        if n_kraus > 1 and batch_best > -ASCEND_WINDOW and top not in candidates:
-            candidates.append(top)
-        for offset in candidates:
-            # refinement starts from the batch's exact state and channel, and its
-            # first evaluation gives gaps[offset] again; it returns them unchanged
-            # when no move helps
-            refined_gap, rho, ch = _refine_witness(kind, factors[offset], params[offset], alpha)
-            before, after, gap = _strong_mono_stats(kind, rho, ch.kraus, alpha)
+        for offset, refined, rho, ch, before, after, gap in candidates:
             if gap > best_gap:
                 best_gap = gap
             if gap > VIOLATION_GAP:
                 return ViolationReport(
-                    found=True,
-                    kind=kind,
-                    dim=d,
-                    seed=seed,
-                    trials_used=trials_done + offset + 1,
-                    best_gap=best_gap,
-                    alpha=alpha,
-                    state=rho,
-                    channel=ch,
-                    coherence_before=before,
-                    average_after=after,
-                    gap=gap,
-                    trial_index=trials_done + offset,
-                    refined=bool(refined_gap > gaps[offset]),
+                    found=True, kind=kind, dim=d, seed=seed, trials_used=done + offset + 1, best_gap=best_gap,
+                    alpha=structure[0], state=rho, channel=ch, coherence_before=before, average_after=after,
+                    gap=gap, trial_index=done + offset, refined=refined,
                 )
-        trials_done += size
-        batch_index += 1
-    return ViolationReport(
-        found=False, kind=kind, dim=d, seed=seed, trials_used=trials_done, best_gap=best_gap
-    )
+    return ViolationReport(found=False, kind=kind, dim=d, seed=seed, trials_used=max_trials, best_gap=best_gap)

@@ -45,6 +45,8 @@ from alphacoh.harness import (
     DEFAULT_TOLERANCE,
     OBSERVATIONS,
     SEARCH_ALPHAS,
+    SEARCH_BATCH,
+    VIOLATION_GAP,
     BadWeightsError,
     CheckStats,
     TrialConfig,
@@ -61,6 +63,7 @@ from alphacoh.harness import (
     _observation_sides,
     _record,
     _refine_witness,
+    _search_batch,
     _SearchParams,
     _strong_mono_stats,
     check_convexity,
@@ -604,6 +607,21 @@ class TestErrorContract:
                 ValueError, "unitary: completeness violated: max |sum K^dag K - I| = 3.000e+00",
                 id="non_unitary-observations",
             ),
+            # the finite rule on the unitary under its own name, before any product with it
+            pytest.param(
+                lambda: check_observations(
+                    np.diag([0.3, 0.7]), np.diag([0.6, 0.4]), dephasing_channel(2), [[np.inf, 0], [0, 1]],
+                    [0.5, 0.5], 0.5,
+                ),
+                ValueError, "unitary: entries must be finite", id="inf_unitary-observations",
+            ),
+            pytest.param(
+                lambda: check_observations(
+                    np.diag([0.3, 0.7]), np.diag([0.6, 0.4]), dephasing_channel(2), [[np.nan, 0], [0, 1]],
+                    [0.5, 0.5], 0.5,
+                ),
+                ValueError, "unitary: entries must be finite", id="nan_unitary-observations",
+            ),
         ],
     )
     def test_raises(self, call, exc, prefix):
@@ -798,6 +816,8 @@ class TestSearchViolation:
         assert report.trial_index == 17100
         assert report.gap > 1e-6
         assert report.trials_used <= 60_000
+        assert report.trials_used == 17101 and report.refined is True
+        assert repr(report.gap) == "0.024867039755557985"
         validate_density(report.state)
         assert is_incoherent(report.channel)
         assert reverify_violation(report) == report.gap
@@ -821,6 +841,7 @@ class TestSearchViolation:
         report = search_violation(3, 20_000, kind="alpha", seed=0)
         assert not report.found
         assert report.best_gap < 1e-9
+        assert repr(report.best_gap) == "2.631228568361621e-14"
         assert report.trials_used == 20_000
 
     def test_near_one_alphas_exhaust(self):
@@ -850,12 +871,47 @@ class TestSearchViolation:
         report = search_violation(2, 20_000, kind="tsallis", seed=0)
         assert not report.found
         assert report.best_gap < 1e-9
+        assert repr(report.best_gap) == "8.715250743307479e-15"
 
     def test_gap_threshold_is_respected(self, monkeypatch):
         monkeypatch.setattr("alphacoh.harness.VIOLATION_GAP", 1.0)
         report = search_violation(3, 60_000, kind="tsallis", seed=0)
         assert not report.found
         assert report.best_gap > 1e-6  # it did see violations, none that large
+        assert repr(report.best_gap) == "0.024867039755557985" and report.trials_used == 60_000
+
+    def test_batches_are_pure_tasks_one_loop_commits(self, monkeypatch):
+        # a batch reads nothing from the batches before it: run in reverse order and
+        # then forward, each gives the bits it gave inside the search
+        calls = []
+
+        def recording(*args):
+            calls.append((args, _search_batch(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("alphacoh.harness._search_batch", recording)
+        report = search_violation(3, 60_000, kind="tsallis", seed=0)
+        assert [args[3] for args, _ in calls] == list(range(5))
+        assert sum(len(candidates) for _, (_, candidates) in calls) == 3
+        for order in (calls[::-1], calls):
+            for args, result in order:
+                assert _batch_bits(_search_batch(*args)) == _batch_bits(result)
+        # the commit rule folds the batches into the search's report
+        best_gap = -math.inf
+        for (kind, d, seed, index, structure, _), (batch_best, candidates) in calls:
+            if batch_best > best_gap:
+                best_gap = batch_best
+            for offset, refined, rho, ch, before, after, gap in candidates:
+                if gap > best_gap:
+                    best_gap = gap
+                if gap > VIOLATION_GAP:
+                    done = index * SEARCH_BATCH
+                    folded = ViolationReport(
+                        True, kind, d, seed, done + offset + 1, best_gap, structure[0], rho, ch, before, after, gap,
+                        done + offset, refined,
+                    )
+        assert _report_bits(folded) == _report_bits(report)
+        assert report.trials_used == 17101
 
     def test_reverify_needs_a_witness(self):
         report = ViolationReport(found=False, kind="tsallis", dim=3, seed=0, trials_used=10, best_gap=-1.0)
@@ -970,6 +1026,21 @@ class TestSearchSampler:
         params[2].raw[:] = 1.0
         params[2].pair_angles[:] = 0.0
         assert np.array_equal(np.stack(KrausChannel(params[2].ops()).kraus), ops[2])
+
+
+def _batch_bits(result):
+    """A _search_batch result with every float as its repr and every array as its bytes."""
+    batch_best, candidates = result
+    return repr(batch_best), [
+        (offset, refined, rho.tobytes(), ch.kraus.tobytes(), repr(before), repr(after), repr(gap))
+        for offset, refined, rho, ch, before, after, gap in candidates
+    ]
+
+
+def _report_bits(report):
+    """Every ViolationReport field, the state and Kraus stack as their bytes."""
+    fields = dict(vars(report), state=report.state.tobytes(), channel=report.channel.kraus.tobytes())
+    return {k: v if isinstance(v, bytes) else repr(v) for k, v in fields.items()}
 
 
 def sequential_refine(kind, g, params, alpha, *, max_sweeps=40, target=1e-4, skipped=None):

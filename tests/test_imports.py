@@ -103,6 +103,26 @@ def test_the_linalg_rules_are_called_only_in_linalg(module):
     assert called & LINALG_ONLY == set()
 
 
+# the steps of one search batch: its stream, its draws, their scores and the refinement of a candidate
+BATCH_STEPS = {"substream", "_batch_states", "_batch_incoherent_channels", "_batch_gaps", "_refine_witness"}
+
+
+def test_a_search_batch_is_run_only_in_search_batch():
+    # search_violation commits batches; every step of one, and the confirm, run inside _search_batch
+    harness = ast.parse((SRC / "harness.py").read_text())
+    (search,) = [top for top in harness.body if getattr(top, "name", None) == "search_violation"]
+    called = {ast.unparse(node.func).split(".")[-1] for node in ast.walk(search) if isinstance(node, ast.Call)}
+    assert called & (BATCH_STEPS | {"_strong_mono_stats"}) == set()
+    sites = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (name := ast.unparse(node.func).split(".")[-1]) in BATCH_STEPS:
+                    sites.add((path.stem, getattr(top, "name", None), name))
+    # substream is also the stream of each suite trial and of each oracle-compare state
+    others = {("harness", "_drawn", "substream"), ("cli", "cmd_oracle_compare", "substream")}
+    assert sites == {("harness", "_search_batch", name) for name in BATCH_STEPS} | others
+
 
 def test_a_cell_is_built_only_in_assemble():
     # one builder of the suite's cells: every other site hands _assemble its parts
