@@ -41,7 +41,8 @@ class KrausChannel:
         if ops.ndim and not len(ops):
             raise ValueError("channel needs at least one Kraus operator")
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size:
-            raise DimMismatchError(f"Kraus operators must share one nonempty square shape, got {ops.shape[1:]}")
+            got = f"expected a stack (n, d, d), got {ops.shape}, operators of shape {ops.shape[1:]}"
+            raise DimMismatchError(f"Kraus operators must share one nonempty square shape: {got}")
         # a non-finite operator is refused before the completeness sum meets it
         raise_first(matrix_refusals(ops, "Kraus operator", hermitian=False) or completeness_refusals(ops[None]))
         ops.setflags(write=False)

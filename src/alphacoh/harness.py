@@ -18,6 +18,7 @@ bookkeeping.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -62,7 +63,7 @@ REFINE_SWEEPS = 40  # or after this many sweeps
 # a batch's best gap within this of zero seeds coordinate ascent; raw draws
 # alone essentially never cross into the (thin) violating set
 ASCEND_WINDOW = 1e-2
-SEARCH_BATCH = 4096
+SEARCH_BATCH = 4096  # the draws of a search batch, and at most those of a suite task unless one cell holds more
 
 ALL_CHECKS = (
     "strong_monotonicity",
@@ -262,7 +263,7 @@ class _Cell(NamedTuple):
 
 
 def _input_gate(check: str, cell: _Cell) -> dict[int, Exception]:
-    """The gate check_<check> and _run_cell put on a cell: the error of each refused trial, by index.
+    """The gate check_<check> and _run_cells put on a cell: the error of each refused trial, by index.
 
     Its channels must be complete (completeness_refusals: a KrausChannel met
     that when it was built, a formed cell meets it here) and, for the channel
@@ -579,7 +580,7 @@ def _drawn(cfg: TrialConfig, check: str, dim: int, keys) -> dict:
         rows, amps = (np.array(part) for part in zip(*(drawn[key].channel for key in group)))
         for key, *projected, gone in zip(group, rows, *_cancel_merge_terms(rows, amps)):
             try:
-                if gone:  # no stream is kept: at about 0.9 KB each, a 26,672-trial row's would hold 23 MB
+                if gone:  # no stream is kept: at about 0.9 KB each, a 4,096-draw task's would hold 3.7 MB
                     _draw(cfg, check, dim, rng := substream(cfg.master_seed, *key))
                     projected = incoherent_draw(dim, len(rows[0]), rng)
                 drawn[key] = drawn[key]._replace(channel=tuple(projected))
@@ -588,33 +589,31 @@ def _drawn(cfg: TrialConfig, check: str, dim: int, keys) -> dict:
     return drawn
 
 
-def _run_row(task) -> list[TrialRecord]:
-    """A (check, dim) row of the grid: its alpha cells, consecutive in _grid order, drawn at once, run by _run_cell."""
-    cfg, first, check, dim = task
-    n = cfg.trials_per_cell
-    drawn = list(_drawn(cfg, check, dim, [(first + i // n, i % n) for i in range(len(cfg.alphas) * n)]).values())
-    return [r for i, a in enumerate(cfg.alphas) for r in _run_cell(cfg, check, dim, a, drawn[i * n : i * n + n])]
+def _run_cells(task) -> list[TrialRecord]:
+    """A suite task, from its arguments alone: a run of consecutive cells of one (check, dim) row, in _grid order.
 
-
-def _run_cell(cfg: TrialConfig, check: str, dim: int, alpha: float, draws: list) -> list[TrialRecord]:
-    """One (check, dim, alpha) cell from its trials' draws, formed and scored as stacks; _one_trial makes the records.
-
-    A draw that raised gives that error record. _form makes the cell of the rest, one _stacked_sides call scores
-    it beside each trial's first refusal (a stacked call that raises gives each that error's record), and
+    The run's trials are drawn at once (_drawn), then each cell is formed and scored as stacks; _one_trial makes the
+    records. A draw that raised gives that error record. _form makes the cell of the rest, one _stacked_sides call
+    scores it beside each trial's first refusal (a stacked call that raises gives each that error's record), and
     _input_gate refuses trials first. So every record has the bits and text of its public check's.
     """
-    outcomes = dict(enumerate(draws))  # each trial's draw, then its sides or the error that refused it
-    trials = [trial for trial, draw in outcomes.items() if isinstance(draw, _Draw)]
-    if trials:
-        cell = _form(check, [outcomes[trial] for trial in trials])
-        try:
-            scored, refusals = _stacked_sides(check, cfg.kind, cell, alpha)
-        except Exception as exc:  # aggregate, never abort the suite
-            scored, refusals = [exc] * len(trials), {}
-        refusals.update(_input_gate(check, cell))  # a trial's channel is refused before its matrices
-        outcomes.update((trial, refusals.get(i, sides)) for i, (trial, sides) in enumerate(zip(trials, scored)))
-    records = (_one_trial(cfg, check, dim, alpha, trial, outcomes[trial]) for trial in range(cfg.trials_per_cell))
-    return [record for trial_records in records for record in trial_records]
+    cfg, first, check, dim, alphas = task
+    n = cfg.trials_per_cell
+    drawn = list(_drawn(cfg, check, dim, [(first + i // n, i % n) for i in range(len(alphas) * n)]).values())
+    records = []
+    for i, alpha in enumerate(alphas):
+        outcomes = dict(enumerate(drawn[i * n : i * n + n]))  # each trial's draw, then its sides or its refusal
+        trials = [trial for trial, draw in outcomes.items() if isinstance(draw, _Draw)]
+        if trials:
+            cell = _form(check, [outcomes[trial] for trial in trials])
+            try:
+                scored, refusals = _stacked_sides(check, cfg.kind, cell, alpha)
+            except Exception as exc:  # aggregate, never abort the suite
+                scored, refusals = [exc] * len(trials), {}
+            refusals.update(_input_gate(check, cell))  # a trial's channel is refused before its matrices
+            outcomes.update((trial, refusals.get(j, sides)) for j, (trial, sides) in enumerate(zip(trials, scored)))
+        records += [r for trial in range(n) for r in _one_trial(cfg, check, dim, alpha, trial, outcomes[trial])]
+    return records
 
 
 def _padded(ragged) -> tuple[np.ndarray, np.ndarray]:
@@ -768,23 +767,23 @@ def run_suite(cfg: TrialConfig, workers: int = 1) -> SuiteSummary:
     """Run the configured checks over their full (check, dim, alpha) grid.
 
     The per-trial stream is substream(master_seed, cell_index, trial), so the
-    record stream is identical for any worker count; workers only change who
-    computes which (check, dim) row (_run_row).
+    record stream is identical for any worker count and task size. A task
+    (_run_cells) is a run of one row's cells holding at most SEARCH_BATCH
+    draws, or one cell that alone holds more; workers only change who runs it.
     """
-    import time
-
     start = time.perf_counter()
     workers = check_count(workers, "workers", 1)
-    tasks = [(cfg, i, check, dim) for i, (check, dim, _) in enumerate(_grid(cfg))][:: len(cfg.alphas)]  # row starts
+    a, n = len(cfg.alphas), max(1, SEARCH_BATCH // cfg.trials_per_cell)  # a task's cells: n, or a row's last ones
+    tasks = [(cfg, i, c, d, cfg.alphas[i % a :][:n]) for i, (c, d, _) in enumerate(_grid(cfg)) if i % a % n == 0]
     if workers == 1 or len(tasks) == 1:
-        per_row = [_run_row(t) for t in tasks]
+        per_task = [_run_cells(t) for t in tasks]
     else:
         # imported here: concurrent.futures.process pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            per_row = list(pool.map(_run_row, tasks))
-    records = [r for row_records in per_row for r in row_records]
+            per_task = list(pool.map(_run_cells, tasks))
+    records = [r for task_records in per_task for r in task_records]
     stats: dict[str, CheckStats] = {}
     for record in records:
         stats.setdefault(record.check_name, CheckStats()).absorb(record)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ class TestKrausChannelConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square shape"):
             KrausChannel((np.ones((2, 3), dtype=complex),))
+
+    @pytest.mark.parametrize(
+        "ops, got",
+        [
+            (np.eye(2), "(2, 2), operators of shape (2,)"),
+            (np.ones((1, 2, 3)), "(1, 2, 3), operators of shape (2, 3)"),
+            (np.zeros((1, 0, 0)), "(1, 0, 0), operators of shape (0, 0)"),
+        ],
+    )
+    def test_a_refused_shape_is_reported_whole(self, ops, got):
+        # a single matrix is not a stack of one: the message names the whole shape, not only its trailing axes
+        message = f"Kraus operators must share one nonempty square shape: expected a stack (n, d, d), got {got}"
+        with pytest.raises(DimMismatchError, match=f"^{re.escape(message)}$"):
+            KrausChannel(ops)
 
     def test_rejects_non_finite(self):
         bad = np.eye(2, dtype=complex)

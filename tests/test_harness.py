@@ -695,10 +695,14 @@ class TestRunSuite:
         )
         assert run_suite(cfg, workers=1).records == run_suite(cfg, workers=2).records
 
-    def test_pool_is_capped_at_the_row_count(self, monkeypatch):
-        # the pool forks every worker up front, so an oversized request must
-        # shrink to one worker per (check, dim) row; the stand-in pool runs inline
+    @pytest.mark.parametrize("bound, workers, pool", [(SEARCH_BATCH, 5000, 2), (2, 8, 4)])
+    def test_pool_is_capped_at_the_task_count(self, bound, workers, pool, monkeypatch):
+        # the pool forks every worker up front, so an oversized request must shrink
+        # to one worker per task: a row of cells by default, one cell when the patched
+        # bound on a task's draws is a cell's; the stand-in pool runs inline
         import concurrent.futures
+
+        import alphacoh.harness as harness
 
         sizes = []
 
@@ -720,9 +724,10 @@ class TestRunSuite:
             checks=("strong_monotonicity",),
         )
         serial = run_suite(cfg, workers=1).records
+        monkeypatch.setattr(harness, "SEARCH_BATCH", bound)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # run_suite imports it per pool
-        assert run_suite(cfg, workers=5000).records == serial
-        assert len(serial) == 4 * 2 and sizes == [2]  # four cells in two rows
+        assert run_suite(cfg, workers=workers).records == serial
+        assert len(serial) == 4 * 2 and sizes == [pool]  # four cells in two rows
 
     @pytest.mark.parametrize(
         "workers, error", [(0, ValueError), (-1, ValueError), (True, TypeError), (2.5, TypeError)]
@@ -1766,6 +1771,53 @@ class TestSuiteRows:
                 assert repr(dataclasses.replace(replay, seed=record.seed, trial=record.trial)) == repr(record)
                 replayed += 1
         assert replayed == 2 * 2 * 3 * 4
+
+
+class TestSuiteTasks:
+    """A suite task is a run of one row's cells holding at most SEARCH_BATCH draws; its size moves no record."""
+
+    CFG = TrialConfig(dims=(2, 3), alphas=(0.5, 1.5, 2.0), trials_per_cell=4,
+                      checks=("strong_monotonicity", "monotonicity", "holder", "observations"), master_seed=47)
+
+    @staticmethod
+    def drawn_sizes(monkeypatch) -> list:
+        """The number of keys of each _drawn call, as they come."""
+        import alphacoh.harness as harness
+
+        original, sizes = harness._drawn, []
+
+        def counting(cfg, check, dim, keys):
+            sizes.append(len(keys))
+            return original(cfg, check, dim, keys)
+
+        monkeypatch.setattr(harness, "_drawn", counting)
+        return sizes
+
+    # the bound on a task's draws, and the cells of each row's tasks: a row, runs of 2 and 1, one cell each
+    @pytest.mark.parametrize("bound, runs", [(SEARCH_BATCH, [3]), (8, [2, 1]), (4, [1, 1, 1])])
+    def test_task_size_moves_no_bit(self, bound, runs, monkeypatch):
+        import alphacoh.harness as harness
+
+        reference = run_suite(self.CFG).records
+        monkeypatch.setattr(harness, "SEARCH_BATCH", bound)
+        sizes = self.drawn_sizes(monkeypatch)
+        records = run_suite(self.CFG).records
+        assert len(records) == 2 * 3 * 4 * (3 + len(OBSERVATIONS))
+        # field by field: a repr spells every float's exact digits, and a NaN side equals a NaN side
+        assert [repr(r) for r in records] == [repr(r) for r in reference]
+        n = self.CFG.trials_per_cell
+        assert sizes == [cells * n for cells in runs] * 4 * 2  # one _drawn call per task, every row alike
+        assert max(sizes) <= max(bound, n)
+
+    def test_a_cell_above_the_bound_is_one_task(self, monkeypatch):
+        import alphacoh.harness as harness
+
+        cfg = dataclasses.replace(self.CFG, dims=(2,), checks=("strong_monotonicity",))
+        reference = run_suite(cfg).records
+        monkeypatch.setattr(harness, "SEARCH_BATCH", 3)  # under a cell's 4 trials
+        sizes = self.drawn_sizes(monkeypatch)
+        assert run_suite(cfg).records == reference
+        assert sizes == [4, 4, 4]
 
 
 class TestStackedFunctionalCell:

@@ -124,6 +124,31 @@ def test_a_search_batch_is_run_only_in_search_batch():
     assert sites == {("harness", "_search_batch", name) for name in BATCH_STEPS} | others
 
 
+# the steps of one suite task: its draws, each cell's forming, gate and scores, and its records
+TASK_STEPS = {"_drawn", "_form", "_stacked_sides", "_input_gate", "_one_trial"}
+
+
+def test_a_suite_task_is_run_only_in_run_cells():
+    # run_suite maps tasks; every step of one runs inside _run_cells, the one suite task function
+    harness = ast.parse((SRC / "harness.py").read_text())
+    (suite,) = [top for top in harness.body if getattr(top, "name", None) == "run_suite"]
+    calls = [node for node in ast.walk(suite) if isinstance(node, ast.Call)]
+    mapped = [ast.unparse(node.args[0]) for node in calls if ast.unparse(node.func).endswith(".map")]
+    called = {ast.unparse(node.func).split(".")[-1] for node in calls}
+    assert mapped == ["_run_cells"]
+    assert {name for name in called if name.startswith("_")} == {"_grid", "_run_cells"}
+    sites = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (name := ast.unparse(node.func).split(".")[-1]) in TASK_STEPS:
+                    sites.add((path.stem, getattr(top, "name", None), name))
+    # a witness replays one draw and forms its cell of one; a public check gates and scores its own cell
+    others = {("rebuild_witness", "_drawn"), ("rebuild_witness", "_form")}
+    others |= {("_trial_records", "_stacked_sides"), ("_trial_records", "_input_gate")}
+    assert sites == {("harness", top, name) for top, name in others | {("_run_cells", n) for n in TASK_STEPS}}
+
+
 def test_a_cell_is_built_only_in_assemble():
     # one builder of the suite's cells: every other site hands _assemble its parts
     sites = []
