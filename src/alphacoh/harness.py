@@ -64,6 +64,7 @@ REFINE_SWEEPS = 40  # or after this many sweeps
 # alone essentially never cross into the (thin) violating set
 ASCEND_WINDOW = 1e-2
 SEARCH_BATCH = 4096  # the draws of a search batch, and at most those of a suite task unless one cell holds more
+SCORE_CHUNK = 512  # the draws of a search batch formed into Kraus stacks and scored at once
 
 ALL_CHECKS = (
     "strong_monotonicity",
@@ -921,7 +922,7 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
     """Draw `count` incoherent channels in one stream; returns (params, ops stack).
 
     The params are one _SearchParams with a leading batch axis, assembled by
-    its ``ops``, the same method every later rebuild goes through.
+    its ``ops``, the same method every later rebuild goes through, SCORE_CHUNK draws at a time.
     """
     n_sing = n_kraus - 2 if with_pair else n_kraus
     raw = rng.gamma(1.0, size=(count, n_kraus, d))
@@ -945,24 +946,32 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
         slot_perm = np.argsort(rng.random((count, 2, d - 1)), axis=-1)
         comp_phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, 2, d))
         cols = np.arange(d)[None, :]
-        below = (cols > pair_cols[:, :1]).astype(int) + (cols > pair_cols[:, 1:]).astype(int)
-        rank = np.clip(cols - below, 0, max(d - 3, 0))  # junk at the merged columns
-        slots = np.take_along_axis(
-            slot_perm, np.broadcast_to(rank[:, None, :], (count, 2, d)), axis=2
-        )
+        # a column's rank among the non-merged ones; junk at the merged columns
+        rank = np.clip(cols - (cols > pair_cols[:, :1]) - (cols > pair_cols[:, 1:]), 0, max(d - 3, 0))
+        slots = np.take_along_axis(slot_perm, np.broadcast_to(rank[:, None, :], (count, 2, d)), axis=2)
         comp_rows = slots + (slots >= pair_rows[:, :, None])
+        del slot_perm, rank, slots  # no draw temporary is held while the batch is formed
         arrays += [pair_cols, pair_rows, pair_s, angles, comp_rows, comp_phases]
     params = _SearchParams(*arrays)
-    return params, params.ops()
+    ops = np.empty((count, n_kraus, d, d), dtype=complex)
+    for lo in range(0, count, SCORE_CHUNK):
+        ops[lo : lo + SCORE_CHUNK] = params[lo : lo + SCORE_CHUNK].ops()
+    return params, ops
 
 
 def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
     """Strong-monotonicity gaps (average after minus before); positive = violation.
 
-    Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2].
+    Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2], with kraus in place of
+    kraus[b] when it is one (n, d, d) stack. Scored SCORE_CHUNK draws at a time; every kernel works per draw.
     """
-    before = measure_values(kind, rhos, alpha)[0]
-    return _branch_average(kind, kraus, rhos, alpha)[0] - before
+    gaps = []
+    for lo in range(0, len(rhos), SCORE_CHUNK):
+        chunk = rhos[lo : lo + SCORE_CHUNK]
+        ops = kraus[lo : lo + SCORE_CHUNK] if kraus.ndim > rhos.ndim else kraus
+        before = measure_values(kind, chunk, alpha)[0]
+        gaps.append(_branch_average(kind, ops, chunk, alpha)[0] - before)
+    return np.concatenate(gaps)
 
 
 def _refine_witness(kind, g, params: _SearchParams, alpha):

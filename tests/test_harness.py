@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from alphacoh.harness import (
     ALL_CHECKS,
     DEFAULT_TOLERANCE,
     OBSERVATIONS,
+    SCORE_CHUNK,
     SEARCH_ALPHAS,
     SEARCH_BATCH,
     VIOLATION_GAP,
@@ -917,6 +919,45 @@ class TestSearchViolation:
                     )
         assert _report_bits(folded) == _report_bits(report)
         assert report.trials_used == 17101
+
+    @pytest.mark.parametrize("d, n_kraus, pair", [(2, 3, False), (3, 4, True), (4, 3, True)])
+    def test_the_score_chunk_moves_no_bit(self, d, n_kraus, pair, monkeypatch):
+        # a batch is formed and scored SCORE_CHUNK draws at a time; any chunk gives the default's bits,
+        # for one Kraus stack per state and for one (n, d, d) stack against every state (refinement's shape)
+        def batch():
+            rng = substream(23, d, n_kraus)
+            _, rhos = _batch_states(rng, 300, d, d)
+            _, ops = _batch_incoherent_channels(rng, 300, d, n_kraus, pair)
+            kinds_and_stacks = [(kind, kraus) for kind in ("tsallis", "alpha") for kraus in (ops, ops[0])]
+            gaps = [_batch_gaps(kind, rhos, kraus, 0.3).tobytes() for kind, kraus in kinds_and_stacks]
+            return _batch_bits(_search_batch("tsallis", d, 23, 0, (0.3, n_kraus, d, pair), 300)), ops.tobytes(), gaps
+
+        default = batch()
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr("alphacoh.harness.SCORE_CHUNK", chunk)
+            assert batch() == default
+
+    def test_a_batch_allocates_no_more_than_a_chunk(self):
+        # the traced peak of forming and of scoring 4,096 draws stays within 1.25 times one chunk's,
+        # past the outputs themselves (d=4, 4 operators, merge pair)
+        def traced(fn, *args):
+            tracemalloc.start()
+            try:
+                return fn(*args), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def channels_excess(count):
+            (params, ops), peak = traced(_batch_incoherent_channels, substream(5, count), count, 4, 4, True)
+            return peak - ops.nbytes - sum(v.nbytes for v in vars(params).values())
+
+        assert channels_excess(SEARCH_BATCH) <= 1.25 * channels_excess(SCORE_CHUNK)
+        rng = substream(5)
+        _, rhos = _batch_states(rng, SEARCH_BATCH, 4, 4)
+        _, ops = _batch_incoherent_channels(rng, SEARCH_BATCH, 4, 4, True)
+        gaps, batch_peak = traced(_batch_gaps, "tsallis", rhos, ops, 0.3)
+        chunk_peak = traced(_batch_gaps, "tsallis", rhos[:SCORE_CHUNK], ops[:SCORE_CHUNK], 0.3)[1]
+        assert batch_peak <= 1.25 * chunk_peak + gaps.nbytes
 
     def test_reverify_needs_a_witness(self):
         report = ViolationReport(found=False, kind="tsallis", dim=3, seed=0, trials_used=10, best_gap=-1.0)

@@ -124,6 +124,18 @@ def test_a_search_batch_is_run_only_in_search_batch():
     assert sites == {("harness", "_search_batch", name) for name in BATCH_STEPS} | others
 
 
+def test_the_score_chunk_is_read_only_where_a_batch_is_formed_and_scored():
+    # one bound on a search batch's working set, read by its two chunk loops and nowhere else
+    sites = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "SCORE_CHUNK" and isinstance(getattr(node, "ctx", None), ast.Load):
+                    sites.add((path.stem, getattr(top, "name", None)))
+    assert sites == {("harness", "_batch_incoherent_channels"), ("harness", "_batch_gaps")}
+
+
 # the steps of one suite task: its draws, each cell's forming, gate and scores, and its records
 TASK_STEPS = {"_drawn", "_form", "_stacked_sides", "_input_gate", "_one_trial"}
 
