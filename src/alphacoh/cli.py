@@ -25,13 +25,13 @@ from .coherence import (
     ORACLE_RESOLUTION,
     brute_force_min,
     check_alpha_floor,
-    coherence_alpha,
     measure_value,
-    tsallis_coherence,
+    optimal_incoherent_state,
 )
 from .divergence import check_count, validate_alpha
 from .harness import (
     ALL_CHECKS,
+    RANK_POLICIES,
     SEARCH_ALPHAS,
     VIOLATION_GAP,
     TrialConfig,
@@ -83,16 +83,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], columns, fmt: str, out_path: str | None) -> None:
-    """Write records as CSV (fixed header) or JSON ({"schema": 1, "records": [...]})."""
+def _json_value(value):
+    # a non-finite float as the CSV's text: RFC 8259 has no Infinity or NaN
+    return _cell(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _emit(records: list[tuple], columns, fmt: str, out_path: str | None) -> None:
+    """Write records, each a tuple in columns order, as CSV (fixed header) or JSON ({"schema": 1, "records": [...]})."""
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_cell(r.get(c)) for c in columns) for r in records)
+        lines.extend(",".join(map(_cell, r)) for r in records)
         text = "\n".join(lines) + "\n"
     else:
         payload = {
             "schema": SCHEMA_VERSION,
-            "records": [{c: r.get(c) for c in columns} for r in records],
+            "records": [dict(zip(columns, map(_json_value, r), strict=True)) for r in records],
         }
         text = json.dumps(payload, indent=1) + "\n"
     if out_path:
@@ -154,24 +159,11 @@ def _emit_measures(args, pairs) -> int:
     seed = _resolve_seed(args)
     rows = []
     for kind, alpha in pairs:
-        delta = None
-        if kind in ALPHA_KINDS:
-            result = coherence_alpha(rho, alpha) if kind == "alpha" else tsallis_coherence(rho, alpha)
-            value, alpha = result.value, float(alpha)
-            delta = ";".join(repr(float(x)) for x in result.optimal_delta)
-        else:
-            value = measure_value(kind, rho)
-        value, unit_label = _convert_units(kind, value, args.units)
-        row = {
-            "measure": kind,
-            "dim": rho.shape[0],
-            "alpha": alpha,
-            "value": value,
-            "units": unit_label,
-            "seed": seed,
-        }
-        if args.emit_delta:
-            row["delta"] = delta
+        value, units = _convert_units(kind, measure_value(kind, rho, alpha), args.units)
+        row = (kind, rho.shape[0], alpha, value, units, seed)
+        if args.emit_delta:  # the optimal incoherent populations, which only the two families define
+            delta = optimal_incoherent_state(rho, alpha).tolist() if kind in ALPHA_KINDS else None
+            row += (delta and ";".join(map(repr, delta)),)
         rows.append(row)
     _emit(rows, COMPUTE_COLUMNS + ("delta",) if args.emit_delta else COMPUTE_COLUMNS, args.format, args.out)
     return EXIT_OK
@@ -225,7 +217,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     summary = run_suite(cfg, workers=args.workers)
     if args.out:
-        _emit([vars(r) for r in summary.records], VERIFY_COLUMNS, args.format, args.out)
+        _emit([tuple(vars(r).values()) for r in summary.records], VERIFY_COLUMNS, args.format, args.out)
     name_width = max(len(name) for name in summary.stats)
     print(f"{'check':<{name_width}}  {'trials':>7} {'pass':>7} {'fail':>5} {'degen':>5}  worst_margin")
     for name, stats in summary.stats.items():
@@ -301,16 +293,7 @@ def cmd_replay(args) -> int:
     incoherent = is_incoherent(ch)
     before, after, gap = _strong_mono_stats(args.kind, rho, ch.kraus, args.alpha)
     violation = gap > VIOLATION_GAP
-    row = {
-        "kind": args.kind,
-        "dim": rho.shape[0],
-        "alpha": args.alpha,
-        "coherence_before": before,
-        "average_after": after,
-        "gap": gap,
-        "violation": violation,
-        "channel_incoherent": incoherent,
-    }
+    row = (args.kind, rho.shape[0], args.alpha, before, after, gap, violation, incoherent)
     _emit([row], REPLAY_COLUMNS, args.format, args.out)
     return EXIT_OK if violation else EXIT_FAILURE
 
@@ -331,24 +314,13 @@ def cmd_oracle_compare(args) -> int:
         rng = substream(seed, index)
         rho = random_density(args.dim, args.dim, rng)  # full rank
         for alpha in alphas:
-            closed = coherence_alpha(rho, alpha).value
+            closed = measure_value("alpha", rho, alpha)
             oracle, _ = brute_force_min(rho, alpha, resolution)
             diff = abs(closed - oracle)
             worst = max(worst, diff)
             if closed > oracle + 1e-9:
                 closed_above_oracle = True
-            rows.append(
-                {
-                    "dim": args.dim,
-                    "alpha": float(alpha),
-                    "state_index": index,
-                    "closed_form": closed,
-                    "oracle_value": oracle,
-                    "abs_diff": diff,
-                    "resolution": resolution,
-                    "seed": seed,
-                }
-            )
+            rows.append((args.dim, alpha, index, closed, oracle, diff, resolution, seed))
     _emit(rows, ORACLE_COLUMNS, args.format, args.out)
     if worst > bound or closed_above_oracle:
         print(
@@ -374,25 +346,22 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=None,
                         help="seed (falls back to COHERENCE_SEED, then 0)")
     shared = [records, seeded]
+    measured = argparse.ArgumentParser(add_help=False)  # for compute and sweep, which measure one state file
+    measured.add_argument("state", help="state file (JSON: dim + row-major entries)")
+    measured.add_argument("--units", choices=("nats", "bits"), default="nats")
+    measured.add_argument("--emit-delta", action="store_true", help="include the optimal incoherent populations")
 
-    p_compute = sub.add_parser("compute", parents=shared, help="evaluate measures on a state file")
-    p_compute.add_argument("state", help="state file (JSON: dim + row-major entries)")
+    p_compute = sub.add_parser("compute", parents=[*shared, measured], help="evaluate measures on a state file")
     p_compute.add_argument("--kind", action="append", choices=MEASURE_KINDS,
                            help="measure kind, repeatable (default: all)")
     p_compute.add_argument("--alpha", action="append", type=float,
                            help="alpha for the family kinds, repeatable (default: 1.0)")
-    p_compute.add_argument("--units", choices=("nats", "bits"), default="nats")
-    p_compute.add_argument("--emit-delta", action="store_true",
-                           help="include the optimal incoherent populations")
     p_compute.set_defaults(func=cmd_compute)
 
-    p_sweep = sub.add_parser("sweep", parents=shared, help="evaluate the families over an alpha grid")
-    p_sweep.add_argument("state")
+    p_sweep = sub.add_parser("sweep", parents=[*shared, measured], help="evaluate the families over an alpha grid")
     p_sweep.add_argument("--alpha-range", required=True, metavar="LO:HI:STEP")
     p_sweep.add_argument("--kind", action="append", choices=ALPHA_KINDS,
                          help="family kind, repeatable (default: both)")
-    p_sweep.add_argument("--units", choices=("nats", "bits"), default="nats")
-    p_sweep.add_argument("--emit-delta", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", parents=shared, help="run the randomized inequality suite")
@@ -402,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, dest="trials_per_cell", metavar="TRIALS",
                           help="trials per (check, dim, alpha) cell")
     p_verify.add_argument("--tol", type=float, dest="tolerance", metavar="TOL")
-    p_verify.add_argument("--rank-policy", choices=("full", "mixed-ranks"))
+    p_verify.add_argument("--rank-policy", choices=RANK_POLICIES)
     p_verify.add_argument("--n-kraus", dest="n_kraus_range", metavar="LO:HI")
     p_verify.add_argument("--check", action="append", choices=ALL_CHECKS, dest="checks")
     p_verify.add_argument("--kind", choices=MEASURE_KINDS)

@@ -77,18 +77,32 @@ ALL_CHECKS = (
 # checks built on the trace functional, undefined inside the alpha = 1 window
 DIVERGENCE_CHECKS = frozenset({"lemma1", "holder", "observations"})
 CHANNEL_CHECKS = ("strong_monotonicity", "monotonicity", "holder")  # a trial is a state and an incoherent channel
+RANK_POLICIES = ("full", "mixed-ranks")  # every state of full rank, or of a rank drawn uniformly from 1..d
+
+
+def _entries(value, name: str) -> tuple:
+    """The entries of a sequence field as a tuple; a str, bytes or non-iterable value is a TypeError naming it."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        entries = iter(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence, got {value!r}") from None
+    return tuple(entries)
 
 
 def _check_kraus_range(n_kraus_range) -> tuple[int, int]:
     """The (lo, hi) operator-count range of the drawn channels, two counts with 1 <= lo <= hi."""
-    lo, hi = n_kraus_range
-    lo = check_count(lo, "n_kraus_range lo", 1)
-    return lo, check_count(hi, "n_kraus_range hi", lo)
+    pair = _entries(n_kraus_range, "n_kraus_range")
+    if len(pair) != 2:
+        raise ValueError(f"n_kraus_range must hold two counts (lo, hi), got {n_kraus_range!r}")
+    lo = check_count(pair[0], "n_kraus_range lo", 1)
+    return lo, check_count(pair[1], "n_kraus_range hi", lo)
 
 
 def _check_alphas(alphas) -> tuple[float, ...]:
     """A nonempty tuple of distinct alphas, each through check_alpha_floor."""
-    alphas = tuple(check_alpha_floor(a) for a in alphas)
+    alphas = tuple(check_alpha_floor(a) for a in _entries(alphas, "alphas"))
     if not alphas:
         raise ValueError("alphas must be nonempty")
     return _distinct(alphas, "alphas")
@@ -124,7 +138,8 @@ class TrialConfig:
     kind: str = "alpha"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _distinct(tuple(check_count(d, "dims", 2) for d in self.dims), "dims"))
+        dims = tuple(check_count(d, "dims", 2) for d in _entries(self.dims, "dims"))
+        object.__setattr__(self, "dims", _distinct(dims, "dims"))
         if not self.dims:
             raise ValueError("dims must be nonempty")
         object.__setattr__(self, "alphas", _check_alphas(self.alphas))
@@ -132,9 +147,9 @@ class TrialConfig:
         object.__setattr__(self, "n_kraus_range", _check_kraus_range(self.n_kraus_range))
         object.__setattr__(self, "master_seed", check_count(self.master_seed, "master_seed", 0))
         object.__setattr__(self, "tolerance", _check_tolerance(self.tolerance))
-        object.__setattr__(self, "checks", _distinct(tuple(str(c) for c in self.checks), "checks"))
-        if self.rank_policy not in ("full", "mixed-ranks"):
-            raise ValueError(f"rank_policy must be 'full' or 'mixed-ranks', got {self.rank_policy!r}")
+        object.__setattr__(self, "checks", _distinct(tuple(str(c) for c in _entries(self.checks, "checks")), "checks"))
+        if self.rank_policy not in RANK_POLICIES:
+            raise ValueError(f"rank_policy must be one of {RANK_POLICIES}, got {self.rank_policy!r}")
         if not self.checks:
             raise ValueError("checks must be nonempty")
         for check in self.checks:
@@ -962,13 +977,12 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
 def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
     """Strong-monotonicity gaps (average after minus before); positive = violation.
 
-    Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2], with kraus in place of
-    kraus[b] when it is one (n, d, d) stack. Scored SCORE_CHUNK draws at a time; every kernel works per draw.
+    Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2]. Scored SCORE_CHUNK draws
+    at a time; every kernel works per draw.
     """
     gaps = []
     for lo in range(0, len(rhos), SCORE_CHUNK):
-        chunk = rhos[lo : lo + SCORE_CHUNK]
-        ops = kraus[lo : lo + SCORE_CHUNK] if kraus.ndim > rhos.ndim else kraus
+        chunk, ops = rhos[lo : lo + SCORE_CHUNK], kraus[lo : lo + SCORE_CHUNK]
         before = measure_values(kind, chunk, alpha)[0]
         gaps.append(_branch_average(kind, ops, chunk, alpha)[0] - before)
     return np.concatenate(gaps)

@@ -23,6 +23,7 @@ from alphacoh.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ORACLE_COLUMNS,
+    REPLAY_COLUMNS,
     VERIFY_COLUMNS,
     main,
 )
@@ -667,6 +668,21 @@ class TestInputBoundary:
         assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"checks": "lemma1"}, "checks must be a sequence, got 'lemma1'"),
+            ({"dims": 3}, "dims must be a sequence, got 3"),
+            ({"alphas": "0.5"}, "alphas must be a sequence, got '0.5'"),
+            ({"n_kraus_range": "1:4"}, "n_kraus_range must be a sequence, got '1:4'"),
+            ({"n_kraus_range": [1, 2, 3]}, "n_kraus_range must hold two counts (lo, hi), got [1, 2, 3]"),
+        ],
+    )
+    def test_a_config_sequence_field_is_named(self, payload, message, tmp_path, capsys):
+        path = self._write(tmp_path, "cfg.json", json.dumps(payload))
+        assert main(self.VERIFY + ["--config", path]) == EXIT_USAGE
+        assert f"error: {path}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "payload", [{"trials_per_cell": 0}, {"alphas": [2.5]}, {"rank_policy": "low"}, {"trails_per_cell": 2}]
     )
     def test_invalid_config_value(self, payload, tmp_path, capsys):
@@ -729,6 +745,72 @@ class TestInputBoundary:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == EXIT_USAGE
+
+
+def strict_json(text: str):
+    """json.loads that refuses Infinity, -Infinity and NaN, as an RFC 8259 parser does."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJsonRecords:
+    """A JSON record holds its subcommand's columns, in order, with values a strict parser reads."""
+
+    @pytest.mark.parametrize(
+        "command, columns",
+        [
+            ("compute", COMPUTE_COLUMNS),
+            ("compute-delta", COMPUTE_COLUMNS + ("delta",)),
+            ("sweep", COMPUTE_COLUMNS),
+            ("oracle-compare", ORACLE_COLUMNS),
+            ("replay", REPLAY_COLUMNS),
+            ("verify", VERIFY_COLUMNS),
+        ],
+    )
+    def test_record_keys_are_the_columns(self, command, columns, qubit_state, tmp_path, capsys):
+        channel = tmp_path / "channel.json"
+        save_channel(channel, dephasing_channel(2))
+        argv = {
+            "compute": ["compute", qubit_state],
+            "compute-delta": ["compute", qubit_state, "--emit-delta"],
+            "sweep": ["sweep", qubit_state, "--alpha-range", "0.5:1.5:0.5"],
+            "oracle-compare": ["oracle-compare", "--dim", "2", "--states", "1", "--alpha", "1.5"],
+            "replay": ["replay", "--state", qubit_state, "--channel", str(channel), "--alpha", "0.5"],
+            "verify": TestVerify.PASSING,
+        }[command]
+        out = tmp_path / "rows.json"
+        main(argv + ["--format", "json", "--out", str(out)])
+        records = strict_json(out.read_text())["records"]
+        assert records and all(tuple(record) == columns for record in records)
+
+    def test_non_finite_values_are_the_csv_text(self, tmp_path, monkeypatch, capsys):
+        # degenerate lemma1 records carry inf, an error record nan and -inf; both formats hold the same cells
+        import alphacoh.harness as harness
+
+        original, calls = harness.channel_draw, []
+
+        def failing_on_the_third_call(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("synthetic draw failure")
+            return original(*args)
+
+        monkeypatch.setattr(harness, "channel_draw", failing_on_the_third_call)
+        argv = ["verify", "--dim", "2", "--alpha", "1.5", "--trials", "20", "--check", "lemma1"]
+        paths = {fmt: tmp_path / f"records.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in paths.items():
+            calls.clear()
+            main(argv + ["--format", fmt, "--out", str(path)])
+        records = strict_json(paths["json"].read_text())["records"]
+        rows = parse_csv(paths["csv"].read_text())
+        assert [[cli._cell(v) for v in record.values()] for record in records] == [list(r.values()) for r in rows]
+        texts = {v for record in records for v in record.values() if v in ("inf", "-inf", "nan")}
+        assert texts == {"inf", "-inf", "nan"}
+        assert any(r["degenerate"] for r in records)
+        assert [r["error"] for r in records if r["error"]] == ["RuntimeError: synthetic draw failure"]
 
 
 class TestOracleDisagreement:

@@ -38,6 +38,7 @@ from alphacoh.coherence import (
     coherence_alpha,
     max_coherence,
     measure_value,
+    measure_values,
     optimal_incoherent_state,
 )
 from alphacoh.divergence import f_alpha, near_one, sgn1, validate_alpha
@@ -805,6 +806,17 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="no state/channel witness"):
             rebuild_witness(cfg, summary.records[0])
 
+    def test_rebuild_witness_raises_the_error_of_its_draw(self, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("synthetic draw failure")
+
+        cfg = TrialConfig(dims=(3,), alphas=(1.5,), trials_per_cell=2, checks=("strong_monotonicity",))
+        monkeypatch.setattr("alphacoh.harness.unprojected_draw", failing)
+        record = run_suite(cfg).records[1]
+        assert record.error == "RuntimeError: synthetic draw failure"
+        with pytest.raises(RuntimeError, match="^synthetic draw failure$"):
+            rebuild_witness(cfg, record)
+
     def test_rebuild_witness_is_bit_exact(self):
         cfg = TrialConfig(
             dims=(3,), alphas=(1.5,), trials_per_cell=3, checks=("strong_monotonicity",)
@@ -922,14 +934,17 @@ class TestSearchViolation:
 
     @pytest.mark.parametrize("d, n_kraus, pair", [(2, 3, False), (3, 4, True), (4, 3, True)])
     def test_the_score_chunk_moves_no_bit(self, d, n_kraus, pair, monkeypatch):
-        # a batch is formed and scored SCORE_CHUNK draws at a time; any chunk gives the default's bits,
-        # for one Kraus stack per state and for one (n, d, d) stack against every state (refinement's shape)
+        # a batch is formed and scored SCORE_CHUNK draws at a time; any chunk gives the default's bits, for one
+        # Kraus stack per state and for refinement's factor rows, one (n, d, d) stack against every state
         def batch():
             rng = substream(23, d, n_kraus)
             _, rhos = _batch_states(rng, 300, d, d)
             _, ops = _batch_incoherent_channels(rng, 300, d, n_kraus, pair)
-            kinds_and_stacks = [(kind, kraus) for kind in ("tsallis", "alpha") for kraus in (ops, ops[0])]
-            gaps = [_batch_gaps(kind, rhos, kraus, 0.3).tobytes() for kind, kraus in kinds_and_stacks]
+            gaps = [_batch_gaps(kind, rhos, ops, 0.3).tobytes() for kind in ("tsallis", "alpha")]
+            gaps += [
+                (_branch_average(kind, ops[0], rhos, 0.3)[0] - measure_values(kind, rhos, 0.3)[0]).tobytes()
+                for kind in ("tsallis", "alpha")
+            ]
             return _batch_bits(_search_batch("tsallis", d, 23, 0, (0.3, n_kraus, d, pair), 300)), ops.tobytes(), gaps
 
         default = batch()
@@ -1278,9 +1293,9 @@ class TestRefinementTrajectory:
 class TestHeldSideGaps:
     """Refinement's two broadcasts give every row the bits of its own scalar evaluation.
 
-    A stack of states against one held Kraus stack goes through _batch_gaps
-    (refinement calls its two kernels apart); a stack of Kraus stacks against
-    one held state is its branch average minus the held C(rho). Search structures, both kinds, every search alpha, and
+    A stack of states against one held Kraus stack is its branch average minus
+    each state's C; a stack of Kraus stacks against one held state is its
+    branch average minus the held C(rho). Search structures, both kinds, every search alpha, and
     rank-one as well as full-rank factors.
     """
 
@@ -1292,7 +1307,7 @@ class TestHeldSideGaps:
             _, ops = _batch_incoherent_channels(rng, 5, d, n_kraus, pair)
             for kind in ("tsallis", "alpha"):
                 for alpha in SEARCH_ALPHAS:
-                    state_rows = _batch_gaps(kind, rhos, ops[0], alpha)
+                    state_rows = _branch_average(kind, ops[0], rhos, alpha)[0] - measure_values(kind, rhos, alpha)[0]
                     assert state_rows.tolist() == [_strong_mono_stats(kind, rho, ops[0], alpha)[2] for rho in rhos]
                     before = _strong_mono_stats(kind, rhos[0], ops[0], alpha)[0]
                     channel_rows = _branch_average(kind, ops, rhos[0], alpha)[0] - before
@@ -1680,6 +1695,29 @@ class TestStackedCell:
             assert (seen_rows.tobytes(), seen_amplitudes.tobytes()) == (rows.tobytes(), amplitudes.tobytes())
             assert streams[(31, *key)].random() == rng.random()
         assert calls == [5] * 10 + [0] * 2
+
+    def test_an_error_drawing_a_wiped_draw_again_is_its_record(self, monkeypatch):
+        # the first draw of the row is wiped out and its redraw raises: its record carries that error, the rest keep theirs
+        import alphacoh.harness as harness
+
+        cfg = TrialConfig(dims=(3,), alphas=(0.5,), trials_per_cell=4, n_kraus_range=(2, 2),
+                          checks=("monotonicity",), master_seed=31)
+        old = run_suite(cfg).records
+        original = harness._cancel_merge_terms
+
+        def wiping_the_first(rows, amplitudes):
+            columns, wiped = original(rows, amplitudes)
+            wiped[0] = True
+            return columns, wiped
+
+        def failing(*args):
+            raise RuntimeError("synthetic redraw failure")
+
+        monkeypatch.setattr(harness, "_cancel_merge_terms", wiping_the_first)
+        monkeypatch.setattr(harness, "incoherent_draw", failing)
+        new = run_suite(cfg).records
+        assert [r.error for r in new] == ["RuntimeError: synthetic redraw failure", "", "", ""]
+        assert [vars(r) for r in new[1:]] == [vars(r) for r in old[1:]]
 
     @pytest.mark.parametrize("check", ["strong_monotonicity", "monotonicity"])
     def test_a_coherent_draw_gets_the_scalar_error(self, check, monkeypatch):
@@ -2428,6 +2466,35 @@ class TestInputGates:
         # the public checks used to take any tolerance: NaN failed a positive margin, an array made passed an array
         with pytest.raises(error, match="^tolerance must be"):
             entry(tolerance)
+
+    # one sequence rule behind the grid fields: a str, bytes or non-iterable value is a TypeError naming the field
+    SEQUENCE_ENTRIES = [
+        pytest.param(lambda v: TrialConfig(dims=v), "dims", id="TrialConfig-dims"),
+        pytest.param(lambda v: TrialConfig(alphas=v), "alphas", id="TrialConfig-alphas"),
+        pytest.param(lambda v: TrialConfig(checks=v), "checks", id="TrialConfig-checks"),
+        pytest.param(lambda v: TrialConfig(n_kraus_range=v), "n_kraus_range", id="TrialConfig-kraus"),
+        pytest.param(lambda v: search_violation(3, 10, alphas=v), "alphas", id="search-alphas"),
+        pytest.param(lambda v: search_violation(3, 10, n_kraus_range=v), "n_kraus_range", id="search-kraus"),
+    ]
+
+    @pytest.mark.parametrize("entry, name", SEQUENCE_ENTRIES)
+    @pytest.mark.parametrize(
+        "value",
+        ["lemma1", "1:4", b"23", 3, 0.5, None, np.array(2)],
+        ids=["str", "range-str", "bytes", "int", "float", "None", "0d-array"],
+    )
+    def test_one_sequence_rule_at_every_entry(self, entry, name, value, monkeypatch):
+        # a str was iterated by character, an int or a 0-d array raised without naming the field
+        self._no_draws(monkeypatch)
+        with pytest.raises(TypeError, match=f"^{name} must be a sequence, got "):
+            entry(value)
+
+    @pytest.mark.parametrize("entry", [pytest.param(p.values[0], id=p.id) for p in SEQUENCE_ENTRIES[3::2]])
+    @pytest.mark.parametrize("value", [(), (2,), (1, 2, 3)], ids=["empty", "one", "three"])
+    def test_a_range_of_other_than_two_counts_is_refused_by_name(self, entry, value, monkeypatch):
+        self._no_draws(monkeypatch)
+        with pytest.raises(ValueError, match=r"^n_kraus_range must hold two counts \(lo, hi\), got "):
+            entry(value)
 
     def test_search_refuses_a_float_seed(self):
         # int() made seed 1.5 draw seed 1's batches and report seed 1.5

@@ -103,6 +103,14 @@ def test_the_linalg_rules_are_called_only_in_linalg(module):
     assert called & LINALG_ONLY == set()
 
 
+def test_the_cli_reads_values_only_through_the_measure_entry_points():
+    # every value comes from measure_value and every optimal population from optimal_incoherent_state
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"coherence_alpha", "tsallis_coherence", "CoherenceResult"} == set()
+    assert {"measure_value", "optimal_incoherent_state"} <= imported
+
+
 # the steps of one search batch: its stream, its draws, their scores and the refinement of a candidate
 BATCH_STEPS = {"substream", "_batch_states", "_batch_incoherent_channels", "_batch_gaps", "_refine_witness"}
 
