@@ -34,6 +34,7 @@ from .harness import (
     RANK_POLICIES,
     SEARCH_ALPHAS,
     VIOLATION_GAP,
+    WITNESS_CHECKS,
     TrialConfig,
     TrialRecord,
     run_suite,
@@ -214,6 +215,8 @@ def _parse_kraus_range(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    if args.format == "json" and not args.out:  # the check table goes to stdout, so records need a file
+        raise ValueError("--format json writes records only to a file: give --out")
     cfg = _config_from_args(args)
     summary = run_suite(cfg, workers=args.workers)
     if args.out:
@@ -236,7 +239,7 @@ def cmd_verify(args) -> int:
             f"worst failure: {worst.check_name} d={worst.dim} alpha={worst.alpha} "
             f"kind={worst.kind} margin={worst.margin!r} trial={worst.trial}"
         )
-        if worst.check_name in ("strong_monotonicity", "monotonicity") and not worst.error:
+        if worst.check_name in WITNESS_CHECKS and not worst.error:
             # the record's own sides; a replay of its state and channel gives the same bits
             strong = worst.check_name == "strong_monotonicity"
             after_label = "selective average" if strong else "channel output"
@@ -299,8 +302,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.dim not in (2, 3):
-        raise ValueError(f"oracle comparison supports dim 2 or 3, got {args.dim}")
+    if args.dim not in ORACLE_RESOLUTION:
+        raise ValueError(f"oracle comparison supports dim {' or '.join(map(str, ORACLE_RESOLUTION))}, got {args.dim}")
     check_count(args.states, "--states", 1)
     seed = _resolve_seed(args)
     resolution = args.resolution if args.resolution is not None else ORACLE_RESOLUTION[args.dim]

@@ -36,13 +36,13 @@ import numpy as np
 
 from .divergence import check_count, near_one, shannon_entropy, validate_alpha
 from .linalg import as_hermitian, as_square_matrix, diagonal_terms, eigh_clamped, psd_refusals
-from .linalg import raise_first, refusals_where, spectrum_memo, spectrum_power
+from .linalg import raise_first, real_number, refusals_where, spectrum_memo, spectrum_power
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
 # the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,
 # so values lose all meaning far below here and soon overflow the double range
 ALPHA_FLOOR = 1e-10
-ORACLE_RESOLUTION = {2: 1e-4, 3: 2e-3}
+ORACLE_RESOLUTION = {2: 1e-4, 3: 2e-3}  # the grid oracle's dimensions, each with its default resolution
 _MAX_GRID_POINTS = 5_000_000
 _ORACLE_WINDOW = 1e-9  # relative distance from the objective's extreme inside which the oracle takes the root
 
@@ -254,7 +254,7 @@ def _simplex_grid(d: int, steps: int) -> _LevelTable:
 
 
 def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.ndarray]:
-    """Grid oracle for the family's defining minimum; dimensions 2 and 3 only.
+    """Grid oracle for the family's defining minimum, only at the dimensions ORACLE_RESOLUTION holds.
 
     Minimizes (F_alpha^(1/alpha)(rho, delta) - 1)/(alpha - 1) over the grid
     points of the simplex with the given resolution and returns the smallest
@@ -276,12 +276,13 @@ def brute_force_min(rho, alpha: float, resolution: float) -> tuple[float, np.nda
     a = check_alpha_floor(alpha)
     if near_one(a):
         raise ValueError("oracle undefined within 1e-6 of alpha = 1")
+    resolution = real_number(resolution, "resolution")
     if not 1e-5 <= resolution <= 1e-2:
         raise ValueError(f"resolution must lie in [1e-5, 1e-2], got {resolution}")
     mat = as_square_matrix(rho)
     d = mat.shape[0]
-    if d not in (2, 3):
-        raise DimTooLargeError(f"grid oracle supports d in {{2, 3}}, got d = {d}")
+    if d not in ORACLE_RESOLUTION:
+        raise DimTooLargeError(f"grid oracle supports d in {set(ORACLE_RESOLUTION)}, got d = {d}")
     steps = int(round(1.0 / resolution))
     if d == 3 and (steps + 1) * (steps + 2) // 2 > _MAX_GRID_POINTS:
         raise ValueError(f"resolution {resolution} too fine for d = 3 (grid too large)")

@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .linalg import as_hermitian, eigh_clamped, real_number, size_mismatch, spectrum_memo, spectrum_power
+from .linalg import as_hermitian, eigh_clamped, one_size, real_number, spectrum_memo, spectrum_power
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -69,11 +69,8 @@ def sgn1(alpha: float) -> float:
 
 
 def _gated_pair(a_mat, b_mat):
-    """Two operands as as_hermitian returns them, or size_mismatch's DimMismatchError when their sizes differ."""
-    a_mat, b_mat = as_hermitian(a_mat), as_hermitian(b_mat)
-    if a_mat.shape != b_mat.shape:
-        raise size_mismatch(len(a_mat), len(b_mat))
-    return a_mat, b_mat
+    """Two operands as as_hermitian returns them, or one_size's DimMismatchError when their sizes differ."""
+    return one_size((as_hermitian(a_mat), as_hermitian(b_mat)))
 
 
 def _clipped_spectrum(mats):

@@ -49,8 +49,7 @@ from .coherence import (
     measure_values,
 )
 from .divergence import check_count, functional_values, near_one, sgn1
-from .linalg import as_square_matrix, eigh_clamped, matrix_refusals, raise_first, real_number
-from .linalg import size_mismatch
+from .linalg import as_square_matrix, eigh_clamped, matrix_refusals, one_size, raise_first, real_number
 from .states import BadWeightsError, density_factor, ginibre, haar_from_ginibre, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -77,6 +76,7 @@ ALL_CHECKS = (
 # checks built on the trace functional, undefined inside the alpha = 1 window
 DIVERGENCE_CHECKS = frozenset({"lemma1", "holder", "observations"})
 CHANNEL_CHECKS = ("strong_monotonicity", "monotonicity", "holder")  # a trial is a state and an incoherent channel
+WITNESS_CHECKS = ("strong_monotonicity", "monotonicity")  # their records' state and channel are a witness
 RANK_POLICIES = ("full", "mixed-ranks")  # every state of full rank, or of a rank drawn uniformly from 1..d
 
 
@@ -100,19 +100,14 @@ def _check_kraus_range(n_kraus_range) -> tuple[int, int]:
     return lo, check_count(pair[1], "n_kraus_range hi", lo)
 
 
-def _check_alphas(alphas) -> tuple[float, ...]:
-    """A nonempty tuple of distinct alphas, each through check_alpha_floor."""
-    alphas = tuple(check_alpha_floor(a) for a in _entries(alphas, "alphas"))
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    return _distinct(alphas, "alphas")
-
-
-def _distinct(values: tuple, name: str) -> tuple:
-    """values, or a ValueError naming them if one repeats: rebuild_witness finds a record's cell by its key."""
-    if len(set(values)) < len(values):
-        raise ValueError(f"{name} must not repeat, got {values}")
-    return values
+def _field(value, name: str, rule) -> tuple:
+    """A grid field's _entries, each through rule, nonempty and distinct: rebuild_witness finds a cell by its key."""
+    entries = tuple(rule(entry) for entry in _entries(value, name))
+    if not entries:
+        raise ValueError(f"{name} must be nonempty")
+    if len(set(entries)) < len(entries):
+        raise ValueError(f"{name} must not repeat, got {entries}")
+    return entries
 
 
 def _check_tolerance(tolerance) -> float:
@@ -138,20 +133,15 @@ class TrialConfig:
     kind: str = "alpha"
 
     def __post_init__(self):
-        dims = tuple(check_count(d, "dims", 2) for d in _entries(self.dims, "dims"))
-        object.__setattr__(self, "dims", _distinct(dims, "dims"))
-        if not self.dims:
-            raise ValueError("dims must be nonempty")
-        object.__setattr__(self, "alphas", _check_alphas(self.alphas))
+        object.__setattr__(self, "dims", _field(self.dims, "dims", lambda d: check_count(d, "dims", 2)))
+        object.__setattr__(self, "alphas", _field(self.alphas, "alphas", check_alpha_floor))
         object.__setattr__(self, "trials_per_cell", check_count(self.trials_per_cell, "trials_per_cell", 1))
         object.__setattr__(self, "n_kraus_range", _check_kraus_range(self.n_kraus_range))
         object.__setattr__(self, "master_seed", check_count(self.master_seed, "master_seed", 0))
         object.__setattr__(self, "tolerance", _check_tolerance(self.tolerance))
-        object.__setattr__(self, "checks", _distinct(tuple(str(c) for c in _entries(self.checks, "checks")), "checks"))
+        object.__setattr__(self, "checks", _field(self.checks, "checks", str))
         if self.rank_policy not in RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {RANK_POLICIES}, got {self.rank_policy!r}")
-        if not self.checks:
-            raise ValueError("checks must be nonempty")
         for check in self.checks:
             if check not in ALL_CHECKS:
                 raise ValueError(f"unknown check {check!r}; choose from {ALL_CHECKS}")
@@ -304,8 +294,7 @@ def _cell_of(check: str, inputs) -> _Cell:
     """The cell of one public check call, from its arguments after the kind (observations: ensemble last).
 
     First the rules a formed cell meets by construction: weights that are a
-    distribution, one weight per convexity state, and operands that are square
-    matrices of one size.
+    distribution, one weight per convexity state, and one_size on the operands.
     """
     if check in CHANNEL_CHECKS:
         operands = (inputs[0], inputs[1].kraus[0])
@@ -320,12 +309,7 @@ def _cell_of(check: str, inputs) -> _Cell:
         weights = validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
         populations = validate_probability_vector(inputs[4])
         operands = (*inputs[:2], inputs[2].kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
-    for mat in operands:
-        shape = np.shape(mat)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            as_square_matrix(mat)  # raises its DimMismatchError
-        elif shape != np.shape(operands[0]):  # _gated_pair's refusal
-            raise size_mismatch(len(operands[0]), shape[0])
+    one_size(operands)
     if check == "convexity":
         return _assemble([operands], weights=[weights])
     kraus = _padded([(inputs[1] if check in CHANNEL_CHECKS else inputs[2]).kraus])
@@ -811,12 +795,19 @@ def rebuild_witness(cfg: TrialConfig, record: TrialRecord):
     """Recreate the exact state and channel behind a monotonicity-check record.
 
     Replays the record's substream and draw order, so the returned pair is
-    bit-identical to what the suite evaluated. Only the two channel-based
-    checks carry a witness.
+    bit-identical to what the suite evaluated. Only the WITNESS_CHECKS' records
+    that cfg's suite writes carry one; any other is refused before a draw.
     """
-    if record.check_name not in ("strong_monotonicity", "monotonicity"):
+    if record.check_name not in WITNESS_CHECKS:
         raise ValueError(f"no state/channel witness for check {record.check_name!r}")
-    key = (_grid(cfg).index((record.check_name, record.dim, record.alpha)), record.trial)
+    cell, grid = (record.check_name, record.dim, record.alpha), _grid(cfg)
+    if cell not in grid:
+        raise ValueError(f"(check, dim, alpha) cell {cell} is not in the config's grid")
+    if record.seed != cfg.master_seed:
+        raise ValueError(f"seed {record.seed} is not the config's master_seed {cfg.master_seed}")
+    if not 0 <= record.trial < cfg.trials_per_cell:
+        raise ValueError(f"trial must lie in [0, {cfg.trials_per_cell}), got {record.trial}")
+    key = (grid.index(cell), record.trial)
     draw = _drawn(cfg, record.check_name, record.dim, [key])[key]
     if isinstance(draw, Exception):
         raise draw
@@ -1159,7 +1150,7 @@ def search_violation(
     # alpha values inside the near-one window are legal: both kinds collapse
     # to relative-entropy coherence there, which is strongly monotone, so a
     # search restricted to them just exhausts its budget
-    alphas = _check_alphas(alphas)
+    alphas = _field(alphas, "alphas", check_alpha_floor)
     lo, hi = _check_kraus_range(n_kraus_range)
     batch_size, seed = check_count(batch_size, "batch_size", 1), check_count(seed, "seed", 0)
     ranks = sorted({1, max(1, d // 2), d})

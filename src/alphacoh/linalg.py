@@ -52,9 +52,15 @@ def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
     return _gated(mat, name, hermitian=False)
 
 
-def size_mismatch(first: int, other: int) -> DimMismatchError:
-    """The refusal of two operands whose sizes differ, the rule every pair of operands meets."""
-    return DimMismatchError(f"operands differ in dimension: {first} vs {other}")
+def one_size(mats):
+    """mats, the operands of one call, once each is a square matrix (as_square_matrix) of the first one's size."""
+    for mat in mats:
+        shape = np.shape(mat)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            as_square_matrix(mat)  # raises its DimMismatchError
+        elif shape != np.shape(mats[0]):
+            raise DimMismatchError(f"operands differ in dimension: {len(mats[0])} vs {shape[0]}")
+    return mats
 
 
 def max_asymmetry(mat: np.ndarray) -> float | np.ndarray:

@@ -273,6 +273,14 @@ class TestVerify:
     def test_bad_alpha_is_usage_error(self, capsys):
         assert main(["verify", "--alpha", "2.5", "--trials", "1"]) == EXIT_USAGE
 
+    def test_json_records_without_out_is_usage_error(self, capsys, monkeypatch):
+        # the check table goes to stdout, so --format json without a file would write no records at all
+        monkeypatch.setattr(cli, "run_suite", None)  # refused before the suite runs
+        args = ["verify", "--dim", "2", "--alpha", "0.5", "--trials", "2", "--check", "convexity"]
+        assert main(args + ["--format", "json"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--out" in err
+
     @pytest.mark.parametrize(
         "repeated, field",
         [

@@ -212,6 +212,12 @@ class TestOracleAgreement:
         with pytest.raises(ValueError, match="oracle undefined"):
             brute_force_min(qubit, 1.0 + 1e-9, 1e-4)
 
+    @pytest.mark.parametrize("resolution", ["0.01", None, True], ids=["str", "None", "bool"])
+    def test_a_resolution_that_is_not_a_real_number_is_refused_by_name(self, resolution):
+        # a str and None met the range test's bare '<=' TypeError, and True passed as 1.0 into the range error
+        with pytest.raises(TypeError, match="^resolution must be a real number, got "):
+            brute_force_min(random_density(2, 2, substream(78, 3)), 1.5, resolution)
+
     def test_alpha_floor_gate(self):
         # under the floor the grid's 1/alpha power gave an artifact (0.17263975... at 1e-12)
         rho = random_density(3, 3, substream(1, 2))

@@ -827,6 +827,24 @@ class TestRunSuite:
         replay = check_strong_monotonicity(cfg.kind, rho, ch, rec.alpha, tolerance=cfg.tolerance)
         assert replay.margin == rec.margin
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"trial": 500}, r"^trial must lie in \[0, 3\), got 500$"),
+            ({"seed": 7}, r"^seed 7 is not the config's master_seed 0$"),
+            ({"trial": -1}, r"^trial must lie in \[0, 3\), got -1$"),
+            ({"alpha": 0.33}, r"^\(check, dim, alpha\) cell \('strong_monotonicity', 2, 0\.33\) is not in the "),
+        ],
+        ids=["trial_past_the_cell", "another_seed", "a_public_checks_trial", "a_cell_outside_the_grid"],
+    )
+    def test_rebuild_witness_refuses_a_record_its_config_never_wrote(self, monkeypatch, change, message):
+        # each used to return a state and channel the suite never evaluated, or raise a nameless error
+        cfg = TrialConfig(dims=(2,), alphas=(0.5,), trials_per_cell=3, checks=("strong_monotonicity",))
+        record = dataclasses.replace(run_suite(cfg).records[0], **change)
+        monkeypatch.setattr("alphacoh.harness._drawn", None)  # refused before anything is drawn
+        with pytest.raises(ValueError, match=message):
+            rebuild_witness(cfg, record)
+
 
 class TestSearchViolation:
     def test_finds_qutrit_witness(self):

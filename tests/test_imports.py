@@ -179,6 +179,27 @@ def test_a_cell_is_built_only_in_assemble():
                     sites.append((path.stem, getattr(top, "name", None)))
     assert sites == [("harness", "_assemble")]
 
+# each refusal has one site: the operand-size rule, and a grid field's nonempty and distinct rules
+REFUSAL_SITES = {
+    "operands differ in dimension": ("linalg", "one_size"),
+    "must be nonempty": ("harness", "_field"),
+    "must not repeat": ("harness", "_field"),
+}
+
+
+def test_each_input_rule_is_refused_at_one_site():
+    sites = {phrase: set() for phrase in REFUSAL_SITES}
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):  # the text of each error built, as in raise ValueError(f"...")
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Error"):
+                    texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                    for phrase in sites:
+                        if any(phrase in text for text in texts):
+                            sites[phrase].add((path.stem, getattr(top, "name", None)))
+    assert sites == {phrase: {site} for phrase, site in REFUSAL_SITES.items()}
+
+
 def test_all_is_every_public_name_the_package_binds():
     import alphacoh
 
