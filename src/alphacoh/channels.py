@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import check_count
-from .linalg import DimMismatchError, as_square_matrix, matrix_refusals, raise_first, refusals_where
+from .linalg import DimMismatchError, as_array, as_square_matrix, check_count, matrix_refusals, raise_first
+from .linalg import refusals_where
 from .states import ginibre, haar_from_ginibre, load_entries, save_entries
 
 COMPLETENESS_TOL = 1e-9
@@ -34,10 +34,7 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        try:
-            ops = np.array(self.kraus, dtype=complex)
-        except ValueError as exc:  # operators of different shapes do not stack
-            raise ValueError(f"Kraus operators must share one square shape: {exc}") from None
+        ops = as_array(self.kraus, "Kraus operators").copy()  # the channel freezes its own stack
         if ops.ndim and not len(ops):
             raise ValueError("channel needs at least one Kraus operator")
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size:

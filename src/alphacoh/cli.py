@@ -28,7 +28,7 @@ from .coherence import (
     measure_value,
     optimal_incoherent_state,
 )
-from .divergence import check_count, validate_alpha
+from .divergence import validate_alpha
 from .harness import (
     ALL_CHECKS,
     RANK_POLICIES,
@@ -41,6 +41,7 @@ from .harness import (
     search_violation,
     _strong_mono_stats,
 )
+from .linalg import check_count
 from .states import load_state, random_density, read_json, save_state, substream
 
 SCHEMA_VERSION = 1

@@ -34,9 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import check_count, near_one, shannon_entropy, validate_alpha
+from .divergence import near_one, shannon_entropy, validate_alpha
 from .linalg import as_hermitian, as_square_matrix, diagonal_terms, eigh_clamped, psd_refusals
-from .linalg import raise_first, real_number, refusals_where, spectrum_memo, spectrum_power
+from .linalg import check_count, raise_first, real_number, refusals_where, spectrum_memo, spectrum_power
 
 DEGENERATE_DIAGONAL_TOL = 1e-14
 # the 1/alpha power magnifies the ~1e-16 round-off of each a_j to ~1e-16/alpha,

@@ -23,7 +23,6 @@ natural, so entropic values are in nats.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -31,19 +30,6 @@ from .linalg import as_hermitian, eigh_clamped, one_size, real_number, spectrum_
 
 ALPHA_NEAR_ONE = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
-
-
-def check_count(value, name: str, least: int) -> int:
-    """value as an int >= least; a non-integer, a bool included (it reads 1 or 0), is a TypeError that names it."""
-    try:
-        count = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        count = None
-    if count is None:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if count < least:
-        raise ValueError(f"{name} must be >= {least}, got {count}")
-    return count
 
 
 def validate_alpha(alpha: float) -> float:

@@ -48,8 +48,8 @@ from .coherence import (
     measure_value,
     measure_values,
 )
-from .divergence import check_count, functional_values, near_one, sgn1
-from .linalg import as_square_matrix, eigh_clamped, matrix_refusals, one_size, raise_first, real_number
+from .divergence import functional_values, near_one, sgn1
+from .linalg import as_square_matrix, check_count, eigh_clamped, matrix_refusals, one_size, raise_first, real_number
 from .states import BadWeightsError, density_factor, ginibre, haar_from_ginibre, state_from_factor
 from .states import substream, validate_probability_vector
 
@@ -293,26 +293,30 @@ def _input_gate(check: str, cell: _Cell) -> dict[int, Exception]:
 def _cell_of(check: str, inputs) -> _Cell:
     """The cell of one public check call, from its arguments after the kind (observations: ensemble last).
 
-    First the rules a formed cell meets by construction: weights that are a
-    distribution, one weight per convexity state, and one_size on the operands.
+    First the rules a formed cell meets by construction: a KrausChannel as ch, (weight, rho, sigma) ensemble
+    members, weights that are a distribution, one weight per convexity state, and one_size on the operands.
     """
+    if check != "convexity" and not isinstance(ch := inputs[1 if check in CHANNEL_CHECKS else 2], KrausChannel):
+        raise TypeError(f"ch must be a KrausChannel, got {type(ch).__name__}")
     if check in CHANNEL_CHECKS:
-        operands = (inputs[0], inputs[1].kraus[0])
+        operands = (inputs[0], ch.kraus[0])
     elif check == "convexity":
         weights, operands = inputs
         weights = validate_probability_vector(weights, "weights")
         if len(operands) != weights.size:
             raise BadWeightsError(f"need one weight per state, got {weights.size} weights, {len(operands)} states")
     elif check == "lemma1":
-        operands = (*inputs[:2], inputs[2].kraus[0])
+        operands = (*inputs[:2], ch.kraus[0])
     else:
+        if not all(isinstance(member, (tuple, list)) and len(member) == 3 for member in inputs[5]):
+            raise ValueError("ensemble: each member must be a (weight, rho, sigma) triple")
         weights = validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
         populations = validate_probability_vector(inputs[4])
-        operands = (*inputs[:2], inputs[2].kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
+        operands = (*inputs[:2], ch.kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
     one_size(operands)
     if check == "convexity":
         return _assemble([operands], weights=[weights])
-    kraus = _padded([(inputs[1] if check in CHANNEL_CHECKS else inputs[2]).kraus])
+    kraus = _padded([ch.kraus])
     states = operands[: 1 if check in CHANNEL_CHECKS else 2] + operands[4:]  # observations: then each member's pair
     if check == "observations":
         return _assemble([states], kraus, [weights], [as_square_matrix(inputs[3], "unitary")], [populations])
@@ -1136,8 +1140,8 @@ def search_violation(
     Scans (state, incoherent channel, alpha) draws in deterministic batches;
     the (alpha, operator count, rank, merge pair) combination cycles with the
     batch index so the budget covers the whole grid, and half the multi-
-    operator batches carry a two-operator column merge, the only incoherent
-    structure whose selective branches can gain coherence. Each batch is a
+    operator batches carry a two-operator column merge; branches of either
+    layout can gain coherence (criterion 8's witness is plain). Each batch is a
     _search_batch task of (seed, batch index, structure, size) alone, and this
     loop commits them in order. A witness comes back as a validated
     KrausChannel and counts as found once _strong_mono_stats confirms gap >

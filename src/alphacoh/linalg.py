@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,6 +48,28 @@ def real_number(value, name: str) -> float:
     return float(value)
 
 
+def check_count(value, name: str, least: int) -> int:
+    """value as an int >= least; a non-integer, a bool included (it reads 1 or 0), is a TypeError that names it."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def as_array(value, name: str) -> np.ndarray:
+    """value as a complex array; entries that do not stack into one (a ragged operand) are a DimMismatchError."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except ValueError as exc:  # numpy's ragged refusal names a "sequence"; a malformed entry keeps its own error
+        ragged = DimMismatchError(f"{name}: entries must stack into one array of square shape ({exc})")
+        raise (ragged if "sequence" in str(exc) else exc) from None
+
+
 def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
     """Coerce to a nonempty 2-D square complex array with finite entries (matrix_refusals' first rule)."""
     return _gated(mat, name, hermitian=False)
@@ -55,7 +78,7 @@ def as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
 def one_size(mats):
     """mats, the operands of one call, once each is a square matrix (as_square_matrix) of the first one's size."""
     for mat in mats:
-        shape = np.shape(mat)
+        shape = as_array(mat, "matrix").shape
         if len(shape) != 2 or shape[0] != shape[1]:
             as_square_matrix(mat)  # raises its DimMismatchError
         elif shape != np.shape(mats[0]):
@@ -100,7 +123,7 @@ def spectrum_memo(h) -> SpectrumMemo:
     the bytes of its complex coercion. A matrix edited in place is a new key;
     a refused one is never stored, so it raises every time.
     """
-    mat = np.asarray(h, dtype=complex)
+    mat = as_array(h, "matrix")
     return _last_spectrum(mat.shape, mat.tobytes())
 
 
@@ -120,7 +143,7 @@ def as_hermitian(h) -> np.ndarray:
 
 def _gated(mat, name: str, hermitian: bool) -> np.ndarray:
     """mat as a square complex array, or the first refusal matrix_refusals gives it as a stack of one."""
-    arr = np.asarray(mat, dtype=complex)
+    arr = as_array(mat, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         kind = "square" if arr.size else "nonempty square"
         raise DimMismatchError(f"{name}: expected a {kind} matrix, got shape {arr.shape}")

@@ -16,9 +16,8 @@ import os
 
 import numpy as np
 
-from .divergence import check_count
 from .linalg import NegativeEigenvalueError, NotHermitianError, as_square_matrix, psd_refusals, raise_first
-from .linalg import spectrum_memo
+from .linalg import check_count, spectrum_memo
 
 TRACE_TOL = 1e-10
 PROB_SUM_TOL = 1e-12

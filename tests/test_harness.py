@@ -391,6 +391,7 @@ NOT_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
 NOT_PSD = np.diag([1.5, -0.5]).astype(complex)
 COMPLEX_WEIGHTS = np.array([0.5 + 0.3j, 0.5 - 0.3j])
 VANISHED = 3e-11 * random_density(3, 3, substream(5))
+STACK = np.eye(2, dtype=complex)[None]  # the identity channel's Kraus stack, not a KrausChannel
 
 
 def _qubit():
@@ -601,6 +602,34 @@ class TestErrorContract:
             pytest.param(
                 lambda: check_lemma1(np.ones((2, 3)), _qubit(), identity_channel(2), 0.5),
                 DimMismatchError, "matrix: expected a square matrix, got shape (2, 3)", id="non_square-lemma1",
+            ),
+            # a bare Kraus stack is refused under the name ch before any gate reads its operators
+            pytest.param(
+                lambda: check_strong_monotonicity("alpha", _qubit(), STACK, 0.5),
+                TypeError, "ch must be a KrausChannel, got ndarray", id="kraus_stack-strong_monotonicity",
+            ),
+            pytest.param(
+                lambda: check_monotonicity("alpha", _qubit(), STACK, 0.5),
+                TypeError, "ch must be a KrausChannel, got ndarray", id="kraus_stack-monotonicity",
+            ),
+            pytest.param(
+                lambda: check_holder_step(_qubit(), STACK, 0.5),
+                TypeError, "ch must be a KrausChannel, got ndarray", id="kraus_stack-holder",
+            ),
+            pytest.param(
+                lambda: check_lemma1(_qubit(), _qubit(), STACK, 0.5),
+                TypeError, "ch must be a KrausChannel, got ndarray", id="kraus_stack-lemma1",
+            ),
+            pytest.param(
+                lambda: check_observations(_qubit(), _qubit(), STACK, np.eye(2), [1.0], 0.5),
+                TypeError, "ch must be a KrausChannel, got ndarray", id="kraus_stack-observations",
+            ),
+            # a member without its sigma is refused under the name ensemble, not unpacked
+            pytest.param(
+                lambda: check_observations(
+                    _qubit(), _qubit(), identity_channel(2), np.eye(2), [1.0], 0.5, ensemble=[(1.0, _qubit())]
+                ),
+                ValueError, "ensemble: each member must be a (weight, rho, sigma) triple", id="pair_member-observations",
             ),
             # U^dag U = I, the completeness rule on U as a one-operator channel: a scaled U is no isometry
             pytest.param(
@@ -2420,7 +2449,7 @@ class TestInputGates:
         with pytest.raises(TypeError, match="^alpha must be a real number"):
             entry(alpha)
 
-    # one count rule (divergence.check_count) behind every count argument: entry, name in its message, floor
+    # one count rule (linalg.check_count) behind every count argument: entry, name in its message, floor
     COUNT_ENTRIES = [
         pytest.param(lambda n: TrialConfig(dims=(n,)), "dims", 2, id="TrialConfig-dims"),
         pytest.param(lambda n: TrialConfig(trials_per_cell=n), "trials_per_cell", 1, id="TrialConfig-trials"),

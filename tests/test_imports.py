@@ -179,8 +179,9 @@ def test_a_cell_is_built_only_in_assemble():
                     sites.append((path.stem, getattr(top, "name", None)))
     assert sites == [("harness", "_assemble")]
 
-# each refusal has one site: the operand-size rule, and a grid field's nonempty and distinct rules
+# each refusal has one site: the array rule, the operand-size rule, and a grid field's nonempty and distinct rules
 REFUSAL_SITES = {
+    "entries must stack into one array": ("linalg", "as_array"),
     "operands differ in dimension": ("linalg", "one_size"),
     "must be nonempty": ("harness", "_field"),
     "must not repeat": ("harness", "_field"),
@@ -198,6 +199,14 @@ def test_each_input_rule_is_refused_at_one_site():
                         if any(phrase in text for text in texts):
                             sites[phrase].add((path.stem, getattr(top, "name", None)))
     assert sites == {phrase: {site} for phrase, site in REFUSAL_SITES.items()}
+
+
+@pytest.mark.parametrize("module", ["states", "channels"])
+def test_states_and_channels_stand_on_linalg_alone(module):
+    # their first rules, the count and the array rule, live in linalg; divergence is a layer above them
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert "divergence" not in imported
 
 
 def test_all_is_every_public_name_the_package_binds():

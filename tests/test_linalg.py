@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphacoh.channels import KrausChannel
+from alphacoh.channels import KrausChannel, apply_channel, dephasing_channel, select
 from alphacoh.cli import EXIT_OK, main
 import alphacoh.coherence as coherence
 from alphacoh.coherence import (
     MEASURE_KINDS,
     DegenerateDiagonalError,
     alpha_diagonal,
+    brute_force_min,
     closed_form,
     coherence_alpha,
     l1_coherence,
@@ -22,7 +23,16 @@ from alphacoh.coherence import (
     skew_info_sum,
     tsallis_coherence,
 )
-from alphacoh.divergence import shannon_entropy, trace_functional, von_neumann_entropy
+from alphacoh.divergence import relative_entropy, shannon_entropy, trace_functional, tsallis_divergence
+from alphacoh.divergence import von_neumann_entropy
+from alphacoh.harness import (
+    check_convexity,
+    check_holder_step,
+    check_lemma1,
+    check_monotonicity,
+    check_observations,
+    check_strong_monotonicity,
+)
 from alphacoh.linalg import (
     EIGENVALUE_CLAMP,
     DimMismatchError,
@@ -38,7 +48,7 @@ from alphacoh.linalg import (
     spectrum_memo,
     spectrum_power,
 )
-from alphacoh.states import random_density, save_state, validate_density
+from alphacoh.states import dephase, random_density, save_state, validate_density
 from conftest import random_hermitian
 
 ROT = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -88,6 +98,56 @@ def test_an_empty_operand_is_refused(call):
     # it crashed with an IndexError or a zero-size reduction, or scored a zero-dimensional "state" as 0
     with pytest.raises(DimMismatchError, match=r"nonempty square .*\(0, 0\)$"):
         call(np.zeros((0, 0)))
+
+
+RAGGED = [[0.5, 0], [0]]
+HALF = np.eye(2) / 2
+DEPHASE = dephasing_channel(2)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda z: measure_value("alpha", z, 0.5), "matrix", id="measure_value"),
+        pytest.param(lambda z: coherence_alpha(z, 0.5), "matrix", id="coherence_alpha"),
+        pytest.param(lambda z: optimal_incoherent_state(z, 0.5), "matrix", id="optimal_incoherent_state"),
+        pytest.param(lambda z: alpha_diagonal(z, 0.5), "matrix", id="alpha_diagonal"),
+        pytest.param(skew_info_sum, "matrix", id="skew_info_sum"),
+        pytest.param(lambda z: brute_force_min(z, 0.5, 1e-3), "matrix", id="brute_force_min"),
+        pytest.param(lambda z: matrix_power(z, 0.5), "matrix", id="matrix_power"),
+        pytest.param(spectral_decompose, "matrix", id="spectral_decompose"),
+        pytest.param(von_neumann_entropy, "matrix", id="von_neumann_entropy"),
+        pytest.param(lambda z: trace_functional(z, HALF, 0.5), "matrix", id="trace_functional"),
+        pytest.param(lambda z: relative_entropy(HALF, z), "matrix", id="relative_entropy"),
+        pytest.param(lambda z: tsallis_divergence(z, HALF, 0.5), "matrix", id="tsallis_divergence"),
+        pytest.param(validate_density, "state", id="validate_density"),
+        pytest.param(dephase, "matrix", id="dephase"),
+        pytest.param(lambda z: apply_channel(DEPHASE, z), "state", id="apply_channel"),
+        pytest.param(lambda z: select(DEPHASE, z), "state", id="select"),
+        pytest.param(lambda z: check_strong_monotonicity("alpha", z, DEPHASE, 0.5), "matrix", id="check_strong_mono"),
+        pytest.param(lambda z: check_monotonicity("alpha", z, DEPHASE, 0.5), "matrix", id="check_monotonicity"),
+        pytest.param(lambda z: check_convexity("alpha", [0.5, 0.5], [HALF, z], 0.5), "matrix", id="check_convexity"),
+        pytest.param(lambda z: check_lemma1(HALF, z, DEPHASE, 0.5), "matrix", id="check_lemma1"),
+        pytest.param(lambda z: check_holder_step(z, DEPHASE, 0.5), "matrix", id="check_holder_step"),
+        pytest.param(
+            lambda z: check_observations(z, HALF, DEPHASE, np.eye(2), [1.0], 0.5), "matrix", id="check_observations"
+        ),
+        pytest.param(KrausChannel, "Kraus operators", id="KrausChannel"),
+    ],
+)
+def test_a_ragged_operand_is_refused_under_its_name(call, name):
+    # the array rule's one refusal, under each entry point's operand name, with numpy's reason kept
+    with pytest.raises(DimMismatchError, match="square shape") as info:
+        call(RAGGED)
+    assert str(info.value).startswith(f"{name}: entries must stack into one array of square shape (")
+    assert "inhomogeneous" in str(info.value)  # numpy's reason is kept
+
+
+def test_a_malformed_entry_keeps_numpy_error():
+    # only the stacking rule is the array rule's refusal; an entry numpy cannot read as complex is not ragged
+    with pytest.raises(ValueError, match="malformed string") as info:
+        spectral_decompose([["a", "0"], ["0", "1"]])
+    assert not isinstance(info.value, DimMismatchError)
 
 
 def test_matrix_refusals_are_the_as_hermitian_gate_per_matrix(rng):
