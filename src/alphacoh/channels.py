@@ -94,6 +94,18 @@ def branches(kraus, rho):
     return probs, products, probs >= P_MIN
 
 
+def pure_branches(kraus, psi):
+    """`branches` of pure states psi psi† from their unit vectors psi (..., d, 1), with no d x d product.
+
+    Kraus operators (..., n, d, d) give probs (..., n), each branch's unnormalized populations |K_n psi|^2
+    (..., n, d) and the mask probs >= P_MIN.
+    """
+    vectors = (kraus @ psi[..., None, :, :])[..., 0]
+    populations = vectors.real**2 + vectors.imag**2
+    probs = populations.sum(axis=-1)
+    return probs, populations, probs >= P_MIN
+
+
 def kraus_stack(rows, amps) -> np.ndarray:
     """Kraus operators (..., n_kraus, d, d) holding amps[..., n, c] at (rows[..., n, c], c)."""
     ops = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)

@@ -15,11 +15,13 @@ power-mean S = sum_j a_j^(1/alpha):
 Both are evaluated by one kernel, ``closed_form``: a kind-free power mean and
 the kind's readout of it. ``measure_values`` is the one evaluation path of every
 measure kind over a stack, shared with the harness; beside its values it returns
-each refused entry's error, and the scalar API raises its state's. The scalar
-API reads the spectrum from ``linalg.spectrum_memo``, with its alpha-free terms
-max(lam, 0) and |V|^2, and keeps one power mean per gated alpha there, so every
-kind, alpha, minimizer and oracle call on one state shares one
-eigendecomposition, and each (state, alpha) pair is evaluated once.
+each refused entry's error, and the scalar API raises its state's.
+``pure_values`` feeds the same kernel a pure state's populations, with no
+eigendecomposition. The scalar API reads the spectrum from
+``linalg.spectrum_memo``, with its alpha-free terms max(lam, 0) and |V|^2, and
+keeps one power mean per gated alpha there, so every kind, alpha, minimizer and
+oracle call on one state shares one eigendecomposition, and each (state, alpha)
+pair is evaluated once.
 
 ``brute_force_min`` is the independent oracle: it minimizes the family's
 objective on an explicit simplex grid, never touching the closed form, so the
@@ -91,6 +93,16 @@ def closed_form(kind: str, lam: np.ndarray, vecs: np.ndarray, alpha: float):
     """
     terms, refusals = _power_mean(*diagonal_terms(lam, vecs), alpha)
     return (*_readout(kind, alpha, terms), refusals)
+
+
+def pure_values(kind: str, populations: np.ndarray, alpha: float) -> np.ndarray:
+    """closed_form's value of pure states from their populations |psi_j|^2 (..., d), with no eigendecomposition.
+
+    A pure state's rho^alpha is rho, so a_j = |psi_j|^2: the power mean of weight 1 and these overlaps, and
+    the kind's readout. Populations that sum to 1 have a_j of at least 1/d, so no entry is refused.
+    """
+    terms, _ = _power_mean(np.ones((*populations.shape[:-1], 1)), populations[..., None], alpha)
+    return _readout(kind, alpha, terms)[0]
 
 
 def _power_mean(weights: np.ndarray, overlaps: np.ndarray, alpha: float) -> tuple[tuple, dict]:

@@ -36,6 +36,7 @@ from .channels import (
     incoherent_mask,
     isometry_kraus,
     kraus_stack,
+    pure_branches,
     select,  # unused here; the benchmark reads and patches it under this module too
     unprojected_draw,
 )
@@ -47,6 +48,7 @@ from .coherence import (
     closed_form,
     measure_value,
     measure_values,
+    pure_values,
 )
 from .divergence import functional_values, near_one, sgn1
 from .linalg import as_square_matrix, check_count, eigh_clamped, matrix_refusals, one_size, raise_first, real_number
@@ -295,24 +297,25 @@ def _cell_of(check: str, inputs) -> _Cell:
 
     First the rules a formed cell meets by construction: a KrausChannel as ch, (weight, rho, sigma) ensemble
     members, weights that are a distribution, one weight per convexity state, and one_size on the operands.
+    The ensemble and the convexity states are sequences (_entries).
     """
     if check != "convexity" and not isinstance(ch := inputs[1 if check in CHANNEL_CHECKS else 2], KrausChannel):
         raise TypeError(f"ch must be a KrausChannel, got {type(ch).__name__}")
     if check in CHANNEL_CHECKS:
         operands = (inputs[0], ch.kraus[0])
     elif check == "convexity":
-        weights, operands = inputs
-        weights = validate_probability_vector(weights, "weights")
+        weights, operands = validate_probability_vector(inputs[0], "weights"), _entries(inputs[1], "states")
         if len(operands) != weights.size:
             raise BadWeightsError(f"need one weight per state, got {weights.size} weights, {len(operands)} states")
     elif check == "lemma1":
         operands = (*inputs[:2], ch.kraus[0])
     else:
-        if not all(isinstance(member, (tuple, list)) and len(member) == 3 for member in inputs[5]):
+        ensemble = _entries(inputs[5], "ensemble")
+        if not all(isinstance(member, (tuple, list)) and len(member) == 3 for member in ensemble):
             raise ValueError("ensemble: each member must be a (weight, rho, sigma) triple")
-        weights = validate_probability_vector([w for w, _, _ in inputs[5]], "ensemble weights")
+        weights = validate_probability_vector([w for w, _, _ in ensemble], "ensemble weights")
         populations = validate_probability_vector(inputs[4])
-        operands = (*inputs[:2], ch.kraus[0], inputs[3], *(m for _, r, s in inputs[5] for m in (r, s)))
+        operands = (*inputs[:2], ch.kraus[0], inputs[3], *(m for _, r, s in ensemble for m in (r, s)))
     one_size(operands)
     if check == "convexity":
         return _assemble([operands], weights=[weights])
@@ -848,9 +851,14 @@ def _branch_average(kind: str, kraus, rho, alpha: float):
     """
     probs, products, kept = branches(kraus, rho)
     values, refusals = measure_values(kind, products[kept] / probs[kept][:, None, None], alpha)
+    return _kept_sum(probs, kept, values), (refusals, np.nonzero(kept)[0])
+
+
+def _kept_sum(probs, kept, values):
+    """sum_n p_n values_n over the kept branches (one value each), in operator order as a Python sum of floats."""
     terms = np.zeros(probs.shape)
     terms[kept] = probs[kept] * values
-    return sum(np.moveaxis(terms, -1, 0)), (refusals, np.nonzero(kept)[0])
+    return sum(np.moveaxis(terms, -1, 0))
 
 
 def _batch_states(rng, count: int, d: int, rank: int):
@@ -969,17 +977,27 @@ def _batch_incoherent_channels(rng, count: int, d: int, n_kraus: int, with_pair:
     return params, ops
 
 
-def _batch_gaps(kind: str, rhos: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
+def _batch_gaps(kind: str, states: np.ndarray, kraus: np.ndarray, alpha: float) -> np.ndarray:
     """Strong-monotonicity gaps (average after minus before); positive = violation.
 
-    Entry b has the bits of _strong_mono_stats(kind, rhos[b], kraus[b], alpha)[2]. Scored SCORE_CHUNK draws
-    at a time; every kernel works per draw.
+    states is a density stack (count, d, d), whose entry b has the bits of _strong_mono_stats(kind,
+    states[b], kraus[b], alpha)[2], or rank-one factors g (count, d, 1). A factor is scored as the pure
+    state psi psi†, psi = g / |g|, with no eigh: pure_values of |psi_j|^2, and of |K_n psi|_j^2 / p_n for
+    each kept branch (pure_branches), summed as _branch_average sums. Scored SCORE_CHUNK draws at a time;
+    every kernel works per draw.
     """
     gaps = []
-    for lo in range(0, len(rhos), SCORE_CHUNK):
-        chunk, ops = rhos[lo : lo + SCORE_CHUNK], kraus[lo : lo + SCORE_CHUNK]
-        before = measure_values(kind, chunk, alpha)[0]
-        gaps.append(_branch_average(kind, ops, chunk, alpha)[0] - before)
+    for lo in range(0, len(states), SCORE_CHUNK):
+        chunk, ops = states[lo : lo + SCORE_CHUNK], kraus[lo : lo + SCORE_CHUNK]
+        if chunk.shape[-1] == 1:
+            populations = chunk.real**2 + chunk.imag**2
+            norm = populations.sum(axis=-2, keepdims=True)
+            probs, branch_populations, kept = pure_branches(ops, chunk / np.sqrt(norm))
+            values = pure_values(kind, branch_populations[kept] / probs[kept][:, None], alpha)
+            gaps.append(_kept_sum(probs, kept, values) - pure_values(kind, (populations / norm)[..., 0], alpha))
+        else:
+            before = measure_values(kind, chunk, alpha)[0]
+            gaps.append(_branch_average(kind, ops, chunk, alpha)[0] - before)
     return np.concatenate(gaps)
 
 
@@ -1105,7 +1123,7 @@ def _search_batch(kind: str, d: int, seed: int, batch_index: int, structure, siz
     rng = substream(seed, batch_index)
     factors, rhos = _batch_states(rng, size, d, rank)
     params, kraus = _batch_incoherent_channels(rng, size, d, n_kraus, with_pair)
-    gaps = _batch_gaps(kind, rhos, kraus, alpha)
+    gaps = _batch_gaps(kind, factors if rank == 1 else rhos, kraus, alpha)
     batch_best = float(np.max(gaps))
     offsets = [int(o) for o in np.nonzero(gaps > REFINE_TRIGGER)[0][:3]]
     top = int(np.argmax(gaps))
@@ -1115,11 +1133,12 @@ def _search_batch(kind: str, d: int, seed: int, batch_index: int, structure, siz
         offsets.append(top)
     candidates = []
     for offset in offsets:
-        # refinement starts from the batch's exact draw, its first evaluation gives
-        # gaps[offset] again, and it returns the draw unchanged when no move helps
-        refined_gap, rho, ch = _refine_witness(kind, factors[offset], params[offset], alpha)
+        # refinement starts from the batch's exact draw and returns it unchanged when no move helps; a
+        # rank-one gaps[offset] is the factor's, not its start gap, so a move is read from the bits
+        _, rho, ch = _refine_witness(kind, factors[offset], params[offset], alpha)
         before, after, gap = _strong_mono_stats(kind, rho, ch.kraus, alpha)
-        candidates.append((offset, bool(refined_gap > gaps[offset]), rho, ch, before, after, gap))
+        moved = rho.tobytes() != rhos[offset].tobytes() or ch.kraus.tobytes() != kraus[offset].tobytes()
+        candidates.append((offset, moved, rho, ch, before, after, gap))
         if gap > VIOLATION_GAP:
             break
     return batch_best, candidates

@@ -181,9 +181,12 @@ def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
 
 
 def save_state(path: str | os.PathLike, rho) -> None:
-    """Write a state file: {"dim": d, "entries": [[re, im], ...]} in row-major order."""
-    mat = np.asarray(rho, dtype=complex)
-    save_entries(path, "dim", mat.shape[0], "entries", mat.reshape(-1))
+    """Write a state file: {"dim": d, "entries": [[re, im], ...]} in row-major order.
+
+    rho is gated first (as_square_matrix), so a ragged, non-square or non-finite one creates no file.
+    """
+    mat = as_square_matrix(rho, "state")
+    save_entries(path, "dim", len(mat), "entries", mat.reshape(-1))
 
 
 def save_entries(path: str | os.PathLike, dim_key: str, d: int, entries_key: str, entries) -> None:

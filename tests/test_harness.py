@@ -12,10 +12,12 @@ import math
 import pathlib
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from alphacoh.channels import (
+    P_MIN,
     KrausChannel,
     NotIncoherentChannelError,
     SelectiveOutcome,
@@ -46,6 +48,7 @@ from alphacoh.harness import (
     ALL_CHECKS,
     DEFAULT_TOLERANCE,
     OBSERVATIONS,
+    REFINE_SWEEPS,
     SCORE_CHUNK,
     SEARCH_ALPHAS,
     SEARCH_BATCH,
@@ -631,6 +634,17 @@ class TestErrorContract:
                 ),
                 ValueError, "ensemble: each member must be a (weight, rho, sigma) triple", id="pair_member-observations",
             ),
+            # a non-iterable ensemble or convexity states are refused by name, not by Python's iteration errors
+            pytest.param(
+                lambda: check_observations(
+                    _qubit(), _qubit(), identity_channel(2), np.eye(2), [1.0], 0.5, ensemble=5
+                ),
+                TypeError, "ensemble must be a sequence, got 5", id="int_ensemble-observations",
+            ),
+            pytest.param(
+                lambda: check_convexity("alpha", [1.0], 5, 0.5),
+                TypeError, "states must be a sequence, got 5", id="int_states-convexity",
+            ),
             # U^dag U = I, the completeness rule on U as a one-operator channel: a scaled U is no isometry
             pytest.param(
                 lambda: check_observations(
@@ -1134,6 +1148,94 @@ class TestSearchSampler:
         params[2].raw[:] = 1.0
         params[2].pair_angles[:] = 0.0
         assert np.array_equal(np.stack(KrausChannel(params[2].ops()).kraus), ops[2])
+
+
+def _mp_pure_gap(kind, g, kraus, alpha):
+    """The gap of the pure state g g† / |g|^2 under the Kraus stack at 50 digits, from the doubles' exact values."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+
+        def value(populations):  # C_alpha or Ct_alpha of a pure state: S = sum_j q_j^(1/alpha)
+            s = mpmath.fsum(q ** (1 / a) for q in populations)
+            return ((s if kind == "alpha" else s**a) - 1) / (a - 1)
+
+        psi = [mpmath.mpc(complex(z)) for z in g[:, 0]]
+        norm = mpmath.fsum(abs(z) ** 2 for z in psi)
+        after = mpmath.mpf(0)
+        for op in kraus:
+            populations = [abs(mpmath.fsum(mpmath.mpc(complex(k)) * z for k, z in zip(row, psi))) ** 2 for row in op]
+            p = mpmath.fsum(populations)
+            if p / norm >= P_MIN:
+                after += p / norm * value([q / p for q in populations])
+        return float(after - value([abs(z) ** 2 / norm for z in psi]))
+
+
+class TestPureBatchGaps:
+    """A rank-one batch is scored from its factors (count, d, 1), with no eigendecomposition."""
+
+    STRUCTURES = [(2, 3, False), (3, 3, False), (3, 4, True), (4, 2, False), (4, 3, True)]
+
+    @pytest.mark.parametrize("d, n_kraus, pair", STRUCTURES)
+    def test_pure_gaps_are_within_1e_14_of_50_digits(self, d, n_kraus, pair):
+        # 5e-14 at alpha 1e-3; the eigh path's worst errors on these draws were 1.0e-14 and 1.0e-13
+        rng = substream(37, d, n_kraus)
+        factors, _ = _batch_states(rng, 40, d, 1)
+        _, ops = _batch_incoherent_channels(rng, 40, d, n_kraus, pair)
+        for kind in ("tsallis", "alpha"):
+            for alpha in (1e-3, 0.05, 0.3, 0.7, 1.5, 2.0):
+                exact = np.array([_mp_pure_gap(kind, factors[b], ops[b], alpha) for b in range(40)])
+                error = np.abs(_batch_gaps(kind, factors, ops, alpha) - exact).max()
+                assert error <= (5e-14 if alpha < 0.05 else 1e-14), (kind, alpha, error)
+
+    def test_factors_need_no_eigendecomposition(self, monkeypatch):
+        # over two chunks, near alpha 1 too; the density stack of the same states does call eigh
+        rng = substream(41)
+        factors, rhos = _batch_states(rng, SCORE_CHUNK + 5, 3, 1)
+        _, ops = _batch_incoherent_channels(rng, SCORE_CHUNK + 5, 3, 3, True)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(AssertionError, match="eigh was called"):
+            _batch_gaps("tsallis", rhos, ops, 0.5)
+        for kind in ("tsallis", "alpha"):
+            for alpha in (0.5, 1.0, 2.0):
+                gaps = _batch_gaps(kind, factors, ops, alpha)
+                assert gaps.shape == (len(factors),) and np.isfinite(gaps).all()
+
+    @pytest.mark.parametrize("sweeps", [0, REFINE_SWEEPS])
+    def test_the_refined_flag_says_the_witness_moved(self, sweeps, monkeypatch):
+        # the flag is refined_gap > the start draw's matrix gap; at rank > 1 that gap is gaps[offset], as
+        # before, while a rank-one gaps[offset] is the factor's, which the start gap may exceed by rounding.
+        # No sweep leaves every witness as drawn
+        import alphacoh.harness as harness
+
+        scored, refined = [], []
+        batch_gaps, refine = harness._batch_gaps, harness._refine_witness
+
+        def recorded(calls, fn):
+            return lambda *args: calls.append((args, fn(*args))) or calls[-1][1]
+
+        monkeypatch.setattr(harness, "_batch_gaps", recorded(scored, batch_gaps))
+        monkeypatch.setattr(harness, "_refine_witness", recorded(refined, refine))
+        monkeypatch.setattr(harness, "REFINE_SWEEPS", sweeps)
+        flags, stale = [], 0
+        structures = [(2, 2, 2, False), (2, 1, 3, False), (3, 3, 2, False), (3, 3, 3, True), (3, 1, 3, False)]
+        for d, rank, n_kraus, pair in structures:
+            for kind, alpha in (("tsallis", 0.5), ("alpha", 2.0)):
+                refined.clear()
+                _, candidates = _search_batch(kind, d, 5, 0, (alpha, n_kraus, rank, pair), 256)
+                assert len(candidates) == len(refined) > 0
+                for (offset, flag, *_), ((_, g, params, _), (refined_gap, _, _)) in zip(candidates, refined):
+                    start, gaps = _strong_mono_stats(kind, state_from_factor(g), params.ops(), alpha)[2], scored[-1][1]
+                    assert flag == (refined_gap > start)
+                    if rank > 1:
+                        assert start == gaps[offset] and flag == (refined_gap > gaps[offset])
+                    flags.append(flag)
+                    stale += rank == 1 and not flag and refined_gap > gaps[offset]
+        assert any(flags) == bool(sweeps)
+        assert stale > 0 or sweeps  # unrefined rank-one witnesses the old rule called refined
 
 
 def _batch_bits(result):

@@ -247,6 +247,22 @@ def test_load_state_validates(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "rho, error, match",
+    [
+        ([[0.5, 0], [0]], DimMismatchError, "^state: entries must stack into one array of square shape"),
+        (np.ones((2, 3)) / 6, DimMismatchError, r"^state: expected a square matrix, got shape \(2, 3\)$"),
+        ([[math.inf, 0], [0, 1]], ValueError, "^state: entries must be finite$"),
+    ],
+)
+def test_save_state_refuses_before_writing(tmp_path, rho, error, match):
+    # numpy's nameless ragged error, a 2x3 matrix written as dim 2 with 6 entries, and a JSON Infinity
+    path = tmp_path / "state.json"
+    with pytest.raises(error, match=match):
+        save_state(path, rho)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "text, match",
     [
         ('{"dim": 2, "entries": [1, 0, 0, 0]}', "shape \\(4,\\)"),
